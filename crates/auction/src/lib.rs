@@ -75,13 +75,16 @@ pub mod walkthrough;
 pub mod winner;
 
 pub use cost::{CostFunction, LinearCost, QuadraticCost};
-pub use equilibrium::{EquilibriumBid, EquilibriumSolver, EquilibriumSolverBuilder, PaymentMethod};
+pub use equilibrium::{
+    EquilibriumBid, EquilibriumSolver, EquilibriumSolverBuilder, EquilibriumStrategy, PaymentMethod,
+};
 pub use error::AuctionError;
 pub use game::{game_statistics, psi_rank_spread, GameConfig, GameStatistics, RankSpreadCounts};
 pub use mechanism::{AdmissionPlan, Auction, AuctionOutcome, Award, SubmittedBid};
 pub use pricing::PricingRule;
 pub use scoring::{
-    Additive, CobbDouglas, NormalizedScoring, PerfectComplementary, ScoringFunction, ScoringRule,
+    Additive, CobbDouglas, CountingScoring, NormalizedScoring, PerfectComplementary,
+    ScoringFunction, ScoringRule,
 };
 pub use store::{
     BidSelector, BidStore, Candidate, RankRefiner, RankedCandidates, ScoreHistogram,
@@ -93,13 +96,15 @@ pub use winner::SelectionRule;
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
     pub use crate::cost::{CostFunction, LinearCost, QuadraticCost};
-    pub use crate::equilibrium::{EquilibriumBid, EquilibriumSolver, PaymentMethod};
+    pub use crate::equilibrium::{
+        EquilibriumBid, EquilibriumSolver, EquilibriumStrategy, PaymentMethod,
+    };
     pub use crate::error::AuctionError;
     pub use crate::mechanism::{Auction, AuctionOutcome, Award, SubmittedBid};
     pub use crate::pricing::PricingRule;
     pub use crate::scoring::{
-        Additive, CobbDouglas, NormalizedScoring, PerfectComplementary, ScoringFunction,
-        ScoringRule,
+        Additive, CobbDouglas, CountingScoring, NormalizedScoring, PerfectComplementary,
+        ScoringFunction, ScoringRule,
     };
     pub use crate::types::{NodeId, Quality, ScoredBid};
     pub use crate::winner::SelectionRule;

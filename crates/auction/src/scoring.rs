@@ -613,6 +613,48 @@ impl<S: ScoringFunction + ?Sized> ScoringFunction for &S {
     }
 }
 
+/// A scoring function that counts its [`ScoringFunction::value`] calls.
+///
+/// An [`EquilibriumSolver`](crate::EquilibriumSolver) evaluates its objective
+/// `s(q) − c(q, θ)` through `value`, so sharing one of these (behind an [`Arc`]) with a solver
+/// shows how much solving a code path does — the tests use it to pin that bidding from an
+/// adopted [`EquilibriumStrategy`](crate::EquilibriumStrategy) does none.
+#[derive(Debug)]
+pub struct CountingScoring<S> {
+    inner: S,
+    evaluations: std::sync::atomic::AtomicUsize,
+}
+
+impl<S: ScoringFunction> CountingScoring<S> {
+    /// Wraps `inner`, starting the count at zero.
+    pub fn new(inner: S) -> Self {
+        Self {
+            inner,
+            evaluations: std::sync::atomic::AtomicUsize::new(0),
+        }
+    }
+
+    /// `value` calls so far.
+    pub fn evaluations(&self) -> usize {
+        self.evaluations.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+impl<S: ScoringFunction> ScoringFunction for CountingScoring<S> {
+    fn dims(&self) -> usize {
+        self.inner.dims()
+    }
+    fn value(&self, q: &[f64]) -> f64 {
+        // A statistic only: it publishes no other data.
+        self.evaluations
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.value(q)
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
 /// The quasi-linear scoring rule `S(q, p) = s(q) − p` broadcast by the aggregator in the
 /// bid-ask step (Eq. 4 of the paper).
 #[derive(Clone)]

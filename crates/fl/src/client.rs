@@ -1,7 +1,7 @@
 //! Edge clients: data shard, private cost parameter, dynamic resource provision, and bidding.
 
 use crate::error::FlError;
-use fmore_auction::{EquilibriumSolver, NodeId, Quality, SubmittedBid};
+use fmore_auction::{EquilibriumSolver, EquilibriumStrategy, NodeId, Quality, SubmittedBid};
 use fmore_ml::dataset::Dataset;
 use fmore_ml::partition::ClientShard;
 use rand::rngs::StdRng;
@@ -18,6 +18,9 @@ pub struct EdgeClient {
     id: NodeId,
     shard: ClientShard,
     theta: f64,
+    /// The equilibrium strategy solved from θ when the scoring rule was broadcast; `None`
+    /// until [`EdgeClient::adopt_strategy`] (non-auction schemes never broadcast one).
+    strategy: Option<EquilibriumStrategy>,
     rng: StdRng,
     /// Indices (into the global dataset) available in the current round.
     available: Vec<usize>,
@@ -34,6 +37,7 @@ impl EdgeClient {
             id,
             shard,
             theta,
+            strategy: None,
             rng: fmore_numerics::seeded_rng(seed),
             available,
             available_categories,
@@ -134,34 +138,54 @@ impl EdgeClient {
         Quality::new(vec![q1, self.category_proportion(num_classes)])
     }
 
-    /// Computes the client's sealed bid for one FMore round.
-    ///
-    /// The declared quality is the Nash-equilibrium quality of Che's Theorem 1, capped by the
-    /// resources the client actually has this round (it cannot promise more data or more
-    /// categories than it holds); the payment ask is the equilibrium payment `p*(θ)` of
-    /// Theorem 1.
+    /// Step 1 of Algorithm 1 from the client's side: the aggregator broadcast its scoring
+    /// rule, and the client solves its equilibrium strategy `(q*(θ), p*(θ))` against it —
+    /// once, since θ never changes. Every later [`EdgeClient::make_bid`] only caps that
+    /// strategy to the round's resources. Adopting again replaces the strategy (a new rule
+    /// was broadcast).
     ///
     /// # Errors
     ///
     /// Returns [`FlError::Auction`] if θ lies outside the solver's support.
+    pub fn adopt_strategy(&mut self, solver: &EquilibriumSolver) -> Result<(), FlError> {
+        self.strategy = Some(solver.strategy_for(self.theta)?);
+        Ok(())
+    }
+
+    /// Computes the client's sealed bid for one FMore round from its adopted strategy.
+    ///
+    /// The declared quality is the Nash-equilibrium quality of Che's Theorem 1, capped by the
+    /// resources the client actually has this round (it cannot promise more data or more
+    /// categories than it holds); the payment ask is the equilibrium payment `p*(θ)` of
+    /// Theorem 1. No solver is involved: per round this costs the capacity vector and the
+    /// declared-quality vector, nothing else.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlError::InvalidConfig`] if no strategy was adopted, and
+    /// [`FlError::Auction`] if the strategy's dimension is not the client's two resources.
     pub fn make_bid(
         &self,
-        solver: &EquilibriumSolver,
         max_data_size: f64,
         num_classes: usize,
     ) -> Result<SubmittedBid, FlError> {
+        let strategy = self.strategy.as_ref().ok_or_else(|| {
+            FlError::InvalidConfig(format!("{} bids before adopting a strategy", self.id))
+        })?;
         let capacity = self.resource_quality(max_data_size, num_classes);
-        Ok(solver.capped_bid(self.id, self.theta, capacity.as_slice())?)
+        Ok(strategy.cap(self.id, capacity.as_slice())?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmore_auction::{CobbDouglas, LinearCost, PaymentMethod};
+    use crate::engine::{collect_adopted_bids, collect_bids};
+    use fmore_auction::{CobbDouglas, CountingScoring, LinearCost, PaymentMethod, ScoringFunction};
     use fmore_ml::dataset::SyntheticImageSpec;
     use fmore_ml::partition::{partition_non_iid, PartitionConfig};
     use fmore_numerics::{seeded_rng, UniformDist};
+    use std::sync::Arc;
 
     fn setup() -> (Dataset, Vec<EdgeClient>) {
         let mut rng = seeded_rng(1);
@@ -191,8 +215,12 @@ mod tests {
     }
 
     fn solver() -> EquilibriumSolver {
+        solver_scoring_with(CobbDouglas::with_scale(25.0, vec![1.0, 1.0]).unwrap())
+    }
+
+    fn solver_scoring_with(scoring: impl ScoringFunction + 'static) -> EquilibriumSolver {
         EquilibriumSolver::builder()
-            .scoring(CobbDouglas::with_scale(25.0, vec![1.0, 1.0]).unwrap())
+            .scoring(scoring)
             .cost(LinearCost::new(vec![2.0, 1.0]).unwrap())
             .theta(UniformDist::new(0.1, 1.0).unwrap())
             .bounds(vec![(0.0, 1.0), (0.0, 1.0)])
@@ -248,11 +276,12 @@ mod tests {
 
     #[test]
     fn bids_are_capped_by_actual_resources_and_cover_cost() {
-        let (data, clients) = setup();
+        let (data, mut clients) = setup();
         let solver = solver();
         let cost = LinearCost::new(vec![2.0, 1.0]).unwrap();
-        for c in &clients {
-            let bid = c.make_bid(&solver, 120.0, data.num_classes()).unwrap();
+        for c in &mut clients {
+            c.adopt_strategy(&solver).unwrap();
+            let bid = c.make_bid(120.0, data.num_classes()).unwrap();
             let capacity = c.resource_quality(120.0, data.num_classes());
             assert!(
                 bid.quality.dominated_by(&capacity),
@@ -267,15 +296,79 @@ mod tests {
     }
 
     #[test]
+    fn bidding_before_adoption_is_a_typed_error() {
+        let (data, mut clients) = setup();
+        assert!(matches!(
+            clients[0].make_bid(120.0, data.num_classes()),
+            Err(FlError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            collect_adopted_bids(&clients, 120.0, data.num_classes()),
+            Err(FlError::InvalidConfig(_))
+        ));
+        // A θ outside the broadcast rule's support is refused at adoption, not per round.
+        let shard = clients[0].shard().clone();
+        let mut outsider = EdgeClient::new(NodeId(99), shard, 7.5, 1);
+        assert!(matches!(
+            outsider.adopt_strategy(&solver()),
+            Err(FlError::Auction(_))
+        ));
+        assert!(outsider.make_bid(120.0, data.num_classes()).is_err());
+        clients[0].adopt_strategy(&solver()).unwrap();
+        assert!(clients[0].make_bid(120.0, data.num_classes()).is_ok());
+    }
+
+    #[test]
+    fn bid_collection_after_adoption_never_evaluates_the_solver() {
+        let (data, mut clients) = setup();
+        let scoring = Arc::new(CountingScoring::new(
+            CobbDouglas::with_scale(25.0, vec![1.0, 1.0]).unwrap(),
+        ));
+        let solver = solver_scoring_with(Arc::clone(&scoring));
+        for c in &mut clients {
+            c.adopt_strategy(&solver).unwrap();
+        }
+        let adopted = scoring.evaluations();
+        assert!(adopted > 0, "adoption is where the solving happens");
+        for _ in 0..4 {
+            for c in &mut clients {
+                c.refresh_availability((0.4, 1.0), &data);
+            }
+            let solved = scoring.evaluations();
+            let kept = collect_adopted_bids(&clients, 120.0, data.num_classes()).unwrap();
+            assert_eq!(
+                scoring.evaluations(),
+                solved,
+                "a round of bid collection must not touch the solver"
+            );
+            // The one-shot stage re-solves every θ and lands on the same bids, bit for bit.
+            let fresh = collect_bids(&clients, &solver, 120.0, data.num_classes()).unwrap();
+            assert!(scoring.evaluations() > solved);
+            assert_eq!(kept.len(), fresh.len());
+            for (k, f) in kept.iter().zip(&fresh) {
+                assert_eq!(k.node, f.node);
+                assert_eq!(k.ask.to_bits(), f.ask.to_bits());
+                let bits = |b: &SubmittedBid| -> Vec<u64> {
+                    b.quality.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(k), bits(f));
+            }
+        }
+    }
+
+    #[test]
     fn lower_theta_clients_achieve_higher_auction_scores() {
         // A better (cheaper) type has lower cost at the same quality, so the equilibrium
         // payment it needs is smaller and the resulting score s(q) − p is higher — the
         // mechanism's whole point.
-        let (data, clients) = setup();
+        let (data, mut clients) = setup();
         let solver = solver();
+        for c in &mut clients {
+            c.adopt_strategy(&solver).unwrap();
+        }
         let scoring = CobbDouglas::with_scale(25.0, vec![1.0, 1.0]).unwrap();
         let score_of = |client: &EdgeClient| {
-            let bid = client.make_bid(&solver, 120.0, data.num_classes()).unwrap();
+            let bid = client.make_bid(120.0, data.num_classes()).unwrap();
             fmore_auction::ScoringFunction::value(&scoring, bid.quality.as_slice()) - bid.ask
         };
         assert!(clients[0].theta() < clients[9].theta());

@@ -5,8 +5,8 @@
 //! by the MEC cluster simulator, or by an experiment sweep — is the same pipeline:
 //!
 //! ```text
-//! bid collection ── auction ── local training ── aggregation ── evaluation
-//!  (collect_bids)   (auction_select)  (local_training)  (aggregate)   (trainer)
+//!    bid collection    ──    auction    ── local training ── aggregation ── evaluation
+//! (collect_adopted_bids) (auction_select) (local_training)   (aggregate)    (trainer)
 //! ```
 //!
 //! This module holds the shared implementation of each stage and the execution substrate
@@ -226,9 +226,33 @@ impl RoundEngine {
 // Stage 1–2: bid collection.
 // ---------------------------------------------------------------------------
 
-/// Collects the sealed equilibrium bid of every client (steps 1–2 of Algorithm 1: the
-/// scoring rule has been broadcast; each node answers with its capacity-capped
-/// Nash-equilibrium bid).
+/// Collects the sealed bid of every client (step 2 of Algorithm 1) from the equilibrium
+/// strategy each adopted when the scoring rule was broadcast
+/// ([`EdgeClient::adopt_strategy`]): every bid is that strategy capped to the client's
+/// resources this round. No solver takes part, so a round of bid collection costs two small
+/// vectors per client and cannot disagree with the rule the clients were given.
+///
+/// # Errors
+///
+/// Returns [`FlError::InvalidConfig`] if a client never adopted a strategy.
+pub fn collect_adopted_bids(
+    clients: &[EdgeClient],
+    max_data_size: f64,
+    num_classes: usize,
+) -> Result<Vec<SubmittedBid>, FlError> {
+    let mut bids = Vec::with_capacity(clients.len());
+    for client in clients {
+        bids.push(client.make_bid(max_data_size, num_classes)?);
+    }
+    Ok(bids)
+}
+
+/// Steps 1–2 of Algorithm 1 in one call, for a driver that meets these clients once:
+/// broadcast `solver`'s rule and collect every client's capacity-capped equilibrium bid,
+/// solving each θ against `solver` on the spot ([`EquilibriumSolver::capped_bid`]). Whatever
+/// strategies the clients hold are neither read nor changed. A driver that keeps its clients
+/// across rounds has them adopt once and calls [`collect_adopted_bids`] per round instead —
+/// same bids bit for bit, without the per-round solve.
 ///
 /// # Errors
 ///
@@ -241,7 +265,8 @@ pub fn collect_bids(
 ) -> Result<Vec<SubmittedBid>, FlError> {
     let mut bids = Vec::with_capacity(clients.len());
     for client in clients {
-        bids.push(client.make_bid(solver, max_data_size, num_classes)?);
+        let capacity = client.resource_quality(max_data_size, num_classes);
+        bids.push(solver.capped_bid(client.id(), client.theta(), capacity.as_slice())?);
     }
     Ok(bids)
 }

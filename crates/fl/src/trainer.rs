@@ -34,7 +34,6 @@ pub struct FederatedTrainer {
     test_indices: Vec<usize>,
     clients: Vec<EdgeClient>,
     global: Sequential,
-    solver: Option<EquilibriumSolver>,
     auction: Option<Auction>,
     engine: RoundEngine,
     /// How local training decomposes into executor tasks; never affects histories.
@@ -102,8 +101,8 @@ impl FederatedTrainer {
     ///
     /// The constructor synthesises the task's train/test data, partitions it non-IID across
     /// `N` clients, draws every client's private cost parameter θ, instantiates the global
-    /// model, and (for FMore strategies) precomputes the equilibrium bidding strategy and the
-    /// auction.
+    /// model, and (for FMore strategies) builds the auction and has every client adopt its
+    /// equilibrium bidding strategy.
     ///
     /// # Errors
     ///
@@ -147,7 +146,7 @@ impl FederatedTrainer {
 
         let theta_dist = UniformDist::new(config.theta_range.0, config.theta_range.1)
             .map_err(fmore_auction::AuctionError::from)?;
-        let clients: Vec<EdgeClient> = shards
+        let mut clients: Vec<EdgeClient> = shards
             .into_iter()
             .enumerate()
             .map(|(i, shard)| {
@@ -164,7 +163,7 @@ impl FederatedTrainer {
 
         let global = build_model(&config, &mut rng);
 
-        let (solver, auction) = match &strategy {
+        let auction = match &strategy {
             SelectionStrategy::Auction(cfg) => {
                 let scoring =
                     CobbDouglas::with_scale(cfg.scoring_scale, cfg.scoring_exponents.clone())?;
@@ -179,15 +178,19 @@ impl FederatedTrainer {
                     .winners(config.winners_per_round)
                     .grid_size(128)
                     .build()?;
-                let auction = Auction::new(
+                // Step 1 of Algorithm 1, the broadcast: θ is fixed for the run, so each
+                // client solves its strategy here and the solver is not needed again.
+                for client in &mut clients {
+                    client.adopt_strategy(&solver)?;
+                }
+                Some(Auction::new(
                     ScoringRule::new(scoring),
                     config.winners_per_round,
                     cfg.selection,
                     cfg.pricing,
-                );
-                (Some(solver), Some(auction))
+                ))
             }
-            _ => (None, None),
+            _ => None,
         };
 
         let test_indices = (0..test_data.len()).collect();
@@ -199,7 +202,6 @@ impl FederatedTrainer {
             test_indices,
             clients,
             global,
-            solver,
             auction,
             engine,
             fan_out: FanOutGranularity::default(),
@@ -325,15 +327,12 @@ impl FederatedTrainer {
                 Ok((self.plain_winners(&selected), Vec::new()))
             }
             SelectionStrategy::Auction(_) => {
-                let solver = self.solver.as_ref().ok_or_else(|| {
-                    FlError::InvalidConfig("auction strategy without a solver".into())
-                })?;
                 let auction = self.auction.as_ref().ok_or_else(|| {
                     FlError::InvalidConfig("auction strategy without an auction".into())
                 })?;
                 let max_data = self.config.partition.size_range.1 as f64;
                 let num_classes = self.train_data.num_classes();
-                let bids = engine::collect_bids(&self.clients, solver, max_data, num_classes)?;
+                let bids = engine::collect_adopted_bids(&self.clients, max_data, num_classes)?;
                 let clients = &self.clients;
                 let (winners, all_scores) =
                     engine::auction_select(auction, bids, &mut self.rng, |award| {

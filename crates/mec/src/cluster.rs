@@ -1,9 +1,10 @@
 //! The simulated 32-machine deployment: per-round three-dimensional auction, federated
 //! training, and wall-clock accounting.
 //!
-//! The cluster is a thin driver over the shared round engine of [`fmore_fl::engine`]: bids
-//! are the capacity-capped equilibrium bids of
-//! [`EquilibriumSolver::capped_bid`], winner determination goes through the same batched
+//! The cluster is a thin driver over the shared round engine of [`fmore_fl::engine`]: every
+//! node solves its [`fmore_auction::EquilibriumStrategy`] once, when the cluster is built,
+//! and each round's bid is that strategy capped to the resources the node offers
+//! ([`fmore_auction::EquilibriumStrategy::cap`]); winner determination goes through the same batched
 //! [`fmore_fl::engine::auction_select`] stage the federated trainer uses, and local training
 //! runs on the engine's worker pool inside the embedded [`FederatedTrainer`]. The only
 //! cluster-specific parts left are the three-dimensional resource model and the wall-clock
@@ -263,7 +264,6 @@ pub struct MecCluster {
     strategy: ClusterStrategy,
     nodes: Vec<MecNode>,
     trainer: FederatedTrainer,
-    solver: Option<EquilibriumSolver>,
     auction: Option<Auction>,
     ledger: PaymentLedger,
     churn: Option<ChurnState>,
@@ -315,7 +315,7 @@ impl MecCluster {
         let mut rng = seeded_rng(seed);
         let theta_dist = UniformDist::new(config.fl.theta_range.0, config.fl.theta_range.1)
             .map_err(fmore_auction::AuctionError::from)?;
-        let nodes: Vec<MecNode> = (0..config.nodes)
+        let mut nodes: Vec<MecNode> = (0..config.nodes)
             .map(|i| {
                 let theta = theta_dist.sample(&mut rng);
                 MecNode::new(
@@ -340,7 +340,7 @@ impl MecCluster {
             round_engine,
         )?;
 
-        let (solver, auction) = match strategy {
+        let auction = match strategy {
             ClusterStrategy::FMore => {
                 let scoring = Additive::new(config.scoring_weights.clone())?;
                 let cost = LinearCost::new(config.cost_coefficients.clone())?;
@@ -353,15 +353,20 @@ impl MecCluster {
                     .winners(config.winners_per_round)
                     .grid_size(128)
                     .build()?;
-                let auction = Auction::new(
+                // The broadcast of Algorithm 1 step 1: every node — present now or
+                // re-arriving under churn later — solves its strategy from its own θ
+                // here, once; rounds only cap it, so the solver is not kept.
+                for node in &mut nodes {
+                    node.adopt_strategy(&solver)?;
+                }
+                Some(Auction::new(
                     ScoringRule::new(scoring),
                     config.winners_per_round,
                     SelectionRule::TopK,
                     PricingRule::FirstPrice,
-                );
-                (Some(solver), Some(auction))
+                ))
             }
-            ClusterStrategy::RandFL => (None, None),
+            ClusterStrategy::RandFL => None,
         };
 
         // The churn stream is seeded independently of the node, trainer, and auction RNGs,
@@ -376,7 +381,6 @@ impl MecCluster {
             strategy,
             nodes,
             trainer,
-            solver,
             auction,
             ledger: PaymentLedger::new(),
             churn,
@@ -451,22 +455,17 @@ impl MecCluster {
         }
         match self.strategy {
             ClusterStrategy::FMore => {
-                // Bid collection: one capacity-capped equilibrium bid per eligible node,
-                // then the shared batched auction stage — the same pipeline the trainer
-                // runs, with the cluster's own award-to-winner mapping plugged in.
-                let solver = self
-                    .solver
-                    .as_ref()
-                    .expect("FMore cluster always has a solver");
+                // Bid collection: each eligible node's adopted strategy capped to its
+                // resources this round, then the shared batched auction stage — the same
+                // pipeline the trainer runs, with the cluster's own award-to-winner
+                // mapping plugged in.
                 let auction = self
                     .auction
                     .as_ref()
                     .expect("FMore cluster always has an auction");
                 let mut bids = Vec::with_capacity(eligible.len());
                 for &idx in eligible {
-                    let node = &self.nodes[idx];
-                    let capacity = node.quality(&maxima);
-                    bids.push(solver.capped_bid(node.id(), node.theta(), capacity.as_slice())?);
+                    bids.push(self.nodes[idx].make_bid(&maxima)?);
                 }
                 let nodes = &self.nodes;
                 let clients = self.trainer.clients();
@@ -754,6 +753,8 @@ fn winner_from_award(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmore_auction::{CountingScoring, ScoringFunction};
+    use std::sync::Arc;
 
     #[test]
     fn config_validation_catches_mistakes() {
@@ -987,6 +988,94 @@ mod tests {
         };
         assert_eq!(run(21), run(21));
         assert_ne!(run(21), run(22));
+    }
+
+    /// The game an FMore cluster broadcasts for `config`, with `scoring` as its rule.
+    fn broadcast_solver(
+        config: &ClusterConfig,
+        scoring: impl ScoringFunction + 'static,
+    ) -> EquilibriumSolver {
+        let (lo, hi) = config.fl.theta_range;
+        EquilibriumSolver::builder()
+            .scoring(scoring)
+            .cost(LinearCost::new(config.cost_coefficients.clone()).unwrap())
+            .theta(UniformDist::new(lo, hi).unwrap())
+            .bounds(vec![(0.0, 1.0); 3])
+            .population(config.nodes)
+            .winners(config.winners_per_round)
+            .grid_size(128)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn winner_selection_never_evaluates_a_solver_after_adoption() {
+        let config = ClusterConfig::fast_test();
+        let reference = MecCluster::new(config.clone(), ClusterStrategy::FMore, 13)
+            .unwrap()
+            .run(3)
+            .unwrap();
+        // The same cluster, its nodes re-briefed by an identical rule that counts.
+        let mut cluster = MecCluster::new(config.clone(), ClusterStrategy::FMore, 13).unwrap();
+        let scoring = Arc::new(CountingScoring::new(
+            Additive::new(config.scoring_weights.clone()).unwrap(),
+        ));
+        let solver = broadcast_solver(&config, Arc::clone(&scoring));
+        for node in &mut cluster.nodes {
+            node.adopt_strategy(&solver).unwrap();
+        }
+        let adopted = scoring.evaluations();
+        assert!(adopted > 0, "adoption is where the solving happens");
+        assert_eq!(cluster.run(3).unwrap(), reference);
+        assert_eq!(
+            scoring.evaluations(),
+            adopted,
+            "rounds must not touch the solver"
+        );
+    }
+
+    #[test]
+    fn nodes_arriving_under_churn_bid_from_their_own_strategy() {
+        let model = ChurnModel::stable().with_membership(0.5, 0.5);
+        let config =
+            ClusterConfig::fast_test().with_dynamics(DynamicsConfig::new(model).with_deadline(1e9));
+        let solver = broadcast_solver(
+            &config,
+            Additive::new(config.scoring_weights.clone()).unwrap(),
+        );
+        let maxima = config.resources.maxima();
+        let mut cluster = MecCluster::new(config, ClusterStrategy::FMore, 17).unwrap();
+        let (mut arrivals, mut departures) = (0, 0);
+        for _ in 0..12 {
+            for node in &mut cluster.nodes {
+                node.refresh();
+            }
+            let churn = cluster.churn.as_mut().unwrap();
+            let change = churn.begin_round(&model);
+            let present = churn.present_indices();
+            departures += change.departed.len();
+            let stage = cluster.select_winners(&present).unwrap();
+            assert_eq!(stage.standing.len(), present.len());
+            for &idx in &change.arrived {
+                arrivals += 1;
+                let node = &cluster.nodes[idx];
+                let capacity = node.quality(&maxima);
+                let expected = solver
+                    .capped_bid(node.id(), node.theta(), capacity.as_slice())
+                    .unwrap();
+                let bid = stage
+                    .standing
+                    .iter()
+                    .find(|b| b.node == node.id())
+                    .expect("an arrived node bids in the round it rejoins");
+                assert_eq!(bid.ask.to_bits(), expected.ask.to_bits());
+                assert_eq!(bid.quality, expected.quality);
+            }
+        }
+        assert!(
+            arrivals > 0 && departures > 0,
+            "the run must actually churn"
+        );
     }
 
     #[test]

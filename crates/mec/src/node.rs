@@ -1,6 +1,7 @@
 //! Edge nodes of the simulated cluster and their dynamic resource provision.
 
-use fmore_auction::{NodeId, Quality};
+use crate::error::MecError;
+use fmore_auction::{EquilibriumSolver, EquilibriumStrategy, NodeId, Quality, SubmittedBid};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -113,6 +114,9 @@ pub struct MecNode {
     id: NodeId,
     ranges: ResourceRanges,
     theta: f64,
+    /// The equilibrium strategy solved from θ when the scoring rule was broadcast; `None`
+    /// until [`MecNode::adopt_strategy`] (a RandFL cluster never broadcasts one).
+    strategy: Option<EquilibriumStrategy>,
     rng: StdRng,
     current: ResourceProfile,
 }
@@ -126,6 +130,7 @@ impl MecNode {
             id,
             ranges,
             theta,
+            strategy: None,
             rng,
             current,
         }
@@ -139,6 +144,33 @@ impl MecNode {
     /// The node's private cost parameter θ.
     pub fn theta(&self) -> f64 {
         self.theta
+    }
+
+    /// Step 1 of Algorithm 1 from the node's side: solves the node's equilibrium strategy
+    /// `(q*(θ), p*(θ))` against the broadcast rule — once, since θ never changes; the node
+    /// keeps it through departures and re-arrivals, and each round's bid only caps it to the
+    /// resources on offer. Adopting again replaces the strategy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MecError::Auction`] if θ lies outside the solver's support.
+    pub fn adopt_strategy(&mut self, solver: &EquilibriumSolver) -> Result<(), MecError> {
+        self.strategy = Some(solver.strategy_for(self.theta)?);
+        Ok(())
+    }
+
+    /// The node's sealed bid for the current round: its adopted strategy capped to the
+    /// resources it offers now, normalised against `maxima`. No solver is involved.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MecError::InvalidConfig`] if no strategy was adopted, and
+    /// [`MecError::Auction`] if the strategy's dimension is not the node's three resources.
+    pub fn make_bid(&self, maxima: &ResourceProfile) -> Result<SubmittedBid, MecError> {
+        let strategy = self.strategy.as_ref().ok_or_else(|| {
+            MecError::InvalidConfig(format!("{} bids before adopting a strategy", self.id))
+        })?;
+        Ok(strategy.cap(self.id, &self.current.to_quality_array(maxima))?)
     }
 
     /// The resources the node offers in the current round.

@@ -205,6 +205,112 @@ fn first_price_auctions_over_equilibrium_bids_are_individually_rational() {
     });
 }
 
+/// A node that solves its strategy once and caps it every round submits, bit for bit, the
+/// bid a node re-solving from θ every round would — for every payment method, across the θ
+/// support (both endpoints and the ±1e-12 slack included) and random capacities; an
+/// out-of-support or non-finite θ is refused identically by both; and a one-shot bid costs
+/// exactly one quality maximisation.
+#[test]
+fn strategy_then_cap_is_bit_identical_to_the_one_shot_bid() {
+    let (lo, hi) = (0.2, 1.0);
+    let bits = |bid: &SubmittedBid| -> (NodeId, Vec<u64>, u64) {
+        let quality = bid.quality.as_slice().iter().map(|v| v.to_bits()).collect();
+        (bid.node, quality, bid.ask.to_bits())
+    };
+    for (method, k) in [
+        (PaymentMethod::Quadrature, 5),
+        (PaymentMethod::Euler { steps: 64 }, 5),
+        (PaymentMethod::CheClosedForm, 2),
+    ] {
+        let scoring = std::sync::Arc::new(CountingScoring::new(
+            CobbDouglas::with_scale(25.0, vec![1.0, 1.0]).unwrap(),
+        ));
+        let solver = EquilibriumSolver::builder()
+            .scoring(std::sync::Arc::clone(&scoring))
+            .cost(LinearCost::new(vec![10.0, 5.0]).unwrap())
+            .theta(UniformDist::new(lo, hi).unwrap())
+            .bounds(vec![(0.0, 1.0), (0.0, 1.0)])
+            .population(25)
+            .winners(k)
+            .payment_method(method)
+            .grid_size(64)
+            .build()
+            .unwrap();
+        let agree = |theta: f64, capacities: &[(f64, f64)]| -> Result<(), String> {
+            let before = scoring.evaluations();
+            let (ideal, _) = solver.quality_choice(theta);
+            let one_maximisation = scoring.evaluations() - before;
+            let held = solver.strategy_for(theta).map_err(|e| e.to_string())?;
+            let solving = scoring.evaluations() - before - one_maximisation;
+            ensure(solving == one_maximisation, || {
+                format!("{method:?}: strategy_for({theta}) spent {solving} evaluations, one maximisation is {one_maximisation}")
+            })?;
+            let ask = solver.payment_for(theta).map_err(|e| e.to_string())?;
+            for (round, &(c1, c2)) in capacities.iter().enumerate() {
+                let (node, capacity) = (NodeId(round as u64), [c1, c2]);
+                let solved = scoring.evaluations();
+                let kept = held.cap(node, &capacity).map_err(|e| e.to_string())?;
+                ensure(scoring.evaluations() == solved, || {
+                    format!("{method:?}: capping a held strategy evaluated the objective")
+                })?;
+                let fresh = solver
+                    .capped_bid(node, theta, &capacity)
+                    .map_err(|e| e.to_string())?;
+                let spent = scoring.evaluations() - solved;
+                ensure(spent == one_maximisation, || {
+                    format!("{method:?}: capped_bid({theta}) spent {spent} evaluations, one maximisation is {one_maximisation}")
+                })?;
+                let declared = vec![ideal[0].min(c1), ideal[1].min(c2)];
+                let reference = SubmittedBid::new(node, Quality::new(declared), ask);
+                ensure(
+                    bits(&kept) == bits(&fresh) && bits(&kept) == bits(&reference),
+                    || {
+                        format!("{method:?} θ={theta} capacity {capacity:?}: kept {kept:?}, one-shot {fresh:?}, reference {reference:?}")
+                    },
+                )?;
+            }
+            Ok(())
+        };
+        let strategy = Tuple2(
+            F64Range::new(lo, hi),
+            VecOf::new(
+                Tuple2(F64Range::new(0.0, 1.2), F64Range::new(0.0, 1.2)),
+                1,
+                5,
+            ),
+        );
+        check(&Config::seeded(0xC1), &strategy, |(theta, capacities)| {
+            agree(*theta, capacities)
+        });
+        for theta in [lo, hi, lo - 1e-12, hi + 1e-12] {
+            agree(theta, &[(0.3, 0.9), (1.0, 0.0), (2.0, 2.0)]).unwrap();
+        }
+        for theta in [
+            lo - 3e-12,
+            hi + 3e-12,
+            0.0,
+            -0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let refused = |result: Result<(), AuctionError>| match result {
+                Err(AuctionError::ThetaOutOfSupport {
+                    theta: t,
+                    lo: l,
+                    hi: h,
+                }) => t.to_bits() == theta.to_bits() && (l, h) == (lo, hi),
+                _ => false,
+            };
+            assert!(refused(solver.strategy_for(theta).map(|_| ())), "{theta}");
+            assert!(
+                refused(solver.capped_bid(NodeId(0), theta, &[0.5, 0.5]).map(|_| ())),
+                "{theta}"
+            );
+        }
+    }
+}
+
 /// ψ-FMore always returns exactly `min(K, N)` distinct winners regardless of ψ.
 #[test]
 fn psi_selection_always_fills_the_winner_set() {
