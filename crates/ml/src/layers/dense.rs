@@ -5,7 +5,7 @@ use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 
 /// A fully-connected (affine) layer `y = x·W + b`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Dense {
     weights: Matrix,
     bias: Matrix,
@@ -35,6 +35,16 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.weights.cols()
     }
+
+    /// The parameter half of the backward pass: `grad_w = xᵀ · ∂L/∂y`, `grad_b = Σ rows`.
+    fn param_grads(&mut self, grad_output: &Matrix) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward on Dense layer");
+        input.matmul_transpose_a_into(grad_output, &mut self.grad_w);
+        grad_output.sum_rows_into(&mut self.grad_b);
+    }
 }
 
 impl Layer for Dense {
@@ -54,13 +64,12 @@ impl Layer for Dense {
     }
 
     fn backward_into(&mut self, grad_output: &Matrix, grad_input: &mut Matrix) {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward on Dense layer");
-        input.matmul_transpose_a_into(grad_output, &mut self.grad_w);
-        grad_output.sum_rows_into(&mut self.grad_b);
+        self.param_grads(grad_output);
         grad_output.matmul_transpose_b_into(&self.weights, grad_input);
+    }
+
+    fn backward_params(&mut self, grad_output: &Matrix, _grad_input: &mut Matrix) {
+        self.param_grads(grad_output);
     }
 
     fn param_count(&self) -> usize {
@@ -90,7 +99,13 @@ impl Layer for Dense {
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+        Box::new(Self {
+            weights: self.weights.clone(),
+            bias: self.bias.clone(),
+            grad_w: self.grad_w.clone(),
+            grad_b: self.grad_b.clone(),
+            cached_input: None,
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -172,5 +187,23 @@ mod tests {
         let mut layer = Dense::new(2, 2, &mut rng);
         let g = Matrix::zeros(1, 2);
         let _ = layer.backward(&g);
+    }
+
+    /// A clone carries parameters and gradient accumulators but not the cached input: it
+    /// must see its own forward pass before it can run backward.
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn clone_drops_the_forward_cache() {
+        let mut rng = seeded_rng(6);
+        let mut layer = Dense::new(3, 2, &mut rng);
+        let x = Matrix::random_uniform(4, 3, 1.0, &mut rng);
+        let y = layer.forward(&x, true, &mut rng);
+        layer.backward(&y);
+        let mut clone = layer.clone_layer();
+        let mut params = (Vec::new(), Vec::new());
+        layer.write_params(&mut params.0);
+        clone.write_params(&mut params.1);
+        assert_eq!(params.0, params.1);
+        let _ = clone.backward(&y);
     }
 }

@@ -49,6 +49,14 @@ pub trait Layer: Send + Sync {
     /// as needed; must not alias `grad_output`).
     fn backward_into(&mut self, grad_output: &Matrix, grad_input: &mut Matrix);
 
+    /// Backward pass of a layer whose `∂L/∂input` nobody reads — the first layer of a stack.
+    /// Accumulates parameter gradients exactly as [`Layer::backward_into`] does and leaves
+    /// the contents of `grad_input` unspecified; layers whose input gradient is a separate
+    /// computation override this to skip it.
+    fn backward_params(&mut self, grad_output: &Matrix, grad_input: &mut Matrix) {
+        self.backward_into(grad_output, grad_input);
+    }
+
     /// Allocating convenience wrapper over [`Layer::forward_into`].
     fn forward(&mut self, input: &Matrix, training: bool, rng: &mut StdRng) -> Matrix {
         let mut out = Matrix::default();

@@ -13,6 +13,12 @@
 //! * [`Matrix::matmul_into`] — `out = self · other`, cache-blocked over the shared dimension,
 //! * [`Matrix::matmul_transpose_a_into`] — `out = selfᵀ · other` without materialising the
 //!   transpose (the dense/LSTM weight-gradient product),
+//! * [`Matrix::matmul_acc_into`] / [`Matrix::matmul_transpose_a_acc_into`] — the same two
+//!   cores in their native **accumulate** form, `out += self · other` and
+//!   `out += selfᵀ · other`: each output element keeps whatever it held and takes the partial
+//!   products on top in ascending shared-dimension order. The overwriting forms above are
+//!   `fill(0.0)` followed by these; the convolution layer starts its outputs at the bias row
+//!   and its weight gradient at the running accumulator instead,
 //! * [`Matrix::matmul_transpose_b_into`] — `out = self · otherᵀ` without materialising the
 //!   transpose (the dense/LSTM input-gradient product),
 //! * [`Matrix::map_inplace`], [`Matrix::add_row_inplace`], [`Matrix::sum_rows_into`],
@@ -91,8 +97,8 @@ const MATMUL_BLOCK: usize = 64;
 // results stay reproducible across machines with and without AVX.
 // ---------------------------------------------------------------------------
 
-/// `out[i][j] += Σ_k a[i][k] · b[k][j]` for `a: (m, kd)`, `b: (kd, n)`, `out: (m, n)`.
-/// `out` must be zero-initialised by the caller. Panel-blocked over `k` with a four-wide
+/// `out[i][j] += Σ_k a[i][k] · b[k][j]` for `a: (m, kd)`, `b: (kd, n)`, `out: (m, n)`:
+/// the terms land on whatever `out` already holds. Panel-blocked over `k` with a four-wide
 /// register block: each output value is loaded once, updated by four consecutive `k` terms
 /// in order, and stored once.
 #[inline(always)]
@@ -132,8 +138,8 @@ fn matmul_core(m: usize, kd: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f
 }
 
 /// `out[i][j] += Σ_k a[k][i] · b[k][j]` for `a: (rows, m)`, `b: (rows, n)`, `out: (m, n)`
-/// — the `aᵀ · b` product without materialising the transpose. `out` must be
-/// zero-initialised by the caller.
+/// — the `aᵀ · b` product without materialising the transpose, accumulated onto whatever
+/// `out` already holds.
 #[inline(always)]
 fn matmul_ta_core(rows: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     let mut k = 0;
@@ -411,9 +417,25 @@ impl Matrix {
     ///
     /// Panics if `self.cols != other.rows`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         out.resize(self.rows, other.cols);
         out.fill(0.0);
+        self.matmul_acc_into(other, out);
+    }
+
+    /// Accumulating matrix product `out += self · other`: every element of `out` keeps its
+    /// value and takes its partial products on top, in the strict ascending shared-dimension
+    /// order of [`Matrix::matmul_into`] (which is `fill(0.0)` followed by this).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != other.rows` or `out` is not `self.rows × other.cols`.
+    pub fn matmul_acc_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, other.cols),
+            "matmul accumulator shape mismatch"
+        );
         run_matmul_core(
             self.rows,
             self.cols,
@@ -438,12 +460,28 @@ impl Matrix {
     ///
     /// Panics if `self.rows != other.rows`.
     pub fn matmul_transpose_a_into(&self, other: &Matrix, out: &mut Matrix) {
+        out.resize(self.cols, other.cols);
+        out.fill(0.0);
+        self.matmul_transpose_a_acc_into(other, out);
+    }
+
+    /// Accumulating form of [`Matrix::matmul_transpose_a_into`]: `out += selfᵀ · other`,
+    /// each element taking its terms in ascending row order of the two operands on top of
+    /// the value it already holds (a running gradient accumulator, say).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows != other.rows` or `out` is not `self.cols × other.cols`.
+    pub fn matmul_transpose_a_acc_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_transpose_a dimension mismatch"
         );
-        out.resize(self.cols, other.cols);
-        out.fill(0.0);
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.cols, other.cols),
+            "matmul_transpose_a accumulator shape mismatch"
+        );
         run_matmul_ta_core(
             self.rows,
             self.cols,
@@ -764,6 +802,38 @@ mod tests {
         let d = Matrix::random_uniform(7, 4, 1.0, &mut rng);
         c.matmul_transpose_b_into(&d, &mut out);
         assert_eq!(out, c.matmul(&d.transpose()));
+    }
+
+    #[test]
+    fn accumulate_forms_continue_from_the_existing_values() {
+        // Shared dimension past one block and not a multiple of four: panel seam + remainder.
+        let k = MATMUL_BLOCK + 7;
+        let mut rng = seeded_rng(24);
+        let a = Matrix::random_uniform(5, k, 1.0, &mut rng);
+        let b = Matrix::random_uniform(k, 6, 1.0, &mut rng);
+        let start = Matrix::random_uniform(5, 6, 1.0, &mut rng);
+        let mut out = start.clone();
+        a.matmul_acc_into(&b, &mut out);
+        let at = a.transpose();
+        let mut out_ta = start.clone();
+        at.matmul_transpose_a_acc_into(&b, &mut out_ta);
+        for i in 0..5 {
+            for j in 0..6 {
+                let mut acc = start.get(i, j);
+                for kk in 0..k {
+                    acc += a.get(i, kk) * b.get(kk, j);
+                }
+                assert_eq!(out.get(i, j).to_bits(), acc.to_bits());
+                assert_eq!(out_ta.get(i, j).to_bits(), acc.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "accumulator shape mismatch")]
+    fn accumulate_form_rejects_a_misshapen_accumulator() {
+        let mut out = Matrix::zeros(2, 3);
+        Matrix::zeros(2, 3).matmul_acc_into(&Matrix::zeros(3, 2), &mut out);
     }
 
     #[test]

@@ -250,11 +250,17 @@ impl Sequential {
             self.forward_arena(arena, true);
             let logits = &arena.activations[self.layers.len()];
             let loss = softmax_cross_entropy_into(logits, &arena.labels, &mut arena.grad_a);
-            // Backward: ping-pong the gradient between the two arena buffers.
-            for layer in self.layers.iter_mut().rev() {
+            // Backward: ping-pong the gradient between the two arena buffers. Nothing reads
+            // the first layer's input gradient, so it only accumulates its parameters'.
+            let (first, rest) = self
+                .layers
+                .split_first_mut()
+                .expect("a Sequential model has at least one layer");
+            for layer in rest.iter_mut().rev() {
                 layer.backward_into(&arena.grad_a, &mut arena.grad_b);
                 std::mem::swap(&mut arena.grad_a, &mut arena.grad_b);
             }
+            first.backward_params(&arena.grad_a, &mut arena.grad_b);
             for layer in &mut self.layers {
                 layer.apply_gradients(learning_rate);
             }
@@ -530,6 +536,110 @@ mod tests {
             "steady-state training and evaluation must perform zero matrix allocations"
         );
         assert!(eval.accuracy > 0.0);
+    }
+
+    /// A layer that forwards everything to `inner` except [`Layer::backward_params`], which
+    /// it leaves at the trait default: the full backward pass, input gradient included.
+    struct NeverSkips(Box<dyn Layer>);
+
+    impl Layer for NeverSkips {
+        fn forward_into(&mut self, x: &Matrix, out: &mut Matrix, training: bool, rng: &mut StdRng) {
+            self.0.forward_into(x, out, training, rng);
+        }
+        fn backward_into(&mut self, grad_output: &Matrix, grad_input: &mut Matrix) {
+            self.0.backward_into(grad_output, grad_input);
+        }
+        fn param_count(&self) -> usize {
+            self.0.param_count()
+        }
+        fn write_params(&self, out: &mut Vec<f64>) {
+            self.0.write_params(out);
+        }
+        fn read_params(&mut self, src: &[f64]) -> usize {
+            self.0.read_params(src)
+        }
+        fn apply_gradients(&mut self, lr: f64) {
+            self.0.apply_gradients(lr);
+        }
+        fn clone_layer(&self) -> Box<dyn Layer> {
+            Box::new(NeverSkips(self.0.clone_layer()))
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    /// The first layer's skipped input gradient is bit-invisible: an epoch of the paper CNN
+    /// (conv first) and of the MLP (dense first) ends on the parameters of a twin whose
+    /// first layer runs the full backward pass.
+    #[test]
+    fn skipping_the_first_layers_input_gradient_moves_no_parameter_bit() {
+        use crate::layers::{Conv2d, ImageShape, MaxPool2d};
+        let mut data_rng = seeded_rng(50);
+        let data = SyntheticImageSpec::mnist_like().generate(90, &mut data_rng);
+        let all: Vec<usize> = (0..data.len()).collect();
+        let cnn = |rng: &mut StdRng| -> Vec<Box<dyn Layer>> {
+            let conv = Conv2d::new(ImageShape::new(1, 8, 8), 4, 3, rng);
+            let pool = MaxPool2d::new(conv.output_shape());
+            let flat = pool.output_shape().flat_len();
+            vec![
+                Box::new(conv),
+                Box::new(Activation::relu()),
+                Box::new(pool),
+                Box::new(Dense::new(flat, 10, rng)),
+            ]
+        };
+        let mlp = |rng: &mut StdRng| -> Vec<Box<dyn Layer>> {
+            vec![
+                Box::new(Dense::new(64, 16, rng)),
+                Box::new(Activation::relu()),
+                Box::new(Dense::new(16, 10, rng)),
+            ]
+        };
+        for (layers, mut twin_layers) in [
+            (cnn(&mut seeded_rng(51)), cnn(&mut seeded_rng(51))),
+            (mlp(&mut seeded_rng(51)), mlp(&mut seeded_rng(51))),
+        ] {
+            let mut skipping = Sequential::new(layers);
+            let first = twin_layers.remove(0);
+            twin_layers.insert(0, Box::new(NeverSkips(first)));
+            let mut full = Sequential::new(twin_layers);
+            assert_eq!(skipping.parameters(), full.parameters());
+            let loss_s = skipping.train_epoch(&data, &all, 0.1, 20, &mut seeded_rng(52));
+            let loss_f = full.train_epoch(&data, &all, 0.1, 20, &mut seeded_rng(52));
+            assert_eq!(loss_s.to_bits(), loss_f.to_bits());
+            let bits = |m: &Sequential| -> Vec<u64> {
+                m.parameters().iter().map(|p| p.to_bits()).collect()
+            };
+            assert_eq!(bits(&skipping), bits(&full));
+        }
+    }
+
+    /// The paper CNN's im2col scratch lives in its layers and is sized by `Matrix::resize`:
+    /// once a training batch and a full 256-row evaluation chunk have been seen, alternating
+    /// between the two shapes allocates no matrix.
+    #[test]
+    fn paper_cnn_alternating_train_and_eval_is_allocation_free() {
+        let spec = SyntheticImageSpec::mnist_like();
+        let mut rng = seeded_rng(53);
+        let data = spec.generate(256, &mut rng);
+        let batch: Vec<usize> = (0..20).collect();
+        let chunk: Vec<usize> = (0..256).collect();
+        let mut model = crate::models::cnn_mnist(&spec, &mut rng);
+        let mut arena = ScratchArena::new();
+        let mut cycle = |model: &mut Sequential, rng: &mut StdRng| {
+            model.train_epoch_in(&mut arena, &data, &batch, 0.05, 20, rng);
+            model.evaluate_in(&mut arena, &data, &chunk);
+            model.train_epoch_in(&mut arena, &data, &batch, 0.05, 20, rng);
+        };
+        cycle(&mut model, &mut rng);
+        crate::matrix::alloc_count::reset();
+        cycle(&mut model, &mut rng);
+        assert_eq!(
+            crate::matrix::alloc_count::count(),
+            0,
+            "a warmed-up paper CNN must not allocate matrices, whichever batch shape comes next"
+        );
     }
 
     #[test]

@@ -1034,3 +1034,76 @@ fn honest_adversary_decoration_reproduces_undecorated_histories() {
         "an all-honest adversary plan must be bitwise inert"
     );
 }
+
+/// The bit pin of the paper's CNNs: two K = 2 rounds of the footnote-1 model on MNIST-O and
+/// the footnote-2 model on CIFAR-10 (3→16 3×3, then 16→32 2×2 after pooling), fingerprinted
+/// as every round's accuracy and loss bits plus an FNV-1a fold of the final global
+/// parameters. The values were recorded on the seven-deep scalar convolution loops, before
+/// `Conv2d` moved onto the matmul cores; a kernel change that reassociates one sum, drops one
+/// term that mattered, or moves one weight by an ULP changes them.
+#[test]
+fn paper_cnn_training_fingerprints_are_pinned() {
+    use fmore::fl::config::ModelChoice;
+    use fmore::ml::partition::PartitionConfig;
+
+    let fingerprint = |task: TaskKind| -> Vec<u64> {
+        let config = FlConfig {
+            model: ModelChoice::PaperModel,
+            clients: 6,
+            winners_per_round: 2,
+            train_samples: 240,
+            test_samples: 60,
+            partition: PartitionConfig {
+                clients: 6,
+                size_range: (30, 50),
+                category_range: (2, 10),
+            },
+            batch_size: 20,
+            ..FlConfig::fast_test(task)
+        };
+        let mut trainer = FederatedTrainer::with_engine(
+            config,
+            SelectionStrategy::fmore(),
+            SEED,
+            RoundEngine::inline(),
+        )
+        .expect("paper-model config is valid");
+        let history = trainer.run(2).expect("training runs");
+        let mut words: Vec<u64> = history
+            .rounds
+            .iter()
+            .flat_map(|r| [r.accuracy.to_bits(), r.loss.to_bits()])
+            .collect();
+        words.push(
+            trainer
+                .global_parameters()
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h: u64, p| {
+                    (h ^ p.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+                }),
+        );
+        words
+    };
+    assert_eq!(
+        fingerprint(TaskKind::MnistO),
+        [
+            0x3fbdddddddddddde,
+            0x4003f837b6f9b381,
+            0x3fd1111111111111,
+            0x4001a82dda8127f0,
+            0xa9ea3d292d4640c8,
+        ],
+        "MNIST-O paper CNN drifted"
+    );
+    assert_eq!(
+        fingerprint(TaskKind::Cifar10),
+        [
+            0x3fb999999999999a,
+            0x4003c740643cae55,
+            0x3fb1111111111111,
+            0x4002793b9e3cb97e,
+            0x12f4cffd5db3d618,
+        ],
+        "CIFAR-10 paper CNN drifted"
+    );
+}
