@@ -87,8 +87,8 @@ pub use scoring::{
     ScoringFunction, ScoringRule,
 };
 pub use store::{
-    BidSelector, BidStore, Candidate, RankRefiner, RankedCandidates, ScoreHistogram,
-    ShardSelection, StandingPool, TieBreak,
+    AdmissionFloor, BidSelector, BidStore, Candidate, RankRefiner, RankedCandidates,
+    ScoreHistogram, ShardSelection, StandingPool, TieBreak,
 };
 pub use types::{NodeId, Quality, ScoredBid};
 pub use winner::SelectionRule;

@@ -23,6 +23,9 @@
 //!   Offering a bid that does not beat the current worst allocates nothing; offering a
 //!   better one reuses the evicted candidate's quality buffer. Transient memory is
 //!   `O(K + reserve)` regardless of `N`.
+//! * [`AdmissionFloor`] / [`ShardSelection`] — the parallel-wave scan: each shard is scanned
+//!   against the selector's weakest kept `(score, key)`, so a bid that cannot enter the pool
+//!   is rejected on its score alone and a shard hands back only the few that might.
 //! * [`StandingPool`] — the selector's output: the kept candidates in rank order, valid as
 //!   the round's standing store for re-auction refills without re-scoring
 //!   ([`crate::mechanism::Auction::award_standing`]).
@@ -406,15 +409,9 @@ pub struct Candidate {
     pub quality: Vec<f64>,
 }
 
-impl Candidate {
-    fn ranks_before(&self, other: &Candidate) -> bool {
-        rank_order(self.score, self.key, other.score, other.key) == Ordering::Less
-    }
-}
-
 /// The bounded worst-first candidate heap shared by the round selector and the per-shard
-/// local selections: keeps the `capacity` best candidates offered so far plus the best
-/// score among everything it dropped. Pure data structure — no RNG, no key generation —
+/// scans: keeps the `capacity` best candidates offered so far plus the best score among
+/// everything it dropped. Pure data structure — no RNG, no key generation —
 /// so it runs identically on the control thread and on pool workers.
 #[derive(Debug, Clone)]
 struct CandidateHeap {
@@ -437,6 +434,11 @@ impl CandidateHeap {
 
     fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// The weakest kept `(score, key)` once full — only bids ranking before it still enter.
+    fn floor(&self) -> Option<(f64, u64)> {
+        (self.heap.len() == self.capacity).then(|| (self.heap[0].score, self.heap[0].key))
     }
 
     /// Offers one scored, already-keyed bid; a bid that does not beat the weakest kept
@@ -472,35 +474,17 @@ impl CandidateHeap {
         }
     }
 
-    /// Move-based twin of [`CandidateHeap::offer_keyed`] for absorbing candidates that
-    /// already own their quality buffer (the per-shard local selections).
-    fn offer_candidate(&mut self, candidate: Candidate) {
-        debug_assert_eq!(candidate.quality.len(), self.dims);
-        if self.heap.len() < self.capacity {
-            self.heap.push(candidate);
-            self.sift_up(self.heap.len() - 1);
-            return;
-        }
-        let weakest = &self.heap[0];
-        if candidate.ranks_before(weakest) {
-            self.note_dropped(self.heap[0].score);
-            self.heap[0] = candidate;
-            self.sift_down(0);
-        } else {
-            self.note_dropped(candidate.score);
-        }
-    }
-
+    /// Folds a loser's score into the running maximum — a compare and a rarely taken
+    /// store, cheap enough for the shard scan to call once per rejected bid.
     fn note_dropped(&mut self, score: f64) {
-        self.best_dropped = Some(match self.best_dropped {
-            Some(best) => best.max(score),
-            None => score,
-        });
+        if self.best_dropped.is_none_or(|best| score > best) {
+            self.best_dropped = Some(score);
+        }
     }
 
     /// `true` when `a` should sit above `b` in the worst-first heap (i.e. `a` ranks after).
     fn heap_before(a: &Candidate, b: &Candidate) -> bool {
-        b.ranks_before(a)
+        rank_order(b.score, b.key, a.score, a.key) == Ordering::Less
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -534,78 +518,83 @@ impl CandidateHeap {
     }
 }
 
-/// The outcome of one shard's **local** top-K selection, computed on a worker thread with
-/// no RNG access: the shard's surviving candidates (heap order — the merge does not care),
-/// the best score the shard dropped, and how many bids it offered.
-///
-/// A bid dropped by its shard's local heap can never appear in the round's global top
-/// `capacity` (global top ∩ shard ⊆ local top at equal capacity), so absorbing only the
-/// survivors into the round selector ([`BidSelector::absorb`]) loses nothing — and because
-/// every candidate carries its *global* tie-break key, the merged result is bit-identical
-/// to offering every bid sequentially, in any wave composition.
+/// What a shard scan takes from the selector ([`BidSelector::admission_floor`]): the round
+/// salt, the pool bound, and the **admission floor** — the weakest kept `(score, key)` of a
+/// full selector. `Copy`; snapshotted once per wave and handed to each of its shard tasks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdmissionFloor {
+    salt: u64,
+    capacity: usize,
+    floor: Option<(f64, u64)>,
+}
+
+/// One shard's scan (worker thread, no RNG): the bids ranking before the
+/// [`AdmissionFloor`] it started from (at most `capacity`, heap order), the best score
+/// among the rest, and the number scanned. Absorbing only these survivors is bit-identical
+/// to offering every bid sequentially, at any shard size and engine width: the floor is
+/// **monotone** (a full selector's weakest kept candidate only rises, so a stale snapshot
+/// is merely lower — anything at or below it is outranked by `capacity` bids already seen,
+/// and `absorb` drops the extras it lets through); `best_dropped` is **max-closed** (the
+/// maximum over everything outside the final pool, whoever folded a loser in); and keys
+/// are **global** (`derive_seed(salt, base + j)`, hashed only for survivors and exact score
+/// ties with the floor — the rest is decided from the score column alone).
 #[derive(Debug, Clone)]
 pub struct ShardSelection {
-    candidates: Vec<Candidate>,
-    best_dropped: Option<f64>,
+    kept: CandidateHeap,
     offered: usize,
 }
 
 impl ShardSelection {
-    /// Runs the local top-`capacity` selection over a scored store. Candidate `j` gets the
-    /// deterministic global key `derive_seed(salt, base + j)` — exactly the key the dense
-    /// path assigns at stream position `base + j` — where `salt` is the round salt
-    /// ([`TieBreak::force_salt`] / [`BidSelector::force_salt`]) and `base` is the number of
-    /// bids streamed before this shard.
+    /// [`ShardSelection::select_above`] with no floor — the shard's own top `capacity`, as a
+    /// round's first shard computes it — under the round salt ([`BidSelector::force_salt`]).
     pub fn select(store: &BidStore, salt: u64, base: usize, capacity: usize) -> Self {
-        let dims = store.dims();
-        let mut heap = CandidateHeap::new(dims, capacity);
-        // Column sweep with a cached weakest-kept rank: once the heap is full, the common
-        // case by far is a bid that loses to the weakest kept candidate, and that verdict
-        // needs only the score/key pair — so decide it from the dense columns alone,
-        // without building the quality slice or walking into the heap. The recorded
-        // outcome (`note_dropped(score)`) is exactly what `offer_keyed` does on the reject
-        // path, so the selection stays bit-identical to the naive per-index loop.
-        let mut weakest: Option<(f64, u64)> = None;
-        for j in 0..store.len() {
-            let score = store.scores[j];
-            let key = derive_seed(salt, (base + j) as u64);
-            if let Some((w_score, w_key)) = weakest {
-                if rank_order(score, key, w_score, w_key) != Ordering::Less {
-                    heap.note_dropped(score);
-                    continue;
-                }
-            }
-            heap.offer_keyed(
-                NodeId(store.nodes[j]),
-                &store.qualities[j * dims..(j + 1) * dims],
-                store.asks[j],
-                score,
-                key,
-            );
-            if heap.len() == heap.capacity {
-                weakest = Some((heap.heap[0].score, heap.heap[0].key));
-            }
-        }
-        Self {
-            candidates: heap.heap,
-            best_dropped: heap.best_dropped,
-            offered: store.len(),
-        }
+        let admission = AdmissionFloor {
+            salt,
+            capacity,
+            floor: None,
+        };
+        Self::select_above(store, base, admission)
     }
 
-    /// Number of bids the shard offered to its local heap.
+    /// Scans a scored store for the bids that can still enter the round's pool; `base` is
+    /// the number of bids streamed before this shard. The scan's floor is the one handed in
+    /// until `capacity` bids survive, their weakest from then on.
+    pub fn select_above(store: &BidStore, base: usize, admission: AdmissionFloor) -> Self {
+        let mut kept = CandidateHeap::new(store.dims(), admission.capacity);
+        let offered = store.len();
+        let mut floor = admission.floor;
+        for (j, &score) in store.scores.iter().enumerate() {
+            // Scores-only verdict first: the key hash is for survivors and exact ties.
+            if floor.is_some_and(|(floor_score, _)| score < floor_score) {
+                kept.note_dropped(score);
+                continue;
+            }
+            let key = derive_seed(admission.salt, (base + j) as u64);
+            if floor.is_some_and(|(f_score, f_key)| {
+                rank_order(score, key, f_score, f_key) != Ordering::Less
+            }) {
+                kept.note_dropped(score);
+                continue;
+            }
+            kept.offer_keyed(store.node(j), store.quality(j), store.ask(j), score, key);
+            floor = kept.floor().or(floor);
+        }
+        Self { kept, offered }
+    }
+
+    /// Number of bids the shard scanned.
     pub fn offered(&self) -> usize {
         self.offered
     }
 
     /// Number of surviving candidates.
     pub fn len(&self) -> usize {
-        self.candidates.len()
+        self.kept.len()
     }
 
     /// Whether the shard kept nothing.
     pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
+        self.kept.len() == 0
     }
 }
 
@@ -616,9 +605,9 @@ impl ShardSelection {
 ///
 /// Two equivalent feeding disciplines exist: the sequential [`BidSelector::offer`] /
 /// [`BidSelector::offer_store`] path (keys drawn from the round RNG as bids arrive), and
-/// the parallel-wave path — [`BidSelector::force_salt`] once, [`ShardSelection::select`]
-/// per shard on worker threads, then [`BidSelector::absorb`] in population order. Both
-/// consume the same RNG words and produce the same pool, bit for bit.
+/// the parallel-wave path — [`BidSelector::force_salt`] once, then per wave one
+/// [`BidSelector::admission_floor`] snapshot, [`ShardSelection::select_above`] per shard on
+/// worker threads, [`BidSelector::absorb`] in population order. Same RNG words, same pool.
 #[derive(Debug, Clone)]
 pub struct BidSelector {
     tie: TieBreak,
@@ -713,24 +702,34 @@ impl BidSelector {
         }
     }
 
-    /// Merges one shard's local selection into the round selector: advances the offered
-    /// count, folds in the shard's best-dropped score, and offers every surviving
-    /// candidate (already carrying its global key) to the heap.
-    ///
-    /// Shards must be absorbed in population order with bases equal to the cumulative
-    /// offered count at their start — the discipline the engine's wave loop maintains;
-    /// under it the result is bit-identical to the sequential path.
+    /// The snapshot a shard scan starts from (no floor until the pool is full); `None`
+    /// until the salt is drawn. Valid for the rest of the round — see [`ShardSelection`].
+    pub fn admission_floor(&self) -> Option<AdmissionFloor> {
+        Some(AdmissionFloor {
+            salt: self.tie.salt?,
+            capacity: self.heap.capacity,
+            floor: self.heap.floor(),
+        })
+    }
+
+    /// Merges one shard's scan into the round selector: advances the offered count, folds
+    /// in the shard's best-dropped score, and offers every survivor (already carrying its
+    /// global key) to the heap — re-checked against the *live* floor, so the extras a stale
+    /// snapshot let through are dropped here. Shards must be absorbed in population order
+    /// with bases equal to the cumulative offered count at their start (the engine's wave
+    /// loop does); under that discipline the result is bit-identical to the sequential path.
     pub fn absorb(&mut self, shard: ShardSelection) {
         debug_assert!(
             self.tie.salt_known() || shard.offered == 0,
             "absorb requires a forced salt"
         );
         self.tie.advance(shard.offered);
-        if let Some(score) = shard.best_dropped {
+        if let Some(score) = shard.kept.best_dropped {
             self.heap.note_dropped(score);
         }
-        for candidate in shard.candidates {
-            self.heap.offer_candidate(candidate);
+        for c in &shard.kept.heap {
+            self.heap
+                .offer_keyed(c.node, &c.quality, c.ask, c.score, c.key);
         }
     }
 
@@ -1262,6 +1261,44 @@ mod tests {
         assert_eq!(whole, run(1));
         assert_eq!(whole, run(7));
         assert_eq!(whole, run(13));
+    }
+
+    /// The pruning the admission floor buys, as a count: over a random-order stream only
+    /// ≈ `capacity · ln(N / capacity)` bids can ever enter the pool, so the survivors
+    /// handed to `absorb` must stay near that — while the floor-less call keeps returning
+    /// each shard's full local top. A change that silently drops the floor fails here,
+    /// not only in a benchmark.
+    #[test]
+    fn carried_floor_prunes_a_random_order_stream_to_a_few_survivors_per_shard() {
+        let (n, shard, capacity) = (100_000usize, 8_192usize, 128usize);
+        let mut rng = seeded_rng(0xF100D);
+        let mut selector = BidSelector::new(1, capacity);
+        let salt = selector.force_salt(&mut rng);
+        let mut store = BidStore::with_capacity(1, shard);
+        let mut absorbed = 0usize;
+        for lo in (0..n).step_by(shard) {
+            store.clear();
+            for i in lo..(lo + shard).min(n) {
+                store.push_trusted(NodeId(i as u64), &[0.0], 0.0);
+            }
+            for score in &mut store.scores {
+                *score = rand::Rng::gen::<f64>(&mut rng);
+            }
+            let floorless = ShardSelection::select(&store, salt, lo, capacity);
+            assert_eq!(floorless.len(), capacity.min(store.len()));
+            let admission = selector.admission_floor().expect("salt forced above");
+            let selection = ShardSelection::select_above(&store, lo, admission);
+            assert_eq!(selection.offered(), store.len());
+            absorbed += selection.len();
+            selector.absorb(selection);
+        }
+        let bound = capacity as f64 * (2.0 + (n as f64 / shard as f64).ln());
+        assert!(
+            (absorbed as f64) <= bound,
+            "absorbed {absorbed} candidates, bound {bound:.0}"
+        );
+        assert_eq!(selector.offered(), n);
+        assert_eq!(selector.kept(), capacity);
     }
 
     #[test]

@@ -370,11 +370,19 @@ pub struct StreamedAuction {
 /// (absent or ineligible indices are simply skipped). Each wave of shards then runs two
 /// parallel stages: **fill + batch-score** (the monomorphized
 /// `ScoringFunction::score_batch` sweep over the store's SoA columns), and — once the
-/// round salt exists — a **local top-K selection per shard**
-/// ([`fmore_auction::ShardSelection`]), keyed by each bid's global stream position so keys
-/// are computable off-thread. The control thread only merges the small survivor sets into
-/// the auction's bounded selector, in population order: the per-bid scan that used to
-/// serialize on the control thread now runs across the full pool. At most
+/// round salt exists — a **floor-carried scan per shard**
+/// ([`fmore_auction::ShardSelection::select_above`]). The selector's admission floor (its
+/// weakest kept `(score, key)`) is snapshotted once per wave, after the previous wave was
+/// absorbed, and every shard task of the wave scans against that snapshot: a bid below it
+/// is rejected on its score alone, and only the few that rank before it come back to the
+/// control thread, which merges them into the bounded selector in population order. Over
+/// a random-order stream that is ≈ `(K + reserve) · ln(N / (K + reserve))` candidates a
+/// round rather than `K + reserve` per shard. The result does not depend on how stale a
+/// snapshot is: the floor only rises, so an older one merely lets extra survivors through
+/// for the merge to drop; the best dropped score is a max over everything outside the
+/// final pool, however it was folded; and tie-break keys depend only on a bid's global
+/// stream position. Winners, payments, keys and RNG draws are therefore the same at every
+/// shard size and engine width. At most
 /// [`RoundEngine::parallel_width`] shard stores exist at any moment and they are recycled
 /// across waves, so the stage's transient memory is `O(width · shard + K)` regardless of
 /// the population size.
@@ -389,11 +397,9 @@ pub struct StreamedAuction {
 /// shards (fills are pure functions of their range) through a [`RankRefiner`] that keeps
 /// just the needed ranks' candidates — with their exact full-sort tie-break keys and zero
 /// further RNG consumption. Peak state stays `O(width · shard + K + bins)`, never `O(N)`.
-/// Results are independent of both
-/// the shard size and the engine width — tie-break keys depend only on the bid's global
-/// stream position. Winners materialise
-/// through `map_award` exactly as in [`auction_select`]: nothing beyond the `K` awards ever
-/// becomes a full client object.
+/// Winners materialise through `map_award` exactly as in [`auction_select`]: nothing
+/// beyond the `K` awards ever becomes a full client object. A `shard_size` beyond the
+/// population means one shard.
 ///
 /// # Errors
 ///
@@ -426,6 +432,8 @@ where
         return Err(AuctionError::InvalidGame { n: population, k }.into());
     }
     let shard_size = shard_size.max(1);
+    // A shard never holds more than the population, whatever the caller asked for.
+    let store_bids = shard_size.min(population);
     let dims = auction.scoring_rule().dims();
     // ψ-FMore's admission walk ranges over the whole ranking, but the walk needs only
     // *ranks* — so instead of widening the standing pool to the population (the pre-v9
@@ -433,7 +441,6 @@ where
     // walk is planned over it; see the award stage below. Every selection rule therefore
     // keeps the same bounded `K + reserve` pool.
     let mut selector = auction.selector(reserve);
-    let capacity = selector.capacity();
     let width = engine.parallel_width();
     let mut free: Vec<BidStore> = Vec::new();
     let mut peak_bid_bytes = 0usize;
@@ -445,7 +452,7 @@ where
 
     let shards: Vec<std::ops::Range<usize>> = (0..population)
         .step_by(shard_size)
-        .map(|lo| lo..(lo + shard_size).min(population))
+        .map(|lo| lo..lo.saturating_add(shard_size).min(population))
         .collect();
     // One wave of fill + batch-score shard tasks, run on the pool. Fills are pure functions
     // of their range, so the refinement pass of the ψ award stage can replay them.
@@ -454,7 +461,7 @@ where
             .map(|range| {
                 let mut store = free
                     .pop()
-                    .unwrap_or_else(|| BidStore::with_capacity(dims, shard_size));
+                    .unwrap_or_else(|| BidStore::with_capacity(dims, store_bids));
                 store.clear();
                 let fill = Arc::clone(&fill);
                 let rule = auction.scoring_rule().clone();
@@ -487,10 +494,11 @@ where
         if salt.is_none() && selector.offered() + wave_total >= 2 {
             salt = Some(selector.force_salt(rng));
         }
-        match salt {
-            // Stage 2: local top-K per shard on the pool, then a population-order merge
-            // of the small survivor sets — the only serial part of the wave.
-            Some(salt) => {
+        // Stage 2: scan each shard on the pool for the bids that rank before the
+        // selector's admission floor as of the previous wave, then merge the few
+        // survivors in population order — the only serial part of the wave.
+        match selector.admission_floor() {
+            Some(admission) => {
                 let mut base = selector.offered();
                 let tasks: Vec<Task<(BidStore, ShardSelection)>> = stores
                     .into_iter()
@@ -499,7 +507,7 @@ where
                         base += store.len();
                         Box::new(move || {
                             let selection =
-                                ShardSelection::select(&store, salt, shard_base, capacity);
+                                ShardSelection::select_above(&store, shard_base, admission);
                             (store, selection)
                         }) as Task<(BidStore, ShardSelection)>
                     })

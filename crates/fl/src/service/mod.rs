@@ -849,4 +849,50 @@ mod tests {
         ));
         assert!(history.rounds[1].outcome.is_ok());
     }
+
+    /// A hostile `shard_size` (nothing validates it at admission) must mean "one shard",
+    /// not a `capacity overflow` panic sizing the shard store on the control thread.
+    #[test]
+    fn oversized_shard_size_runs_one_shard_instead_of_overflowing() {
+        use crate::engine::auction_select_streamed;
+        let run = |shard_size: usize| {
+            let service =
+                AuctionService::with_engine(ServiceConfig::default(), RoundEngine::inline());
+            let mut spec = toy_spec("hostile-shard", 31);
+            spec.population = 100;
+            spec.shard_size = shard_size;
+            let id = service.admit(spec).unwrap();
+            service.run_round(id).unwrap()
+        };
+        let whole = run(100);
+        assert_eq!(whole.offered, 100);
+        assert_eq!(run(usize::MAX), whole);
+
+        // And through the direct call, on a pooled engine.
+        let source = toy_source();
+        let stage = auction_select_streamed(
+            &toy_auction(8),
+            100,
+            usize::MAX,
+            4,
+            &RoundEngine::pooled(2),
+            Arc::new(
+                move |range: std::ops::Range<usize>, store: &mut fmore_auction::BidStore| {
+                    source(range, 1, store)
+                },
+            ),
+            &mut fmore_numerics::seeded_rng(5),
+            |award| crate::metrics::WinnerInfo {
+                client: award.node.0 as usize,
+                node: award.node,
+                data_size: 1,
+                categories: 1,
+                score: award.score,
+                payment: award.payment,
+            },
+        )
+        .unwrap();
+        assert_eq!(stage.offered, 100);
+        assert_eq!(stage.winners.len(), 8);
+    }
 }

@@ -1003,6 +1003,247 @@ fn bounded_psi_admission_is_bit_identical_to_full_sort() {
     });
 }
 
+/// Turns raw draws into the score streams that stress the selector's admission floor.
+/// Scores become bids under the one-dimensional `PerfectComplementary [1]` rule
+/// (`S = q − ask`) as `q = max(s, ∓0)`, `ask = max(−s, 0)`, which reproduces `s` exactly —
+/// including the sign of a zero, on the per-bid and the batched scoring path alike.
+fn hostile_score_streams(raw: &[f64], shard: usize) -> Vec<(&'static str, Vec<f64>)> {
+    let n = raw.len();
+    let quantised: Vec<f64> = raw.iter().map(|v| (v * 4.0).round() / 4.0).collect();
+    // Every bid beats the floor / no bid after the first `capacity` does.
+    let ascending: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 3.0).collect();
+    let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+    let signed_zeros: Vec<f64> = (0..n)
+        .map(|i| match i % 3 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => quantised[i],
+        })
+        .collect();
+    // A run of top-score ties across the first shard boundary: tie-break keys alone decide
+    // which of them the pool keeps, and the second shard's floor is one of the run.
+    let mut straddle = quantised.clone();
+    for s in straddle
+        .iter_mut()
+        .take(shard + 3)
+        .skip(shard.saturating_sub(3))
+    {
+        *s = 2.0;
+    }
+    vec![
+        ("quantised", quantised),
+        ("ascending", ascending),
+        ("descending", descending),
+        ("all-equal", vec![0.75; n]),
+        ("signed-zeros", signed_zeros),
+        ("tie-straddle", straddle),
+    ]
+}
+
+/// One hostile round three ways — dense `Auction::run`, sequential `BidSelector::offer`,
+/// and `auction_select_streamed` on each engine — compared on pool order, tie-break keys,
+/// best dropped score, winners, payments and the post-round RNG position.
+fn hostile_round_agrees(
+    name: &str,
+    auction: &Auction,
+    bids: &std::sync::Arc<Vec<fmore::auction::SubmittedBid>>,
+    (reserve, shard, seed): (usize, usize, u64),
+    engines: &[fmore::fl::engine::RoundEngine],
+) -> Result<(), String> {
+    use fmore::auction::BidStore;
+    use fmore::fl::engine::auction_select_streamed;
+    use fmore::fl::metrics::WinnerInfo;
+    use rand::Rng;
+    let n = bids.len();
+    let mut dense_rng = fmore::numerics::seeded_rng(seed);
+    let dense = auction
+        .run(bids.as_ref().clone(), &mut dense_rng)
+        .map_err(|e| e.to_string())?;
+    let dense_position = dense_rng.gen::<u64>();
+    let kept = (auction.winners_per_round() + reserve).min(n);
+    let dense_dropped = dense.ranked()[kept..]
+        .iter()
+        .map(|r| r.score)
+        .reduce(f64::max);
+
+    // Sequential twin: one store, one `offer` per bid.
+    let mut store = BidStore::with_dims(1);
+    for bid in bids.iter() {
+        store
+            .push(bid.node, bid.quality.as_slice(), bid.ask)
+            .map_err(|e| e.to_string())?;
+    }
+    store
+        .score_with(auction.scoring_rule())
+        .map_err(|e| e.to_string())?;
+    for (i, bid) in bids.iter().enumerate() {
+        let per_bid = auction.scoring_rule().score(&bid.quality, bid.ask);
+        ensure(
+            per_bid.is_ok_and(|s| s.to_bits() == store.score(i).to_bits()),
+            || format!("{name}: batch score {i} lost the stream's bits"),
+        )?;
+    }
+    let mut seq_rng = fmore::numerics::seeded_rng(seed);
+    let mut selector = auction.selector(reserve);
+    selector.offer_store(&store, &mut seq_rng);
+    let sequential = selector.finish(&mut seq_rng);
+    ensure(sequential.len() == kept, || {
+        format!("{name}: sequential pool kept {}", sequential.len())
+    })?;
+    for (c, r) in sequential.candidates().iter().zip(dense.ranked()) {
+        ensure(
+            c.node == r.node && c.score.to_bits() == r.score.to_bits(),
+            || format!("{name}: sequential pool diverged from rank_bids"),
+        )?;
+    }
+    ensure(sequential.best_dropped_score() == dense_dropped, || {
+        format!("{name}: sequential best-dropped diverged from the dense tail")
+    })?;
+    let mut burn = fmore::numerics::seeded_rng(seed);
+    for _ in 0..n.saturating_sub(1) {
+        let _ = burn.gen::<u64>();
+    }
+    ensure(seq_rng.gen::<u64>() == burn.gen::<u64>(), || {
+        format!("{name}: sequential selection left the RNG elsewhere")
+    })?;
+
+    for engine in engines {
+        let name = format!("{name}/width={}", engine.parallel_width());
+        let source = std::sync::Arc::clone(bids);
+        let fill = move |range: std::ops::Range<usize>, store: &mut BidStore| {
+            for bid in &source[range] {
+                store.push(bid.node, bid.quality.as_slice(), bid.ask)?;
+            }
+            Ok(())
+        };
+        let mut rng = fmore::numerics::seeded_rng(seed);
+        let streamed = auction_select_streamed(
+            auction,
+            n,
+            shard,
+            reserve,
+            engine,
+            std::sync::Arc::new(fill),
+            &mut rng,
+            |award| WinnerInfo {
+                client: award.node.0 as usize,
+                node: award.node,
+                data_size: 1,
+                categories: 1,
+                score: award.score,
+                payment: award.payment,
+            },
+        )
+        .map_err(|e| e.to_string())?;
+        // Same nodes, scores and keys in the same order (`==` on the candidates' floats
+        // forgives only the sign of a zero, and the node pins which zero it is).
+        ensure(
+            streamed.standing.candidates() == sequential.candidates()
+                && streamed.standing.offered() == n,
+            || format!("{name}: wave pool diverged from sequential"),
+        )?;
+        ensure(
+            streamed.standing.best_dropped_score() == dense_dropped,
+            || format!("{name}: best-dropped score diverged"),
+        )?;
+        ensure(streamed.winners.len() == dense.winners().len(), || {
+            format!("{name}: winner count diverged")
+        })?;
+        for (w, d) in streamed.winners.iter().zip(dense.winners()) {
+            ensure(
+                w.node == d.node
+                    && w.score.to_bits() == d.score.to_bits()
+                    && w.payment == d.payment,
+                || {
+                    format!(
+                        "{name}: winner diverged ({} pay {} vs {} pay {})",
+                        w.node, w.payment, d.node, d.payment
+                    )
+                },
+            )?;
+        }
+        ensure(rng.gen::<u64>() == dense_position, || {
+            format!("{name}: round left the RNG elsewhere")
+        })?;
+    }
+    Ok(())
+}
+
+/// The floor-carried wave selection of `auction_select_streamed` ≡ the sequential
+/// `BidSelector::offer` path ≡ the dense full sort (see [`hostile_round_agrees`]) over
+/// streams built to break an admission floor (see [`hostile_score_streams`]), at shard
+/// size 1, pools of one candidate (`K = 1`, reserve 0) and pools wider than the
+/// population, and engine widths 1/2/4 (inside a wave every shard after the first scans
+/// against a stale floor), for top-K and ψ-FMore under both pricing rules. The sign of a
+/// zero-valued best-dropped score or payment is the one thing left unpinned: `rank_order`
+/// treats `±0.0` as equal, and no fold over the losers' scores orders them.
+#[test]
+fn floor_carried_selection_matches_sequential_and_dense_on_hostile_streams() {
+    use fmore::auction::SubmittedBid;
+    use fmore::fl::engine::RoundEngine;
+    use std::sync::Arc;
+    let engines = [
+        RoundEngine::inline(),
+        RoundEngine::pooled(2),
+        RoundEngine::pooled(4),
+    ];
+    let widths: Vec<usize> = engines.iter().map(RoundEngine::parallel_width).collect();
+    assert_eq!(widths, [1, 2, 4]);
+    let psi = SelectionRule::PsiFMore { psi: 0.6 };
+    let schemes = [
+        (SelectionRule::TopK, PricingRule::FirstPrice),
+        (SelectionRule::TopK, PricingRule::SecondPrice),
+        (psi, PricingRule::FirstPrice),
+        (psi, PricingRule::SecondPrice),
+    ];
+    let strategy = Tuple3(
+        VecOf::new(F64Range::new(-1.0, 1.0), 1, 40),
+        Tuple3(
+            UsizeRange::new(1, 12),
+            UsizeRange::new(0, 6),
+            UsizeRange::new(2, 9),
+        ),
+        UsizeRange::new(0, 100_000),
+    );
+    check(
+        &Config::seeded(0xF1),
+        &strategy,
+        |(raw, (k, reserve, shard), seed)| {
+            let n = raw.len();
+            for (stream, scores) in hostile_score_streams(raw, *shard) {
+                let bids: Vec<SubmittedBid> = scores
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| {
+                        let zero = if s.is_sign_negative() { -0.0 } else { 0.0 };
+                        let quality = Quality::new(vec![if s > 0.0 { s } else { zero }]);
+                        SubmittedBid::new(NodeId(i as u64), quality, (-s).max(0.0))
+                    })
+                    .collect();
+                let rule = ScoringRule::new(PerfectComplementary::new(vec![1.0]).unwrap());
+                for (i, bid) in bids.iter().enumerate() {
+                    let score = rule
+                        .score(&bid.quality, bid.ask)
+                        .map_err(|e| e.to_string())?;
+                    ensure(score.to_bits() == scores[i].to_bits(), || {
+                        format!("{stream}: the bid encoding did not reproduce score {i}")
+                    })?;
+                }
+                let bids = Arc::new(bids);
+                for (k, reserve, shard) in [(*k, *reserve, *shard), (1, 0, 1), (n + 2, 3, *shard)] {
+                    for (selection, pricing) in schemes {
+                        let auction = Auction::new(rule.clone(), k, selection, pricing);
+                        let name = format!("{stream}/{selection:?}/{pricing:?}/k={k}/r={reserve}");
+                        let geometry = (reserve, shard, *seed as u64);
+                        hostile_round_agrees(&name, &auction, &bids, geometry, &engines)?;
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 /// The columnar `score_batch` kernels are **bit-identical** to the per-bid
 /// `ScoringRule::score` path for every scoring family — Additive, PerfectComplementary,
 /// CobbDouglas (unit and curved exponents), and `NormalizedScoring` wrapping each — both
