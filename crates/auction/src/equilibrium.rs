@@ -581,7 +581,19 @@ impl EquilibriumSolver {
         out: &mut Vec<f64>,
     ) -> Result<(), AuctionError> {
         let (idx, frac) = self.checked_grid_pos(theta, capacity)?;
-        self.clipped_quality_at(idx, frac, capacity, out);
+        out.clear();
+        out.extend(self.clipped_quality_at(idx, frac, capacity.iter().copied()));
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn check_dims(&self, actual: usize) -> Result<(), AuctionError> {
+        if actual != self.bounds.len() {
+            return Err(AuctionError::DimensionMismatch {
+                expected: self.bounds.len(),
+                actual,
+            });
+        }
         Ok(())
     }
 
@@ -590,49 +602,47 @@ impl EquilibriumSolver {
     #[inline(always)]
     fn checked_grid_pos(&self, theta: f64, capacity: &[f64]) -> Result<(usize, f64), AuctionError> {
         self.check_theta(theta)?;
-        if capacity.len() != self.bounds.len() {
-            return Err(AuctionError::DimensionMismatch {
-                expected: self.bounds.len(),
-                actual: capacity.len(),
-            });
-        }
+        self.check_dims(capacity.len())?;
         Ok(self.theta_grid_pos(theta))
     }
 
-    /// Interpolates `q*(θ)` at a grid position and clips it component-wise to `capacity`,
-    /// writing into `out` (cleared first, capacity reused) — the single implementation
-    /// behind [`EquilibriumSolver::tabulated_quality_into`] and
-    /// [`EquilibriumSolver::tabulated_bid_into`].
+    /// `q*(θ)` interpolated at a grid position and clipped component-wise to `capacity`
+    /// (which must yield one value per dimension) — the single definition of the
+    /// arithmetic behind every tabulated lookup, per bid or batched: `Vec` callers
+    /// `extend` from it, the batch tail writes it through the store's column.
     #[inline(always)]
-    fn clipped_quality_at(&self, idx: usize, frac: f64, capacity: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        self.clipped_quality_append(idx, frac, capacity, out);
-    }
-
-    /// Append-style core of [`EquilibriumSolver::clipped_quality_at`]: writes the clipped
-    /// interpolation onto the end of `out` without clearing — the form that lets the bid
-    /// loop stream qualities straight onto a columnar store.
-    #[inline(always)]
-    fn clipped_quality_append(&self, idx: usize, frac: f64, capacity: &[f64], out: &mut Vec<f64>) {
-        let dims = capacity.len();
+    fn clipped_quality_at<'a>(
+        &'a self,
+        idx: usize,
+        frac: f64,
+        capacity: impl Iterator<Item = f64> + 'a,
+    ) -> impl Iterator<Item = f64> + 'a {
+        let dims = self.bounds.len();
         // Two adjacent rows of the row-major table — one contiguous window, no pointer
         // chasing; the zipped iterators make every bounds check vanish.
         let window = &self.flat_qualities[idx * dims..(idx + 2) * dims];
         let (lo_q, hi_q) = window.split_at(dims);
-        out.extend(
-            lo_q.iter()
-                .zip(hi_q)
-                .zip(capacity)
-                .map(|((&l, &h), &c)| (l + frac * (h - l)).min(c).max(0.0)),
-        );
+        lo_q.iter()
+            .zip(hi_q)
+            .zip(capacity)
+            .map(move |((&l, &h), c)| (l + frac * (h - l)).min(c).max(0.0))
+    }
+
+    /// `p*(θ)` interpolated at a grid position — the linear form of `interp_theta` on an
+    /// already-computed grid position.
+    #[inline(always)]
+    fn ask_at(&self, idx: usize, frac: f64) -> f64 {
+        let p = &self.payments[idx..idx + 2];
+        p[0] + frac * (p[1] - p[0])
     }
 
     /// One whole tabulated equilibrium bid — capacity-capped quality into `out` plus the
     /// returned ask — from a **single** θ-grid lookup shared by both interpolations, where
     /// the [`EquilibriumSolver::tabulated_quality_into`] + [`EquilibriumSolver::tabulated_ask`]
-    /// pair pays for two support checks and two grid positions. This is the per-node step
-    /// of the population-scale bid-generation path; results are bit-identical to calling
-    /// the pair.
+    /// pair pays for two support checks and two grid positions. The per-node form of the
+    /// population-scale bid path (whole shards go through
+    /// [`EquilibriumSolver::tabulated_bids_at`]); results are bit-identical to calling the
+    /// pair.
     ///
     /// # Errors
     ///
@@ -646,33 +656,9 @@ impl EquilibriumSolver {
         out: &mut Vec<f64>,
     ) -> Result<f64, AuctionError> {
         let (idx, frac) = self.checked_grid_pos(theta, capacity)?;
-        self.clipped_quality_at(idx, frac, capacity, out);
-        // Same linear form as `interp_theta`, reusing the already-computed grid position.
-        let p = &self.payments[idx..idx + 2];
-        Ok(p[0] + frac * (p[1] - p[0]))
-    }
-
-    /// Streaming twin of [`EquilibriumSolver::tabulated_bid_into`]: **appends** the
-    /// capacity-capped quality to `out` instead of clearing it first, so a columnar bid
-    /// store can hand its flattened quality column directly to the solver and skip the
-    /// per-bid scratch-buffer copy. Values are bit-identical to the `_into` form. On error
-    /// nothing is written.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuctionError::ThetaOutOfSupport`] for θ outside the support and
-    /// [`AuctionError::DimensionMismatch`] when `capacity` has the wrong dimension.
-    #[inline(always)]
-    pub fn tabulated_bid_append(
-        &self,
-        theta: f64,
-        capacity: &[f64],
-        out: &mut Vec<f64>,
-    ) -> Result<f64, AuctionError> {
-        let (idx, frac) = self.checked_grid_pos(theta, capacity)?;
-        self.clipped_quality_append(idx, frac, capacity, out);
-        let p = &self.payments[idx..idx + 2];
-        Ok(p[0] + frac * (p[1] - p[0]))
+        out.clear();
+        out.extend(self.clipped_quality_at(idx, frac, capacity.iter().copied()));
+        Ok(self.ask_at(idx, frac))
     }
 
     /// Batched twin of the θ grid lookup shared by every tabulated interpolation:
@@ -744,10 +730,11 @@ impl EquilibriumSolver {
         all_ok
     }
 
-    /// [`EquilibriumSolver::tabulated_bid_append`] with the θ grid position precomputed
-    /// by [`EquilibriumSolver::grid_pos_batch`] — the per-node remainder of the batched
-    /// population bid loop. `idx` must be a cell index the batch lookup produced for this
-    /// solver (always in range for its grid).
+    /// One tabulated bid at a θ grid position precomputed by
+    /// [`EquilibriumSolver::grid_pos_batch`]: **appends** the capacity-capped quality to
+    /// `out` and returns the ask — the per-bid form of
+    /// [`EquilibriumSolver::tabulated_bids_at`], same arithmetic. `idx` must be a cell
+    /// index the batch lookup produced for this solver (always in range for its grid).
     ///
     /// # Errors
     ///
@@ -761,15 +748,58 @@ impl EquilibriumSolver {
         capacity: &[f64],
         out: &mut Vec<f64>,
     ) -> Result<f64, AuctionError> {
-        if capacity.len() != self.bounds.len() {
-            return Err(AuctionError::DimensionMismatch {
-                expected: self.bounds.len(),
-                actual: capacity.len(),
-            });
+        self.check_dims(capacity.len())?;
+        out.extend(self.clipped_quality_at(idx, frac, capacity.iter().copied()));
+        Ok(self.ask_at(idx, frac))
+    }
+
+    /// The table tail of the population-scale shard fill: one tabulated bid per grid
+    /// position from [`EquilibriumSolver::grid_pos_batch`], written through slices. Bid
+    /// `j` reads `capacity[d][j]` (one column per dimension, their number fixed at the
+    /// call site so the loop is compiled for it), writes its clipped quality to row `j`
+    /// of the row-major `qualities` and its ask to `asks[j]`. The dimension is checked
+    /// once; per bid what is left is two adjacent table rows, two payments and the
+    /// stores — bit-identical to [`EquilibriumSolver::tabulated_bid_append_at`] per bid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuctionError::DimensionMismatch`] when the solver is not
+    /// `D`-dimensional; nothing is written on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slices disagree on the number of bids.
+    // Out of line on purpose: as a function of its own its slices are `noalias`
+    // parameters; inlined into the shard filler's closure they are loads from a capture
+    // struct, the loop reloads them every bid, and a shard fill measures 11.3 instead of
+    // 9.9 ns/bid.
+    #[inline(never)]
+    pub fn tabulated_bids_at<const D: usize>(
+        &self,
+        idx: &[f64],
+        frac: &[f64],
+        capacity: [&[f64]; D],
+        qualities: &mut [f64],
+        asks: &mut [f64],
+    ) -> Result<(), AuctionError> {
+        self.check_dims(D)?;
+        let n = asks.len();
+        assert_eq!(qualities.len(), n * D);
+        // Every column cut to the one length, so the loop carries no bounds checks.
+        let (idx, frac) = (&idx[..n], &frac[..n]);
+        let capacity = capacity.map(|column| &column[..n]);
+        for (j, row) in (0..n).zip(qualities.chunks_exact_mut(D)) {
+            let (i, f) = (idx[j] as usize, frac[j]);
+            let capacity: [f64; D] = std::array::from_fn(|d| capacity[d][j]);
+            for (out, q) in row
+                .iter_mut()
+                .zip(self.clipped_quality_at(i, f, capacity.into_iter()))
+            {
+                *out = q;
+            }
+            asks[j] = self.ask_at(i, f);
         }
-        self.clipped_quality_append(idx, frac, capacity, out);
-        let p = &self.payments[idx..idx + 2];
-        Ok(p[0] + frac * (p[1] - p[0]))
+        Ok(())
     }
 
     /// The opponent-score CDF `H(x) = 1 − F(u⁻¹(x))`.
@@ -1326,6 +1356,57 @@ mod tests {
             .grid_size(64)
             .build()
             .unwrap()
+    }
+
+    /// The batched table tail against the per-bid forms it shares its arithmetic with:
+    /// the same bits as `tabulated_bid_append_at` at the batch's grid positions and as
+    /// `tabulated_bid_into` from θ, and a typed error that writes nothing when the column
+    /// count is not the solver's dimension.
+    #[test]
+    fn batched_table_tail_matches_the_per_bid_lookups_bitwise() {
+        let solver = two_dim_solver(PaymentMethod::Quadrature, 3);
+        let n = 37;
+        let thetas: Vec<f64> = (0..n)
+            .map(|j| 0.2 + 0.8 * j as f64 / (n - 1) as f64)
+            .collect();
+        // Capacities on both sides of the equilibrium quality, so some rows clip.
+        let c0: Vec<f64> = (0..n).map(|j| (j % 5) as f64 / 4.0).collect();
+        let c1: Vec<f64> = (0..n).map(|j| (j % 3) as f64 / 2.0).collect();
+        let (mut idx, mut frac) = (vec![0.0; n], vec![0.0; n]);
+        solver.grid_pos_batch(&thetas, &mut idx, &mut frac).unwrap();
+        let (mut qualities, mut asks) = (vec![f64::NAN; 2 * n], vec![f64::NAN; n]);
+        solver
+            .tabulated_bids_at(&idx, &frac, [&c0, &c1], &mut qualities, &mut asks)
+            .unwrap();
+        let (mut appended, mut from_theta) = (Vec::new(), Vec::new());
+        for j in 0..n {
+            let capacity = [c0[j], c1[j]];
+            appended.clear();
+            let ask = solver
+                .tabulated_bid_append_at(idx[j] as usize, frac[j], &capacity, &mut appended)
+                .unwrap();
+            let ask_from_theta = solver
+                .tabulated_bid_into(thetas[j], &capacity, &mut from_theta)
+                .unwrap();
+            assert_eq!(asks[j].to_bits(), ask.to_bits());
+            assert_eq!(asks[j].to_bits(), ask_from_theta.to_bits());
+            for d in 0..2 {
+                assert_eq!(qualities[2 * j + d].to_bits(), appended[d].to_bits());
+                assert_eq!(qualities[2 * j + d].to_bits(), from_theta[d].to_bits());
+            }
+        }
+        assert!(qualities.chunks(2).zip(&c0).any(|(q, c)| q[0] == *c));
+
+        let before = asks.clone();
+        let mismatch = solver.tabulated_bids_at(&idx, &frac, [&c0], &mut qualities[..n], &mut asks);
+        assert_eq!(
+            mismatch,
+            Err(AuctionError::DimensionMismatch {
+                expected: 2,
+                actual: 1
+            })
+        );
+        assert_eq!(asks, before);
     }
 
     #[test]

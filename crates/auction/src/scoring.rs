@@ -297,7 +297,12 @@ impl ScoringFunction for Additive {
         self.weights.len()
     }
     fn value(&self, q: &[f64]) -> f64 {
-        self.weights.iter().zip(q).map(|(w, x)| w * x).sum()
+        // Folded from `0.0` like the batch kernels, not with `Iterator::sum`, whose
+        // `f64` identity is `-0.0`: the two differ in the sign of an all-`-0.0` sum.
+        self.weights
+            .iter()
+            .zip(q)
+            .fold(0.0, |acc, (w, x)| acc + w * x)
     }
     fn name(&self) -> &'static str {
         "additive"
@@ -743,6 +748,28 @@ mod tests {
         assert_eq!(s.name(), "additive");
         assert!((s.value(&[1.0, 2.0, 3.0]) - (0.4 + 0.6 + 0.9)).abs() < 1e-12);
         assert_eq!(s.weights(), &[0.4, 0.3, 0.3]);
+    }
+
+    /// `Iterator::sum` starts an `f64` fold at `-0.0`, the batch kernels at `0.0`: only an
+    /// all-`-0.0` quality (which `BidStore::push` accepts) tells them apart, by the sign
+    /// of the zero. Per-bid and batch scores must agree there too, on both dispatch tiers.
+    #[test]
+    fn additive_value_matches_the_batch_kernels_on_negative_zero_qualities() {
+        let asks = [0.0, -0.0, 0.25];
+        for dims in 1..=4 {
+            let s = Additive::new(vec![0.4, 0.3, 0.2, 0.1][..dims].to_vec()).unwrap();
+            let q = vec![-0.0; dims];
+            let qualities = q.repeat(asks.len());
+            let mut dispatched = [f64::NAN; 3];
+            let mut scalar = [f64::NAN; 3];
+            s.score_batch(&qualities, &asks, &mut dispatched);
+            s.score_batch_scalar(&qualities, &asks, &mut scalar);
+            for (i, ask) in asks.iter().enumerate() {
+                let per_bid = (s.value(&q) - ask).to_bits();
+                assert_eq!(per_bid, dispatched[i].to_bits(), "dims {dims}, ask {ask}");
+                assert_eq!(per_bid, scalar[i].to_bits(), "dims {dims}, ask {ask}");
+            }
+        }
     }
 
     #[test]

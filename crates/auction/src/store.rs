@@ -252,39 +252,39 @@ impl BidStore {
         self.scores.push(0.0);
     }
 
-    /// Streaming twin of [`BidStore::push_trusted`]: `fill` writes exactly `dims` quality
-    /// components **directly onto the store's quality column** and returns the ask, so the
-    /// bid never round-trips through a caller-side scratch buffer. The per-bid contract of
-    /// the population-scale loop: one closure call, zero copies.
-    ///
-    /// `fill` must append exactly `dims` elements on success and nothing on error (the
-    /// solver's `tabulated_bid_append` honours this: its checks precede its writes); both
-    /// obligations are debug-asserted.
+    /// Batch form of [`BidStore::push_trusted`] for one shard of consecutive nodes: grows
+    /// every column once by `nodes.len()` bids and hands `fill` the new tails — the
+    /// row-major quality rows (`dims` per bid) and the asks, zeroed — so a whole shard is
+    /// written through two slices instead of per-bid capacity-checked pushes. The same
+    /// trust contract: `fill` must leave every component finite and non-negative
+    /// (debug-asserted).
     ///
     /// # Errors
     ///
-    /// Propagates `fill`'s error, leaving the store unchanged.
-    #[inline(always)]
-    pub fn push_trusted_with<E>(
+    /// Propagates `fill`'s error, leaving the store as it was.
+    pub fn extend_trusted_with<E>(
         &mut self,
-        node: NodeId,
-        fill: impl FnOnce(&mut Vec<f64>) -> Result<f64, E>,
+        nodes: std::ops::Range<u64>,
+        fill: impl FnOnce(&mut [f64], &mut [f64]) -> Result<(), E>,
     ) -> Result<(), E> {
-        #[cfg(debug_assertions)]
-        let written_from = self.qualities.len();
-        let ask = fill(&mut self.qualities)?;
-        #[cfg(debug_assertions)]
-        {
-            debug_assert_eq!(self.qualities.len(), written_from + self.dims);
-            debug_assert!(self.qualities[written_from..]
-                .iter()
-                .all(|v| v.is_finite() && *v >= 0.0));
-            debug_assert!(ask.is_finite() && ask >= 0.0);
+        let old = self.nodes.len();
+        self.nodes.extend(nodes);
+        let len = self.nodes.len();
+        self.qualities.resize(len * self.dims, 0.0);
+        self.asks.resize(len, 0.0);
+        self.scores.resize(len, 0.0);
+        let filled = fill(
+            &mut self.qualities[old * self.dims..],
+            &mut self.asks[old..],
+        );
+        if filled.is_err() {
+            self.truncate(old);
         }
-        self.nodes.push(node.0);
-        self.asks.push(ask);
-        self.scores.push(0.0);
-        Ok(())
+        debug_assert!(self.qualities[old * self.dims..]
+            .iter()
+            .chain(&self.asks[old..])
+            .all(|v| v.is_finite() && *v >= 0.0));
+        filled
     }
 
     /// The `i`-th bidder.
@@ -377,11 +377,16 @@ impl BidStore {
                 write += 1;
             }
         }
-        self.nodes.truncate(write);
-        self.asks.truncate(write);
-        self.scores.truncate(write);
-        self.qualities.truncate(write * dims);
+        self.truncate(write);
         len - write
+    }
+
+    /// Drops every bid from index `len` on.
+    fn truncate(&mut self, len: usize) {
+        self.nodes.truncate(len);
+        self.qualities.truncate(len * self.dims);
+        self.asks.truncate(len);
+        self.scores.truncate(len);
     }
 
     /// Resident bytes of the stored bids (column lengths, not capacities — deterministic
@@ -1069,6 +1074,33 @@ mod tests {
         store.clear();
         assert!(store.is_empty());
         assert_eq!(store.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn extend_trusted_with_appends_a_shard_or_leaves_the_store_as_it_was() {
+        let mut store = store_of(&[(9, [0.5, 0.5], 0.1)]);
+        store
+            .extend_trusted_with(3..6, |qualities, asks| {
+                assert_eq!((qualities.len(), asks.len()), (6, 3));
+                assert!(qualities.iter().chain(asks.iter()).all(|v| *v == 0.0));
+                qualities.copy_from_slice(&[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
+                asks.copy_from_slice(&[1.0, 2.0, 3.0]);
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        let mut expected = store_of(&[(9, [0.5, 0.5], 0.1)]);
+        expected.push_trusted(NodeId(3), &[0.1, 0.2], 1.0);
+        expected.push_trusted(NodeId(4), &[0.3, 0.4], 2.0);
+        expected.push_trusted(NodeId(5), &[0.5, 0.6], 3.0);
+        assert_eq!(store, expected);
+
+        let failed = store.extend_trusted_with(6..9, |qualities, asks| {
+            qualities.fill(0.7);
+            asks.fill(0.7);
+            Err("no")
+        });
+        assert_eq!(failed, Err("no"));
+        assert_eq!(store, expected);
     }
 
     #[test]

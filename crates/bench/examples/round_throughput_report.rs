@@ -7,8 +7,10 @@
 //! * **streamed selection, spec v1** — one million-bidder selection round (lazily derived
 //!   bids → sharded batch scoring → per-shard local top-K on the pool → population-order
 //!   merge, K = 64) under the golden-compatible two-stream population contract,
-//! * **streamed selection, spec v2** — the same round under the fused single-stream
-//!   contract (`NodePopulation::bid_into`), the fast path the 40 ms target is asserted on,
+//! * **streamed selection, spec v2** — the same round, through the same shard filler
+//!   (`NodePopulation::bid_range_into_store`), under the fused single-stream contract,
+//!   whose derivation pass hashes a fifth of what v1's does; the 40 ms target is
+//!   asserted on it,
 //! * **straggler fan-out** — the straggler-heavy local-training fan-out (seven uniform
 //!   winners plus one 7×-data straggler submitted last) on a 2-worker pool, per-winner
 //!   dispatch vs the chain scheduler's per-batch units: the longest-remaining-first policy

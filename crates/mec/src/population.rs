@@ -20,8 +20,8 @@
 use crate::dynamics::ChurnModel;
 use crate::error::MecError;
 use crate::node::{MecNode, ResourceProfile, ResourceRanges};
-use fmore_auction::{AuctionError, BidStore, EquilibriumSolver, NodeId};
-use fmore_numerics::rng::{derive_seed, derive_stream};
+use fmore_auction::{AuctionError, BidStore, EquilibriumSolver};
+use fmore_numerics::rng::{derive_seed, derive_stream, seeded_words};
 use rand::Rng;
 
 /// Tag streams keeping the θ draw, the per-round resource draws, and the materialised
@@ -34,24 +34,29 @@ const FUSED_STREAM: u64 = 0xF05E;
 
 /// Which RNG stream contract a [`PopulationSpec`] derives node attributes under.
 ///
+/// Both contracts fill shards through the one columnar pipeline of
+/// [`NodePopulation::bid_range_into_store`] and differ only in its derivation pass: what
+/// is hashed per node, not how a shard is processed.
+///
 /// * [`SpecVersion::V1`] — the original two-stream derivation: θ and the per-round
-///   resource profile each seed a full generator (`derive_stream`) per node. Every
-///   committed golden fingerprint and every seeded history replays bit-for-bit under v1,
-///   which is why it stays the default.
+///   resource profile are each the first outputs of a generator seeded per node
+///   (`derive_stream`; the shard pipeline computes the same words without the generator
+///   value, [`fmore_numerics::rng::seeded_words`]). Every committed golden fingerprint and
+///   every seeded history replays bit-for-bit under v1, which is why it stays the default.
 /// * [`SpecVersion::V2`] — the fused single-stream derivation: node `i` owns **one**
 ///   counter-based SplitMix64 stream rooted at `w_i = derive_seed(derive_seed(seed,
 ///   FUSED_STREAM), i)`. θ is read from the stream root itself and the round-`r` profile
-///   from the single child word `derive_seed(w_i, r)`, so a whole bid costs two SplitMix64
-///   chains instead of two generator constructions plus four generator steps — the fast
-///   path of the population-scale bid loop, with its own committed goldens.
+///   from the single child word `derive_seed(w_i, r)`, so a whole bid hashes two
+///   SplitMix64 chains where v1 hashes up to ten and steps two generators — about half v1's
+///   derivation cost, with its own committed goldens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpecVersion {
     /// Two generator streams per node (θ + profile); bit-compatible with every committed
     /// golden and seeded history.
     #[default]
     V1,
-    /// One counter-based SplitMix64 stream per node; the fused fast path of
-    /// [`NodePopulation::bid_into`].
+    /// One counter-based SplitMix64 stream per node: θ and the round's profile from two
+    /// hash chains.
     V2,
 }
 
@@ -212,15 +217,13 @@ impl NodePopulation {
     /// Derives node `i`'s complete equilibrium bid for `round` in one shot: θ, the round's
     /// resource provision, the normalised capacity (written into `capacity`), and the
     /// tabulated equilibrium bid (clipped quality into `quality`, ask returned). Both
-    /// vectors are cleared first and their allocations reused — the population-scale bid
-    /// loop calls this once per node with the same two scratch vectors.
+    /// vectors are cleared first and their allocations reused.
     ///
-    /// Under [`SpecVersion::V1`] this performs exactly the decomposed
-    /// `theta` → `quality_into` → `tabulated_bid_into` sequence, bit-for-bit. Under
-    /// [`SpecVersion::V2`] the θ and profile draws share the node's single fused stream
-    /// word, so the whole derivation costs two SplitMix64 chains instead of two full
-    /// generator constructions — and still agrees bit-for-bit with the decomposed calls
-    /// under v2.
+    /// This is the per-node form — generator values under [`SpecVersion::V1`], the fused
+    /// stream word under [`SpecVersion::V2`] — and under either contract bit-for-bit the
+    /// decomposed `theta` → `quality_into` → `tabulated_bid_into` sequence. Whole shards go
+    /// through [`NodePopulation::bid_range_into_store`], which the property suite pins
+    /// against this function bid for bid.
     ///
     /// # Errors
     ///
@@ -252,23 +255,31 @@ impl NodePopulation {
         }
     }
 
-    /// Derives one shard's worth of equilibrium bids — [`NodePopulation::bid_into`] for
-    /// every node in `range`, appended to `store` via the trusted fast path (the bids come
-    /// straight from the tabulated solver: quality clipped to a validated capacity, finite
-    /// ask, so the store's submitter validation is redundant here).
+    /// Derives one shard's worth of equilibrium bids — the bids [`NodePopulation::bid_into`]
+    /// yields for every node in `range`, bit for bit, appended to `store` via the trusted
+    /// path (they come straight from the tabulated solver: quality clipped to a validated
+    /// capacity, finite ask, so the store's submitter validation is redundant here).
     ///
-    /// Shard granularity matters beyond amortising scratch buffers: on x86-64 the whole
-    /// loop body — fused derivation, `round`/`floor` in the provision mapping, the
-    /// solver's grid interpolation — is compiled once under the runtime AVX gate
-    /// ([`fmore_numerics::avx_enabled`]), which turns the baseline target's libm
-    /// `round`/`floor` calls into single instructions. Every operation involved is
-    /// IEEE-exact (rounding, conversion, min/max, multiply/add in fixed order), so the
-    /// accelerated build is **bit-identical** to the scalar fallback — the same discipline
-    /// as the scoring kernels, pinned by the scalar-parity suite.
+    /// Both stream contracts run the same three columnar passes over the shard and differ
+    /// only in the first. Pass A is the pure derivation — θ and the normalised capacity
+    /// columns, written to per-thread scratch ([`ShardScratch`]); under either contract
+    /// its loop body is straight-line integer hashing and IEEE-exact float mapping with
+    /// no branches or calls, which LLVM vectorises under the AVX-512 tier (see
+    /// [`derive_shard_avx512`]). The solver's batched grid lookup then vectorises the
+    /// per-θ divide and floor, and its batched table tail walks the precomputed positions
+    /// through the interpolation, writing straight onto the store's columns.
+    ///
+    /// Pass A and the grid lookup dispatch on the runtime SIMD gates themselves. Every
+    /// operation involved is IEEE-exact (rounding, conversion, min/max, multiply/add in
+    /// fixed order), so each accelerated tier is **bit-identical** to the scalar fallback
+    /// and to the per-node path — the same discipline as the scoring kernels, pinned by
+    /// the property suite on both sides of the dispatch.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`NodePopulation::bid_into`] failure.
+    /// [`AuctionError::ThetaOutOfSupport`] for the first θ outside the solver's grid and
+    /// [`AuctionError::DimensionMismatch`] for a solver that is not three-dimensional;
+    /// both leave `store` unchanged.
     pub fn bid_range_into_store(
         &self,
         range: std::ops::Range<usize>,
@@ -276,126 +287,88 @@ impl NodePopulation {
         solver: &EquilibriumSolver,
         store: &mut BidStore,
     ) -> Result<(), AuctionError> {
-        #[cfg(target_arch = "x86_64")]
-        if fmore_numerics::avx_enabled() {
-            // SAFETY: the AVX gate just confirmed the feature at runtime.
-            return unsafe { bid_range_avx(self, range, round, solver, store) };
-        }
-        self.bid_range_core(range, round, solver, store)
+        SHARD_SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            s.resize(range.len());
+            self.derive_shard(range.start, round, s);
+            // Every θ is validated here, before the store is touched.
+            solver.grid_pos_batch(&s.thetas, &mut s.idx, &mut s.frac)?;
+            store.extend_trusted_with(range.start as u64..range.end as u64, |qualities, asks| {
+                let capacity = [&s.c0[..], &s.c1, &s.c2];
+                solver.tabulated_bids_at(&s.idx, &s.frac, capacity, qualities, asks)
+            })
+        })
     }
 
-    /// The generic loop behind [`NodePopulation::bid_range_into_store`]; `inline(always)`
-    /// so the `target_feature` wrapper compiles the whole body (and everything `#[inline]`
-    /// beneath it) under the wider instruction set.
-    #[inline(always)]
-    fn bid_range_core(
-        &self,
-        range: std::ops::Range<usize>,
-        round: u64,
-        solver: &EquilibriumSolver,
-        store: &mut BidStore,
-    ) -> Result<(), AuctionError> {
-        match self.spec.version {
-            SpecVersion::V1 => {
-                let mut capacity = Vec::with_capacity(3);
-                let mut quality = Vec::with_capacity(3);
-                for i in range {
-                    let ask = self.bid_into(i, round, solver, &mut capacity, &mut quality)?;
-                    store.push_trusted(NodeId(i as u64), &quality, ask);
-                }
-            }
-            SpecVersion::V2 => {
-                // The fused derivation of `bid_into`'s V2 arm, restructured as columnar
-                // passes over the shard. Pass A is the pure derivation — fused stream
-                // word, θ, per-round profile, normalised capacity — written to per-thread
-                // scratch; its loop body is straight-line integer hashing and IEEE-exact
-                // float mapping with no branches or calls, which LLVM fully vectorises
-                // under the AVX-512 tier (see [`derive_shard_avx512`]). The solver's
-                // batched grid lookup then vectorises the per-θ divide and floor, and the
-                // final pass walks the precomputed positions through the interpolation,
-                // appending straight onto the store's columns. Same helpers, same
-                // operation order, so every value is bit-identical to the per-node
-                // `bid_into` path (pinned by the property suite).
-                let n = range.len();
-                SHARD_SCRATCH.with(|cell| {
-                    let s = &mut *cell.borrow_mut();
-                    s.resize(n);
-                    self.derive_shard(
-                        range.start,
-                        round,
-                        &mut s.thetas,
-                        &mut s.c0,
-                        &mut s.c1,
-                        &mut s.c2,
-                    );
-                    solver.grid_pos_batch(&s.thetas, &mut s.idx, &mut s.frac)?;
-                    for j in 0..n {
-                        let capacity = [s.c0[j], s.c1[j], s.c2[j]];
-                        store.push_trusted_with(NodeId((range.start + j) as u64), |out| {
-                            solver.tabulated_bid_append_at(
-                                s.idx[j] as usize,
-                                s.frac[j],
-                                &capacity,
-                                out,
-                            )
-                        })?;
-                    }
-                    Ok::<(), AuctionError>(())
-                })?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Pass A of the v2 shard loop: derives θ and the normalised capacity columns for
-    /// nodes `start..start + thetas.len()` in `round`. Dispatches to the AVX-512-compiled
-    /// twin when the CPU supports it (and [`fmore_numerics::avx512_enabled`] allows it);
-    /// otherwise the core compiles under whatever instruction set the caller's own
-    /// `target_feature` context provides — the tier-by-tier fallthrough of the SIMD
-    /// dispatch discipline.
-    fn derive_shard(
-        &self,
-        start: usize,
-        round: u64,
-        thetas: &mut [f64],
-        c0: &mut [f64],
-        c1: &mut [f64],
-        c2: &mut [f64],
-    ) {
+    /// Pass A of the shard pipeline: fills the scratch's θ and normalised capacity columns
+    /// for the nodes from `start` on (as many as the scratch was sized for) in `round`.
+    /// Dispatches to the AVX-512-compiled twin when the CPU supports it (and
+    /// [`fmore_numerics::avx512_enabled`] allows it), to the scalar core otherwise.
+    fn derive_shard(&self, start: usize, round: u64, scratch: &mut ShardScratch) {
         #[cfg(target_arch = "x86_64")]
         if fmore_numerics::avx512_enabled() {
             // SAFETY: the AVX-512 gate just confirmed the F/DQ/VL subsets at runtime.
-            return unsafe { derive_shard_avx512(self, start, round, thetas, c0, c1, c2) };
+            return unsafe { derive_shard_avx512(self, start, round, scratch) };
         }
-        self.derive_shard_core(start, round, thetas, c0, c1, c2);
+        self.derive_shard_core(start, round, scratch);
     }
 
-    /// The generic loop behind [`NodePopulation::derive_shard`]; `inline(always)` so the
+    /// The generic loops behind [`NodePopulation::derive_shard`], one per stream contract
+    /// (the only place the shard pipeline knows the version); `inline(always)` so the
     /// `target_feature` wrapper compiles the whole body under the wider instruction set.
     /// Every operation is IEEE-exact (integer hashing, `u64 → f64` conversion,
-    /// multiply/add in fixed order, [`snap`], min/max), so the vectorised compile is
-    /// bit-identical to the scalar one.
+    /// multiply/add in fixed order, `round`/[`snap`], min/max), so the vectorised compile
+    /// is bit-identical to the scalar one.
     #[inline(always)]
-    fn derive_shard_core(
-        &self,
-        start: usize,
-        round: u64,
-        thetas: &mut [f64],
-        c0: &mut [f64],
-        c1: &mut [f64],
-        c2: &mut [f64],
-    ) {
+    fn derive_shard_core(&self, start: usize, round: u64, scratch: &mut ShardScratch) {
         let (lo, hi) = self.spec.theta_range;
         let maxima = self.maxima();
         let ranges = &self.spec.ranges;
-        for j in 0..thetas.len() {
-            let w = self.fused_word(start + j);
-            thetas[j] = theta_from_word(w, lo, hi);
-            let profile = profile_from_hash(ranges, derive_seed(w, round));
-            let cap = profile.to_quality_array(&maxima);
-            c0[j] = cap[0];
-            c1[j] = cap[1];
-            c2[j] = cap[2];
+        // One length for all four columns, so the stores below need no bounds checks.
+        let ShardScratch {
+            thetas, c0, c1, c2, ..
+        } = scratch;
+        let n = thetas.len();
+        let (c0, c1, c2) = (&mut c0[..n], &mut c1[..n], &mut c2[..n]);
+        let mut emit = |j: usize, theta: f64, profile: ResourceProfile| {
+            thetas[j] = theta;
+            [c0[j], c1[j], c2[j]] = profile.to_quality_array(&maxima);
+        };
+        match self.spec.version {
+            // The draws of `theta` and `profile` without the generator values: θ is the
+            // first output of node `i`'s θ stream, the profile the first outputs of its
+            // round stream, one per non-degenerate range in cpu, bandwidth, data order
+            // (`ResourceRanges::draw` skips the draw for a range with `lo == hi`). Which
+            // word feeds which dimension is therefore fixed for the shard and resolved
+            // here — an index computed per node would keep the loop from vectorising.
+            SpecVersion::V1 => {
+                let theta_root = derive_seed(self.spec.seed, THETA_STREAM);
+                let profile_root =
+                    derive_seed(self.spec.seed, PROFILE_STREAM ^ round.wrapping_mul(0x9E37));
+                let cpu_draws = ranges.cpu_cores.1 > ranges.cpu_cores.0;
+                let bandwidth_draws = ranges.bandwidth_mbps.1 > ranges.bandwidth_mbps.0;
+                for j in 0..n {
+                    let i = (start + j) as u64;
+                    let [t] = seeded_words(derive_seed(theta_root, i));
+                    let [w0, w1, w2] = seeded_words(derive_seed(profile_root, i));
+                    let bandwidth = if cpu_draws { w1 } else { w0 };
+                    let data = match (cpu_draws, bandwidth_draws) {
+                        (true, true) => w2,
+                        (false, false) => w0,
+                        _ => w1,
+                    };
+                    let units = [w0, bandwidth, data].map(unit_from_hash);
+                    let profile = profile_from_units(ranges, units, f64::round);
+                    emit(j, theta_from_word(t, lo, hi), profile);
+                }
+            }
+            SpecVersion::V2 => {
+                for j in 0..n {
+                    let w = self.fused_word(start + j);
+                    let profile = profile_from_hash(ranges, derive_seed(w, round));
+                    emit(j, theta_from_word(w, lo, hi), profile);
+                }
+            }
         }
     }
 
@@ -413,25 +386,10 @@ impl NodePopulation {
     }
 }
 
-/// AVX-compiled twin of [`NodePopulation::bid_range_core`] — identical code under
-/// `target_feature(enable = "avx")`, bit-identical results (see
-/// [`NodePopulation::bid_range_into_store`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn bid_range_avx(
-    population: &NodePopulation,
-    range: std::ops::Range<usize>,
-    round: u64,
-    solver: &EquilibriumSolver,
-    store: &mut BidStore,
-) -> Result<(), AuctionError> {
-    population.bid_range_core(range, round, solver, store)
-}
-
-/// Per-thread columnar scratch for the v2 shard bid loop: pass-A outputs (θ and the
-/// three capacity columns) plus the batched grid positions. Sized once per worker thread
-/// and reused every shard, so the steady-state round allocates nothing and never pays
-/// the zero-fill of fresh buffers.
+/// Per-thread columnar scratch for the shard pipeline: pass-A outputs (θ and the three
+/// capacity columns) plus the batched grid positions. Sized once per worker thread and
+/// reused every shard, so the steady-state round allocates nothing and never pays the
+/// zero-fill of fresh buffers.
 #[derive(Default)]
 struct ShardScratch {
     thetas: Vec<f64>,
@@ -470,12 +428,9 @@ unsafe fn derive_shard_avx512(
     population: &NodePopulation,
     start: usize,
     round: u64,
-    thetas: &mut [f64],
-    c0: &mut [f64],
-    c1: &mut [f64],
-    c2: &mut [f64],
+    scratch: &mut ShardScratch,
 ) {
-    population.derive_shard_core(start, round, thetas, c0, c1, c2);
+    population.derive_shard_core(start, round, scratch);
 }
 
 /// Packed-bitmap membership churn over a [`NodePopulation`]'s index space.
@@ -497,12 +452,15 @@ pub struct PopulationChurn {
 
 /// Maps a 64-bit hash to a unit draw in `[0, 1)` — same construction as the generator's
 /// `f64` sampling.
+#[inline(always)]
 fn unit_from_hash(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// v2 θ draw: maps the node's fused stream word onto `[lo, hi)` with the same
-/// exclusive-top clamp the generator's float `gen_range` applies.
+/// θ from one 64-bit word, mapped onto `[lo, hi)` exactly as the generator's float
+/// `gen_range(lo..hi)` maps its next output, exclusive-top clamp included: the v2 draw
+/// from the node's fused stream word, and the v1 draw when handed the θ stream's first
+/// output.
 #[inline(always)]
 fn theta_from_word(w: u64, lo: f64, hi: f64) -> f64 {
     let v = lo + (hi - lo) * unit_from_hash(w);
@@ -548,29 +506,29 @@ fn snap(x: f64) -> f64 {
     (x + 0.5).floor()
 }
 
-/// v2 profile draw: splits one per-round hash into three 21-bit unit draws and applies the
-/// same per-dimension mapping as `ResourceRanges::draw` (cpu, bandwidth, data in that
-/// order), with integer dimensions snapped under the v2 [`snap`] contract.
+/// `ResourceRanges::draw`'s per-dimension mapping (cpu, bandwidth, data in that order)
+/// over three unit draws, the integer dimensions rounded by `integral` — `f64::round`
+/// under v1, [`snap`] under v2.
+#[inline(always)]
+fn profile_from_units(
+    ranges: &ResourceRanges,
+    [cpu, bandwidth, data]: [f64; 3],
+    integral: impl Fn(f64) -> f64,
+) -> ResourceProfile {
+    let sample = |(lo, hi): (f64, f64), unit| inclusive_sample(lo, hi, unit);
+    ResourceProfile {
+        cpu_cores: integral(sample(ranges.cpu_cores, cpu)).max(1.0),
+        bandwidth_mbps: sample(ranges.bandwidth_mbps, bandwidth),
+        data_size: integral(sample(ranges.data_size, data)),
+    }
+}
+
+/// v2 profile draw: splits one per-round hash into three 21-bit unit draws, with integer
+/// dimensions snapped under the v2 [`snap`] contract.
 #[inline(always)]
 fn profile_from_hash(ranges: &ResourceRanges, h: u64) -> ResourceProfile {
-    ResourceProfile {
-        cpu_cores: snap(inclusive_sample(
-            ranges.cpu_cores.0,
-            ranges.cpu_cores.1,
-            unit21(h),
-        ))
-        .max(1.0),
-        bandwidth_mbps: inclusive_sample(
-            ranges.bandwidth_mbps.0,
-            ranges.bandwidth_mbps.1,
-            unit21(h >> 21),
-        ),
-        data_size: snap(inclusive_sample(
-            ranges.data_size.0,
-            ranges.data_size.1,
-            unit21(h >> 42),
-        )),
-    }
+    let units = [unit21(h), unit21(h >> 21), unit21(h >> 42)];
+    profile_from_units(ranges, units, snap)
 }
 
 fn churn_hash(seed: u64, round: u64, node: u64, tag: u64) -> u64 {

@@ -22,16 +22,47 @@ pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
+/// SplitMix64's increment (the 64-bit golden ratio).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output finaliser.
+#[inline(always)]
+fn splitmix_finalise(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Derives a child seed from a parent seed and a stream index.
 ///
 /// Used to give every edge node / client an independent but reproducible RNG stream.
 #[inline]
 pub fn derive_seed(parent: u64, stream: u64) -> u64 {
     // SplitMix64 step: decorrelates consecutive stream indices.
-    let mut z = parent ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix_finalise(parent ^ stream.wrapping_mul(GOLDEN_GAMMA))
+}
+
+/// The first `N` outputs of [`seeded_rng`]`(seed)` as straight-line integer arithmetic:
+/// the four SplitMix64 words that seed the generator, then `N` xoshiro256++ steps. No
+/// generator value, no branches, no calls — a loop over seeds vectorises, which is what
+/// lets a million-node population derive its golden-compatible draws a shard at a time.
+/// Pinned word for word against the generator itself by this module's tests.
+#[inline(always)]
+pub fn seeded_words<const N: usize>(seed: u64) -> [u64; N] {
+    let [mut a, mut b, mut c, mut d] =
+        [1u64, 2, 3, 4].map(|k| splitmix_finalise(seed.wrapping_add(k.wrapping_mul(GOLDEN_GAMMA))));
+    let mut out = [0; N];
+    for word in &mut out {
+        *word = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
+        let t = b << 17;
+        c ^= a;
+        d ^= b;
+        b ^= c;
+        a ^= d;
+        c ^= t;
+        d = d.rotate_left(45);
+    }
+    out
 }
 
 /// An O(1)-derivable per-stream RNG: `derive_stream(seed, i)` is
@@ -99,6 +130,27 @@ mod tests {
         let va: Vec<u64> = (0..8).map(|_| a.gen()).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.gen()).collect();
         assert_ne!(va, vb);
+    }
+
+    /// `seeded_words` against its oracle, the generator: the first `N` words for the `N`
+    /// the population path uses (θ reads 1, a profile 3) and one past them.
+    #[test]
+    fn seeded_words_are_the_generators_first_outputs() {
+        fn agrees<const N: usize>(seed: u64) {
+            let mut rng = seeded_rng(seed);
+            let expected: [u64; N] = std::array::from_fn(|_| rng.gen());
+            assert_eq!(seeded_words::<N>(seed), expected, "seed {seed:#x}, N = {N}");
+        }
+        let mut chained = 0xF0_0D;
+        let chain = (0..10_000u64).map(|i| {
+            chained = derive_seed(chained, i);
+            chained
+        });
+        for seed in [0, 1, u64::MAX].into_iter().chain(chain) {
+            agrees::<1>(seed);
+            agrees::<3>(seed);
+            agrees::<4>(seed);
+        }
     }
 
     #[test]

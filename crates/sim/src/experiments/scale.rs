@@ -68,7 +68,7 @@ pub struct ScaleConfig {
     pub timed: bool,
     /// RNG stream contract the populations derive bids under
     /// ([`SpecVersion::V1`] reproduces every committed golden; [`SpecVersion::V2`] is the
-    /// fused fast path with its own goldens).
+    /// fused single-stream derivation with its own goldens).
     pub spec_version: SpecVersion,
 }
 
@@ -182,10 +182,10 @@ impl ScaleGame {
         let population = self.population;
         let solver = Arc::clone(&self.solver);
         Arc::new(move |range, store| {
-            // One fused derivation per node (bit-identical under v1 to the decomposed
-            // theta + quality_into + tabulated_bid_into sequence it replaces; under v2
-            // the fast single-stream path), the whole shard compiled under the runtime
-            // AVX gate and appended through the store's trusted fast path.
+            // One columnar pipeline per shard under either stream contract (derivation
+            // → batched grid lookup → batched table tail), bit-identical to the per-node
+            // theta + quality_into + tabulated_bid_into sequence and appended through
+            // the store's trusted path.
             population.bid_range_into_store(range, 0, &solver, store)?;
             Ok(())
         })

@@ -138,7 +138,7 @@ fn fold_bits(h: u64, x: f64) -> u64 {
 ///
 /// [`SpecVersion::V2`] has no registry entry, so these digests **are** its goldens: v1's
 /// fingerprints pin the original two-stream contract above, and these pin the fused
-/// single-stream derivation the population-scale fast path runs on. Drift means the v2
+/// single-stream derivation the million-bidder round runs on. Drift means the v2
 /// contract changed — review it, and if intended re-commit the printed actual values.
 const V2_DIGESTS: [u64; 3] = [
     0xcb9f_3f96_ef72_fdf4,

@@ -1174,7 +1174,8 @@ fn hostile_round_agrees(
 /// streams built to break an admission floor (see [`hostile_score_streams`]), at shard
 /// size 1, pools of one candidate (`K = 1`, reserve 0) and pools wider than the
 /// population, and engine widths 1/2/4 (inside a wave every shard after the first scans
-/// against a stale floor), for top-K and ψ-FMore under both pricing rules. The sign of a
+/// against a stale floor), for top-K and ψ-FMore under both pricing rules; the signed-zero
+/// stream runs under `Additive` as well as `PerfectComplementary`. The sign of a
 /// zero-valued best-dropped score or payment is the one thing left unpinned: `rank_order`
 /// treats `±0.0` as equal, and no fold over the losers' scores orders them.
 #[test]
@@ -1220,22 +1221,40 @@ fn floor_carried_selection_matches_sequential_and_dense_on_hostile_streams() {
                         SubmittedBid::new(NodeId(i as u64), quality, (-s).max(0.0))
                     })
                     .collect();
-                let rule = ScoringRule::new(PerfectComplementary::new(vec![1.0]).unwrap());
-                for (i, bid) in bids.iter().enumerate() {
-                    let score = rule
-                        .score(&bid.quality, bid.ask)
-                        .map_err(|e| e.to_string())?;
-                    ensure(score.to_bits() == scores[i].to_bits(), || {
-                        format!("{stream}: the bid encoding did not reproduce score {i}")
-                    })?;
-                }
                 let bids = Arc::new(bids);
-                for (k, reserve, shard) in [(*k, *reserve, *shard), (1, 0, 1), (n + 2, 3, *shard)] {
-                    for (selection, pricing) in schemes {
-                        let auction = Auction::new(rule.clone(), k, selection, pricing);
-                        let name = format!("{stream}/{selection:?}/{pricing:?}/k={k}/r={reserve}");
-                        let geometry = (reserve, shard, *seed as u64);
-                        hostile_round_agrees(&name, &auction, &bids, geometry, &engines)?;
+                // `Additive [1]` is `0.0 + q − ask`: the same scores up to the sign of a
+                // zero (a `−0.0` quality sums to `+0.0`), so it takes the one stream where
+                // its per-bid and batch folds could disagree.
+                let complementary = PerfectComplementary::new(vec![1.0]).unwrap();
+                let additive = Additive::new(vec![1.0]).unwrap();
+                let mut rules = vec![("min", ScoringRule::new(complementary), true)];
+                if stream == "signed-zeros" {
+                    rules.push(("sum", ScoringRule::new(additive), false));
+                }
+                for (rule_name, rule, bitwise) in rules {
+                    for (i, bid) in bids.iter().enumerate() {
+                        let score = rule
+                            .score(&bid.quality, bid.ask)
+                            .map_err(|e| e.to_string())?;
+                        let reproduced = match bitwise {
+                            true => score.to_bits() == scores[i].to_bits(),
+                            false => score == scores[i],
+                        };
+                        ensure(reproduced, || {
+                            format!("{stream}/{rule_name}: the bid encoding lost score {i}")
+                        })?;
+                    }
+                    for (k, reserve, shard) in
+                        [(*k, *reserve, *shard), (1, 0, 1), (n + 2, 3, *shard)]
+                    {
+                        for (selection, pricing) in schemes {
+                            let auction = Auction::new(rule.clone(), k, selection, pricing);
+                            let name = format!(
+                                "{stream}/{rule_name}/{selection:?}/{pricing:?}/k={k}/r={reserve}"
+                            );
+                            let geometry = (reserve, shard, *seed as u64);
+                            hostile_round_agrees(&name, &auction, &bids, geometry, &engines)?;
+                        }
                     }
                 }
             }
@@ -1400,11 +1419,17 @@ fn psi_fill_probability_log_space_matches_direct_form() {
 /// The scale game's tabulated solver at the population's θ support — the property twin of
 /// the `ScaleGame` construction, sized down for per-case tabulation.
 fn population_solver(n: usize) -> EquilibriumSolver {
+    population_solver_on(n, 3, (0.1, 0.9))
+}
+
+/// [`population_solver`] with the first `dims` of its three dimensions and another θ
+/// support.
+fn population_solver_on(n: usize, dims: usize, support: (f64, f64)) -> EquilibriumSolver {
     EquilibriumSolver::builder()
-        .scoring(Additive::new(vec![0.4, 0.3, 0.3]).unwrap())
-        .cost(LinearCost::new(vec![0.3, 0.3, 0.4]).unwrap())
-        .theta(UniformDist::new(0.1, 0.9).unwrap())
-        .bounds(vec![(0.0, 1.0); 3])
+        .scoring(Additive::new(vec![0.4, 0.3, 0.3][..dims].to_vec()).unwrap())
+        .cost(LinearCost::new(vec![0.3, 0.3, 0.4][..dims].to_vec()).unwrap())
+        .theta(UniformDist::new(support.0, support.1).unwrap())
+        .bounds(vec![(0.0, 1.0); dims])
         .population(n)
         .winners(8.min(n))
         .grid_size(64)
@@ -1415,7 +1440,7 @@ fn population_solver(n: usize) -> EquilibriumSolver {
 /// The fused `bid_into` is **bit-identical** to the decomposed
 /// `theta` → `quality_into` → `tabulated_bid_into` sequence under both stream contracts —
 /// the v1 guarantee that made the fusion safe for committed goldens, and the v2 guarantee
-/// that the single-stream fast path computes the same bid the decomposed accessors
+/// that the single-stream derivation computes the same bid the decomposed accessors
 /// describe. `materialize` must agree on θ as well.
 #[test]
 fn bid_into_is_bit_identical_to_decomposed_derivation() {
@@ -1467,14 +1492,62 @@ fn bid_into_is_bit_identical_to_decomposed_derivation() {
     });
 }
 
-/// The sharded columnar bid path — `bid_range_into_store` with its batched grid lookup
-/// and SIMD-tiered derivation passes — appends exactly the bids the per-node
-/// `bid_into` + `push_trusted` loop would, bit-for-bit, under both stream contracts and
-/// across shard-boundary range shapes.
+/// One `bid_range_into_store` call against its reference, the per-node `bid_into` +
+/// `push_trusted` loop: the same bids appended, bit for bit.
+fn shard_fill_matches_per_node_bids(
+    population: &fmore::mec::population::NodePopulation,
+    solver: &EquilibriumSolver,
+    range: std::ops::Range<usize>,
+    round: u64,
+) -> Result<(), String> {
+    use fmore::auction::BidStore;
+    let name = format!("{:?} {range:?} round {round}", population.spec().version);
+    let mut streamed = BidStore::with_dims(3);
+    population
+        .bid_range_into_store(range.clone(), round, solver, &mut streamed)
+        .map_err(|e| format!("{name}: {e}"))?;
+    let mut reference = BidStore::with_dims(3);
+    let (mut cap, mut qual) = (Vec::new(), Vec::new());
+    for i in range {
+        let ask = population
+            .bid_into(i, round, solver, &mut cap, &mut qual)
+            .map_err(|e| format!("{name}: {e}"))?;
+        reference.push_trusted(NodeId(i as u64), &qual, ask);
+    }
+    ensure(streamed.len() == reference.len(), || {
+        format!("{name}: {} bids vs {}", streamed.len(), reference.len())
+    })?;
+    for j in 0..streamed.len() {
+        ensure(
+            streamed.node(j) == reference.node(j)
+                && streamed.ask(j).to_bits() == reference.ask(j).to_bits()
+                && streamed.score(j).to_bits() == reference.score(j).to_bits()
+                && streamed
+                    .quality(j)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(reference.quality(j).iter().map(|v| v.to_bits())),
+            || format!("{name}: bid {j} drifted"),
+        )?;
+    }
+    Ok(())
+}
+
+/// The sharded columnar bid path — `bid_range_into_store`, one pipeline of SIMD-tiered
+/// derivation, batched grid lookup and batched table tail for both stream contracts —
+/// appends exactly the bids the per-node `bid_into` + `push_trusted` loop would,
+/// bit-for-bit: on random populations and shard-boundary range shapes, and on a fixed
+/// sweep of what the columnar v1 derivation could get wrong — every subset of degenerate
+/// resource ranges (a skipped draw shifts which generator word feeds the later
+/// dimensions), shard lengths around the 8-lane vector body from unaligned starts (each
+/// shard follows a shorter one on the same thread scratch, and the shortest the longest),
+/// the extreme rounds, and a θ support a few ulps wide, where the exclusive-top clamp
+/// fires for a sixth of the nodes. CI's scalar-only job runs this too, which is what
+/// proves each tier bit-identical.
 #[test]
 fn bid_range_into_store_matches_per_node_bids_bitwise() {
-    use fmore::auction::BidStore;
     use fmore::mec::population::{NodePopulation, PopulationSpec, SpecVersion};
+    let versions = [SpecVersion::V1, SpecVersion::V2];
     let strategy = Tuple3(
         UsizeRange::new(1, 300),
         UsizeRange::new(0, 3),
@@ -1482,47 +1555,100 @@ fn bid_range_into_store_matches_per_node_bids_bitwise() {
     );
     check(&Config::seeded(0xD2), &strategy, |(n, round, seed)| {
         let solver = population_solver(*n);
-        let round = *round as u64;
-        for version in [SpecVersion::V1, SpecVersion::V2] {
+        for version in versions {
             let spec = PopulationSpec::scale_default(*n, *seed as u64).with_version(version);
             let population = NodePopulation::new(spec).map_err(|e| e.to_string())?;
             // Cover an empty range, a mid-range shard, and the full population.
             for range in [0..0, n / 3..(2 * n / 3).max(n / 3), 0..*n] {
-                let mut streamed = BidStore::with_dims(3);
-                population
-                    .bid_range_into_store(range.clone(), round, &solver, &mut streamed)
-                    .map_err(|e| e.to_string())?;
-                let mut reference = BidStore::with_dims(3);
-                let (mut cap, mut qual) = (Vec::new(), Vec::new());
-                for i in range.clone() {
-                    let ask = population
-                        .bid_into(i, round, &solver, &mut cap, &mut qual)
-                        .map_err(|e| e.to_string())?;
-                    reference.push_trusted(NodeId(i as u64), &qual, ask);
-                }
-                ensure(streamed.len() == reference.len(), || {
-                    format!(
-                        "{version:?} {range:?}: {} bids vs {}",
-                        streamed.len(),
-                        reference.len()
-                    )
-                })?;
-                for j in 0..streamed.len() {
-                    ensure(
-                        streamed.node(j) == reference.node(j)
-                            && streamed.ask(j).to_bits() == reference.ask(j).to_bits()
-                            && streamed
-                                .quality(j)
-                                .iter()
-                                .map(|v| v.to_bits())
-                                .eq(reference.quality(j).iter().map(|v| v.to_bits())),
-                        || format!("{version:?} {range:?}: bid {j} drifted"),
-                    )?;
-                }
+                shard_fill_matches_per_node_bids(&population, &solver, range, *round as u64)?;
             }
         }
         Ok(())
     });
+
+    const SIZE: usize = 8_300;
+    const LENGTHS: [usize; 9] = [0, 1, 7, 8, 9, 63, 64, 65, 8_191];
+    let solver = population_solver(SIZE);
+    let sweep = |spec: PopulationSpec, solver: &EquilibriumSolver, rounds: &[u64]| {
+        for version in versions {
+            let population = NodePopulation::new(spec.with_version(version)).unwrap();
+            for (r, &round) in rounds.iter().enumerate() {
+                for (l, len) in LENGTHS.into_iter().enumerate() {
+                    let start = 1 + 2 * l + 16 * r;
+                    shard_fill_matches_per_node_bids(
+                        &population,
+                        solver,
+                        start..start + len,
+                        round,
+                    )
+                    .unwrap_or_else(|e| panic!("{:?} {:?}: {e}", spec.ranges, spec.theta_range));
+                }
+            }
+        }
+    };
+    for degenerate in 0..8u32 {
+        let mut spec = PopulationSpec::scale_default(SIZE, 0xD2 + u64::from(degenerate));
+        let pin = |bit: u32, range: &mut (f64, f64)| {
+            if degenerate & (1 << bit) != 0 {
+                range.0 = range.1;
+            }
+        };
+        pin(0, &mut spec.ranges.cpu_cores);
+        pin(1, &mut spec.ranges.bandwidth_mbps);
+        pin(2, &mut spec.ranges.data_size);
+        sweep(spec, &solver, &[0, 1, u64::MAX]);
+    }
+    let mut narrow = PopulationSpec::scale_default(SIZE, 0xD2);
+    narrow.theta_range = (0.5, f64::from_bits(0.5f64.to_bits() + 3));
+    let narrow_solver = population_solver_on(SIZE, 3, narrow.theta_range);
+    let v1 = NodePopulation::new(narrow).unwrap();
+    let clamped = (0..SIZE)
+        .filter(|&i| v1.theta(i) == narrow.theta_range.1)
+        .count();
+    assert!(clamped > SIZE / 10, "only {clamped} clamped θ draws");
+    sweep(narrow, &narrow_solver, &[0]);
+}
+
+/// The error contract of `bid_range_into_store` under both stream contracts: a solver of
+/// the wrong dimension and a θ outside the solver's support are typed errors that leave
+/// every column of the store as it was.
+#[test]
+fn bid_range_into_store_errors_leave_the_store_unchanged() {
+    use fmore::auction::{AuctionError, BidStore};
+    use fmore::mec::population::{NodePopulation, PopulationSpec, SpecVersion};
+    let two_dimensional = population_solver_on(500, 2, (0.1, 0.9));
+    let narrower_support = population_solver_on(500, 3, (0.2, 0.8));
+    for version in [SpecVersion::V1, SpecVersion::V2] {
+        let spec = PopulationSpec::scale_default(500, 0xD4).with_version(version);
+        let population = NodePopulation::new(spec).unwrap();
+        let mut store = BidStore::with_dims(3);
+        population
+            .bid_range_into_store(0..40, 2, &population_solver(500), &mut store)
+            .unwrap();
+        let before = store.clone();
+        let mismatch = population.bid_range_into_store(40..300, 2, &two_dimensional, &mut store);
+        assert_eq!(
+            mismatch,
+            Err(AuctionError::DimensionMismatch {
+                expected: 2,
+                actual: 3
+            }),
+            "{version:?}"
+        );
+        assert_eq!(
+            store, before,
+            "{version:?}: a failed fill wrote to the store"
+        );
+        let outside = population.bid_range_into_store(40..300, 2, &narrower_support, &mut store);
+        assert!(
+            matches!(outside, Err(AuctionError::ThetaOutOfSupport { .. })),
+            "{version:?}: {outside:?}"
+        );
+        assert_eq!(
+            store, before,
+            "{version:?}: a failed fill wrote to the store"
+        );
+    }
 }
 
 /// The SIMD-dispatched batch-scoring kernels agree **bit-for-bit** with their scalar
