@@ -134,8 +134,8 @@ impl AuctionOutcome {
 }
 
 /// The rank-level admission decisions of one streamed round, produced by
-/// [`Auction::plan_admission`] **before** any candidate beyond the bounded standing pool is
-/// materialised: which global ranks won (in admission order) and which rank prices
+/// [`Auction::plan_admission`] from the number of bids alone, before any candidate is
+/// looked at: which global ranks won (in admission order) and which rank prices
 /// second-score payments. Ranks are positions in the full-sort ranking of
 /// [`Auction::rank_bids`] — the plan consumes exactly the RNG words the dense
 /// winner-determination stage consumes, so a seeded round can be planned bounded and
@@ -334,10 +334,12 @@ impl Auction {
     /// [`crate::store::BidStore`] shards, [`crate::store::BidSelector::finish`] it, and
     /// award winners with [`Auction::award_standing`] — bit-identical to [`Auction::run`]
     /// over the same bids for top-K selection at any `reserve`. ψ-FMore is bit-identical at
-    /// any `reserve` too, via the two-pass bounded admission: plan the walk over ranks with
-    /// [`Auction::plan_admission`], then resolve ranks from the pool head — or, when the
-    /// walk admitted deeper than the pool, from a [`crate::store::RankRefiner`] pass (see
-    /// `fmore_fl`'s streamed stage).
+    /// any `reserve` too: plan the walk over ranks with [`Auction::plan_admission`], then
+    /// read the planned ranks off the pool — which holds them all when the selector is at
+    /// least [`SelectionRule::reach`]`(K) + 1` deep, the depth `fmore_fl`'s streamed stage
+    /// runs a ψ round at before cutting its pool back to this one
+    /// ([`StandingPool::truncate`]). `reserve` is the caller's to choose and nothing else
+    /// moves it: a pool from here is always `K + reserve` deep.
     pub fn selector(&self, reserve: usize) -> BidSelector {
         BidSelector::new(self.scoring.dims(), self.k.saturating_add(reserve))
     }
@@ -346,8 +348,10 @@ impl Auction {
     /// streamed round (`offered` bids total, up to `quota` winners) **without touching a
     /// single candidate** — the rank-only first half of the bounded streamed award stage,
     /// drawing exactly the RNG words [`Auction::award_standing`] draws over a full-width
-    /// pool. The caller resolves the planned ranks to candidates (bounded pool head or
-    /// refinement pass) and prices them with [`Auction::award_candidate`].
+    /// pool. The caller resolves the planned ranks to candidates — a pool in rank order is
+    /// indexed by them, and one at least [`SelectionRule::reach`]`(quota) + 1` deep holds
+    /// them all but for the walk's far tail — and prices them with
+    /// [`Auction::award_candidate`].
     pub fn plan_admission<R: Rng + ?Sized>(
         &self,
         offered: usize,

@@ -33,13 +33,20 @@
 //! The streaming selection is pinned **bit-identical** to the full-sort
 //! [`crate::mechanism::Auction::rank_bids`] path (same keys, same order, same selection
 //! draws, same payments) by `tests/properties.rs` — for plain top-K at any `reserve`, and
-//! for ψ-FMore through the two-pass bounded admission built from [`ScoreHistogram`] and
-//! [`RankRefiner`]: the first streaming pass counts every score into a fixed-width
-//! histogram, the ψ admission walk runs over *ranks* alone
-//! ([`crate::mechanism::Auction::plan_admission`]), and — only when an admitted rank falls
-//! beyond the bounded pool — a refinement pass re-streams the population to materialise
-//! exactly the admitted ranks (plus the pricing boundary) with their full-sort tie-break
-//! keys. State is `O(width·shard + K + bins)`, never `O(N)`.
+//! for ψ-FMore at any `reserve` too. A ψ round's admission walk needs only *ranks*
+//! ([`crate::mechanism::Auction::plan_admission`]) and how deep it goes is known from the
+//! rule alone ([`crate::winner::SelectionRule::reach`]), so the streamed stage sizes the
+//! selector to that reach, reads every admitted rank (and the pricing boundary) off the
+//! pool — whose order *is* the global rank order — and cuts the pool back to `K + reserve`
+//! ([`StandingPool::truncate`]). The rare walk that goes deeper is resolved exactly by
+//! streaming the population a second time into a [`BidSelector::replay`] selector as deep
+//! as the deepest admitted rank: same salt, same keys, no RNG. State is
+//! `O(width·shard + min(N, K/ψ + 6σ))`.
+//!
+//! [`ScoreHistogram`] and [`RankRefiner`] are the independent **oracle** for that path: a
+//! fixed-width count of every score locates any rank's histogram bin, and a second stream
+//! collects just those bins' members. No production round holds either; `tests/properties.rs`
+//! and the benchmark's traced twin replay rounds through them and compare winners.
 
 use crate::error::AuctionError;
 use crate::scoring::ScoringRule;
@@ -628,6 +635,22 @@ impl BidSelector {
         }
     }
 
+    /// A selector for streaming a round's bids a **second** time, under the salt its first
+    /// pass drew ([`BidSelector::force_salt`]): keys are the pure function
+    /// `derive_seed(salt, position)`, so the same bids in the same order rank exactly as
+    /// they did, to any `capacity`, and the round RNG is never touched — feed it through
+    /// [`BidSelector::admission_floor`] / [`BidSelector::absorb`] and close it with
+    /// [`BidSelector::into_pool`].
+    pub fn replay(dims: usize, capacity: usize, salt: u64) -> Self {
+        Self {
+            tie: TieBreak {
+                salt: Some(salt),
+                count: 0,
+            },
+            heap: CandidateHeap::new(dims, capacity),
+        }
+    }
+
     /// Number of bids offered so far.
     pub fn offered(&self) -> usize {
         self.tie.count()
@@ -743,6 +766,12 @@ impl BidSelector {
     /// rank order as the round's standing pool.
     pub fn finish<R: Rng + ?Sized>(self, rng: &mut R) -> StandingPool {
         self.tie.finish(rng);
+        self.into_pool()
+    }
+
+    /// The kept candidates in rank order, with no RNG burn — how a [`BidSelector::replay`]
+    /// pass ends (the round's first pass already paid the stream's budget).
+    pub fn into_pool(self) -> StandingPool {
         let offered = self.tie.count();
         let mut candidates = self.heap.heap;
         candidates.sort_unstable_by(|a, b| rank_order(a.score, a.key, b.score, b.key));
@@ -789,6 +818,19 @@ impl StandingPool {
     /// Best score among the bids the bounded selector dropped, if any were dropped.
     pub fn best_dropped_score(&self) -> Option<f64> {
         self.best_dropped
+    }
+
+    /// Cuts the pool back to its best `len` candidates — exactly the pool, and the best
+    /// dropped score, a selector of capacity `len` keeps over the same stream: the first
+    /// candidate cut outranks everything cut with it and everything dropped before, so its
+    /// score is the new best dropped one. At or beyond the pool's length, a no-op.
+    pub fn truncate(&mut self, len: usize) {
+        if let Some(cut) = self.candidates.get(len) {
+            if self.best_dropped.is_none_or(|best| cut.score > best) {
+                self.best_dropped = Some(cut.score);
+            }
+            self.candidates.truncate(len);
+        }
     }
 }
 
@@ -1331,6 +1373,82 @@ mod tests {
         );
         assert_eq!(selector.offered(), n);
         assert_eq!(selector.kept(), capacity);
+    }
+
+    /// `n` one-dimensional bids in shards of seven, scored on a grid of five values so that
+    /// tie-break keys decide most of the ranking.
+    fn tied_shards(n: u64) -> Vec<BidStore> {
+        let rows: Vec<u64> = (0..n).collect();
+        rows.chunks(7)
+            .map(|chunk| {
+                let mut store = BidStore::with_dims(1);
+                for &i in chunk {
+                    store.push_trusted(NodeId(i), &[0.0], 0.0);
+                    *store.scores.last_mut().unwrap() = ((i * 7) % 5) as f64 / 4.0 - 0.5;
+                }
+                store
+            })
+            .collect()
+    }
+
+    /// The pool of a `capacity`-deep selector offered every shard in order under `seed`.
+    fn sequential_pool(shards: &[BidStore], capacity: usize, seed: u64) -> StandingPool {
+        let mut rng = seeded_rng(seed);
+        let mut selector = BidSelector::new(1, capacity);
+        for store in shards {
+            selector.offer_store(store, &mut rng);
+        }
+        selector.finish(&mut rng)
+    }
+
+    #[test]
+    fn truncated_pool_equals_a_selector_of_that_capacity() {
+        let (n, k, reserve) = (40usize, 4usize, 3usize);
+        let shards = tied_shards(n as u64);
+        // A bounded deep pool (it dropped bids of its own) and one that kept everything.
+        for deep_capacity in [12, n] {
+            let deep = sequential_pool(&shards, deep_capacity, 9);
+            assert_eq!(deep.len(), deep_capacity);
+            for len in [1, k, k + reserve, deep.len(), deep.len() + 5] {
+                let mut cut = deep.clone();
+                cut.truncate(len);
+                if len >= deep.len() {
+                    assert_eq!(cut, deep, "len={len}: not a no-op");
+                }
+                if len <= deep.len() || deep.len() == n {
+                    let shallow = sequential_pool(&shards, len, 9);
+                    assert_eq!(cut.candidates(), shallow.candidates(), "len={len}");
+                    assert_eq!(cut.offered(), shallow.offered(), "len={len}");
+                    assert_eq!(
+                        cut.best_dropped_score(),
+                        shallow.best_dropped_score(),
+                        "len={len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_selector_reranks_the_round_deeper_without_the_rng() {
+        let shards = tied_shards(40);
+        let mut rng = seeded_rng(9);
+        let mut first = BidSelector::new(1, 4);
+        let salt = first.force_salt(&mut rng);
+        for store in &shards {
+            first.offer_store(store, &mut rng);
+        }
+        let shallow = first.finish(&mut rng);
+
+        let mut replay = BidSelector::replay(1, 25, salt);
+        for store in &shards {
+            let admission = replay.admission_floor().expect("a replay knows its salt");
+            let selection = ShardSelection::select_above(store, replay.offered(), admission);
+            replay.absorb(selection);
+        }
+        let deep = replay.into_pool();
+        assert_eq!(deep, sequential_pool(&shards, 25, 9));
+        assert_eq!(&deep.candidates()[..4], shallow.candidates());
     }
 
     #[test]

@@ -16,7 +16,9 @@ pub enum SelectionRule {
     TopK,
     /// ψ-FMore: nodes are considered in descending score order and each is admitted with
     /// probability ψ until `K` winners are chosen. `psi = 1.0` degenerates to [`Self::TopK`];
-    /// small ψ approaches uniform random selection (RandFL).
+    /// small ψ approaches uniform random selection (RandFL). The walk never looks at a bid,
+    /// so how deep it goes is known before one arrives ([`Self::reach`]) — which is what
+    /// lets a streamed round hold the walk's whole reach in a bounded pool.
     PsiFMore {
         /// Per-node admission probability ψ ∈ (0, 1].
         psi: f64,
@@ -29,6 +31,26 @@ impl SelectionRule {
         match self {
             SelectionRule::TopK => true,
             SelectionRule::PsiFMore { psi } => *psi > 0.0 && *psi <= 1.0 && psi.is_finite(),
+        }
+    }
+
+    /// How many ranks from the top the admission walk for `k` winners reaches: with
+    /// `reach(k)` candidates in rank order the walk admits its `k`-th winner among them —
+    /// always for top-K (`k`), and for ψ-FMore on all but a ≤ 10⁻⁴ share of rounds
+    /// (2.9 × 10⁻⁷ at `k = 64`, ψ = 0.25). The rank of the `k`-th admission is a
+    /// negative-binomial draw with mean `k/ψ` and deviation `√(k(1−ψ))/ψ`; the reach is six
+    /// deviations past the mean, `⌈(k + 6·√(k(1−ψ)))/ψ⌉`. A function of the rule and `k`
+    /// alone, never below `k`, non-decreasing in `k` and in `1/ψ`, and saturating: an
+    /// extreme (or invalid) ψ gives `usize::MAX` or `k`, never an overflow.
+    pub fn reach(&self, k: usize) -> usize {
+        match self {
+            SelectionRule::TopK => k,
+            SelectionRule::PsiFMore { psi } => {
+                let wanted = k as f64;
+                let ranks = (wanted + 6.0 * (wanted * (1.0 - psi)).sqrt()) / psi;
+                // A float-to-integer `as` saturates and sends NaN to 0.
+                (ranks.ceil() as usize).max(k)
+            }
         }
     }
 
@@ -320,6 +342,87 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 64);
+    }
+
+    #[test]
+    fn reach_is_k_without_a_lottery_and_monotone_and_saturating() {
+        for k in [0usize, 1, 8, 64, 1_000] {
+            assert_eq!(SelectionRule::TopK.reach(k), k);
+            assert_eq!(SelectionRule::PsiFMore { psi: 1.0 }.reach(k), k);
+        }
+        // The figures the streamed stage's pool depths are quoted from.
+        assert_eq!(SelectionRule::PsiFMore { psi: 0.25 }.reach(64), 423);
+        assert_eq!(SelectionRule::PsiFMore { psi: 0.7 }.reach(16), 42);
+        assert_eq!(SelectionRule::PsiFMore { psi: 0.8 }.reach(64), 107);
+        // Never below k; non-decreasing in k and in 1/ψ.
+        let psis = [1.0, 0.9, 0.8, 0.7, 0.5, 0.25, 0.2, 0.1, 0.05, 0.01, 1e-6];
+        for pair in psis.windows(2) {
+            let mut previous = 0;
+            for k in 0..300usize {
+                let (wide, narrow) = (
+                    SelectionRule::PsiFMore { psi: pair[1] }.reach(k),
+                    SelectionRule::PsiFMore { psi: pair[0] }.reach(k),
+                );
+                assert!(narrow >= k, "psi={} k={k}", pair[0]);
+                assert!(wide >= narrow, "psi {} -> {} k={k}", pair[0], pair[1]);
+                assert!(wide >= previous, "psi={} k={k}", pair[1]);
+                previous = wide;
+            }
+        }
+        // Saturation, not overflow or a panic — invalid ψ (which the stages reject before
+        // sizing anything) included.
+        let tiny = SelectionRule::PsiFMore {
+            psi: f64::MIN_POSITIVE,
+        };
+        assert_eq!(tiny.reach(1), usize::MAX);
+        assert_eq!(tiny.reach(usize::MAX), usize::MAX);
+        assert_eq!(
+            SelectionRule::PsiFMore { psi: 0.5 }.reach(usize::MAX),
+            usize::MAX
+        );
+        assert_eq!(SelectionRule::PsiFMore { psi: 0.0 }.reach(5), usize::MAX);
+        for psi in [-0.5, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(SelectionRule::PsiFMore { psi }.reach(5), 5, "psi={psi}");
+        }
+    }
+
+    /// `P(Bin(n, ψ) < k)` — the share of rounds in which `n` ranks admit fewer than `k`
+    /// winners — with every term evaluated in log space by the incremental log-binomial
+    /// recurrence [`psi_fill_probability`] uses.
+    fn binomial_miss(n: usize, k: usize, psi: f64) -> f64 {
+        let (ln_hit, ln_miss) = (psi.ln(), (1.0 - psi).ln());
+        let mut ln_binom = 0.0_f64;
+        let mut total = 0.0_f64;
+        for j in 0..k {
+            if j > 0 {
+                ln_binom += ((n - j + 1) as f64 / j as f64).ln();
+            }
+            total += (ln_binom + j as f64 * ln_hit + (n - j) as f64 * ln_miss).exp();
+        }
+        total
+    }
+
+    #[test]
+    fn walk_overshoots_its_reach_on_at_most_one_round_in_ten_thousand() {
+        for k in [8usize, 16, 64, 256] {
+            for psi in [0.05, 0.1, 0.2, 0.25, 0.5, 0.7, 0.8, 0.9] {
+                let reach = SelectionRule::PsiFMore { psi }.reach(k);
+                let miss = binomial_miss(reach, k, psi);
+                assert!(miss <= 1e-4, "k={k} psi={psi} reach={reach}: miss {miss:e}");
+                // Not vacuous: the same walk over only the mean k/ψ ranks misses often.
+                let mean = (k as f64 / psi) as usize;
+                assert!(binomial_miss(mean, k, psi) > 0.3, "k={k} psi={psi}");
+                // Two routes to one number: the K-th admission lies past rank n exactly
+                // when a single sweep of n candidates does not fill the set.
+                let swept = 1.0 - psi_fill_probability(reach, k, psi);
+                assert!(
+                    (miss - swept).abs() < 1e-8,
+                    "k={k} psi={psi}: {miss:e} vs {swept:e}"
+                );
+            }
+        }
+        let headline = binomial_miss(423, 64, 0.25);
+        assert!((2.5e-7..3.5e-7).contains(&headline), "{headline:e}");
     }
 
     #[test]

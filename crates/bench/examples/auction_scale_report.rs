@@ -16,10 +16,11 @@
 //! 10,000,000-bidder round under 20 s, and — the memory story — peak resident bid bytes
 //! **identical** across every streamed row of both contracts AND the ψ-FMore rows (the
 //! 8192-bid shard, not the population, is the footprint). The v3 schema adds the
-//! `streamed_round_psi` section: ψ = 0.8 selection through the bounded two-pass admission,
-//! swept to **10⁸ bidders** at full fidelity — the 1e8 row must hold the same flat peak as
-//! the 1e6 row, the whole point of the histogram-planned walk. `FMORE_BENCH_QUICK=1`
-//! shrinks the ψ sweep to 1e7 for smoke runs.
+//! `streamed_round_psi` section: ψ = 0.8 selection through the bounded ψ admission (a pool
+//! as deep as the walk's reach, a rank-only walk, one stream of the population), swept to
+//! **10⁸ bidders** at full fidelity — the 1e8 row must hold the same flat peak as the 1e6
+//! row: at ψ = 0.8 the walk's reach (108 ranks) sits inside `K + reserve = 128`.
+//! `FMORE_BENCH_QUICK=1` shrinks the ψ sweep to 1e7 for smoke runs.
 
 use fmore_auction::SelectionRule;
 use fmore_bench::timing::{min_time_ns as time_ns, quick_mode, schema_string, write_report};
@@ -83,10 +84,10 @@ fn main() {
         &[(1_000_000, 5), (10_000_000, 3)],
     );
 
-    // --- ψ-FMore through the bounded two-pass admission, swept to 1e8 at full fidelity.
-    // ψ = 0.8 with K = 64 and reserve = 64 keeps the admission walk inside the standing
-    // pool with overwhelming probability, so the fast (no-refinement) path carries the
-    // sweep and the peak must sit exactly on the top-K rows' shard-scale plateau.
+    // --- ψ-FMore through the bounded ψ admission, swept to 1e8 at full fidelity.
+    // ψ = 0.8 with K = 64 reaches 108 ranks, inside the K + reserve = 128 pool, so the
+    // selector is exactly the top-K rows' and the peak must sit on their shard-scale
+    // plateau to the byte.
     let psi_points: &[(usize, usize)] = if quick {
         &[(1_000_000, 3), (10_000_000, 1)]
     } else {
@@ -118,7 +119,7 @@ fn main() {
         schema_string("auction-scale", 3)
     ));
     json.push_str(
-        "  \"note\": \"min-of-N wall-clock of one selection round (bid generation + scoring + selection, K=64), single-threaded, under the v1 and v2 population stream contracts; streamed_round_psi is psi-FMore (psi=0.8) through the bounded two-pass admission, swept to 1e8 bidders at the same flat shard-scale peak; regenerate with `cargo run --release -p fmore-bench --example auction_scale_report`\",\n",
+        "  \"note\": \"min-of-N wall-clock of one selection round (bid generation + scoring + selection, K=64), single-threaded, under the v1 and v2 population stream contracts; streamed_round_psi is psi-FMore (psi=0.8) through the bounded single-pass admission, swept to 1e8 bidders at the same flat shard-scale peak; regenerate with `cargo run --release -p fmore-bench --example auction_scale_report`\",\n",
     );
     json.push_str(&format!("  \"quick_mode\": {quick},\n"));
     push_streamed_section(&mut json, "streamed_round", &streamed);
@@ -163,7 +164,7 @@ fn main() {
     );
     // ...then the memory story: every streamed row of both contracts AND the ψ sweep holds
     // the identical shard-scale peak — growing the population 1000x (to 1e8 for ψ),
-    // switching stream contract, or switching to the histogram-planned ψ admission must
+    // switching stream contract, or switching to the rank-planned ψ admission must
     // not move resident bid memory at all. This is the ISSUE's 1e8 acceptance gate: the
     // deepest ψ row (1e8 at full fidelity) completes at the 1e6 row's flat peak.
     for (n, _, peak) in streamed.iter().chain(&streamed_v2).chain(&streamed_psi) {

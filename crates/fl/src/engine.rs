@@ -38,8 +38,8 @@ use crate::error::FlError;
 use crate::metrics::WinnerInfo;
 use fmore_auction::mechanism::Award;
 use fmore_auction::{
-    Auction, AuctionError, BidStore, Candidate, EquilibriumSolver, RankRefiner, ScoreHistogram,
-    ScoredBid, SelectionRule, ShardSelection, StandingPool, SubmittedBid,
+    Auction, AuctionError, BidSelector, BidStore, EquilibriumSolver, ScoredBid, SelectionRule,
+    ShardSelection, StandingPool, SubmittedBid,
 };
 use fmore_ml::arena::ScratchArena;
 use fmore_ml::dataset::Dataset;
@@ -353,12 +353,15 @@ pub struct StreamedAuction {
     pub winners: Vec<WinnerInfo>,
     /// Number of bids streamed through the selector.
     pub offered: usize,
-    /// The bounded standing store (best `K + reserve` candidates in rank order), valid for
-    /// re-auction refills this round via [`Auction::award_standing`].
+    /// The bounded standing store (best `K + reserve` candidates in rank order, whatever
+    /// depth the round's selector ran at), valid for re-auction refills this round via
+    /// [`Auction::award_standing`].
     pub standing: StandingPool,
-    /// Peak resident bid bytes of the stage: the widest wave of shard stores plus the
-    /// selector's kept candidates (len-based, deterministic). `O(width · shard + K)`, never
-    /// `O(N)`.
+    /// Peak resident bid bytes of the stage, complete: the widest wave of shard stores
+    /// plus the selector's kept candidates — and, in a ψ round's replay pass, the first
+    /// pass's pool held beside the second selector. Len-based, deterministic, and
+    /// `O(width · shard + pool depth)`, never `O(N)` while the pool is shallower than the
+    /// population.
     pub peak_bid_bytes: usize,
 }
 
@@ -376,30 +379,34 @@ pub struct StreamedAuction {
 /// absorbed, and every shard task of the wave scans against that snapshot: a bid below it
 /// is rejected on its score alone, and only the few that rank before it come back to the
 /// control thread, which merges them into the bounded selector in population order. Over
-/// a random-order stream that is ≈ `(K + reserve) · ln(N / (K + reserve))` candidates a
-/// round rather than `K + reserve` per shard. The result does not depend on how stale a
+/// a random-order stream that is ≈ `depth · ln(N / depth)` candidates a round rather than
+/// `depth` per shard. The result does not depend on how stale a
 /// snapshot is: the floor only rises, so an older one merely lets extra survivors through
 /// for the merge to drop; the best dropped score is a max over everything outside the
 /// final pool, however it was folded; and tie-break keys depend only on a bid's global
 /// stream position. Winners, payments, keys and RNG draws are therefore the same at every
 /// shard size and engine width. At most
 /// [`RoundEngine::parallel_width`] shard stores exist at any moment and they are recycled
-/// across waves, so the stage's transient memory is `O(width · shard + K)` regardless of
-/// the population size.
+/// across waves, so the stage's transient memory is `O(width · shard + depth)` regardless
+/// of the population size.
 ///
 /// Winner sets are **bit-identical** to [`Auction::run`] over the same bids for **every**
-/// selection rule at any `reserve`. Top-K reads its winners straight off the bounded pool
-/// head. ψ-FMore — whose admission walk ranges over the whole ranking — runs bounded via a
-/// two-pass design: the first pass additionally counts every score into a fixed-width
-/// [`ScoreHistogram`], the walk is planned over ranks alone
-/// ([`Auction::plan_admission`], same RNG draws as the full-width walk), and only if an
-/// admitted rank falls beyond the standing pool does a refinement pass re-stream the
-/// shards (fills are pure functions of their range) through a [`RankRefiner`] that keeps
-/// just the needed ranks' candidates — with their exact full-sort tie-break keys and zero
-/// further RNG consumption. Peak state stays `O(width · shard + K + bins)`, never `O(N)`.
-/// Winners materialise through `map_award` exactly as in [`auction_select`]: nothing
-/// beyond the `K` awards ever becomes a full client object. A `shard_size` beyond the
-/// population means one shard.
+/// selection rule at any `reserve`, and the population is streamed **once**. The selector
+/// runs `max(K + reserve, min(reach(K) + 1, population))` candidates deep
+/// ([`SelectionRule::reach`]: a function of the rule and `K`, not a setting — `K + reserve`
+/// for top-K at any positive reserve, and for ψ-FMore whenever the caller's reserve already
+/// covers the walk). Top-K reads its winners straight off the pool head. ψ-FMore plans its
+/// admission walk over ranks alone ([`Auction::plan_admission`], the RNG draws of the
+/// full-width walk) and reads every admitted rank, and the pricing boundary, off the pool,
+/// whose order is the global rank order. Either way the returned pool is cut back to
+/// `K + reserve` ([`StandingPool::truncate`]): the pool, and the best dropped score, a
+/// selector of exactly that depth produces. The one round in millions whose walk goes past
+/// its reach all the same is resolved exactly by a **replay pass**: fills are pure
+/// functions of their range, so the shards are streamed again, through the same wave loop,
+/// into a [`BidSelector::replay`] selector as deep as the deepest admitted rank — the same
+/// salt, hence the same keys and ranking, and no RNG. Winners materialise through
+/// `map_award` exactly as in [`auction_select`]: nothing beyond the `K` awards ever becomes
+/// a full client object. A `shard_size` beyond the population means one shard.
 ///
 /// # Errors
 ///
@@ -409,6 +416,41 @@ pub struct StreamedAuction {
 /// process and every sibling job's wave survive.
 #[allow(clippy::too_many_arguments)]
 pub fn auction_select_streamed<R, F, G>(
+    auction: &Auction,
+    population: usize,
+    shard_size: usize,
+    reserve: usize,
+    engine: &RoundEngine,
+    fill: Arc<G>,
+    rng: &mut R,
+    map_award: F,
+) -> Result<StreamedAuction, FlError>
+where
+    R: Rng + ?Sized,
+    G: Fn(std::ops::Range<usize>, &mut BidStore) -> Result<(), AuctionError>
+        + Send
+        + Sync
+        + ?Sized
+        + 'static,
+    F: FnMut(&Award) -> WinnerInfo,
+{
+    let k = auction.winners_per_round();
+    let reach = auction.selection_rule().reach(k);
+    let depth = k
+        .saturating_add(reserve)
+        .max(reach.saturating_add(1).min(population));
+    select_streamed_at(
+        depth, auction, population, shard_size, reserve, engine, fill, rng, map_award,
+    )
+}
+
+/// [`auction_select_streamed`] with the first pass's selector `depth` candidates deep
+/// (at least `K + reserve`). The depth changes nothing the caller can see but
+/// `peak_bid_bytes` and whether the replay pass runs — which is why it is an argument
+/// here, where the tests reach it, and not a setting.
+#[allow(clippy::too_many_arguments)]
+fn select_streamed_at<R, F, G>(
+    depth: usize,
     auction: &Auction,
     population: usize,
     shard_size: usize,
@@ -431,176 +473,188 @@ where
     if k == 0 || !auction.selection_rule().is_valid() {
         return Err(AuctionError::InvalidGame { n: population, k }.into());
     }
-    let shard_size = shard_size.max(1);
-    // A shard never holds more than the population, whatever the caller asked for.
-    let store_bids = shard_size.min(population);
     let dims = auction.scoring_rule().dims();
-    // ψ-FMore's admission walk ranges over the whole ranking, but the walk needs only
-    // *ranks* — so instead of widening the standing pool to the population (the pre-v9
-    // behaviour), a fixed-width score histogram is counted alongside the first pass and the
-    // walk is planned over it; see the award stage below. Every selection rule therefore
-    // keeps the same bounded `K + reserve` pool.
-    let mut selector = auction.selector(reserve);
-    let width = engine.parallel_width();
-    let mut free: Vec<BidStore> = Vec::new();
-    let mut peak_bid_bytes = 0usize;
-    let mut salt: Option<u64> = None;
-    let mut histogram = match auction.selection_rule() {
-        SelectionRule::PsiFMore { .. } => Some(ScoreHistogram::new()),
-        SelectionRule::TopK => None,
+    let shard_size = shard_size.max(1);
+    let mut stream = ShardStream {
+        auction,
+        engine,
+        fill,
+        shards: (0..population)
+            .step_by(shard_size)
+            .map(|lo| lo..lo.saturating_add(shard_size).min(population))
+            .collect(),
+        // A shard never holds more than the population, whatever the caller asked for.
+        store_bids: shard_size.min(population),
+        free: Vec::new(),
+        salt: None,
+        peak_bid_bytes: 0,
     };
-
-    let shards: Vec<std::ops::Range<usize>> = (0..population)
-        .step_by(shard_size)
-        .map(|lo| lo..lo.saturating_add(shard_size).min(population))
-        .collect();
-    // One wave of fill + batch-score shard tasks, run on the pool. Fills are pure functions
-    // of their range, so the refinement pass of the ψ award stage can replay them.
-    let wave_tasks = |wave: &[std::ops::Range<usize>], free: &mut Vec<BidStore>| {
-        wave.iter()
-            .map(|range| {
-                let mut store = free
-                    .pop()
-                    .unwrap_or_else(|| BidStore::with_capacity(dims, store_bids));
-                store.clear();
-                let fill = Arc::clone(&fill);
-                let rule = auction.scoring_rule().clone();
-                let range = range.clone();
-                Box::new(move || {
-                    fill(range, &mut store)?;
-                    store.score_with(&rule)?;
-                    Ok(store)
-                }) as Task<Result<BidStore, AuctionError>>
-            })
-            .collect::<Vec<_>>()
-    };
-    for wave in shards.chunks(width.max(1)) {
-        // Stage 1: fill + batch-score each shard of the wave on the pool.
-        let tasks = wave_tasks(wave, &mut free);
-        let mut stores = Vec::with_capacity(wave.len());
-        let mut wave_bytes = 0usize;
-        for result in engine.try_run_tasks(tasks)? {
-            let store = result?;
-            wave_bytes += store.resident_bytes();
-            if let Some(histogram) = histogram.as_mut() {
-                histogram.record_store(&store);
-            }
-            stores.push(store);
-        }
-        // The round salt is drawn as soon as two bids are guaranteed; from then on
-        // tie-break keys are pure functions of (salt, global position) and can be
-        // computed on worker threads.
-        let wave_total: usize = stores.iter().map(BidStore::len).sum();
-        if salt.is_none() && selector.offered() + wave_total >= 2 {
-            salt = Some(selector.force_salt(rng));
-        }
-        // Stage 2: scan each shard on the pool for the bids that rank before the
-        // selector's admission floor as of the previous wave, then merge the few
-        // survivors in population order — the only serial part of the wave.
-        match selector.admission_floor() {
-            Some(admission) => {
-                let mut base = selector.offered();
-                let tasks: Vec<Task<(BidStore, ShardSelection)>> = stores
-                    .into_iter()
-                    .map(|store| {
-                        let shard_base = base;
-                        base += store.len();
-                        Box::new(move || {
-                            let selection =
-                                ShardSelection::select_above(&store, shard_base, admission);
-                            (store, selection)
-                        }) as Task<(BidStore, ShardSelection)>
-                    })
-                    .collect();
-                for (store, selection) in engine.try_run_tasks(tasks)? {
-                    selector.absorb(selection);
-                    free.push(store);
-                }
-            }
-            // At most one bid streamed so far: the sequential path, which draws nothing
-            // from the round RNG (matching the dense single-bid contract).
-            None => {
-                for store in stores {
-                    selector.offer_store(&store, rng);
-                    free.push(store);
-                }
-            }
-        }
-        peak_bid_bytes = peak_bid_bytes.max(wave_bytes + selector.resident_bytes());
-    }
-
-    let standing = selector.finish(rng);
+    let mut selector = BidSelector::new(dims, depth);
+    stream.run(&mut selector, Some(&mut *rng), 0)?;
+    let pool_bytes = selector.resident_bytes();
+    let mut standing = selector.finish(rng);
     if standing.offered() == 0 {
         return Err(AuctionError::NoBids.into());
     }
-    let awards = match histogram {
+    let awards: Vec<Award> = match auction.selection_rule() {
         // Top-K: winners are the head of the bounded pool; pricing looks one rank past it.
-        None => auction.award_standing(&standing, k, &[], rng),
-        // ψ-FMore, bounded: plan the admission walk over ranks alone (exactly the RNG draws
-        // the full-width walk makes), then materialise just the admitted ranks plus the
-        // pricing boundary.
-        Some(histogram) => {
-            let offered = standing.offered();
-            debug_assert_eq!(histogram.total() as usize, offered);
-            let plan = auction.plan_admission(offered, k, rng);
-            let mut needed: Vec<usize> = plan.picked.clone();
-            needed.extend(plan.price_rank);
-            needed.sort_unstable();
-            needed.dedup();
-            let deepest = *needed.last().expect("k >= 1 admits at least one rank");
-            if deepest < standing.len() {
-                // Every needed rank sits in the bounded pool, whose order IS the global
-                // rank order — no second pass.
-                let best_losing = plan.price_rank.map(|r| standing.candidates()[r].score);
-                plan.picked
-                    .iter()
-                    .map(|&r| auction.award_candidate(&standing.candidates()[r], best_losing))
-                    .collect()
+        SelectionRule::TopK => auction.award_standing(&standing, k, &[], rng),
+        // ψ-FMore: plan the admission walk over ranks alone (exactly the RNG draws the
+        // full-width walk makes), then read the admitted ranks and the pricing boundary
+        // off a pool in global rank order.
+        SelectionRule::PsiFMore { .. } => {
+            let plan = auction.plan_admission(standing.offered(), k, rng);
+            let deepest = plan
+                .picked
+                .iter()
+                .copied()
+                .chain(plan.price_rank)
+                .max()
+                .expect("k >= 1 admits at least one rank");
+            let replayed;
+            let ranked = if deepest < standing.len() {
+                standing.candidates()
             } else {
-                // Refinement pass: re-stream the shards (fills are pure) through per-bin
-                // probes that keep only the needed ranks' candidates — same global
-                // tie-break keys via `derive_seed(salt, position)`, zero RNG consumption,
-                // at most `deepest + 1` candidates resident.
-                let salt = salt.expect("refinement implies >= 2 offered bids, so the salt exists");
-                let mut refiner = RankRefiner::new(&histogram, &needed, salt, dims);
-                let standing_bytes = standing.len()
-                    * (std::mem::size_of::<Candidate>() + dims * std::mem::size_of::<f64>());
-                let mut base = 0usize;
-                for wave in shards.chunks(width.max(1)) {
-                    let tasks = wave_tasks(wave, &mut free);
-                    let mut wave_bytes = 0usize;
-                    for result in engine.try_run_tasks(tasks)? {
-                        let store = result?;
-                        wave_bytes += store.resident_bytes();
-                        refiner.offer_store(&store, base);
-                        base += store.len();
-                        free.push(store);
-                    }
-                    peak_bid_bytes =
-                        peak_bid_bytes.max(wave_bytes + standing_bytes + refiner.resident_bytes());
-                }
-                debug_assert_eq!(base, offered, "refinement re-fill diverged from pass one");
-                let ranked = refiner.into_ranked();
-                let at = |rank: usize| {
-                    ranked
-                        .get(rank)
-                        .expect("every needed rank was counted and collected")
-                };
-                let best_losing = plan.price_rank.map(|r| at(r).score);
-                plan.picked
-                    .iter()
-                    .map(|&r| auction.award_candidate(at(r), best_losing))
-                    .collect()
-            }
+                // The walk went past the pool: stream the shards again, under the salt
+                // the first pass drew, into a selector that reaches the deepest rank.
+                let salt = stream
+                    .salt
+                    .expect("a rank past the pool implies >= 2 offered bids, so the salt exists");
+                let mut deeper = BidSelector::replay(dims, deepest + 1, salt);
+                stream.run(&mut deeper, None::<&mut R>, pool_bytes)?;
+                debug_assert_eq!(deeper.offered(), standing.offered(), "a fill is not pure");
+                replayed = deeper.into_pool();
+                replayed.candidates()
+            };
+            let best_losing = plan.price_rank.map(|r| ranked[r].score);
+            plan.picked
+                .iter()
+                .map(|&r| auction.award_candidate(&ranked[r], best_losing))
+                .collect()
         }
     };
+    standing.truncate(k.saturating_add(reserve));
     let winners = awards.iter().map(&mut map_award).collect();
     Ok(StreamedAuction {
         winners,
         offered: standing.offered(),
         standing,
-        peak_bid_bytes,
+        peak_bid_bytes: stream.peak_bid_bytes,
     })
+}
+
+/// One round's shard stream: the wave loop of [`auction_select_streamed`] — fill + score,
+/// floor-carried scan, merge in population order — written once, for the round's first
+/// pass and for a ψ round's replay pass alike. Shard stores are recycled across waves and
+/// passes.
+struct ShardStream<'a, G: ?Sized> {
+    auction: &'a Auction,
+    engine: &'a RoundEngine,
+    fill: Arc<G>,
+    shards: Vec<std::ops::Range<usize>>,
+    /// Bids a fresh shard store is sized for.
+    store_bids: usize,
+    free: Vec<BidStore>,
+    /// The round salt, from the wave of the first pass that drew it.
+    salt: Option<u64>,
+    peak_bid_bytes: usize,
+}
+
+impl<'a, G> ShardStream<'a, G>
+where
+    G: Fn(std::ops::Range<usize>, &mut BidStore) -> Result<(), AuctionError>
+        + Send
+        + Sync
+        + ?Sized
+        + 'static,
+{
+    /// Streams every shard through `selector`, in population order. The first pass hands
+    /// in the round RNG, which pays for the salt (and for the keys of a stream too short
+    /// to need one); a replay pass hands in `None` and a selector that already knows the
+    /// salt. `held_bytes` is what the caller keeps resident beside the selector meanwhile.
+    fn run<R: Rng + ?Sized>(
+        &mut self,
+        selector: &mut BidSelector,
+        mut rng: Option<&mut R>,
+        held_bytes: usize,
+    ) -> Result<(), FlError> {
+        let dims = self.auction.scoring_rule().dims();
+        for wave in self.shards.chunks(self.engine.parallel_width().max(1)) {
+            // Stage 1: fill + batch-score each shard of the wave on the pool.
+            let tasks: Vec<Task<Result<BidStore, AuctionError>>> = wave
+                .iter()
+                .map(|range| {
+                    let mut store = self
+                        .free
+                        .pop()
+                        .unwrap_or_else(|| BidStore::with_capacity(dims, self.store_bids));
+                    store.clear();
+                    let fill = Arc::clone(&self.fill);
+                    let rule = self.auction.scoring_rule().clone();
+                    let range = range.clone();
+                    Box::new(move || {
+                        fill(range, &mut store)?;
+                        store.score_with(&rule)?;
+                        Ok(store)
+                    }) as Task<Result<BidStore, AuctionError>>
+                })
+                .collect();
+            let stores = self
+                .engine
+                .try_run_tasks(tasks)?
+                .into_iter()
+                .collect::<Result<Vec<BidStore>, AuctionError>>()?;
+            let wave_bytes: usize = stores.iter().map(BidStore::resident_bytes).sum();
+            // The round salt is drawn as soon as two bids are guaranteed; from then on
+            // tie-break keys are pure functions of (salt, global position) and can be
+            // computed on worker threads.
+            let wave_total: usize = stores.iter().map(BidStore::len).sum();
+            if let Some(rng) = rng.as_deref_mut() {
+                if self.salt.is_none() && selector.offered() + wave_total >= 2 {
+                    self.salt = Some(selector.force_salt(rng));
+                }
+            }
+            // Stage 2: scan each shard on the pool for the bids that rank before the
+            // selector's admission floor as of the previous wave, then merge the few
+            // survivors in population order — the only serial part of the wave.
+            match selector.admission_floor() {
+                Some(admission) => {
+                    let mut base = selector.offered();
+                    let tasks: Vec<Task<(BidStore, ShardSelection)>> = stores
+                        .into_iter()
+                        .map(|store| {
+                            let shard_base = base;
+                            base += store.len();
+                            Box::new(move || {
+                                let selection =
+                                    ShardSelection::select_above(&store, shard_base, admission);
+                                (store, selection)
+                            }) as Task<(BidStore, ShardSelection)>
+                        })
+                        .collect();
+                    for (store, selection) in self.engine.try_run_tasks(tasks)? {
+                        selector.absorb(selection);
+                        self.free.push(store);
+                    }
+                }
+                // At most one bid streamed so far: the sequential path, which draws nothing
+                // from the round RNG (matching the dense single-bid contract).
+                None => {
+                    let rng = rng
+                        .as_deref_mut()
+                        .expect("a replay selector knows its salt from the start");
+                    for store in stores {
+                        selector.offer_store(&store, rng);
+                        self.free.push(store);
+                    }
+                }
+            }
+            self.peak_bid_bytes = self
+                .peak_bid_bytes
+                .max(wave_bytes + selector.resident_bytes() + held_bytes);
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1181,6 +1235,17 @@ mod tests {
         (fmore_auction::NodeId(i as u64), q, ask)
     }
 
+    fn winner_info(award: &Award) -> WinnerInfo {
+        WinnerInfo {
+            client: award.node.0 as usize,
+            node: award.node,
+            data_size: 1,
+            categories: 1,
+            score: award.score,
+            payment: award.payment,
+        }
+    }
+
     fn streamed_winners(
         auction: &Auction,
         n: usize,
@@ -1203,14 +1268,7 @@ mod tests {
             engine,
             fill,
             &mut seeded_rng(seed),
-            |award| WinnerInfo {
-                client: award.node.0 as usize,
-                node: award.node,
-                data_size: 1,
-                categories: 1,
-                score: award.score,
-                payment: award.payment,
-            },
+            winner_info,
         )
         .unwrap()
     }
@@ -1249,8 +1307,9 @@ mod tests {
     #[test]
     fn bounded_psi_streaming_matches_the_dense_auction_bitwise() {
         use fmore_auction::{Additive, PricingRule, ScoringRule};
-        // ψ = 0.6 usually resolves from the bounded pool head; ψ = 0.12 walks deep enough
-        // that the refinement pass runs. Both must match the dense auction bit for bit.
+        // The pool is sized to the walk: K + reserve = 16 does not cover ψ = 0.6's reach of
+        // 32 ranks, so the selector runs 33 deep; ψ = 0.12 reaches 200 and runs 201 deep.
+        // Both must match the dense auction bit for bit and hand back a pool of 16.
         for &(psi, pricing) in &[
             (0.6, PricingRule::FirstPrice),
             (0.6, PricingRule::SecondPrice),
@@ -1263,7 +1322,7 @@ mod tests {
                 SelectionRule::PsiFMore { psi },
                 pricing,
             );
-            let n = 500;
+            let n = 2_000;
             for seed in [7u64, 77, 777] {
                 let dense_bids: Vec<SubmittedBid> = (0..n)
                     .map(|i| {
@@ -1288,9 +1347,9 @@ mod tests {
                         dense_pairs, streamed_pairs,
                         "psi={psi} {pricing:?} seed={seed}: bounded walk diverged"
                     );
-                    // The pool stays at K + reserve and peak memory stays shard-scale —
-                    // the O(N) widening is gone.
-                    assert!(streamed.standing.len() <= 16);
+                    // The returned pool is K + reserve deep and peak memory is shards plus
+                    // the walk's reach, not the population.
+                    assert_eq!(streamed.standing.len(), 16);
                     let full_store_bytes = n * (8 + 8 * 4);
                     assert!(
                         streamed.peak_bid_bytes < full_store_bytes,
@@ -1300,6 +1359,124 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The replay pass, on the production function. At the production depth a walk
+    /// overshoots its pool on one round in millions, so the inner function is driven at
+    /// `depth = K + reserve` with a reserve of 0 or 1, where nearly every ψ < 1 walk does
+    /// (and ψ = 1 does exactly when the pricing rank `K` is past a reserve of 0). Tie-heavy
+    /// quantised bids, so ranks deep in the replayed pool are decided by keys alone.
+    #[test]
+    fn replay_pass_resolves_a_walk_past_the_pool_exactly() {
+        use fmore_auction::{Additive, PricingRule, Quality, ScoringRule};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (n, k) = (90usize, 6usize);
+        let mut draws = seeded_rng(0xB9);
+        let bids: Arc<Vec<SubmittedBid>> = Arc::new(
+            (0..n)
+                .map(|i| {
+                    let q = (draws.gen::<f64>() * 4.0).round() / 4.0;
+                    let ask = (draws.gen::<f64>() * 2.0).round() / 4.0;
+                    let node = fmore_auction::NodeId(i as u64);
+                    SubmittedBid::new(node, Quality::new(vec![q, 1.0 - q]), ask)
+                })
+                .collect(),
+        );
+        let engines = [RoundEngine::inline(), RoundEngine::pooled(2)];
+        let (mut replayed_rounds, mut single_pass_rounds) = (0usize, 0usize);
+        for psi in [0.05, 0.25, 0.6, 1.0] {
+            for pricing in [PricingRule::FirstPrice, PricingRule::SecondPrice] {
+                let auction = Auction::new(
+                    ScoringRule::new(Additive::new(vec![1.0, 1.0]).unwrap()),
+                    k,
+                    SelectionRule::PsiFMore { psi },
+                    pricing,
+                );
+                for (reserve, seed) in [(0usize, 3u64), (0, 41), (1, 3), (1, 41), (1, 500)] {
+                    let name = format!("psi={psi} {pricing:?} reserve={reserve} seed={seed}");
+                    let mut dense_rng = seeded_rng(seed);
+                    let dense = auction.run(bids.as_ref().clone(), &mut dense_rng).unwrap();
+                    let dense_position = dense_rng.gen::<u64>();
+
+                    // The sequential K + reserve pool, and from the RNG it leaves behind,
+                    // the plan: whether this round's walk goes past that pool.
+                    let mut store = BidStore::with_dims(2);
+                    for bid in bids.iter() {
+                        store
+                            .push(bid.node, bid.quality.as_slice(), bid.ask)
+                            .unwrap();
+                    }
+                    store.score_with(auction.scoring_rule()).unwrap();
+                    let mut seq_rng = seeded_rng(seed);
+                    let mut selector = auction.selector(reserve);
+                    selector.offer_store(&store, &mut seq_rng);
+                    let sequential = selector.finish(&mut seq_rng);
+                    let plan = auction.plan_admission(n, k, &mut seq_rng);
+                    let deepest = plan.picked.iter().copied().chain(plan.price_rank).max();
+                    let overshoots = deepest.unwrap() >= sequential.len();
+                    replayed_rounds += usize::from(overshoots);
+                    single_pass_rounds += usize::from(!overshoots);
+
+                    for shard in [1usize, 7, n] {
+                        for engine in &engines {
+                            let name = format!("{name} shard={shard} {:?}", engine.mode());
+                            let fills = Arc::new(AtomicUsize::new(0));
+                            let (source, counter) = (Arc::clone(&bids), Arc::clone(&fills));
+                            let fill =
+                                move |range: std::ops::Range<usize>, store: &mut BidStore| {
+                                    counter.fetch_add(1, Ordering::Relaxed);
+                                    for bid in &source[range] {
+                                        store.push(bid.node, bid.quality.as_slice(), bid.ask)?;
+                                    }
+                                    Ok(())
+                                };
+                            let mut rng = seeded_rng(seed);
+                            let streamed = select_streamed_at(
+                                k + reserve,
+                                &auction,
+                                n,
+                                shard,
+                                reserve,
+                                engine,
+                                Arc::new(fill),
+                                &mut rng,
+                                winner_info,
+                            )
+                            .unwrap();
+                            let bits = |node: fmore_auction::NodeId, score: f64, payment: f64| {
+                                (node, score.to_bits(), payment.to_bits())
+                            };
+                            assert_eq!(
+                                streamed
+                                    .winners
+                                    .iter()
+                                    .map(|w| bits(w.node, w.score, w.payment))
+                                    .collect::<Vec<_>>(),
+                                dense
+                                    .winners()
+                                    .iter()
+                                    .map(|w| bits(w.node, w.score, w.payment))
+                                    .collect::<Vec<_>>(),
+                                "{name}: winners diverged from the dense auction"
+                            );
+                            assert_eq!(rng.gen::<u64>(), dense_position, "{name}: RNG position");
+                            assert_eq!(streamed.standing, sequential, "{name}: standing pool");
+                            assert_eq!(streamed.offered, n);
+                            let passes = if overshoots { 2 } else { 1 };
+                            assert_eq!(
+                                fills.load(Ordering::Relaxed),
+                                passes * n.div_ceil(shard),
+                                "{name}: fill calls (overshoots: {overshoots})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            replayed_rounds >= 20 && single_pass_rounds >= 4,
+            "both paths must be exercised: {replayed_rounds} replayed, {single_pass_rounds} not"
+        );
     }
 
     #[test]

@@ -207,9 +207,10 @@ fn hundred_thousand_bidder_selection_smoke() {
 }
 
 /// Named CI smoke for the bounded ψ admission at scale: one streamed ψ-FMore (ψ = 0.8)
-/// selection round over 10,000,000 lazily derived bidders — the histogram-planned
-/// admission walk plus (when needed) the refinement pass — completing with a full winner
-/// set at the shard-scale peak the 1e5 top-K smoke holds. Ignored by default (a 1e7 round
+/// selection round over 10,000,000 lazily derived bidders — one stream of the population
+/// into a pool that covers the walk's reach, the rank-only admission walk, the admitted
+/// ranks read off the pool — completing with a full winner set at the shard-scale peak the
+/// 1e5 top-K smoke holds. Ignored by default (a 1e7 round
 /// is too slow for the debug-mode tier-1 run); CI runs it by name in release.
 #[test]
 #[ignore = "ten-million-bidder round; CI runs it by name in release"]
@@ -231,7 +232,7 @@ fn ten_million_bidder_psi_selection_smoke() {
         "a full ψ winner set at 1e7 bidders"
     );
     assert!(stage.winners.iter().all(|w| w.payment > 0.0));
-    // The memory contract of the two-pass admission: resident bid bytes stay bounded by
+    // The memory contract of the bounded ψ admission: resident bid bytes stay bounded by
     // the shard and the standing pool, three orders of magnitude below a dense store.
     assert!(
         stage.peak_bid_bytes < 1_000_000,

@@ -863,13 +863,14 @@ fn streaming_selection_is_bit_identical_to_full_sort() {
     });
 }
 
-/// The bounded two-pass ψ admission — [`ScoreHistogram`] first pass, rank-only
-/// `plan_admission` walk, and (when the walk admits past the standing pool) a
-/// [`RankRefiner`] refinement pass — is **bit-identical** to the dense full-sort
-/// `Auction::run` path at a *small* reserve, across ψ ∈ {0.1, 0.5, 0.9, 1.0} × both
-/// pricing rules, duplicate-score tie populations, sharded streams, and `k ≥ n`. The
-/// streamed side must also leave the round RNG at exactly the dense path's position, so a
-/// seeded history cannot tell which path ran.
+/// The ψ admission **oracle** — a `K + 1`-deep pool, a [`ScoreHistogram`] count of every
+/// score, the rank-only `plan_admission` walk, and (when the walk admits past the pool) a
+/// [`RankRefiner`] stream for the missing ranks; the independent implementation the
+/// benchmark's traced twin replays the production single-pass stage against — is
+/// **bit-identical** to the dense full-sort `Auction::run` path, across
+/// ψ ∈ {0.1, 0.5, 0.9, 1.0} × both pricing rules, duplicate-score tie populations, sharded
+/// streams, and `k ≥ n`. The streamed side must also leave the round RNG at exactly the
+/// dense path's position, so a seeded history cannot tell which path ran.
 #[test]
 fn bounded_psi_admission_is_bit_identical_to_full_sort() {
     use fmore::auction::{BidStore, RankRefiner, ScoreHistogram, SubmittedBid};
@@ -1040,6 +1041,18 @@ fn hostile_score_streams(raw: &[f64], shard: usize) -> Vec<(&'static str, Vec<f6
     ]
 }
 
+/// How the streamed-stage tests below map an award onto a winner.
+fn streamed_winner(award: &Award) -> fmore::fl::metrics::WinnerInfo {
+    fmore::fl::metrics::WinnerInfo {
+        client: award.node.0 as usize,
+        node: award.node,
+        data_size: 1,
+        categories: 1,
+        score: award.score,
+        payment: award.payment,
+    }
+}
+
 /// One hostile round three ways — dense `Auction::run`, sequential `BidSelector::offer`,
 /// and `auction_select_streamed` on each engine — compared on pool order, tie-break keys,
 /// best dropped score, winners, payments and the post-round RNG position.
@@ -1052,7 +1065,6 @@ fn hostile_round_agrees(
 ) -> Result<(), String> {
     use fmore::auction::BidStore;
     use fmore::fl::engine::auction_select_streamed;
-    use fmore::fl::metrics::WinnerInfo;
     use rand::Rng;
     let n = bids.len();
     let mut dense_rng = fmore::numerics::seeded_rng(seed);
@@ -1125,14 +1137,7 @@ fn hostile_round_agrees(
             engine,
             std::sync::Arc::new(fill),
             &mut rng,
-            |award| WinnerInfo {
-                client: award.node.0 as usize,
-                node: award.node,
-                data_size: 1,
-                categories: 1,
-                score: award.score,
-                payment: award.payment,
-            },
+            streamed_winner,
         )
         .map_err(|e| e.to_string())?;
         // Same nodes, scores and keys in the same order (`==` on the candidates' floats
@@ -1174,8 +1179,8 @@ fn hostile_round_agrees(
 /// streams built to break an admission floor (see [`hostile_score_streams`]), at shard
 /// size 1, pools of one candidate (`K = 1`, reserve 0) and pools wider than the
 /// population, and engine widths 1/2/4 (inside a wave every shard after the first scans
-/// against a stale floor), for top-K and ψ-FMore under both pricing rules; the signed-zero
-/// stream runs under `Additive` as well as `PerfectComplementary`. The sign of a
+/// against a stale floor), for top-K and ψ-FMore (ψ from 0.05 to 1) under both pricing
+/// rules; the signed-zero stream runs under `Additive` as well as `PerfectComplementary`. The sign of a
 /// zero-valued best-dropped score or payment is the one thing left unpinned: `rank_order`
 /// treats `±0.0` as equal, and no fold over the losers' scores orders them.
 #[test]
@@ -1190,13 +1195,19 @@ fn floor_carried_selection_matches_sequential_and_dense_on_hostile_streams() {
     ];
     let widths: Vec<usize> = engines.iter().map(RoundEngine::parallel_width).collect();
     assert_eq!(widths, [1, 2, 4]);
-    let psi = SelectionRule::PsiFMore { psi: 0.6 };
-    let schemes = [
-        (SelectionRule::TopK, PricingRule::FirstPrice),
-        (SelectionRule::TopK, PricingRule::SecondPrice),
-        (psi, PricingRule::FirstPrice),
-        (psi, PricingRule::SecondPrice),
+    // ψ from a walk that wanders the whole of these 40-bid populations (0.05) to one that
+    // stops at rank K (1.0, whose pricing rank K is past a reserve of 0): whatever depth
+    // the stage sizes its selector to, the pool it returns is the `K + reserve` one.
+    let selections = [
+        SelectionRule::TopK,
+        SelectionRule::PsiFMore { psi: 0.05 },
+        SelectionRule::PsiFMore { psi: 0.25 },
+        SelectionRule::PsiFMore { psi: 0.6 },
+        SelectionRule::PsiFMore { psi: 1.0 },
     ];
+    let schemes = selections.iter().flat_map(|&selection| {
+        [PricingRule::FirstPrice, PricingRule::SecondPrice].map(|pricing| (selection, pricing))
+    });
     let strategy = Tuple3(
         VecOf::new(F64Range::new(-1.0, 1.0), 1, 40),
         Tuple3(
@@ -1247,7 +1258,7 @@ fn floor_carried_selection_matches_sequential_and_dense_on_hostile_streams() {
                     for (k, reserve, shard) in
                         [(*k, *reserve, *shard), (1, 0, 1), (n + 2, 3, *shard)]
                     {
-                        for (selection, pricing) in schemes {
+                        for (selection, pricing) in schemes.clone() {
                             let auction = Auction::new(rule.clone(), k, selection, pricing);
                             let name = format!(
                                 "{stream}/{rule_name}/{selection:?}/{pricing:?}/k={k}/r={reserve}"
@@ -1261,6 +1272,92 @@ fn floor_carried_selection_matches_sequential_and_dense_on_hostile_streams() {
             Ok(())
         },
     );
+}
+
+/// "A ψ round streams the population once", as a count: 100 000 v1 bidders, `K = 64`,
+/// reserve 64, shards of 8 192 — the filler runs 13 times a round, on every one of 100
+/// round seeds, at ψ = 0.25 (a 424-deep selector), 0.5 (197) and 0.8 (128, the caller's
+/// own `K + reserve`). The stage hands back the 128-deep pool whatever it ran at, and its
+/// peak stays one shard store plus the walk's reach in candidates; at ψ = 0.8 that is the
+/// top-K round's figure to the byte.
+#[test]
+fn psi_round_streams_the_population_once_and_returns_the_callers_pool() {
+    use fmore::auction::{BidStore, Candidate};
+    use fmore::fl::engine::{auction_select_streamed, RoundEngine};
+    use fmore::mec::population::{NodePopulation, PopulationSpec};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let (n, k, reserve, shard) = (100_000usize, 64usize, 64usize, 8_192usize);
+    let shards = n.div_ceil(shard);
+    assert_eq!(shards, 13);
+    // The v1 pipeline derives the population once; the counting filler then copies each
+    // shard's columns from that (a debug build derives 3 × 10⁷ bids in half a minute).
+    let population = NodePopulation::new(PopulationSpec::scale_default(n, 0x5EED)).unwrap();
+    let mut derived = BidStore::with_capacity(3, n);
+    population
+        .bid_range_into_store(0..n, 0, &population_solver(n), &mut derived)
+        .unwrap();
+    let qualities: Vec<f64> = (0..n)
+        .flat_map(|i| derived.quality(i).iter().copied())
+        .collect();
+    let asks: Vec<f64> = (0..n).map(|i| derived.ask(i)).collect();
+    assert!((0..n).all(|i| derived.node(i) == NodeId(i as u64)));
+    let fills = Arc::new(AtomicUsize::new(0));
+    let fill = {
+        let fills = Arc::clone(&fills);
+        Arc::new(move |range: std::ops::Range<usize>, store: &mut BidStore| {
+            fills.fetch_add(1, Ordering::Relaxed);
+            store.extend_trusted_with(range.start as u64..range.end as u64, |quality, ask| {
+                quality.copy_from_slice(&qualities[range.start * 3..range.end * 3]);
+                ask.copy_from_slice(&asks[range]);
+                Ok(())
+            })
+        })
+    };
+    let shard_bytes = shard * (8 + 8 * (3 + 1 + 1));
+    let candidate_bytes = std::mem::size_of::<Candidate>() + 3 * 8;
+    let round = |selection: SelectionRule, seed: u64| {
+        let auction = Auction::new(
+            ScoringRule::new(Additive::new(vec![0.4, 0.3, 0.3]).unwrap()),
+            k,
+            selection,
+            PricingRule::FirstPrice,
+        );
+        fills.store(0, Ordering::Relaxed);
+        let stage = auction_select_streamed(
+            &auction,
+            n,
+            shard,
+            reserve,
+            &RoundEngine::inline(),
+            Arc::clone(&fill),
+            &mut fmore::numerics::seeded_rng(seed),
+            streamed_winner,
+        )
+        .unwrap();
+        let name = format!("{selection:?} seed={seed}");
+        assert_eq!(fills.load(Ordering::Relaxed), shards, "{name}: fill calls");
+        assert_eq!(stage.winners.len(), k, "{name}");
+        assert_eq!(stage.offered, n, "{name}");
+        assert_eq!(stage.standing.len(), k + reserve, "{name}");
+        let depth = (k + reserve).max(selection.reach(k) + 1);
+        assert!(
+            stage.peak_bid_bytes <= shard_bytes + depth * candidate_bytes,
+            "{name}: peak {} B",
+            stage.peak_bid_bytes
+        );
+        stage.peak_bid_bytes
+    };
+    let top_k_peak = round(SelectionRule::TopK, 0);
+    assert_eq!(top_k_peak, shard_bytes + (k + reserve) * candidate_bytes);
+    for psi in [0.25, 0.5, 0.8] {
+        for seed in 0..100 {
+            let peak = round(SelectionRule::PsiFMore { psi }, seed);
+            if psi == 0.8 {
+                assert_eq!(peak, top_k_peak, "seed={seed}");
+            }
+        }
+    }
 }
 
 /// The columnar `score_batch` kernels are **bit-identical** to the per-bid
