@@ -1,12 +1,9 @@
-//! Per-round wall-clock of the pooled `RoundEngine` vs the seed's spawn-per-round path.
+//! Per-round wall-clock of the pooled `RoundEngine` against the inline one.
 //!
-//! The original trainer spawned one fresh OS thread per winner every round
-//! (`crossbeam::thread::scope`) and collected results through a mutex-guarded `Vec` plus a
-//! sort. The refactored engine keeps a persistent worker pool and slot-indexed collection.
 //! This bench times one full federated round (selection + parallel local training +
-//! aggregation + evaluation) under both substrates, plus the inline baseline, on identical
-//! configurations — the histories produced are bit-identical (see `tests/determinism.rs`),
-//! so any delta is pure execution overhead.
+//! aggregation + evaluation) under both execution modes on identical configurations — the
+//! histories produced are bit-identical (see `tests/determinism.rs`), so any delta is pure
+//! execution overhead — plus the churn-capable cluster round.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fmore_fl::config::FlConfig;
@@ -20,7 +17,7 @@ use std::time::Duration;
 
 fn round_config() -> FlConfig {
     let mut config = FlConfig::fast_test(TaskKind::MnistO);
-    // Enough winners that the per-round thread churn of the old path is visible.
+    // Enough winners that the pool has parallel work to spread.
     config.clients = 24;
     config.winners_per_round = 12;
     config.partition.clients = 24;
@@ -42,11 +39,6 @@ fn bench_round(c: &mut Criterion) {
 
     group.bench_function("pooled_round", |b| {
         let mut trainer = trainer_with(RoundEngine::pooled(0));
-        b.iter(|| trainer.run_round().expect("round runs"))
-    });
-
-    group.bench_function("spawn_per_round", |b| {
-        let mut trainer = trainer_with(RoundEngine::spawn_per_round());
         b.iter(|| trainer.run_round().expect("round runs"))
     });
 
@@ -97,14 +89,6 @@ fn bench_full_runs(c: &mut Criterion) {
     group.bench_function("pooled_5_rounds", |b| {
         b.iter_batched(
             || trainer_with(RoundEngine::pooled(0)),
-            |mut trainer| trainer.run(5).expect("run completes"),
-            BatchSize::SmallInput,
-        )
-    });
-
-    group.bench_function("spawn_per_round_5_rounds", |b| {
-        b.iter_batched(
-            || trainer_with(RoundEngine::spawn_per_round()),
             |mut trainer| trainer.run(5).expect("run completes"),
             BatchSize::SmallInput,
         )

@@ -10,7 +10,7 @@
 //!   distribution),
 //! * `figures_parameters` — Figs. 9–11 (impact of `N`, `K`, and ψ),
 //! * `figures_cluster` — Figs. 12–13 and the headline table (the simulated MEC cluster),
-//! * `round_engine` — the pooled round pipeline vs the seed's spawn-per-round path,
+//! * `round_engine` — the pooled round pipeline vs the inline one, and the churn round,
 //! * `hot_path` — the allocation-free training kernels: in-place matmul family vs the
 //!   allocating composition, arena-backed `train_epoch` vs the [`baseline`] replica of the
 //!   pre-refactor path, and a full pooled round at 1/2/8 worker threads,
@@ -32,9 +32,6 @@
 
 pub mod baseline;
 pub mod timing;
-
-/// Marker constant so the crate root has at least one documented item.
-pub const BENCH_CRATE: &str = "fmore-bench";
 
 /// The shared "pooled round" workload of the `hot_path` and `round_throughput` suites and
 /// their report examples: one full FMore federated round (24 clients, 12 winners, 1,200

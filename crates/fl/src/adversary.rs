@@ -5,11 +5,11 @@
 //! and responsive but strategically dishonest. [`AdversaryPlan`] describes a population's
 //! adversary mix with per-class rates (untruthful over/under-bids, quality misreports,
 //! sign-flip and scaled-gradient poisoning, stale/zero free-rider updates, and seeded
-//! colluding cartels); [`AdversaryClock`] turns the plan into draws that are a pure
-//! function of `(plan seed ⊕ job seed, round, slot)`, so an adversarial run replays
-//! bit-for-bit across worker-pool widths.
+//! colluding cartels) and decides each node's behaviour from a [`DrawClock`], as draws that
+//! are a pure function of `(plan seed ⊕ job seed, round, node)`, so an adversarial run
+//! replays bit-for-bit across worker-pool widths.
 //!
-//! Unlike [`crate::faults::FaultClock`], the clock's draws are **attempt-independent**:
+//! Unlike [`crate::FaultPlan`]'s draws, the adversary's are **attempt-independent**:
 //! an adversary's bid is part of the auction itself, and a watchdog retry of the round
 //! must replay the same auction — retrying does not give the adversary a second roll.
 //! (Crash faults retry differently on purpose; dishonesty does not.)
@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use crate::error::FlError;
-use fmore_numerics::rng::derive_seed;
+use crate::faults::{validate_at_least, validate_rates, DrawClock};
 
 /// Per-class adversary rates of one job's population. All rates are probabilities in
 /// `[0, 1]`; the bid-class rates and the poison-class rates each share a single draw, so
@@ -127,43 +127,30 @@ impl AdversaryPlan {
     ///
     /// [`FlError::InvalidConfig`] naming the offending field.
     pub fn validate(&self) -> Result<(), FlError> {
-        let rates = [
-            ("adversary_rate", self.adversary_rate),
-            ("cartel_rate", self.cartel_rate),
-            ("overbid_rate", self.overbid_rate),
-            ("underbid_rate", self.underbid_rate),
-            ("misreport_rate", self.misreport_rate),
-            ("sign_flip_rate", self.sign_flip_rate),
-            ("scaled_rate", self.scaled_rate),
-            ("free_rider_rate", self.free_rider_rate),
-        ];
-        for (name, rate) in rates {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(FlError::InvalidConfig(format!(
-                    "adversary plan {name} {rate} must be within [0, 1]"
-                )));
-            }
-        }
-        let bid_budget = self.overbid_rate + self.underbid_rate + self.misreport_rate;
-        if bid_budget > 1.0 {
-            return Err(FlError::InvalidConfig(format!(
-                "adversary plan bid-class rates sum to {bid_budget} > 1 (they share one \
-                 draw)"
-            )));
-        }
-        let poison_budget = self.sign_flip_rate + self.scaled_rate + self.free_rider_rate;
-        if poison_budget > 1.0 {
-            return Err(FlError::InvalidConfig(format!(
-                "adversary plan poison-class rates sum to {poison_budget} > 1 (they share \
-                 one draw)"
-            )));
-        }
-        if !self.overbid_factor.is_finite() || self.overbid_factor < 1.0 {
-            return Err(FlError::InvalidConfig(format!(
-                "adversary plan overbid_factor {} must be finite and >= 1",
-                self.overbid_factor
-            )));
-        }
+        validate_rates(
+            "adversary plan",
+            &[
+                &[("adversary_rate", self.adversary_rate)],
+                &[("cartel_rate", self.cartel_rate)],
+                &[
+                    ("overbid_rate", self.overbid_rate),
+                    ("underbid_rate", self.underbid_rate),
+                    ("misreport_rate", self.misreport_rate),
+                ],
+                &[
+                    ("sign_flip_rate", self.sign_flip_rate),
+                    ("scaled_rate", self.scaled_rate),
+                    ("free_rider_rate", self.free_rider_rate),
+                ],
+            ],
+        )?;
+        validate_at_least("adversary plan", "overbid_factor", self.overbid_factor, 1.0)?;
+        validate_at_least(
+            "adversary plan",
+            "misreport_factor",
+            self.misreport_factor,
+            1.0,
+        )?;
         if !self.underbid_factor.is_finite()
             || self.underbid_factor <= 0.0
             || self.underbid_factor > 1.0
@@ -171,12 +158,6 @@ impl AdversaryPlan {
             return Err(FlError::InvalidConfig(format!(
                 "adversary plan underbid_factor {} must be within (0, 1]",
                 self.underbid_factor
-            )));
-        }
-        if !self.misreport_factor.is_finite() || self.misreport_factor < 1.0 {
-            return Err(FlError::InvalidConfig(format!(
-                "adversary plan misreport_factor {} must be finite and >= 1",
-                self.misreport_factor
             )));
         }
         if !self.scale_factor.is_finite() {
@@ -264,41 +245,22 @@ const CH_CARTEL: u64 = 0xA2;
 const CH_BID: u64 = 0xA3;
 const CH_POISON: u64 = 0xA5;
 
-/// The deterministic adversary stream of one job: `derive_seed`-chained uniforms keyed by
-/// `(plan seed ⊕ job seed, round, slot, channel)` — **no attempt key**, see the module
-/// docs. Membership draws use round 0 regardless of the queried round, making a node's
-/// honesty a stable fact of the job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdversaryClock {
-    seed: u64,
+/// The adversary draw on `channel` for `node` in `round` — keyed by `(round, node,
+/// channel)` with **no attempt key**, see the module docs. Membership draws use round 0
+/// regardless of the queried round, making a node's honesty a stable fact of the job.
+fn draw(clock: &DrawClock, round: u64, node: u64, channel: u64) -> f64 {
+    clock.uniform(&[round, node + 1, channel])
 }
 
-impl AdversaryClock {
-    /// Binds a plan to a job, mirroring [`crate::faults::FaultClock::new`].
-    pub fn new(plan: &AdversaryPlan, job_seed: u64) -> Self {
-        Self {
-            seed: derive_seed(plan.seed, job_seed),
-        }
-    }
-
-    /// Deterministic uniform draw in `[0, 1)` — the same mantissa construction as the
-    /// fault clock, minus the attempt derivation.
-    fn uniform(&self, round: u64, slot: u64, channel: u64) -> f64 {
-        let h = derive_seed(
-            derive_seed(derive_seed(self.seed, round), slot + 1),
-            channel,
-        );
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
+impl AdversaryPlan {
     /// Whether `node` is adversarial for this job (stable across rounds and retries).
-    pub fn is_adversary(&self, plan: &AdversaryPlan, node: u64) -> bool {
-        plan.is_active() && self.uniform(0, node, CH_MEMBER) < plan.adversary_rate
+    pub fn is_adversary(&self, clock: &DrawClock, node: u64) -> bool {
+        self.is_active() && draw(clock, 0, node, CH_MEMBER) < self.adversary_rate
     }
 
     /// Whether `node` belongs to the colluding cartel (implies [`Self::is_adversary`]).
-    pub fn in_cartel(&self, plan: &AdversaryPlan, node: u64) -> bool {
-        self.is_adversary(plan, node) && self.uniform(0, node, CH_CARTEL) < plan.cartel_rate
+    pub fn in_cartel(&self, clock: &DrawClock, node: u64) -> bool {
+        self.is_adversary(clock, node) && draw(clock, 0, node, CH_CARTEL) < self.cartel_rate
     }
 
     /// The bid distortion (if any) `node` applies in `round`. Cartel members always bid
@@ -306,22 +268,22 @@ impl AdversaryClock {
     /// (and may bid honestly when the class rates leave slack).
     pub fn bid_distortion(
         &self,
-        plan: &AdversaryPlan,
+        clock: &DrawClock,
         round: u64,
         node: u64,
     ) -> Option<BidDistortion> {
-        if !self.is_adversary(plan, node) {
+        if !self.is_adversary(clock, node) {
             return None;
         }
-        if self.in_cartel(plan, node) {
+        if self.in_cartel(clock, node) {
             return Some(BidDistortion::Cartel);
         }
-        let u = self.uniform(round, node, CH_BID);
-        if u < plan.overbid_rate {
+        let u = draw(clock, round, node, CH_BID);
+        if u < self.overbid_rate {
             Some(BidDistortion::Overbid)
-        } else if u < plan.overbid_rate + plan.underbid_rate {
+        } else if u < self.overbid_rate + self.underbid_rate {
             Some(BidDistortion::Underbid)
-        } else if u < plan.overbid_rate + plan.underbid_rate + plan.misreport_rate {
+        } else if u < self.overbid_rate + self.underbid_rate + self.misreport_rate {
             Some(BidDistortion::Misreport)
         } else {
             None
@@ -330,19 +292,19 @@ impl AdversaryClock {
 
     /// The update poison (if any) `node` applies to its winning update in `round`.
     /// Cartel members always sign-flip (a coordinated attack concentrates its direction).
-    pub fn update_poison(&self, plan: &AdversaryPlan, round: u64, node: u64) -> Option<Poison> {
-        if !self.is_adversary(plan, node) {
+    pub fn update_poison(&self, clock: &DrawClock, round: u64, node: u64) -> Option<Poison> {
+        if !self.is_adversary(clock, node) {
             return None;
         }
-        if self.in_cartel(plan, node) {
+        if self.in_cartel(clock, node) {
             return Some(Poison::SignFlip);
         }
-        let u = self.uniform(round, node, CH_POISON);
-        if u < plan.sign_flip_rate {
+        let u = draw(clock, round, node, CH_POISON);
+        if u < self.sign_flip_rate {
             Some(Poison::SignFlip)
-        } else if u < plan.sign_flip_rate + plan.scaled_rate {
+        } else if u < self.sign_flip_rate + self.scaled_rate {
             Some(Poison::Scaled)
-        } else if u < plan.sign_flip_rate + plan.scaled_rate + plan.free_rider_rate {
+        } else if u < self.sign_flip_rate + self.scaled_rate + self.free_rider_rate {
             Some(Poison::FreeRider)
         } else {
             None
@@ -395,19 +357,15 @@ impl ReputationSpec {
     ///
     /// [`FlError::InvalidConfig`] naming the offending field.
     pub fn validate(&self) -> Result<(), FlError> {
-        for (name, value) in [
-            ("initial", self.initial),
-            ("reward", self.reward),
-            ("penalty", self.penalty),
-            ("exclusion_threshold", self.exclusion_threshold),
-        ] {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(FlError::InvalidConfig(format!(
-                    "reputation spec {name} {value} must be within [0, 1]"
-                )));
-            }
-        }
-        Ok(())
+        validate_rates(
+            "reputation spec",
+            &[
+                &[("initial", self.initial)],
+                &[("reward", self.reward)],
+                &[("penalty", self.penalty)],
+                &[("exclusion_threshold", self.exclusion_threshold)],
+            ],
+        )
     }
 }
 
@@ -533,12 +491,12 @@ mod tests {
         let plan = AdversaryPlan::honest(99);
         plan.validate().unwrap();
         assert!(!plan.is_active());
-        let clock = AdversaryClock::new(&plan, 1234);
+        let clock = DrawClock::new(plan.seed, 1234);
         for node in 0..500 {
-            assert!(!clock.is_adversary(&plan, node));
-            assert!(!clock.in_cartel(&plan, node));
-            assert_eq!(clock.bid_distortion(&plan, 3, node), None);
-            assert_eq!(clock.update_poison(&plan, 3, node), None);
+            assert!(!plan.is_adversary(&clock, node));
+            assert!(!plan.in_cartel(&clock, node));
+            assert_eq!(plan.bid_distortion(&clock, 3, node), None);
+            assert_eq!(plan.update_poison(&clock, 3, node), None);
         }
     }
 
@@ -546,9 +504,9 @@ mod tests {
     fn membership_is_stable_and_hits_the_plan_rate() {
         let plan = AdversaryPlan::byzantine(42);
         plan.validate().unwrap();
-        let clock = AdversaryClock::new(&plan, 7);
+        let clock = DrawClock::new(plan.seed, 7);
         let adversaries = (0..10_000u64)
-            .filter(|&n| clock.is_adversary(&plan, n))
+            .filter(|&n| plan.is_adversary(&clock, n))
             .count();
         let rate = adversaries as f64 / 10_000.0;
         assert!(
@@ -557,43 +515,43 @@ mod tests {
             plan.adversary_rate
         );
         // Same clock, same verdicts — and an equal clock built from equal inputs agrees.
-        let again = AdversaryClock::new(&plan, 7);
+        let again = DrawClock::new(plan.seed, 7);
         for node in 0..200 {
             assert_eq!(
-                clock.is_adversary(&plan, node),
-                again.is_adversary(&plan, node)
+                plan.is_adversary(&clock, node),
+                plan.is_adversary(&again, node)
             );
             assert_eq!(
-                clock.bid_distortion(&plan, 11, node),
-                again.bid_distortion(&plan, 11, node)
+                plan.bid_distortion(&clock, 11, node),
+                plan.bid_distortion(&again, 11, node)
             );
         }
         // Membership does not depend on the round queried.
         for node in 0..200 {
-            let base = clock.is_adversary(&plan, node);
-            assert_eq!(clock.update_poison(&plan, 1, node).is_some(), base);
-            assert_eq!(clock.update_poison(&plan, 9, node).is_some(), base);
+            let base = plan.is_adversary(&clock, node);
+            assert_eq!(plan.update_poison(&clock, 1, node).is_some(), base);
+            assert_eq!(plan.update_poison(&clock, 9, node).is_some(), base);
         }
     }
 
     #[test]
     fn cartel_members_collude_every_round() {
         let plan = AdversaryPlan::byzantine(42);
-        let clock = AdversaryClock::new(&plan, 7);
-        let cartel: Vec<u64> = (0..2_000).filter(|&n| clock.in_cartel(&plan, n)).collect();
+        let clock = DrawClock::new(plan.seed, 7);
+        let cartel: Vec<u64> = (0..2_000).filter(|&n| plan.in_cartel(&clock, n)).collect();
         assert!(
             !cartel.is_empty(),
             "a 7.5% cartel should appear in 2000 nodes"
         );
         for &node in &cartel {
-            assert!(clock.is_adversary(&plan, node));
+            assert!(plan.is_adversary(&clock, node));
             for round in 0..5 {
                 assert_eq!(
-                    clock.bid_distortion(&plan, round, node),
+                    plan.bid_distortion(&clock, round, node),
                     Some(BidDistortion::Cartel)
                 );
                 assert_eq!(
-                    clock.update_poison(&plan, round, node),
+                    plan.update_poison(&clock, round, node),
                     Some(Poison::SignFlip)
                 );
             }
@@ -603,12 +561,12 @@ mod tests {
     #[test]
     fn independent_adversaries_vary_their_lies_by_round() {
         let plan = AdversaryPlan::byzantine(42);
-        let clock = AdversaryClock::new(&plan, 7);
+        let clock = DrawClock::new(plan.seed, 7);
         let loner = (0..5_000u64)
-            .find(|&n| clock.is_adversary(&plan, n) && !clock.in_cartel(&plan, n))
+            .find(|&n| plan.is_adversary(&clock, n) && !plan.in_cartel(&clock, n))
             .expect("an independent adversary exists");
         let distortions: Vec<_> = (0..64)
-            .map(|round| clock.bid_distortion(&plan, round, loner))
+            .map(|round| plan.bid_distortion(&clock, round, loner))
             .collect();
         assert!(
             distortions
@@ -620,7 +578,7 @@ mod tests {
         );
         // Poison classes sum to 1 in the byzantine preset: every round poisons.
         for round in 0..64 {
-            assert!(clock.update_poison(&plan, round, loner).is_some());
+            assert!(plan.update_poison(&clock, round, loner).is_some());
         }
     }
 

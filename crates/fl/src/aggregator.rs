@@ -12,51 +12,20 @@
 //! [`AggregationScratch`].
 
 use crate::error::FlError;
+use crate::faults::validate_at_least;
 
-/// Computes the data-size-weighted average of client parameter vectors:
-/// `w(t+1) = Σ D_i w_i(t+1) / Σ D_i`.
-///
-/// Updates with non-positive weight are ignored. Returns `Ok(None)` if there are no usable
-/// updates or the parameter vectors disagree in length.
-///
-/// # Errors
-///
-/// [`FlError::NonFiniteUpdate`] when an accepted update contains a NaN/±∞ parameter — such
-/// a value would silently poison every coordinate of the global model.
-pub fn federated_average(updates: &[(Vec<f64>, f64)]) -> Result<Option<Vec<f64>>, FlError> {
-    federated_average_slices(
-        updates
-            .iter()
-            .map(|(params, weight)| (params.as_slice(), *weight)),
-    )
-}
-
-/// Borrowing form of [`federated_average`]: averages parameter slices without requiring the
-/// caller to materialise owned vectors (used by the round engine, whose `LocalUpdate`s
-/// already own their parameters).
-///
-/// # Errors
-///
-/// As for [`federated_average`].
-pub fn federated_average_slices<'a, I>(updates: I) -> Result<Option<Vec<f64>>, FlError>
-where
-    I: IntoIterator<Item = (&'a [f64], f64)>,
-{
-    let mut out = Vec::new();
-    Ok(federated_average_into(updates, &mut out)?.then_some(out))
-}
-
-/// Accumulating form of [`federated_average_slices`]: writes the weighted average into `out`
-/// (cleared first, capacity reused), so a driver that averages every round reuses one buffer
-/// instead of allocating per round. Returns `Ok(false)` — leaving `out` empty — when there
-/// are no usable updates or the parameter vectors disagree in length.
+/// The data-size-weighted average of Eq. 3, `w(t+1) = Σ D_i w_i(t+1) / Σ D_i`, written
+/// into `out` (cleared first, capacity reused): the core of [`FedAvg`] and the survivor
+/// average of every screening rule. Updates with non-positive weight are ignored. Returns
+/// `Ok(false)` — leaving `out` empty — when there are no usable updates or the parameter
+/// vectors disagree in length.
 ///
 /// # Errors
 ///
 /// [`FlError::NonFiniteUpdate`] when an accepted (positive-weight) update contains a
-/// non-finite parameter; `out` is left empty. Callers that must *survive* poisoned updates
-/// screen them out first with [`federated_average_screened`].
-pub fn federated_average_into<'a, I>(updates: I, out: &mut Vec<f64>) -> Result<bool, FlError>
+/// non-finite parameter — such a value would silently poison every coordinate of the
+/// global model; `out` is left empty.
+fn federated_average_into<'a, I>(updates: I, out: &mut Vec<f64>) -> Result<bool, FlError>
 where
     I: IntoIterator<Item = (&'a [f64], f64)>,
 {
@@ -95,7 +64,7 @@ where
     Ok(true)
 }
 
-/// Screening policy of [`federated_average_screened`]: an update is quarantined when any
+/// Screening policy of [`MedianNormScreen`]: an update is quarantined when any
 /// parameter is non-finite, or when its L2 norm exceeds `norm_factor ×` the median norm of
 /// the finite updates in the batch (a relative gate, so the policy needs no knowledge of
 /// the model's scale).
@@ -136,7 +105,7 @@ pub enum UpdateFault {
 /// One quarantined update of a screened aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quarantine {
-    /// Index of the update in the batch handed to [`federated_average_screened`].
+    /// Index of the update in the batch handed to [`AggregationRule::aggregate_with`].
     pub index: usize,
     /// Why it was rejected.
     pub fault: UpdateFault,
@@ -149,92 +118,6 @@ pub struct ScreenedAggregation {
     pub accepted: usize,
     /// Updates rejected by screening, with their typed reasons, in batch order.
     pub quarantined: Vec<Quarantine>,
-}
-
-/// FedAvg with update screening: quarantines non-finite and norm-outlier updates (per
-/// `policy`), aggregates the survivors into `out`, and reports exactly what was rejected —
-/// the round *degrades* to the surviving winners instead of being poisoned or failing.
-///
-/// Screening is a pure function of the batch, so a screened aggregation is as
-/// deterministic as a plain one.
-///
-/// # Errors
-///
-/// [`FlError::AllUpdatesQuarantined`] when screening rejected every update of a non-empty
-/// batch — there is nothing left to aggregate, and silently keeping the stale model would
-/// hide the outage. (An empty batch returns `Ok` with `accepted == 0`.)
-pub fn federated_average_screened(
-    updates: &[(&[f64], f64)],
-    policy: &ScreenPolicy,
-    out: &mut Vec<f64>,
-) -> Result<ScreenedAggregation, FlError> {
-    screen_by_norm(updates, policy, out, &mut AggregationScratch::default())
-}
-
-/// Scratch-based core of [`federated_average_screened`], shared with the
-/// [`MedianNormScreen`] rule so both paths are bit-identical and the rule path reuses its
-/// buffers across rounds.
-fn screen_by_norm(
-    updates: &[(&[f64], f64)],
-    policy: &ScreenPolicy,
-    out: &mut Vec<f64>,
-    scratch: &mut AggregationScratch,
-) -> Result<ScreenedAggregation, FlError> {
-    out.clear();
-    if updates.is_empty() {
-        return Ok(ScreenedAggregation {
-            accepted: 0,
-            quarantined: Vec::new(),
-        });
-    }
-
-    scratch.norms.clear();
-    scratch.sorted.clear();
-    for (params, _) in updates {
-        let norm = params
-            .iter()
-            .all(|p| p.is_finite())
-            .then(|| params.iter().map(|p| p * p).sum::<f64>().sqrt());
-        if let Some(norm) = norm {
-            scratch.sorted.push(norm);
-        }
-        scratch.norms.push(norm);
-    }
-    scratch
-        .sorted
-        .sort_by(|a, b| a.partial_cmp(b).expect("finite norms are ordered"));
-    let finite = scratch.sorted.len();
-    let median = scratch.sorted.get(finite / 2).copied().unwrap_or(0.0);
-    let limit = policy.norm_factor * median;
-
-    let mut quarantined = Vec::new();
-    scratch.survivors.clear();
-    for (index, ((_, _), norm)) in updates.iter().zip(&scratch.norms).enumerate() {
-        match norm {
-            None => quarantined.push(Quarantine {
-                index,
-                fault: UpdateFault::NonFinite,
-            }),
-            Some(norm) if finite > 1 && *norm > limit => quarantined.push(Quarantine {
-                index,
-                fault: UpdateFault::NormOutlier { norm: *norm, limit },
-            }),
-            Some(_) => scratch.survivors.push(index),
-        }
-    }
-    if scratch.survivors.is_empty() {
-        return Err(FlError::AllUpdatesQuarantined {
-            quarantined: quarantined.len(),
-        });
-    }
-    let accepted = scratch.survivors.len();
-    // Screening removed every non-finite update, so the typed error path below is
-    // unreachable; `?` still propagates it rather than asserting.
-    federated_average_into(scratch.survivors.iter().map(|&i| updates[i]), out)?;
-    Ok(ScreenedAggregation {
-        accepted,
-        quarantined,
-    })
 }
 
 /// Reusable buffers for [`AggregationRule::aggregate_with`]. One scratch per driver keeps
@@ -278,7 +161,7 @@ impl AggregationScratch {
 /// The contract every impl honours (pinned by the property suite):
 ///
 /// - **FedAvg parity.** On a batch with no outliers — in particular, with zero
-///   adversaries — the output is bit-for-bit what [`federated_average_into`] produces.
+///   adversaries — the output is bit-for-bit what [`FedAvg`] produces.
 /// - **Permutation invariance.** The accepted/quarantined *sets* do not depend on batch
 ///   order (aggregation itself is reduced in a fixed batch-index order, so the output
 ///   bits do not either).
@@ -315,20 +198,6 @@ pub trait AggregationRule: Send + Sync + std::fmt::Debug {
         out: &mut Vec<f64>,
         scratch: &mut AggregationScratch,
     ) -> Result<ScreenedAggregation, FlError>;
-
-    /// Convenience form of [`AggregationRule::aggregate_with`] that allocates a throwaway
-    /// scratch — fine for tests and one-shot callers, not for per-round loops.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AggregationRule::aggregate_with`].
-    fn aggregate(
-        &self,
-        updates: &[(&[f64], f64)],
-        out: &mut Vec<f64>,
-    ) -> Result<ScreenedAggregation, FlError> {
-        self.aggregate_with(updates, out, &mut AggregationScratch::default())
-    }
 }
 
 /// Plain FedAvg (Eq. 3) as an [`AggregationRule`]: no screening, every positive-weight
@@ -361,8 +230,13 @@ impl AggregationRule for FedAvg {
     }
 }
 
-/// The existing median-norm screen ([`federated_average_screened`]) as an
-/// [`AggregationRule`]; both paths share one implementation, so they are bit-identical.
+/// FedAvg with update screening: quarantines non-finite and norm-outlier updates (per its
+/// [`ScreenPolicy`]), aggregates the survivors, and reports exactly what was rejected — the
+/// round *degrades* to the surviving winners instead of being poisoned or failing.
+/// Screening is a pure function of the batch, so a screened aggregation is as deterministic
+/// as a plain one. An empty batch is `Ok` with `accepted == 0`; rejecting every update of a
+/// non-empty batch is [`FlError::AllUpdatesQuarantined`], since silently keeping the stale
+/// model would hide the outage.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MedianNormScreen(pub ScreenPolicy);
 
@@ -372,13 +246,7 @@ impl AggregationRule for MedianNormScreen {
     }
 
     fn validate(&self) -> Result<(), FlError> {
-        if !self.0.norm_factor.is_finite() || self.0.norm_factor < 1.0 {
-            return Err(FlError::InvalidConfig(format!(
-                "median-norm norm_factor must be finite and >= 1, got {}",
-                self.0.norm_factor
-            )));
-        }
-        Ok(())
+        validate_at_least("median-norm", "norm_factor", self.0.norm_factor, 1.0)
     }
 
     fn aggregate_with(
@@ -387,7 +255,61 @@ impl AggregationRule for MedianNormScreen {
         out: &mut Vec<f64>,
         scratch: &mut AggregationScratch,
     ) -> Result<ScreenedAggregation, FlError> {
-        screen_by_norm(updates, &self.0, out, scratch)
+        out.clear();
+        if updates.is_empty() {
+            return Ok(ScreenedAggregation {
+                accepted: 0,
+                quarantined: Vec::new(),
+            });
+        }
+
+        scratch.norms.clear();
+        scratch.sorted.clear();
+        for (params, _) in updates {
+            let norm = params
+                .iter()
+                .all(|p| p.is_finite())
+                .then(|| params.iter().map(|p| p * p).sum::<f64>().sqrt());
+            if let Some(norm) = norm {
+                scratch.sorted.push(norm);
+            }
+            scratch.norms.push(norm);
+        }
+        scratch
+            .sorted
+            .sort_by(|a, b| a.partial_cmp(b).expect("finite norms are ordered"));
+        let finite = scratch.sorted.len();
+        let median = scratch.sorted.get(finite / 2).copied().unwrap_or(0.0);
+        let limit = self.0.norm_factor * median;
+
+        let mut quarantined = Vec::new();
+        scratch.survivors.clear();
+        for (index, ((_, _), norm)) in updates.iter().zip(&scratch.norms).enumerate() {
+            match norm {
+                None => quarantined.push(Quarantine {
+                    index,
+                    fault: UpdateFault::NonFinite,
+                }),
+                Some(norm) if finite > 1 && *norm > limit => quarantined.push(Quarantine {
+                    index,
+                    fault: UpdateFault::NormOutlier { norm: *norm, limit },
+                }),
+                Some(_) => scratch.survivors.push(index),
+            }
+        }
+        if scratch.survivors.is_empty() {
+            return Err(FlError::AllUpdatesQuarantined {
+                quarantined: quarantined.len(),
+            });
+        }
+        let accepted = scratch.survivors.len();
+        // Screening removed every non-finite update, so the typed error path below is
+        // unreachable; `?` still propagates it rather than asserting.
+        federated_average_into(scratch.survivors.iter().map(|&i| updates[i]), out)?;
+        Ok(ScreenedAggregation {
+            accepted,
+            quarantined,
+        })
     }
 }
 
@@ -414,7 +336,12 @@ impl AggregationRule for CoordinateMedian {
     }
 
     fn validate(&self) -> Result<(), FlError> {
-        validate_distance_factor("coordinate-median", self.distance_factor)
+        validate_at_least(
+            "coordinate-median",
+            "distance_factor",
+            self.distance_factor,
+            1.0,
+        )
     }
 
     fn aggregate_with(
@@ -458,7 +385,7 @@ impl AggregationRule for TrimmedMean {
     }
 
     fn validate(&self) -> Result<(), FlError> {
-        validate_distance_factor("trimmed-mean", self.distance_factor)
+        validate_at_least("trimmed-mean", "distance_factor", self.distance_factor, 1.0)
     }
 
     fn aggregate_with(
@@ -518,7 +445,7 @@ impl AggregationRule for Krum {
     }
 
     fn validate(&self) -> Result<(), FlError> {
-        validate_distance_factor("krum", self.distance_factor)?;
+        validate_at_least("krum", "distance_factor", self.distance_factor, 1.0)?;
         if self.select == 0 {
             return Err(FlError::InvalidConfig(
                 "krum select must be >= 1 (0 members would average to nothing)".into(),
@@ -542,16 +469,6 @@ impl AggregationRule for Krum {
             move |u, m, s| krum_center(u, m, s, f, select),
         )
     }
-}
-
-fn validate_distance_factor(rule: &str, factor: f64) -> Result<(), FlError> {
-    if !factor.is_finite() || factor < 1.0 {
-        return Err(FlError::InvalidConfig(format!(
-            "{rule} distance_factor must be finite and >= 1 (below 1 quarantines the \
-             median update itself), got {factor}"
-        )));
-    }
-    Ok(())
 }
 
 /// Shared body of the robust rules: filter to positive-weight finite members, let `center`
@@ -776,64 +693,62 @@ fn krum_center(
 mod tests {
     use super::*;
 
+    /// `rule` over `batch` with a fresh scratch and a dirty output buffer: `(report, out)`.
+    fn run(
+        rule: &dyn AggregationRule,
+        batch: &[(&[f64], f64)],
+    ) -> Result<(ScreenedAggregation, Vec<f64>), FlError> {
+        let mut out = vec![9.0];
+        let report = rule.aggregate_with(batch, &mut out, &mut AggregationScratch::new())?;
+        Ok((report, out))
+    }
+
     #[test]
     fn equal_weights_give_plain_mean() {
-        let avg = federated_average(&[(vec![1.0, 2.0], 1.0), (vec![3.0, 4.0], 1.0)])
-            .unwrap()
-            .unwrap();
+        let (report, avg) = run(&FedAvg, &[(&[1.0, 2.0], 1.0), (&[3.0, 4.0], 1.0)]).unwrap();
+        assert_eq!(report.accepted, 2);
         assert_eq!(avg, vec![2.0, 3.0]);
     }
 
     #[test]
     fn weights_follow_data_sizes() {
         // Eq. 3: node with 3x the data pulls the average 3x harder.
-        let avg = federated_average(&[(vec![0.0], 1.0), (vec![4.0], 3.0)])
-            .unwrap()
-            .unwrap();
+        let (_, avg) = run(&FedAvg, &[(&[0.0], 1.0), (&[4.0], 3.0)]).unwrap();
         assert_eq!(avg, vec![3.0]);
     }
 
     #[test]
     fn zero_and_negative_weights_are_ignored() {
-        let avg = federated_average(&[(vec![10.0], 0.0), (vec![-3.0], -5.0), (vec![2.0], 2.0)])
-            .unwrap()
-            .unwrap();
+        let batch: [(&[f64], f64); 3] = [(&[10.0], 0.0), (&[-3.0], -5.0), (&[2.0], 2.0)];
+        let (report, avg) = run(&FedAvg, &batch).unwrap();
+        assert_eq!(report.accepted, 1);
         assert_eq!(avg, vec![2.0]);
     }
 
     #[test]
-    fn degenerate_inputs_return_none() {
-        assert!(federated_average(&[]).unwrap().is_none());
-        assert!(federated_average(&[(vec![1.0], 0.0)]).unwrap().is_none());
-        assert!(
-            federated_average(&[(vec![1.0], 1.0), (vec![1.0, 2.0], 1.0)])
-                .unwrap()
-                .is_none()
-        );
-    }
-
-    #[test]
     fn single_update_is_returned_unchanged() {
-        let avg = federated_average(&[(vec![1.5, -2.5, 0.0], 7.0)])
-            .unwrap()
-            .unwrap();
+        let (_, avg) = run(&FedAvg, &[(&[1.5, -2.5, 0.0], 7.0)]).unwrap();
         assert_eq!(avg, vec![1.5, -2.5, 0.0]);
     }
 
     #[test]
     fn non_finite_updates_are_a_typed_error() {
         for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = federated_average(&[(vec![1.0], 1.0), (vec![poison], 1.0)]).unwrap_err();
+            let err = run(&FedAvg, &[(&[1.0], 1.0), (&[poison], 1.0)]).unwrap_err();
             assert_eq!(err, FlError::NonFiniteUpdate { index: 1 });
         }
         // Zero-weight poisoned updates are skipped before inspection, like any other
         // zero-weight update.
-        let avg = federated_average(&[(vec![f64::NAN], 0.0), (vec![3.0], 1.0)])
-            .unwrap()
-            .unwrap();
+        let (_, avg) = run(&FedAvg, &[(&[f64::NAN], 0.0), (&[3.0], 1.0)]).unwrap();
         assert_eq!(avg, vec![3.0]);
         let mut out = vec![9.0];
-        let err = federated_average_into([(&[f64::NAN][..], 1.0)], &mut out).unwrap_err();
+        let err = FedAvg
+            .aggregate_with(
+                &[(&[f64::NAN], 1.0)],
+                &mut out,
+                &mut AggregationScratch::new(),
+            )
+            .unwrap_err();
         assert_eq!(err, FlError::NonFiniteUpdate { index: 0 });
         assert!(out.is_empty(), "the buffer never carries poisoned output");
     }
@@ -852,9 +767,7 @@ mod tests {
             (&huge, 1.0),
             (&clean_c, 1.0),
         ];
-        let mut out = Vec::new();
-        let screened =
-            federated_average_screened(&updates, &ScreenPolicy::default(), &mut out).unwrap();
+        let (screened, out) = run(&MedianNormScreen::default(), &updates).unwrap();
         assert_eq!(screened.accepted, 3);
         assert_eq!(screened.quarantined.len(), 2);
         assert_eq!(screened.quarantined[0].index, 1);
@@ -874,8 +787,9 @@ mod tests {
         let b = vec![f64::INFINITY];
         let updates: Vec<(&[f64], f64)> = vec![(&a, 1.0), (&b, 1.0)];
         let mut out = Vec::new();
-        let err =
-            federated_average_screened(&updates, &ScreenPolicy::default(), &mut out).unwrap_err();
+        let err = MedianNormScreen::default()
+            .aggregate_with(&updates, &mut out, &mut AggregationScratch::new())
+            .unwrap_err();
         assert_eq!(err, FlError::AllUpdatesQuarantined { quarantined: 2 });
         assert!(out.is_empty());
     }
@@ -883,16 +797,12 @@ mod tests {
     #[test]
     fn screening_keeps_a_lone_update_and_empty_batches() {
         // A single clean update is never an outlier against itself.
-        let solo = vec![42.0];
-        let updates: Vec<(&[f64], f64)> = vec![(&solo, 2.0)];
-        let mut out = Vec::new();
-        let screened =
-            federated_average_screened(&updates, &ScreenPolicy::default(), &mut out).unwrap();
+        let (screened, out) = run(&MedianNormScreen::default(), &[(&[42.0], 2.0)]).unwrap();
         assert_eq!(screened.accepted, 1);
         assert!(screened.quarantined.is_empty());
         assert_eq!(out, vec![42.0]);
 
-        let screened = federated_average_screened(&[], &ScreenPolicy::default(), &mut out).unwrap();
+        let (screened, out) = run(&MedianNormScreen::default(), &[]).unwrap();
         assert_eq!(screened.accepted, 0);
         assert!(out.is_empty());
     }
@@ -1006,7 +916,9 @@ mod tests {
             Box::new(Krum::new(2)),
         ] {
             let mut out = Vec::new();
-            let report = rule.aggregate(&updates, &mut out).unwrap();
+            let report = rule
+                .aggregate_with(&updates, &mut out, &mut AggregationScratch::new())
+                .unwrap();
             assert_eq!(report.accepted, 6, "{}", rule.name());
             let faults: Vec<usize> = report.quarantined.iter().map(|q| q.index).collect();
             assert_eq!(faults, vec![6, 7], "{}", rule.name());
@@ -1026,7 +938,9 @@ mod tests {
             Box::new(Krum::new(1)),
         ] {
             let mut out = Vec::new();
-            let err = rule.aggregate(&updates, &mut out).unwrap_err();
+            let err = rule
+                .aggregate_with(&updates, &mut out, &mut AggregationScratch::new())
+                .unwrap_err();
             assert_eq!(
                 err,
                 FlError::AllUpdatesQuarantined { quarantined: 2 },
@@ -1036,7 +950,7 @@ mod tests {
             assert!(out.is_empty(), "{}", rule.name());
         }
         // FedAvg does not screen: the poison is its hard typed error.
-        let err = FedAvg.aggregate(&updates, &mut Vec::new()).unwrap_err();
+        let err = run(&FedAvg, &updates).unwrap_err();
         assert_eq!(err, FlError::NonFiniteUpdate { index: 0 });
     }
 

@@ -5,17 +5,15 @@
 //! by the MEC cluster simulator, or by an experiment sweep — is the same pipeline:
 //!
 //! ```text
-//!    bid collection    ──    auction    ── local training ── aggregation ── evaluation
-//! (collect_adopted_bids) (auction_select) (local_training)   (aggregate)    (trainer)
+//!    bid collection    ──    auction    ── local training ──     aggregation     ── evaluation
+//! (collect_adopted_bids) (auction_select) (local_training) (aggregate_with_rule)  (trainer)
 //! ```
 //!
 //! This module holds the shared implementation of each stage and the execution substrate
-//! they run on. The original trainer spawned a fresh `crossbeam` scope with one thread per
-//! winner every round and pushed results into a locked `Vec` that then had to be re-sorted;
-//! the [`WorkerPool`] here — the sharded work-stealing executor of [`crate::executor`] —
-//! is created once, reused across rounds (and across trainers, via [`shared_pool`]), and
-//! collects results into pre-sized slots indexed by submission order — deterministic by
-//! construction, no per-task queue contention, no per-round thread churn.
+//! they run on: the [`WorkerPool`] — the sharded work-stealing executor of
+//! [`crate::executor`] — is created once, reused across rounds (and across trainers, via
+//! [`shared_pool`]), and collects results into pre-sized slots indexed by submission order —
+//! deterministic by construction, no per-task queue contention, no per-round thread churn.
 //!
 //! Parallelism never affects results: a training job owns its slot's reusable model instance
 //! and scratch arena ([`SlotState`]), a shared snapshot of the global parameters, its sample
@@ -29,10 +27,7 @@
 //! slot keeps one model + arena for the life of the trainer, re-pointed at the new global
 //! parameters each round; see `crates/README.md` ("The allocation-free hot path").
 
-use crate::aggregator::{
-    federated_average_into, federated_average_slices, AggregationRule, AggregationScratch,
-    ScreenedAggregation,
-};
+use crate::aggregator::{AggregationRule, AggregationScratch, ScreenedAggregation};
 use crate::client::EdgeClient;
 use crate::error::FlError;
 use crate::metrics::WinnerInfo;
@@ -47,7 +42,6 @@ use fmore_ml::model::{Model, Sequential};
 use fmore_numerics::seeded_rng;
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 
 pub use crate::executor::{default_threads, JobPanic, Task, WorkerPool};
 
@@ -64,18 +58,14 @@ pub fn shared_pool() -> Arc<WorkerPool> {
 pub enum ExecutionMode {
     /// Sequential execution on the calling thread.
     Inline,
-    /// One fresh OS thread per task per round — the strategy of the original trainer, kept
-    /// for benchmarking against the pool.
-    SpawnPerRound,
     /// Reused worker threads from a persistent [`WorkerPool`].
     Pooled,
 }
 
-/// The execution substrate of one round pipeline: an [`ExecutionMode`] plus (for pooled
-/// mode) the pool the work is submitted to.
+/// The execution substrate of one round pipeline: the pool the work is submitted to, or
+/// none for inline execution on the calling thread.
 #[derive(Debug, Clone)]
 pub struct RoundEngine {
-    mode: ExecutionMode,
     pool: Option<Arc<WorkerPool>>,
 }
 
@@ -89,19 +79,7 @@ impl Default for RoundEngine {
 impl RoundEngine {
     /// An engine executing tasks sequentially on the calling thread.
     pub fn inline() -> Self {
-        Self {
-            mode: ExecutionMode::Inline,
-            pool: None,
-        }
-    }
-
-    /// An engine spawning one fresh thread per task per round (the pre-refactor behaviour;
-    /// kept so the bench suite can measure what the pool buys).
-    pub fn spawn_per_round() -> Self {
-        Self {
-            mode: ExecutionMode::SpawnPerRound,
-            pool: None,
-        }
+        Self { pool: None }
     }
 
     /// An engine owning a fresh pool with `threads` workers (`0` means [`default_threads`]).
@@ -111,15 +89,15 @@ impl RoundEngine {
 
     /// An engine submitting to an existing (possibly shared) pool.
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
-        Self {
-            mode: ExecutionMode::Pooled,
-            pool: Some(pool),
-        }
+        Self { pool: Some(pool) }
     }
 
     /// The engine's execution mode.
     pub fn mode(&self) -> ExecutionMode {
-        self.mode
+        match self.pool {
+            Some(_) => ExecutionMode::Pooled,
+            None => ExecutionMode::Inline,
+        }
     }
 
     /// The pool backing a [`ExecutionMode::Pooled`] engine.
@@ -132,43 +110,14 @@ impl RoundEngine {
     /// pooled engines). Bounding in-flight shards by this keeps the stage's transient
     /// memory at `O(width · shard)` instead of `O(N)`.
     pub fn parallel_width(&self) -> usize {
-        match self.mode {
-            ExecutionMode::Inline => 1,
-            ExecutionMode::SpawnPerRound => default_threads(),
-            ExecutionMode::Pooled => self
-                .pool
-                .as_ref()
-                .expect("pooled engine always has a pool")
-                .threads()
-                .max(1),
-        }
-    }
-
-    /// Runs the tasks under the configured mode, returning results in submission order in
-    /// every mode.
-    ///
-    /// This is the legacy batch-driver entry point; service-facing stages go through
-    /// [`RoundEngine::try_run_tasks`] instead, where a panicking task becomes a typed
-    /// [`FlError::JobPanic`] on the submitting round rather than a process abort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a task panics.
-    pub fn run_tasks<T: Send + 'static>(&self, tasks: Vec<Task<T>>) -> Vec<T> {
-        self.run_tasks_checked(tasks)
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(value) => value,
-                Err(marker) => panic!("{marker}"),
-            })
-            .collect()
+        self.pool.as_ref().map_or(1, |pool| pool.threads().max(1))
     }
 
     /// Runs the tasks under the configured mode, returning each slot's fate **in submission
     /// order** in every mode: `Ok` with the task's value, or the [`JobPanic`] marker of a
     /// task that panicked. Panics never propagate, never kill pool workers, and never mask
-    /// sibling results — the checked twin of [`RoundEngine::run_tasks`], routed through
-    /// [`WorkerPool::run_indexed_checked`] on pooled engines.
+    /// sibling results — routed through [`WorkerPool::run_indexed_checked`] on pooled
+    /// engines.
     pub fn run_tasks_checked<T: Send + 'static>(
         &self,
         tasks: Vec<Task<T>>,
@@ -178,30 +127,15 @@ impl RoundEngine {
             slot,
             message: crate::executor::panic_message(payload),
         };
-        match self.mode {
-            ExecutionMode::Inline => tasks
+        match &self.pool {
+            Some(pool) => pool.run_indexed_checked(tasks),
+            None => tasks
                 .into_iter()
                 .enumerate()
                 .map(|(slot, task)| {
                     catch_unwind(AssertUnwindSafe(task)).map_err(|p| caught(slot, p))
                 })
                 .collect(),
-            ExecutionMode::SpawnPerRound => {
-                let handles: Vec<JoinHandle<T>> = tasks
-                    .into_iter()
-                    .map(|task| std::thread::spawn(task))
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(slot, h)| h.join().map_err(|p| caught(slot, p)))
-                    .collect()
-            }
-            ExecutionMode::Pooled => self
-                .pool
-                .as_ref()
-                .expect("pooled engine always has a pool")
-                .run_indexed_checked(tasks),
         }
     }
 
@@ -1029,33 +963,11 @@ pub fn local_training_with(
 // Stage 5: aggregation.
 // ---------------------------------------------------------------------------
 
-/// Aggregates local updates into new global parameters by data-weighted FedAvg (step 6 of
-/// Algorithm 1). Returns `Ok(None)` when there are no updates.
-///
-/// # Errors
-///
-/// [`FlError::NonFiniteUpdate`] when an update carries a NaN/±∞ parameter.
-pub fn aggregate(updates: &[LocalUpdate]) -> Result<Option<Vec<f64>>, FlError> {
-    federated_average_slices(updates.iter().map(|u| (u.parameters.as_slice(), u.weight)))
-}
-
-/// Allocation-free form of [`aggregate`]: accumulates the weighted average into `out`
-/// (capacity reused). Returns `Ok(false)` — leaving `out` empty — when there is nothing to
-/// aggregate.
-///
-/// # Errors
-///
-/// [`FlError::NonFiniteUpdate`] when an update carries a NaN/±∞ parameter.
-pub fn aggregate_into(updates: &[LocalUpdate], out: &mut Vec<f64>) -> Result<bool, FlError> {
-    federated_average_into(
-        updates.iter().map(|u| (u.parameters.as_slice(), u.weight)),
-        out,
-    )
-}
-
-/// Aggregates local updates through a pluggable [`AggregationRule`], reusing `scratch`
-/// so the rule's internals allocate nothing in steady state. Returns the screening
-/// verdict; `out` holds the new global parameters when anything was accepted.
+/// Aggregates local updates into new global parameters (step 6 of Algorithm 1) through a
+/// pluggable [`AggregationRule`] — [`crate::aggregator::FedAvg`] is the paper's Eq. 3 —
+/// reusing `scratch` so the rule's internals allocate nothing in steady state. Returns
+/// the screening verdict; `out` holds the new global parameters when anything was
+/// accepted.
 ///
 /// # Errors
 ///
@@ -1136,11 +1048,10 @@ mod tests {
                 .map(|i| Box::new(move || (i as i64 - 6) * 3) as Task<i64>)
                 .collect()
         };
-        let inline = RoundEngine::inline().run_tasks(make());
-        let spawned = RoundEngine::spawn_per_round().run_tasks(make());
-        let pooled = RoundEngine::pooled(3).run_tasks(make());
-        let shared = RoundEngine::default().run_tasks(make());
-        assert_eq!(inline, spawned);
+        let run = |engine: RoundEngine| engine.try_run_tasks(make()).unwrap();
+        let inline = run(RoundEngine::inline());
+        let pooled = run(RoundEngine::pooled(3));
+        let shared = run(RoundEngine::default());
         assert_eq!(inline, pooled);
         assert_eq!(inline, shared);
     }
@@ -1149,10 +1060,6 @@ mod tests {
     fn engine_exposes_mode_and_pool() {
         assert_eq!(RoundEngine::inline().mode(), ExecutionMode::Inline);
         assert!(RoundEngine::inline().pool().is_none());
-        assert_eq!(
-            RoundEngine::spawn_per_round().mode(),
-            ExecutionMode::SpawnPerRound
-        );
         let engine = RoundEngine::pooled(2);
         assert_eq!(engine.mode(), ExecutionMode::Pooled);
         assert_eq!(engine.pool().unwrap().threads(), 2);
@@ -1540,11 +1447,7 @@ mod tests {
             }
             Ok(())
         });
-        for engine in [
-            RoundEngine::inline(),
-            RoundEngine::spawn_per_round(),
-            RoundEngine::pooled(2),
-        ] {
+        for engine in [RoundEngine::inline(), RoundEngine::pooled(2)] {
             let err = auction_select_streamed(
                 &auction,
                 128,
@@ -1577,11 +1480,7 @@ mod tests {
                 })
                 .collect()
         };
-        for engine in [
-            RoundEngine::inline(),
-            RoundEngine::spawn_per_round(),
-            RoundEngine::pooled(3),
-        ] {
+        for engine in [RoundEngine::inline(), RoundEngine::pooled(3)] {
             let fates = engine.run_tasks_checked(make());
             assert_eq!(fates.len(), 8);
             for (i, fate) in fates.iter().enumerate() {
@@ -1605,7 +1504,6 @@ mod tests {
     fn engine_parallel_width_matches_the_substrate() {
         assert_eq!(RoundEngine::inline().parallel_width(), 1);
         assert_eq!(RoundEngine::pooled(3).parallel_width(), 3);
-        assert!(RoundEngine::spawn_per_round().parallel_width() >= 1);
     }
 
     fn fan_out_jobs(sizes: &[usize]) -> Vec<TrainingJob> {
@@ -1692,6 +1590,7 @@ mod tests {
 
     #[test]
     fn aggregate_weights_by_data_size() {
+        use crate::aggregator::FedAvg;
         let updates = vec![
             LocalUpdate {
                 slot: 0,
@@ -1706,14 +1605,19 @@ mod tests {
                 weight: 1.0,
             },
         ];
-        let avg = aggregate(&updates).unwrap().unwrap();
+        let mut scratch = AggregationScratch::new();
+        let mut avg = Vec::new();
+        let report = aggregate_with_rule(&FedAvg, &updates, &mut scratch, &mut avg).unwrap();
+        assert_eq!(report.accepted, 2);
         assert!((avg[0] - 0.75).abs() < 1e-12);
         assert!((avg[1] - 0.25).abs() < 1e-12);
-        assert_eq!(aggregate(&[]).unwrap(), None);
+        let report = aggregate_with_rule(&FedAvg, &[], &mut scratch, &mut avg).unwrap();
+        assert_eq!(report.accepted, 0);
+        assert!(avg.is_empty());
         let mut poisoned = updates;
         poisoned[0].parameters[1] = f64::NAN;
         assert_eq!(
-            aggregate(&poisoned).unwrap_err(),
+            aggregate_with_rule(&FedAvg, &poisoned, &mut scratch, &mut avg).unwrap_err(),
             FlError::NonFiniteUpdate { index: 0 }
         );
     }

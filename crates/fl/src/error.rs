@@ -47,8 +47,8 @@ pub enum FlError {
         budget_secs: f64,
     },
     /// An update handed to the aggregator contains a non-finite parameter. Raised by
-    /// [`crate::aggregator::federated_average_into`]; the screened service path quarantines
-    /// such updates before they reach this error.
+    /// [`crate::aggregator::FedAvg`], which does not screen; the screening rules quarantine
+    /// such updates instead.
     NonFiniteUpdate {
         /// Index of the poisoned update in the aggregation batch.
         index: usize,

@@ -8,9 +8,10 @@
 //! them on demand — and an untested recovery path is a broken recovery path.
 //!
 //! This module is the provoker. A [`FaultPlan`] attached to a
-//! [`JobSpec`](crate::service::JobSpec) describes fault rates; a [`FaultClock`] turns the
-//! plan's one seed word into per-`(job, round, attempt, slot)` uniform draws with exactly
-//! the same `derive_seed`-chain discipline as the straggler draws of
+//! [`JobSpec`](crate::service::JobSpec) describes fault rates, and decides each fault from
+//! a [`DrawClock`] that turns the plan's one seed word into per-`(job, round, attempt,
+//! slot)` uniform draws with exactly the same keyed-draw discipline
+//! ([`keyed_unit`]) as the straggler draws of
 //! [`DeadlineSpec`](crate::service::DeadlineSpec). Two consequences fall out of that
 //! discipline:
 //!
@@ -29,7 +30,7 @@
 //! fast and bit-stable.
 
 use crate::error::FlError;
-use fmore_numerics::rng::derive_seed;
+use fmore_numerics::rng::{derive_seed, keyed_unit};
 
 /// How a corrupted model update is corrupted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +95,8 @@ pub struct FaultEvent {
 
 /// A job's fault-injection plan: per-stage fault rates, all derived from one seed word.
 ///
-/// Rates are per-slot (or per-shard, for fill panics) Bernoulli probabilities evaluated by
-/// the job's [`FaultClock`]. A plan is pure data — attaching it to a spec changes the
+/// Rates are per-slot (or per-shard, for fill panics) Bernoulli probabilities evaluated
+/// against the job's [`DrawClock`]. A plan is pure data — attaching it to a spec changes the
 /// job's history only through the faults it injects, and two jobs with the same plan but
 /// different job seeds draw independent fault streams.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,31 +151,19 @@ impl FaultPlan {
     ///
     /// [`FlError::InvalidConfig`] naming the offending field.
     pub fn validate(&self) -> Result<(), FlError> {
-        for (name, rate) in [
-            ("fill_panic_rate", self.fill_panic_rate),
-            ("panic_rate", self.panic_rate),
-            ("stall_rate", self.stall_rate),
-            ("dropout_rate", self.dropout_rate),
-            ("corrupt_rate", self.corrupt_rate),
-        ] {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(FlError::InvalidConfig(format!(
-                    "fault plan {name} {rate} is not a probability in [0, 1]"
-                )));
-            }
-        }
-        if self.panic_rate + self.stall_rate > 1.0 {
-            return Err(FlError::InvalidConfig(format!(
-                "fault plan panic_rate + stall_rate {} exceeds the one-draw budget of 1",
-                self.panic_rate + self.stall_rate
-            )));
-        }
-        if !self.stall_secs.is_finite() || self.stall_secs < 0.0 {
-            return Err(FlError::InvalidConfig(format!(
-                "fault plan stall_secs {} must be finite and non-negative",
-                self.stall_secs
-            )));
-        }
+        validate_rates(
+            "fault plan",
+            &[
+                &[("fill_panic_rate", self.fill_panic_rate)],
+                &[
+                    ("panic_rate", self.panic_rate),
+                    ("stall_rate", self.stall_rate),
+                ],
+                &[("dropout_rate", self.dropout_rate)],
+                &[("corrupt_rate", self.corrupt_rate)],
+            ],
+        )?;
+        validate_at_least("fault plan", "stall_secs", self.stall_secs, 0.0)?;
         if !self.corrupt_scale.is_finite() {
             return Err(FlError::InvalidConfig(format!(
                 "fault plan corrupt_scale {} must be finite",
@@ -182,6 +171,74 @@ impl FaultPlan {
             )));
         }
         Ok(())
+    }
+
+    /// This attempt's draw on channel `ch` for `slot`, or `None` when the plan is not active
+    /// on `attempt`.
+    fn draw(&self, clock: &DrawClock, round: u64, attempt: u32, slot: u64, ch: u64) -> Option<f64> {
+        (attempt < self.faulty_attempts)
+            .then(|| clock.uniform(&[round, u64::from(attempt) + 1, slot + 1, ch]))
+    }
+
+    /// Whether the bid-collection shard starting at `shard_start` panics this attempt.
+    pub fn fill_panics(
+        &self,
+        clock: &DrawClock,
+        round: u64,
+        attempt: u32,
+        shard_start: usize,
+    ) -> bool {
+        self.draw(clock, round, attempt, shard_start as u64, CH_FILL_PANIC)
+            .is_some_and(|u| u < self.fill_panic_rate)
+    }
+
+    /// The fault (if any) injected into winner `slot`'s work task this attempt: one draw
+    /// split between [`FaultKind::WorkPanic`] and [`FaultKind::Stall`], so a slot never
+    /// both panics and stalls.
+    pub fn work_fault(
+        &self,
+        clock: &DrawClock,
+        round: u64,
+        attempt: u32,
+        slot: usize,
+    ) -> Option<FaultKind> {
+        let u = self.draw(clock, round, attempt, slot as u64, CH_WORK)?;
+        if u < self.panic_rate {
+            Some(FaultKind::WorkPanic)
+        } else if u < self.panic_rate + self.stall_rate {
+            Some(FaultKind::Stall)
+        } else {
+            None
+        }
+    }
+
+    /// Whether winner `slot` drops out mid-round this attempt.
+    pub fn drops_out(&self, clock: &DrawClock, round: u64, attempt: u32, slot: usize) -> bool {
+        self.draw(clock, round, attempt, slot as u64, CH_DROPOUT)
+            .is_some_and(|u| u < self.dropout_rate)
+    }
+
+    /// The corruption (if any) applied to winner `slot`'s update this attempt; the
+    /// corruption kind is a second, independent draw split evenly three ways.
+    pub fn corruption(
+        &self,
+        clock: &DrawClock,
+        round: u64,
+        attempt: u32,
+        slot: usize,
+    ) -> Option<Corruption> {
+        let hit = self.draw(clock, round, attempt, slot as u64, CH_CORRUPT)?;
+        if hit >= self.corrupt_rate {
+            return None;
+        }
+        let kind = self.draw(clock, round, attempt, slot as u64, CH_CORRUPT_KIND)?;
+        Some(if kind < 1.0 / 3.0 {
+            Corruption::Nan
+        } else if kind < 2.0 / 3.0 {
+            Corruption::Inf
+        } else {
+            Corruption::Scale
+        })
     }
 }
 
@@ -193,103 +250,27 @@ const CH_DROPOUT: u64 = 0xF3;
 const CH_CORRUPT: u64 = 0xF4;
 const CH_CORRUPT_KIND: u64 = 0xF5;
 
-/// The deterministic fault stream of one job: `derive_seed`-chained uniforms keyed by
-/// `(plan seed ⊕ job seed, round, attempt, slot, channel)`.
+/// The deterministic draw stream of one job under one plan: uniforms in `[0, 1)` that are
+/// pure functions of `(plan seed ⊕ job seed, keys)` ([`keyed_unit`]). [`FaultPlan`] keys
+/// its draws by `(round, attempt, slot, channel)`; [`AdversaryPlan`](crate::AdversaryPlan)
+/// by `(round, node, channel)`, with no attempt key (see [`crate::adversary`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultClock {
-    seed: u64,
+pub struct DrawClock {
+    root: u64,
 }
 
-impl FaultClock {
-    /// Binds a plan to a job: the clock's root seed mixes the plan's seed word with the
-    /// job's auction seed, so two jobs sharing one plan still fault independently.
-    pub fn new(plan: &FaultPlan, job_seed: u64) -> Self {
+impl DrawClock {
+    /// Binds a plan's seed word to a job: the root mixes it with the job's auction seed, so
+    /// two jobs sharing one plan still draw independently.
+    pub fn new(plan_seed: u64, job_seed: u64) -> Self {
         Self {
-            seed: derive_seed(plan.seed, job_seed),
+            root: derive_seed(plan_seed, job_seed),
         }
     }
 
-    /// Deterministic uniform draw in `[0, 1)` — the same mantissa construction as
-    /// `DeadlineSpec::uniform`, one more derivation deep for the attempt and channel.
-    fn uniform(&self, round: u64, attempt: u32, slot: u64, channel: u64) -> f64 {
-        let h = derive_seed(
-            derive_seed(
-                derive_seed(derive_seed(self.seed, round), u64::from(attempt) + 1),
-                slot + 1,
-            ),
-            channel,
-        );
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    fn active(plan: &FaultPlan, attempt: u32) -> bool {
-        attempt < plan.faulty_attempts
-    }
-
-    /// Whether the bid-collection shard starting at `shard_start` panics this attempt.
-    pub fn fill_panics(
-        &self,
-        plan: &FaultPlan,
-        round: u64,
-        attempt: u32,
-        shard_start: usize,
-    ) -> bool {
-        Self::active(plan, attempt)
-            && self.uniform(round, attempt, shard_start as u64, CH_FILL_PANIC)
-                < plan.fill_panic_rate
-    }
-
-    /// The fault (if any) injected into winner `slot`'s work task this attempt: one draw
-    /// split between [`FaultKind::WorkPanic`] and [`FaultKind::Stall`], so a slot never
-    /// both panics and stalls.
-    pub fn work_fault(
-        &self,
-        plan: &FaultPlan,
-        round: u64,
-        attempt: u32,
-        slot: usize,
-    ) -> Option<FaultKind> {
-        if !Self::active(plan, attempt) {
-            return None;
-        }
-        let u = self.uniform(round, attempt, slot as u64, CH_WORK);
-        if u < plan.panic_rate {
-            Some(FaultKind::WorkPanic)
-        } else if u < plan.panic_rate + plan.stall_rate {
-            Some(FaultKind::Stall)
-        } else {
-            None
-        }
-    }
-
-    /// Whether winner `slot` drops out mid-round this attempt.
-    pub fn drops_out(&self, plan: &FaultPlan, round: u64, attempt: u32, slot: usize) -> bool {
-        Self::active(plan, attempt)
-            && self.uniform(round, attempt, slot as u64, CH_DROPOUT) < plan.dropout_rate
-    }
-
-    /// The corruption (if any) applied to winner `slot`'s update this attempt; the
-    /// corruption kind is a second, independent draw split evenly three ways.
-    pub fn corruption(
-        &self,
-        plan: &FaultPlan,
-        round: u64,
-        attempt: u32,
-        slot: usize,
-    ) -> Option<Corruption> {
-        if !Self::active(plan, attempt)
-            || self.uniform(round, attempt, slot as u64, CH_CORRUPT) >= plan.corrupt_rate
-        {
-            return None;
-        }
-        let kind = self.uniform(round, attempt, slot as u64, CH_CORRUPT_KIND);
-        Some(if kind < 1.0 / 3.0 {
-            Corruption::Nan
-        } else if kind < 2.0 / 3.0 {
-            Corruption::Inf
-        } else {
-            Corruption::Scale
-        })
+    /// The draw keyed by `keys`.
+    pub fn uniform(&self, keys: &[u64]) -> f64 {
+        keyed_unit(self.root, keys)
     }
 }
 
@@ -327,6 +308,19 @@ impl WatchdogSpec {
         }
     }
 
+    /// Validates the budget and backoff: `round_budget_secs` and `backoff_base_secs` must
+    /// be finite and non-negative (a NaN budget never trips, a NaN base poisons every
+    /// backoff), `backoff_factor` finite and at least 1.
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::InvalidConfig`] naming the offending field.
+    pub fn validate(&self) -> Result<(), FlError> {
+        validate_at_least("watchdog", "round_budget_secs", self.round_budget_secs, 0.0)?;
+        validate_at_least("watchdog", "backoff_base_secs", self.backoff_base_secs, 0.0)?;
+        validate_at_least("watchdog", "backoff_factor", self.backoff_factor, 1.0)
+    }
+
     /// The backoff charged before retrying failed attempt `attempt` (0-based).
     pub fn backoff_secs(&self, attempt: u32) -> f64 {
         self.backoff_base_secs * self.backoff_factor.powi(attempt as i32)
@@ -347,6 +341,54 @@ impl WatchdogSpec {
     }
 }
 
+/// Validates `owner`'s probability fields, grouped into families of rates that split one
+/// uniform draw between them (a lone rate is a family of one): every rate must lie in
+/// `[0, 1]`, and each family must sum to at most 1, or its later bands would be silently
+/// truncated.
+///
+/// # Errors
+///
+/// [`FlError::InvalidConfig`] naming the offending field or family.
+pub(crate) fn validate_rates(owner: &str, families: &[&[(&str, f64)]]) -> Result<(), FlError> {
+    for family in families {
+        for &(name, rate) in *family {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(FlError::InvalidConfig(format!(
+                    "{owner} {name} {rate} must lie in [0, 1]"
+                )));
+            }
+        }
+        let total: f64 = family.iter().map(|&(_, rate)| rate).sum();
+        if total > 1.0 {
+            let names: Vec<&str> = family.iter().map(|&(name, _)| name).collect();
+            return Err(FlError::InvalidConfig(format!(
+                "{owner} {} sum to {total} > 1 (they share one draw)",
+                names.join(" + ")
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// `Ok` when `owner`'s field `name` is finite and at least `min`.
+///
+/// # Errors
+///
+/// [`FlError::InvalidConfig`] naming the field otherwise (NaN included).
+pub(crate) fn validate_at_least(
+    owner: &str,
+    name: &str,
+    value: f64,
+    min: f64,
+) -> Result<(), FlError> {
+    if value.is_finite() && value >= min {
+        return Ok(());
+    }
+    Err(FlError::InvalidConfig(format!(
+        "{owner} {name} {value} must be finite and >= {min}"
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,25 +396,25 @@ mod tests {
     #[test]
     fn draws_are_deterministic_and_attempt_keyed() {
         let plan = FaultPlan::chaos(99);
-        let clock = FaultClock::new(&plan, 7);
+        let clock = DrawClock::new(plan.seed, 7);
         for slot in 0..32 {
             assert_eq!(
-                clock.work_fault(&plan, 3, 0, slot),
-                clock.work_fault(&plan, 3, 0, slot),
+                plan.work_fault(&clock, 3, 0, slot),
+                plan.work_fault(&clock, 3, 0, slot),
                 "same key, same draw"
             );
         }
         // With faulty_attempts = 1 every retry attempt is clean by construction.
         for slot in 0..64 {
-            assert_eq!(clock.work_fault(&plan, 3, 1, slot), None);
-            assert!(!clock.drops_out(&plan, 3, 2, slot));
-            assert_eq!(clock.corruption(&plan, 3, 1, slot), None);
-            assert!(!clock.fill_panics(&plan, 3, 1, slot));
+            assert_eq!(plan.work_fault(&clock, 3, 1, slot), None);
+            assert!(!plan.drops_out(&clock, 3, 2, slot));
+            assert_eq!(plan.corruption(&clock, 3, 1, slot), None);
+            assert!(!plan.fill_panics(&clock, 3, 1, slot));
         }
         let mut unlimited = plan.clone();
         unlimited.faulty_attempts = u32::MAX;
         let faults_on_retry = (0..64)
-            .filter(|&slot| clock.work_fault(&unlimited, 3, 1, slot).is_some())
+            .filter(|&slot| unlimited.work_fault(&clock, 3, 1, slot).is_some())
             .count();
         assert!(faults_on_retry > 0, "unlimited plans keep faulting retries");
     }
@@ -380,10 +422,10 @@ mod tests {
     #[test]
     fn rates_are_respected_in_aggregate() {
         let plan = FaultPlan::chaos(1234);
-        let clock = FaultClock::new(&plan, 1);
+        let clock = DrawClock::new(plan.seed, 1);
         let n = 4000;
         let drops = (0..n)
-            .filter(|&slot| clock.drops_out(&plan, 1, 0, slot))
+            .filter(|&slot| plan.drops_out(&clock, 1, 0, slot))
             .count();
         let rate = drops as f64 / n as f64;
         assert!(
@@ -392,10 +434,10 @@ mod tests {
             plan.dropout_rate
         );
         // Different jobs sharing one plan draw independent streams.
-        let other = FaultClock::new(&plan, 2);
+        let other = DrawClock::new(plan.seed, 2);
         let agree = (0..n)
             .filter(|&slot| {
-                clock.drops_out(&plan, 1, 0, slot) == other.drops_out(&plan, 1, 0, slot)
+                plan.drops_out(&clock, 1, 0, slot) == plan.drops_out(&other, 1, 0, slot)
             })
             .count();
         assert!(agree < n, "two jobs' fault streams must differ");
@@ -404,10 +446,10 @@ mod tests {
     #[test]
     fn corruption_kinds_all_occur_and_apply() {
         let plan = FaultPlan::chaos(5);
-        let clock = FaultClock::new(&plan, 9);
+        let clock = DrawClock::new(plan.seed, 9);
         let mut seen = [false; 3];
         for slot in 0..2000 {
-            match clock.corruption(&plan, 1, 0, slot) {
+            match plan.corruption(&clock, 1, 0, slot) {
                 Some(Corruption::Nan) => seen[0] = true,
                 Some(Corruption::Inf) => seen[1] = true,
                 Some(Corruption::Scale) => seen[2] = true,

@@ -48,13 +48,11 @@ pub mod service;
 pub mod trainer;
 
 pub use adversary::{
-    AdversaryClock, AdversaryPlan, BidDistortion, Poison, ReputationFilter, ReputationLedger,
-    ReputationSpec,
+    AdversaryPlan, BidDistortion, Poison, ReputationFilter, ReputationLedger, ReputationSpec,
 };
 pub use aggregator::{
-    federated_average, federated_average_into, federated_average_screened, AggregationRule,
-    AggregationScratch, CoordinateMedian, FedAvg, Krum, MedianNormScreen, Quarantine, ScreenPolicy,
-    ScreenedAggregation, TrimmedMean, UpdateFault,
+    AggregationRule, AggregationScratch, CoordinateMedian, FedAvg, Krum, MedianNormScreen,
+    Quarantine, ScreenPolicy, ScreenedAggregation, TrimmedMean, UpdateFault,
 };
 pub use chain::{run_chains, TaskChain};
 pub use client::EdgeClient;
@@ -64,7 +62,7 @@ pub use engine::{
 };
 pub use error::FlError;
 pub use executor::JobPanic;
-pub use faults::{Corruption, FaultClock, FaultEvent, FaultKind, FaultPlan, WatchdogSpec};
+pub use faults::{Corruption, DrawClock, FaultEvent, FaultKind, FaultPlan, WatchdogSpec};
 pub use metrics::{RoundMetrics, RoundOutcome, TrainingHistory, WinnerInfo};
 pub use selection::SelectionStrategy;
 pub use service::{

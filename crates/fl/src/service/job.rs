@@ -8,7 +8,7 @@
 //! round). That ownership split is what makes a job's history bit-identical whether it
 //! runs alone or interleaved with noisy neighbours.
 
-use crate::adversary::{AdversaryClock, AdversaryPlan, ReputationLedger, ReputationSpec};
+use crate::adversary::{AdversaryPlan, ReputationLedger, ReputationSpec};
 use crate::aggregator::{AggregationRule, AggregationScratch, MedianNormScreen, ScreenPolicy};
 use crate::chain::TaskChain;
 use crate::engine::{
@@ -16,10 +16,12 @@ use crate::engine::{
     Task,
 };
 use crate::error::FlError;
-use crate::faults::{FaultClock, FaultEvent, FaultKind, FaultPlan, WatchdogSpec};
+use crate::faults::{
+    validate_at_least, validate_rates, DrawClock, FaultEvent, FaultKind, FaultPlan, WatchdogSpec,
+};
 use crate::metrics::WinnerInfo;
 use fmore_auction::{Auction, AuctionError, BidStore};
-use fmore_numerics::rng::derive_seed;
+use fmore_numerics::rng::{derive_seed, keyed_unit};
 use fmore_numerics::seeded_rng;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,16 +78,24 @@ impl DeadlineSpec {
         }
     }
 
-    /// Deterministic uniform draw in `[0, 1)` for `(seed, round, slot)`.
-    fn uniform(seed: u64, round: u64, slot: usize) -> f64 {
-        let h = derive_seed(derive_seed(seed, round), slot as u64 + 1);
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    /// Validates the model: `straggler_rate` must lie in `[0, 1]`, and `deadline_secs`,
+    /// `base_secs` and `slowdown` must be finite and non-negative (a NaN deadline misses
+    /// every winner and makes the wave time NaN).
+    ///
+    /// # Errors
+    ///
+    /// [`FlError::InvalidConfig`] naming the offending field.
+    pub fn validate(&self) -> Result<(), FlError> {
+        validate_rates("deadline", &[&[("straggler_rate", self.straggler_rate)]])?;
+        validate_at_least("deadline", "deadline_secs", self.deadline_secs, 0.0)?;
+        validate_at_least("deadline", "base_secs", self.base_secs, 0.0)?;
+        validate_at_least("deadline", "slowdown", self.slowdown, 0.0)
     }
 
     fn timings(&self, seed: u64, round: u64, winners: usize) -> Vec<ParticipantTiming> {
         (0..winners)
             .map(|slot| {
-                let straggler = Self::uniform(seed, round, slot) < self.straggler_rate;
+                let straggler = keyed_unit(seed, &[round, slot as u64 + 1]) < self.straggler_rate;
                 let completion_secs = if straggler {
                     self.base_secs * (1.0 + self.slowdown)
                 } else {
@@ -129,8 +139,8 @@ pub struct JobSpec {
     pub max_pending: usize,
     /// Dimension of the synthetic per-winner model updates aggregated each round; `0`
     /// disables the update/aggregation stage. Updates are a pure function of
-    /// `(seed, round, node)`, screened through
-    /// [`federated_average_screened`] so corrupted vectors are quarantined, never averaged.
+    /// `(seed, round, node)`, aggregated by [`JobSpec::aggregation`], whose default
+    /// screen quarantines corrupted vectors instead of averaging them.
     pub update_dim: usize,
     /// Optional round watchdog: simulated-time budget plus bounded retry with
     /// deterministic backoff accounting. `None` means a failed round is recorded and
@@ -164,22 +174,26 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// The service's historical aggregation backend: the median-norm screen under the
-    /// default [`ScreenPolicy`]. Shares its implementation with
-    /// [`crate::aggregator::federated_average_screened`], so specs carrying this default
-    /// reproduce pre-rule histories exactly.
+    /// default [`ScreenPolicy`].
     pub fn default_aggregation() -> Arc<dyn AggregationRule> {
         Arc::new(MedianNormScreen(ScreenPolicy::default()))
     }
 
-    /// Validates everything the spec can get wrong *at admission* — fault rates,
-    /// adversary rates and budgets, reputation bounds, aggregation parameters — so a
-    /// malformed plan is a typed [`FlError::InvalidConfig`] at `admit` time, never a
-    /// skewed draw threshold discovered rounds later.
+    /// Validates everything the spec can get wrong *at admission* — deadline and
+    /// watchdog parameters, fault rates, adversary rates and budgets, reputation bounds,
+    /// aggregation parameters — so a malformed plan is a typed [`FlError::InvalidConfig`]
+    /// at `admit` time, never a skewed draw threshold discovered rounds later.
     ///
     /// # Errors
     ///
     /// [`FlError::InvalidConfig`] naming the offending field.
     pub fn validate(&self) -> Result<(), FlError> {
+        if let Some(deadline) = &self.deadline {
+            deadline.validate()?;
+        }
+        if let Some(watchdog) = &self.watchdog {
+            watchdog.validate()?;
+        }
         if let Some(plan) = &self.faults {
             plan.validate()?;
         }
@@ -350,10 +364,7 @@ fn fault_kind_tag(kind: FaultKind) -> u64 {
 fn synthetic_update(seed: u64, round: u64, node: u64, dim: usize) -> Vec<f64> {
     let base = derive_seed(derive_seed(seed, round), node.wrapping_add(1));
     (0..dim)
-        .map(|d| {
-            let h = derive_seed(base, d as u64 + 1);
-            ((h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) * 2.0 - 1.0
-        })
+        .map(|d| keyed_unit(base, &[d as u64 + 1]) * 2.0 - 1.0)
         .collect()
 }
 
@@ -520,14 +531,14 @@ impl FlJob {
         let clock = spec
             .faults
             .as_ref()
-            .map(|plan| (plan, FaultClock::new(plan, spec.seed)));
+            .map(|plan| (plan, DrawClock::new(plan.seed, spec.seed)));
         // Adversary draws are attempt-independent (see `crate::adversary`): a retried
         // round replays the same auction against the same lies.
         let adversary = spec
             .adversaries
             .as_ref()
             .filter(|plan| plan.is_active())
-            .map(|plan| (plan, AdversaryClock::new(plan, spec.seed)));
+            .map(|plan| (plan, DrawClock::new(plan.seed, spec.seed)));
         // The round's frozen reputation view, shared with the fill closures on worker
         // threads; the ledger itself only moves between rounds.
         let reputation = self.ledger.as_ref().map(|l| Arc::new(l.snapshot()));
@@ -543,7 +554,7 @@ impl FlJob {
         if let Some((plan, clock)) = &clock {
             if plan.fill_panic_rate > 0.0 {
                 for start in (0..spec.population).step_by(spec.shard_size.max(1)) {
-                    if clock.fill_panics(plan, round, attempt, start) {
+                    if plan.fill_panics(clock, round, attempt, start) {
                         fill_panic_shards.push(start);
                         faults.push(FaultEvent {
                             attempt,
@@ -560,7 +571,7 @@ impl FlJob {
                 let clock = *clock;
                 Arc::new(move |range: Range<usize>, store: &mut BidStore| {
                     assert!(
-                        !clock.fill_panics(&plan, round, attempt, range.start),
+                        !plan.fill_panics(&clock, round, attempt, range.start),
                         "injected fault: bid shard at {} panicked",
                         range.start
                     );
@@ -585,7 +596,7 @@ impl FlJob {
                 inner(range, store)?;
                 let dropped = store.revise_from(start, |node, qualities, ask| {
                     if let (Some(plan), Some(clock)) = (&plan, &adversary_clock) {
-                        if let Some(distortion) = clock.bid_distortion(plan, round, node.0) {
+                        if let Some(distortion) = plan.bid_distortion(clock, round, node.0) {
                             distortion.apply(plan, qualities, ask);
                         }
                     }
@@ -666,7 +677,7 @@ impl FlJob {
         if let Some((plan, clock)) = &clock {
             let mut slot = 0usize;
             winners.retain(|_| {
-                let dropped = clock.drops_out(plan, round, attempt, slot);
+                let dropped = plan.drops_out(clock, round, attempt, slot);
                 if dropped {
                     faults.push(FaultEvent {
                         attempt,
@@ -690,7 +701,7 @@ impl FlJob {
                     .enumerate()
                     .map(|(slot, winner)| {
                         let injected = clock.as_ref().and_then(|(plan, clock)| {
-                            let fault = clock.work_fault(plan, round, attempt, slot)?;
+                            let fault = plan.work_fault(clock, round, attempt, slot)?;
                             faults.push(FaultEvent {
                                 attempt,
                                 slot,
@@ -764,12 +775,12 @@ impl FlJob {
                     let mut params =
                         synthetic_update(spec.seed, round, winner.node.0, spec.update_dim);
                     if let Some((plan, aclock)) = &adversary {
-                        if let Some(poison) = aclock.update_poison(plan, round, winner.node.0) {
+                        if let Some(poison) = plan.update_poison(aclock, round, winner.node.0) {
                             poison.apply(plan, &mut params);
                         }
                     }
                     if let Some((plan, clock)) = &clock {
-                        if let Some(corruption) = clock.corruption(plan, round, attempt, slot) {
+                        if let Some(corruption) = plan.corruption(clock, round, attempt, slot) {
                             corruption.apply(&mut params, plan.corrupt_scale);
                             faults.push(FaultEvent {
                                 attempt,

@@ -730,6 +730,65 @@ mod tests {
     }
 
     #[test]
+    fn malformed_deadlines_and_watchdogs_are_refused_at_admission() {
+        use crate::faults::WatchdogSpec;
+        DeadlineSpec::lenient().validate().unwrap();
+        WatchdogSpec::standard().validate().unwrap();
+        let service = AuctionService::with_engine(ServiceConfig::default(), RoundEngine::inline());
+        let live = service.admit(toy_spec("live", 1)).unwrap();
+        type Mutation = Box<dyn Fn(&mut JobSpec)>;
+        let deadline = |f: fn(&mut DeadlineSpec)| -> Mutation {
+            Box::new(move |spec: &mut JobSpec| {
+                let mut deadline = DeadlineSpec::lenient();
+                f(&mut deadline);
+                spec.deadline = Some(deadline);
+            })
+        };
+        let watchdog = |f: fn(&mut WatchdogSpec)| -> Mutation {
+            Box::new(move |spec: &mut JobSpec| {
+                let mut watchdog = WatchdogSpec::standard();
+                f(&mut watchdog);
+                spec.watchdog = Some(watchdog);
+            })
+        };
+        let cases: Vec<(&str, Mutation)> = vec![
+            ("straggler_rate", deadline(|d| d.straggler_rate = 1.5)),
+            ("straggler_rate", deadline(|d| d.straggler_rate = -0.1)),
+            ("straggler_rate", deadline(|d| d.straggler_rate = f64::NAN)),
+            ("deadline_secs", deadline(|d| d.deadline_secs = f64::NAN)),
+            ("deadline_secs", deadline(|d| d.deadline_secs = -1.0)),
+            ("base_secs", deadline(|d| d.base_secs = f64::INFINITY)),
+            ("slowdown", deadline(|d| d.slowdown = -0.5)),
+            (
+                "round_budget_secs",
+                watchdog(|w| w.round_budget_secs = f64::NAN),
+            ),
+            (
+                "round_budget_secs",
+                watchdog(|w| w.round_budget_secs = -1.0),
+            ),
+            (
+                "backoff_base_secs",
+                watchdog(|w| w.backoff_base_secs = f64::NAN),
+            ),
+            ("backoff_factor", watchdog(|w| w.backoff_factor = -2.0)),
+            ("backoff_factor", watchdog(|w| w.backoff_factor = f64::NAN)),
+            ("backoff_factor", watchdog(|w| w.backoff_factor = 0.5)),
+        ];
+        for (field, mutate) in cases {
+            let mut spec = toy_spec("malformed", 2);
+            mutate(&mut spec);
+            match service.admit(spec) {
+                Err(FlError::InvalidConfig(message)) => {
+                    assert!(message.contains(field), "{field}: {message}");
+                }
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+            assert_eq!(service.jobs(), vec![live], "{field}: the job table changed");
+        }
+    }
+
+    #[test]
     fn honest_adversary_plan_and_idle_reputation_are_bitwise_inert() {
         use crate::adversary::{AdversaryPlan, ReputationSpec};
         let run = |decorate: bool| {

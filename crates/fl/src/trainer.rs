@@ -114,8 +114,8 @@ impl FederatedTrainer {
     }
 
     /// Builds a trainer running its parallel stages on a caller-supplied engine (an inline
-    /// engine for strict single-threaded runs, a private pool, the spawn-per-round baseline,
-    /// or a pool shared with other trainers).
+    /// engine for strict single-threaded runs, a private pool, or a pool shared with other
+    /// trainers).
     ///
     /// The choice of engine never affects the produced [`TrainingHistory`] — only wall-clock.
     ///
@@ -375,9 +375,8 @@ impl FederatedTrainer {
     }
 
     /// Runs the task-assignment / local-training / global-aggregation steps for an externally
-    /// determined winner set (used by the MEC cluster simulator, which performs its own
-    /// three-dimensional auction before delegating the learning to this trainer). The round's
-    /// churn accounting is the trivial static one: every winner completes.
+    /// determined winner set. The round's churn accounting is the trivial one: every winner
+    /// completes.
     ///
     /// # Errors
     ///
@@ -393,8 +392,9 @@ impl FederatedTrainer {
     }
 
     /// Like [`FederatedTrainer::run_round_with`], but attaches a caller-supplied
-    /// [`RoundOutcome`] — the entry point for dynamic drivers whose churn model dropped,
-    /// delayed, or replaced winners before the surviving set reaches local training.
+    /// [`RoundOutcome`] — the entry point for drivers that select their own winners (the
+    /// MEC cluster simulator, whose churn model may drop, delay, or replace winners before
+    /// the surviving set reaches local training).
     ///
     /// `winners` must already be the post-deadline survivor set: only their updates are
     /// trained and aggregated.
@@ -612,7 +612,6 @@ mod tests {
             t.run(2).unwrap()
         };
         let inline = run(RoundEngine::inline());
-        assert_eq!(inline, run(RoundEngine::spawn_per_round()));
         assert_eq!(inline, run(RoundEngine::pooled(1)));
         assert_eq!(inline, run(RoundEngine::pooled(4)));
         assert_eq!(inline, run(RoundEngine::default()));

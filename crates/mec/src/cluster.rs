@@ -10,7 +10,7 @@
 //! cluster-specific parts left are the three-dimensional resource model and the wall-clock
 //! accounting.
 
-use crate::dynamics::{ChurnState, DynamicsConfig};
+use crate::dynamics::{ChurnModel, ChurnState, DynamicsConfig, ParticipantFate};
 use crate::error::MecError;
 use crate::ledger::PaymentLedger;
 use crate::node::{MecNode, ResourceRanges};
@@ -67,7 +67,7 @@ pub struct ClusterConfig {
     pub cost_coefficients: Vec<f64>,
     /// Wall-clock time model.
     pub time_model: TimeModel,
-    /// Churn + deadline dynamics; `None` runs the static loop (every winner finishes).
+    /// Churn + deadline dynamics; `None` means every node stays and every winner finishes.
     pub dynamics: Option<DynamicsConfig>,
 }
 
@@ -118,9 +118,8 @@ impl ClusterConfig {
         }
     }
 
-    /// Returns the configuration with churn/deadline dynamics attached — the switch that
-    /// turns the static round loop into the dynamic one described in
-    /// [`crate::dynamics`].
+    /// Returns the configuration with the churn/deadline dynamics of [`crate::dynamics`]
+    /// attached.
     pub fn with_dynamics(mut self, dynamics: DynamicsConfig) -> Self {
         self.dynamics = Some(dynamics);
         self
@@ -298,9 +297,9 @@ impl MecCluster {
         Self::with_engine(config, strategy, seed, RoundEngine::default())
     }
 
-    /// Builds the cluster with a caller-supplied round engine (shared pool, private pool,
-    /// inline, or spawn-per-round); the engine drives the embedded trainer's parallel local
-    /// training. The engine choice never affects results.
+    /// Builds the cluster with a caller-supplied round engine (shared pool, private pool, or
+    /// inline); the engine drives the embedded trainer's parallel local training. The engine
+    /// choice never affects results.
     ///
     /// # Errors
     ///
@@ -427,26 +426,9 @@ impl MecCluster {
         Ok(history)
     }
 
-    /// Runs one cluster round: resource refresh, selection (auction or random), local
-    /// training, aggregation, and time accounting. With [`ClusterConfig::dynamics`] attached
-    /// the round is churn-capable: nodes depart/arrive between rounds, winners can drop out
-    /// or straggle past the server deadline, and under-quota rounds refill through
-    /// re-auction waves over the standing bid pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates auction and training failures.
-    pub fn run_round(&mut self) -> Result<ClusterRound, MecError> {
-        match self.config.dynamics {
-            Some(dynamics) => self.run_dynamic_round(dynamics),
-            None => self.run_static_round(),
-        }
-    }
-
-    /// Stage 1–2 of any round: winner determination over the `eligible` node indices — an
+    /// Stage 1–2 of a round: winner determination over the `eligible` node indices — an
     /// FMore auction over their capacity-capped equilibrium bids (keeping the ranked
-    /// population as the round's standing pool) or a uniform RandFL draw. Shared by the
-    /// static and dynamic loops so their selection semantics can never drift apart.
+    /// population as the round's standing pool) or a uniform RandFL draw.
     fn select_winners(&mut self, eligible: &[usize]) -> Result<AuctionStage, MecError> {
         let maxima = self.config.resources.maxima();
         let quota = self.config.winners_per_round.min(eligible.len());
@@ -505,46 +487,7 @@ impl MecCluster {
         }
     }
 
-    /// The static round loop: every selected winner finishes and aggregates.
-    fn run_static_round(&mut self) -> Result<ClusterRound, MecError> {
-        for node in &mut self.nodes {
-            node.refresh();
-        }
-        self.trainer.refresh_clients();
-
-        let all_nodes: Vec<usize> = (0..self.nodes.len()).collect();
-        let AuctionStage {
-            winners,
-            all_scores,
-            ..
-        } = self.select_winners(&all_nodes)?;
-
-        // Wall-clock accounting: the declared data size of each winner trains on its node.
-        let participants: Vec<(crate::node::ResourceProfile, f64)> = winners
-            .iter()
-            .map(|w| {
-                let node = &self.nodes[w.client];
-                (node.current(), node.current().data_size)
-            })
-            .collect();
-        let round_secs = self
-            .config
-            .time_model
-            .round_secs(&participants, self.config.fl.local_epochs);
-        self.elapsed_secs += round_secs;
-
-        self.ledger
-            .record_round(winners.iter().map(|w| (w.node, w.payment)));
-
-        let learning = self.trainer.run_round_with(winners, all_scores)?;
-        Ok(ClusterRound {
-            learning,
-            round_secs,
-            cumulative_secs: self.elapsed_secs,
-        })
-    }
-
-    /// The churn-capable round loop (see [`crate::dynamics`] for the semantics):
+    /// Runs one cluster round (see [`crate::dynamics`] for the churn semantics):
     ///
     /// 1. membership churn (departures/arrivals), then resource refresh and bid collection
     ///    from the **present** nodes only;
@@ -556,19 +499,33 @@ impl MecCluster {
     /// 5. training and aggregation of the survivors, with the full [`RoundOutcome`]
     ///    accounting attached.
     ///
+    /// Without [`ClusterConfig::dynamics`] the same loop runs with every node present, a
+    /// neutral fate for every winner ([`ParticipantFate::NEUTRAL`]), no deadline and no
+    /// re-auction budget: every winner finishes, and the round lasts as long as the slowest
+    /// winner plus the aggregation overhead ([`TimeModel::round_secs`]).
+    ///
     /// Every draw happens on the control thread in node/slot order, so the result is
     /// bit-identical across execution engines and pool sizes.
-    fn run_dynamic_round(&mut self, dynamics: DynamicsConfig) -> Result<ClusterRound, MecError> {
+    ///
+    /// # Errors
+    ///
+    /// Propagates auction and training failures.
+    pub fn run_round(&mut self) -> Result<ClusterRound, MecError> {
+        // Without dynamics: no deadline, no re-auction budget, and a churn model nothing
+        // draws from (such a cluster has no churn state).
+        let dynamics = self.config.dynamics.unwrap_or(DynamicsConfig {
+            churn: ChurnModel::stable(),
+            deadline_secs: f64::INFINITY,
+            max_reauction_waves: 0,
+        });
         for node in &mut self.nodes {
             node.refresh();
         }
         self.trainer.refresh_clients();
-        let churn = self
-            .churn
-            .as_mut()
-            .expect("dynamics always come with churn state");
-        churn.begin_round(&dynamics.churn);
-        let present = churn.present_indices();
+        if let Some(churn) = &mut self.churn {
+            churn.begin_round(&dynamics.churn);
+        }
+        let present = self.present_nodes();
 
         let maxima = self.config.resources.maxima();
         let quota = self.config.winners_per_round.min(present.len());
@@ -587,15 +544,14 @@ impl MecCluster {
         let mut survivors: Vec<WinnerInfo> = Vec::new();
         while !wave_winners.is_empty() {
             outcome.selected += wave_winners.len();
-            let churn = self
-                .churn
-                .as_mut()
-                .expect("dynamics always come with churn state");
             let timings: Vec<ParticipantTiming> = wave_winners
                 .iter()
                 .enumerate()
                 .map(|(slot, w)| {
-                    let fate = churn.draw_fate(&dynamics.churn);
+                    let fate = match &mut self.churn {
+                        Some(churn) => churn.draw_fate(&dynamics.churn),
+                        None => ParticipantFate::NEUTRAL,
+                    };
                     let node = &self.nodes[w.client];
                     let mut profile = node.current();
                     profile.cpu_cores = (profile.cpu_cores * fate.resource_factor).max(0.25);
@@ -609,7 +565,7 @@ impl MecCluster {
                         outcome.stragglers += 1;
                         secs *= dynamics.churn.straggler_slowdown;
                     }
-                    if fate.dropped_out {
+                    if let (true, Some(churn)) = (fate.dropped_out, &mut self.churn) {
                         churn.mark_departed(w.client);
                     }
                     ParticipantTiming {
@@ -674,12 +630,8 @@ impl MecCluster {
                         .collect()
                 }
                 ClusterStrategy::RandFL => {
-                    let churn = self
-                        .churn
-                        .as_ref()
-                        .expect("dynamics always come with churn state");
-                    let candidates: Vec<usize> = churn
-                        .present_indices()
+                    let candidates: Vec<usize> = self
+                        .present_nodes()
                         .into_iter()
                         .filter(|&i| !assigned.contains(&NodeId(i as u64)))
                         .collect();
@@ -721,6 +673,15 @@ impl MecCluster {
             round_secs,
             cumulative_secs: self.elapsed_secs,
         })
+    }
+
+    /// Indices of the nodes present this round, in node order: every node unless churn
+    /// dynamics are attached.
+    fn present_nodes(&self) -> Vec<usize> {
+        match &self.churn {
+            Some(churn) => churn.present_indices(),
+            None => (0..self.nodes.len()).collect(),
+        }
     }
 }
 
@@ -881,9 +842,10 @@ mod tests {
     use crate::dynamics::ChurnModel;
 
     #[test]
-    fn stable_dynamics_with_generous_deadline_matches_static_run() {
-        // The dynamic loop with a zero-probability churn model and an unmissable deadline is
-        // the static loop: same auction draws, same winners, same times, same history.
+    fn no_dynamics_runs_like_stable_dynamics_with_a_generous_deadline() {
+        // A cluster without dynamics and one with a zero-probability churn model and an
+        // unmissable deadline run the one round loop alike: same auction draws, same
+        // winners, same times, same history.
         for strategy in [ClusterStrategy::FMore, ClusterStrategy::RandFL] {
             let static_run = {
                 let mut c = MecCluster::new(ClusterConfig::fast_test(), strategy, 7).unwrap();
@@ -898,7 +860,7 @@ mod tests {
             assert_eq!(
                 static_run,
                 dynamic_run,
-                "{}: stable dynamics must reproduce the static history",
+                "{}: stable dynamics must reproduce the history without dynamics",
                 strategy.name()
             );
         }

@@ -15,7 +15,8 @@
 //!   the model's own RNG stream, kept separate from the auction/training RNGs so enabling
 //!   churn never perturbs the static results.
 //! * [`DynamicsConfig`] — churn plus the **server deadline** and the re-auction budget,
-//!   attached to a `ClusterConfig` to turn the static round loop into a dynamic one.
+//!   attached to a `ClusterConfig`; a cluster without one runs the same round loop with
+//!   every node present, every winner on time, and no deadline.
 //!
 //! # Deadline and re-auction semantics
 //!
@@ -69,8 +70,8 @@ pub struct ChurnModel {
 }
 
 impl ChurnModel {
-    /// The degenerate model: no churn at all. A dynamic round under this model behaves like
-    /// the static loop (modulo the deadline gate).
+    /// The degenerate model: no churn at all. A round under this model behaves like one
+    /// without dynamics (modulo the deadline gate).
     pub fn stable() -> Self {
         Self {
             departure_prob: 0.0,
@@ -164,6 +165,16 @@ pub struct ParticipantFate {
     /// Multiplicative factor on the resources (compute, bandwidth) actually available during
     /// execution, drawn from `[1 − jitter, 1 + jitter]`.
     pub resource_factor: f64,
+}
+
+impl ParticipantFate {
+    /// The fate of a winner in a cluster without dynamics: present to the end, on time, with
+    /// exactly the resources it declared.
+    pub const NEUTRAL: Self = Self {
+        dropped_out: false,
+        straggler: false,
+        resource_factor: 1.0,
+    };
 }
 
 /// The membership change of one inter-round churn step.
@@ -281,8 +292,8 @@ impl ChurnState {
     }
 }
 
-/// Everything needed to turn the static cluster loop into a dynamic one: the churn model,
-/// the server deadline, and the re-auction budget.
+/// Everything a cluster round needs to churn: the churn model, the server deadline, and the
+/// re-auction budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicsConfig {
     /// The churn processes.

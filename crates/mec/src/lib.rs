@@ -11,7 +11,7 @@
 //!   paper's hardware class, producing per-round wall-clock times,
 //! * [`dynamics`] — the churn layer of a *dynamic* MEC environment (§I/§VI): seeded
 //!   arrival/departure processes, mid-round dropouts, stragglers, resource jitter, and the
-//!   server-deadline / re-auction semantics that make the static round loop churn-capable,
+//!   server-deadline / re-auction semantics of the cluster's round loop,
 //! * [`cluster`] — the full deployment: a three-dimensional FMore auction (or RandFL) per
 //!   round, delegation of the actual learning to [`fmore_fl::FederatedTrainer`], and
 //!   accumulation of simulated training time (including deadline waits and re-auction waves

@@ -21,7 +21,7 @@ use crate::dynamics::ChurnModel;
 use crate::error::MecError;
 use crate::node::{MecNode, ResourceProfile, ResourceRanges};
 use fmore_auction::{AuctionError, BidStore, EquilibriumSolver};
-use fmore_numerics::rng::{derive_seed, derive_stream, seeded_words};
+use fmore_numerics::rng::{derive_seed, derive_stream, seeded_words, unit_f64};
 use rand::Rng;
 
 /// Tag streams keeping the θ draw, the per-round resource draws, and the materialised
@@ -357,7 +357,7 @@ impl NodePopulation {
                         (false, false) => w0,
                         _ => w1,
                     };
-                    let units = [w0, bandwidth, data].map(unit_from_hash);
+                    let units = [w0, bandwidth, data].map(unit_f64);
                     let profile = profile_from_units(ranges, units, f64::round);
                     emit(j, theta_from_word(t, lo, hi), profile);
                 }
@@ -450,20 +450,13 @@ pub struct PopulationChurn {
     bits: Vec<u64>,
 }
 
-/// Maps a 64-bit hash to a unit draw in `[0, 1)` — same construction as the generator's
-/// `f64` sampling.
-#[inline(always)]
-fn unit_from_hash(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// θ from one 64-bit word, mapped onto `[lo, hi)` exactly as the generator's float
 /// `gen_range(lo..hi)` maps its next output, exclusive-top clamp included: the v2 draw
 /// from the node's fused stream word, and the v1 draw when handed the θ stream's first
 /// output.
 #[inline(always)]
 fn theta_from_word(w: u64, lo: f64, hi: f64) -> f64 {
-    let v = lo + (hi - lo) * unit_from_hash(w);
+    let v = lo + (hi - lo) * unit_f64(w);
     if v >= hi {
         (hi - (hi - lo) * f64::EPSILON).max(lo)
     } else {
@@ -608,13 +601,13 @@ impl PopulationChurn {
             let mask = 1u64 << (i % 64);
             let present = self.bits[word] & mask != 0;
             if present {
-                let u = unit_from_hash(churn_hash(self.seed, self.round, i as u64, 0));
+                let u = unit_f64(churn_hash(self.seed, self.round, i as u64, 0));
                 if u < self.model.departure_prob && remaining > self.model.min_present {
                     self.bits[word] &= !mask;
                     remaining -= 1;
                 }
             } else {
-                let u = unit_from_hash(churn_hash(self.seed, self.round, i as u64, 1));
+                let u = unit_f64(churn_hash(self.seed, self.round, i as u64, 1));
                 if u < self.model.arrival_prob {
                     self.bits[word] |= mask;
                     remaining += 1;

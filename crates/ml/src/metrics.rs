@@ -87,21 +87,6 @@ pub fn confusion_matrix(
     }
 }
 
-/// Per-class recall computed from a confusion matrix; classes with no samples get recall 0.
-pub fn per_class_recall(confusion: &ConfusionMatrix) -> Vec<f64> {
-    (0..confusion.classes())
-        .map(|class| {
-            let row = confusion.row(class);
-            let total: usize = row.iter().sum();
-            if total == 0 {
-                0.0
-            } else {
-                row[class] as f64 / total as f64
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,14 +128,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn confusion_matrix_rejects_bad_labels() {
         let _ = confusion_matrix(&[0, 4], &[0, 1], 3);
-    }
-
-    #[test]
-    fn recall_handles_empty_classes() {
-        let m = confusion_matrix(&[0, 0, 1], &[0, 0, 1], 3);
-        let recall = per_class_recall(&m);
-        assert_eq!(recall[0], 1.0);
-        assert_eq!(recall[1], 1.0);
-        assert_eq!(recall[2], 0.0);
     }
 }

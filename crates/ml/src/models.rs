@@ -87,12 +87,6 @@ pub fn mlp_classifier(input_dim: usize, num_classes: usize, rng: &mut StdRng) ->
     ])
 }
 
-/// A logistic-regression (single dense layer) baseline, the cheapest trainable model; used by
-/// tests and by the fast configurations of the experiment harness.
-pub fn logistic_regression(input_dim: usize, num_classes: usize, rng: &mut StdRng) -> Sequential {
-    Sequential::new(vec![Box::new(Dense::new(input_dim, num_classes, rng))])
-}
-
 /// Builds the paper's model for a task, matching Section V-A's model/dataset pairing
 /// (CNN for the image tasks, LSTM for HPNews).
 pub fn model_for_task(task: TaskKind, rng: &mut StdRng) -> Sequential {
@@ -190,13 +184,5 @@ mod tests {
         let mut model = model_for_task(TaskKind::HpNews, &mut rng);
         let loss = model.train_epoch(&data, &(0..8).collect::<Vec<_>>(), 0.05, 4, &mut rng);
         assert!(loss.is_finite() && loss > 0.0);
-    }
-
-    #[test]
-    fn logistic_regression_is_single_layer() {
-        let mut rng = seeded_rng(6);
-        let model = logistic_regression(10, 3, &mut rng);
-        assert_eq!(model.layer_names(), vec!["dense"]);
-        assert_eq!(model.num_parameters(), 10 * 3 + 3);
     }
 }

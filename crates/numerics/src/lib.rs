@@ -3,8 +3,6 @@
 //! The FMore incentive mechanism (Zeng et al., ICDCS 2020) requires a small set of
 //! numerical tools to compute Nash-equilibrium bids and to drive the simulation:
 //!
-//! * first-order ODE solvers (Euler, RK4) used to integrate the payment equation of
-//!   Theorem 1 ([`ode`]),
 //! * numerical quadrature used for the closed-form payment integral ([`quadrature`]),
 //! * one-dimensional and coordinate-wise maximisation used for the quality choice
 //!   `q* = argmax s(q) − c(q, θ)` of Che's Theorem 1 ([`optimize`]),
@@ -35,7 +33,6 @@
 pub mod distribution;
 pub mod error;
 pub mod normalize;
-pub mod ode;
 pub mod optimize;
 pub mod quadrature;
 pub mod rng;
@@ -44,8 +41,7 @@ pub mod stats;
 
 pub use distribution::{Distribution1D, EmpiricalCdf, TruncatedNormal, UniformDist};
 pub use error::NumericsError;
-pub use ode::{solve_euler, solve_rk4, OdeSolution};
 pub use optimize::{maximize_coordinate, maximize_scalar};
-pub use quadrature::{cumulative_trapezoid, simpson, trapezoid};
+pub use quadrature::{cumulative_trapezoid, trapezoid};
 pub use rng::{derive_stream, seeded_rng};
 pub use simd::{avx512_enabled, avx_enabled};

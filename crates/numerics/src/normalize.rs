@@ -58,16 +58,6 @@ impl MinMaxNormalizer {
     }
 }
 
-/// Normalises a whole slice with a normaliser fitted to that slice.
-///
-/// Returns an empty vector for empty input.
-pub fn min_max_normalize(values: &[f64]) -> Vec<f64> {
-    match MinMaxNormalizer::fit(values) {
-        Some(n) => values.iter().map(|&v| n.normalize(v)).collect(),
-        None => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,12 +104,5 @@ mod tests {
     fn fit_rejects_bad_input() {
         assert!(MinMaxNormalizer::fit(&[]).is_none());
         assert!(MinMaxNormalizer::fit(&[1.0, f64::NAN]).is_none());
-    }
-
-    #[test]
-    fn slice_helper_normalizes_everything() {
-        let out = min_max_normalize(&[2.0, 4.0, 6.0]);
-        assert_eq!(out, vec![0.0, 0.5, 1.0]);
-        assert!(min_max_normalize(&[]).is_empty());
     }
 }

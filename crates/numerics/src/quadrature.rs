@@ -36,31 +36,6 @@ where
     Ok(sum * h)
 }
 
-/// Integrates `f` over `[a, b]` with the composite Simpson rule on `n` sub-intervals
-/// (`n` is rounded up to the next even number).
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidInterval`] when `b < a` or an endpoint is not finite, and
-/// [`NumericsError::EmptyInput`] when `n == 0`.
-pub fn simpson<F>(mut f: F, a: f64, b: f64, n: usize) -> Result<f64, NumericsError>
-where
-    F: FnMut(f64) -> f64,
-{
-    validate(a, b, n)?;
-    if a == b {
-        return Ok(0.0);
-    }
-    let n = if n.is_multiple_of(2) { n } else { n + 1 };
-    let h = (b - a) / n as f64;
-    let mut sum = f(a) + f(b);
-    for i in 1..n {
-        let coeff = if i % 2 == 1 { 4.0 } else { 2.0 };
-        sum += coeff * f(a + i as f64 * h);
-    }
-    Ok(sum * h / 3.0)
-}
-
 /// Computes the cumulative integral `F(x_i) = ∫_{x_0}^{x_i} y dx` of sampled data with the
 /// trapezoid rule. Returns one value per grid point; the first value is always `0`.
 ///
@@ -116,22 +91,14 @@ mod tests {
     }
 
     #[test]
-    fn simpson_is_exact_for_cubics() {
-        let v = simpson(|x| x.powi(3) - 2.0 * x + 1.0, -1.0, 3.0, 2).unwrap();
-        // ∫ = [x^4/4 - x^2 + x] from -1 to 3 = (81/4 - 9 + 3) - (1/4 - 1 - 1) = 16
-        assert!((v - 16.0).abs() < 1e-10);
-    }
-
-    #[test]
     fn degenerate_interval_integrates_to_zero() {
         assert_eq!(trapezoid(|x| x, 1.0, 1.0, 10).unwrap(), 0.0);
-        assert_eq!(simpson(|x| x, 1.0, 1.0, 10).unwrap(), 0.0);
     }
 
     #[test]
     fn invalid_inputs_are_rejected() {
         assert!(trapezoid(|x| x, 1.0, 0.0, 10).is_err());
-        assert!(simpson(|x| x, 0.0, 1.0, 0).is_err());
+        assert!(trapezoid(|x| x, 0.0, 1.0, 0).is_err());
         assert!(trapezoid(|x| x, f64::NAN, 1.0, 10).is_err());
     }
 
@@ -151,11 +118,5 @@ mod tests {
         assert!(cumulative_trapezoid(&[0.0, 1.0], &[0.0]).is_err());
         assert!(cumulative_trapezoid(&[0.0, 1.0, 0.5], &[1.0, 1.0, 1.0]).is_err());
         assert!(cumulative_trapezoid(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn simpson_handles_odd_interval_count() {
-        let v = simpson(|x| x * x, 0.0, 1.0, 11).unwrap();
-        assert!((v - 1.0 / 3.0).abs() < 1e-8);
     }
 }

@@ -5,7 +5,9 @@
 //! choice of generator in a single place.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{splitmix64_mix, xoshiro256pp_seed, xoshiro256pp_step, Rng, SeedableRng, GOLDEN_GAMMA};
+
+pub use rand::unit_f64;
 
 /// Creates a deterministic RNG from a 64-bit seed.
 ///
@@ -22,45 +24,33 @@ pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// SplitMix64's increment (the 64-bit golden ratio).
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64's output finaliser.
-#[inline(always)]
-fn splitmix_finalise(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Derives a child seed from a parent seed and a stream index.
 ///
 /// Used to give every edge node / client an independent but reproducible RNG stream.
 #[inline]
 pub fn derive_seed(parent: u64, stream: u64) -> u64 {
     // SplitMix64 step: decorrelates consecutive stream indices.
-    splitmix_finalise(parent ^ stream.wrapping_mul(GOLDEN_GAMMA))
+    splitmix64_mix(parent ^ stream.wrapping_mul(GOLDEN_GAMMA))
+}
+
+/// A keyed uniform draw in `[0, 1)`: [`derive_seed`] folded over `keys` from `root`,
+/// then mapped by [`unit_f64`]. A pure function of `(root, keys)`, so a draw keyed by
+/// round, slot and channel is the same on every thread, at every pool width, on retry.
+#[inline]
+pub fn keyed_unit(root: u64, keys: &[u64]) -> f64 {
+    unit_f64(keys.iter().fold(root, |h, &key| derive_seed(h, key)))
 }
 
 /// The first `N` outputs of [`seeded_rng`]`(seed)` as straight-line integer arithmetic:
-/// the four SplitMix64 words that seed the generator, then `N` xoshiro256++ steps. No
-/// generator value, no branches, no calls — a loop over seeds vectorises, which is what
-/// lets a million-node population derive its golden-compatible draws a shard at a time.
-/// Pinned word for word against the generator itself by this module's tests.
+/// the generator's own seeding and step functions, without a generator value. No
+/// branches, no calls — a loop over seeds vectorises, which is what lets a million-node
+/// population derive its golden-compatible draws a shard at a time.
 #[inline(always)]
 pub fn seeded_words<const N: usize>(seed: u64) -> [u64; N] {
-    let [mut a, mut b, mut c, mut d] =
-        [1u64, 2, 3, 4].map(|k| splitmix_finalise(seed.wrapping_add(k.wrapping_mul(GOLDEN_GAMMA))));
+    let mut state = xoshiro256pp_seed(seed);
     let mut out = [0; N];
     for word in &mut out {
-        *word = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
-        let t = b << 17;
-        c ^= a;
-        d ^= b;
-        b ^= c;
-        a ^= d;
-        c ^= t;
-        d = d.rotate_left(45);
+        *word = xoshiro256pp_step(&mut state);
     }
     out
 }
@@ -132,8 +122,9 @@ mod tests {
         assert_ne!(va, vb);
     }
 
-    /// `seeded_words` against its oracle, the generator: the first `N` words for the `N`
-    /// the population path uses (θ reads 1, a profile 3) and one past them.
+    /// `seeded_words` against the generator: the first `N` words for the `N` the
+    /// population path uses (θ reads 1, a profile 3) and one past them. Both share one
+    /// step function, whose words the generator's known-answer test pins.
     #[test]
     fn seeded_words_are_the_generators_first_outputs() {
         fn agrees<const N: usize>(seed: u64) {
@@ -150,6 +141,71 @@ mod tests {
             agrees::<1>(seed);
             agrees::<3>(seed);
             agrees::<4>(seed);
+        }
+    }
+
+    /// `keyed_unit` and `unit_f64` against the expressions they replaced, written out
+    /// literally as the oracle: the generator's `f64` sample, the fault and adversary
+    /// clocks' draws, the service's deadline and synthetic-update draws, the population's
+    /// hash-to-unit map and the adversary soak's gradient noise.
+    #[test]
+    fn keyed_unit_matches_the_hand_written_draws_bit_for_bit() {
+        let literal = |h: u64| (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let mut chained = 0x5EED;
+        let chain = (0..64u64).map(|i| {
+            chained = derive_seed(chained, i);
+            chained
+        });
+        let roots: Vec<u64> = [0, 1, u64::MAX].into_iter().chain(chain).collect();
+        let rounds = [0, 1, u64::MAX];
+        let attempts = [0, 1, u32::MAX];
+        // `slot + 1` is a key, so the largest slot is one below the key's maximum.
+        let slots = [0, 1, u64::MAX - 1];
+        let bits = |x: f64| x.to_bits();
+        for &root in &roots {
+            assert_eq!(bits(unit_f64(root)), bits(literal(root)));
+            let sampled: f64 = seeded_rng(root).gen();
+            assert_eq!(bits(sampled), bits(literal(seeded_words::<1>(root)[0])));
+            for &round in &rounds {
+                for &slot in &slots {
+                    // Deadline straggler draw: (seed, round, slot).
+                    let deadline = literal(derive_seed(derive_seed(root, round), slot + 1));
+                    assert_eq!(bits(keyed_unit(root, &[round, slot + 1])), bits(deadline));
+                    // Adversary clock: (root, round, slot, channel), no attempt.
+                    for channel in [0xA1, 0xA5] {
+                        let h =
+                            derive_seed(derive_seed(derive_seed(root, round), slot + 1), channel);
+                        let got = keyed_unit(root, &[round, slot + 1, channel]);
+                        assert_eq!(bits(got), bits(literal(h)));
+                    }
+                    // Fault clock: (root, round, attempt, slot, channel).
+                    for &attempt in &attempts {
+                        for channel in [0xF1, 0xF5] {
+                            let h = derive_seed(
+                                derive_seed(
+                                    derive_seed(derive_seed(root, round), u64::from(attempt) + 1),
+                                    slot + 1,
+                                ),
+                                channel,
+                            );
+                            let keys = [round, u64::from(attempt) + 1, slot + 1, channel];
+                            assert_eq!(bits(keyed_unit(root, &keys)), bits(literal(h)));
+                        }
+                    }
+                }
+                for node in [0, 1, u64::MAX] {
+                    // Synthetic update coordinate, and the soak's gradient noise.
+                    let base = derive_seed(derive_seed(root, round), node.wrapping_add(1));
+                    for coord in [0, 1, u64::MAX - 1] {
+                        let update = literal(derive_seed(base, coord + 1)) * 2.0 - 1.0;
+                        let got = keyed_unit(base, &[coord + 1]) * 2.0 - 1.0;
+                        assert_eq!(bits(got), bits(update));
+                        let noise = literal(derive_seed(base, coord.wrapping_add(1)));
+                        let keys = [round, node.wrapping_add(1), coord.wrapping_add(1)];
+                        assert_eq!(bits(keyed_unit(root, &keys)), bits(noise));
+                    }
+                }
+            }
         }
     }
 

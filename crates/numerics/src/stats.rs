@@ -17,11 +17,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Linear-interpolation percentile, `p ∈ [0, 100]`. Returns `None` for empty input.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     if values.is_empty() {
@@ -117,11 +112,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_std() {
+    fn mean_and_variance() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
         assert!((variance(&v) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&v) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);
     }

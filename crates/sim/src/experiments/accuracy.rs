@@ -158,23 +158,6 @@ fn curve_from_history(strategy: String, history: TrainingHistory) -> StrategyCur
     }
 }
 
-/// Runs one scheme through the scenario engine and returns its curve.
-///
-/// # Errors
-///
-/// Propagates configuration and auction errors from the scenario engine.
-pub fn run_strategy(
-    runner: &ScenarioRunner,
-    config: &AccuracyConfig,
-    strategy: SelectionStrategy,
-    seed: u64,
-) -> Result<StrategyCurve, SimError> {
-    let label = strategy.name().to_string();
-    let spec = ScenarioSpec::new(label, config.fl.clone(), strategy, config.rounds, seed);
-    let outcome = runner.run(&spec)?;
-    Ok(curve_from_history(outcome.strategy, outcome.history))
-}
-
 /// Reproduces one of Figs. 4–7: trains the task with FMore, RandFL, and FixFL (in parallel
 /// on the runner’s pool) and returns the three curves.
 ///

@@ -26,10 +26,10 @@ use crate::scenario::ScenarioRunner;
 use crate::series::Table;
 use fmore_fl::service::{AuctionService, JobSpec, ServiceConfig};
 use fmore_fl::{
-    AdversaryClock, AdversaryPlan, AggregationRule, AggregationScratch, CoordinateMedian, FedAvg,
-    Krum, MedianNormScreen, ReputationSpec, ScreenPolicy, TrimmedMean,
+    AdversaryPlan, AggregationRule, AggregationScratch, CoordinateMedian, DrawClock, FedAvg, Krum,
+    MedianNormScreen, ReputationSpec, ScreenPolicy, TrimmedMean,
 };
-use fmore_numerics::rng::derive_seed;
+use fmore_numerics::rng::{derive_seed, keyed_unit};
 use std::sync::Arc;
 
 /// Configuration of the adversary soak: the convergence study's shape plus the fleet.
@@ -120,15 +120,6 @@ pub fn job_specs(config: &AdversaryConfig) -> Result<Vec<JobSpec>, SimError> {
     Ok(specs)
 }
 
-/// A deterministic unit draw for the convergence study's honest gradient noise.
-fn unit(seed: u64, round: u64, member: u64, coord: u64) -> f64 {
-    let h = derive_seed(
-        derive_seed(derive_seed(seed, round), member.wrapping_add(1)),
-        coord.wrapping_add(1),
-    );
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// One descent curve: `descent_rounds` rounds of noisy steps toward the all-threes optimum,
 /// aggregated by `rule`, with `plan`'s seeded members poisoning their updates. Returns the
 /// final accuracy (100 at the optimum, 0 at or beyond the start) and the total quarantines.
@@ -139,7 +130,7 @@ fn descend(
 ) -> (f64, usize) {
     const DIM: usize = 16;
     const LR: f64 = 0.3;
-    let clock = AdversaryClock::new(plan, 0x5EED);
+    let clock = DrawClock::new(plan.seed, 0x5EED);
     let target = vec![3.0; DIM];
     let mut w = [0.0; DIM];
     let start_dist: f64 = target.iter().map(|t| t * t).sum::<f64>().sqrt();
@@ -151,11 +142,13 @@ fn descend(
             .map(|member| {
                 let mut params: Vec<f64> = (0..DIM)
                     .map(|d| {
-                        let noise = (unit(plan.seed, round, member, d as u64) - 0.5) * 0.02;
+                        // The honest gradient noise, keyed by (round, member, coordinate).
+                        let keys = [round, member.wrapping_add(1), d as u64 + 1];
+                        let noise = (keyed_unit(plan.seed, &keys) - 0.5) * 0.02;
                         w[d] + LR * (target[d] - w[d]) + noise
                     })
                     .collect();
-                if let Some(poison) = clock.update_poison(plan, round, member) {
+                if let Some(poison) = plan.update_poison(&clock, round, member) {
                     poison.apply(plan, &mut params);
                 }
                 params
@@ -198,14 +191,14 @@ fn panel() -> Vec<(Arc<dyn AggregationRule>, bool)> {
 /// The adversarial winner share of one completed round, recomputed from the committed
 /// seeds: membership is a pure function of `(plan seed ⊕ job seed, node)`.
 fn adversarial_wins(
-    clock: &AdversaryClock,
+    clock: &DrawClock,
     plan: &AdversaryPlan,
     summary: &fmore_fl::service::RoundSummary,
 ) -> usize {
     summary
         .winners
         .iter()
-        .filter(|w| clock.is_adversary(plan, w.node.0))
+        .filter(|w| plan.is_adversary(clock, w.node.0))
         .count()
 }
 
@@ -357,7 +350,7 @@ pub fn run(
             .sum();
         let (mut early, mut late) = (0usize, 0usize);
         if let Some(plan) = &spec.adversaries {
-            let clock = AdversaryClock::new(plan, spec.seed);
+            let clock = DrawClock::new(plan.seed, spec.seed);
             for record in &history.rounds {
                 if let Ok(summary) = &record.outcome {
                     let wins = adversarial_wins(&clock, plan, summary);
@@ -449,6 +442,13 @@ mod tests {
                 assert_ne!(spec.aggregation.name(), "median-norm");
             }
         }
+        // Deadline, adversary plan, reputation and rule pass admission at both fidelities.
+        for config in [AdversaryConfig::quick(), AdversaryConfig::paper()] {
+            for spec in job_specs(&config).unwrap() {
+                spec.validate()
+                    .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            }
+        }
         // Adversarial jobs draw from distinct seed streams.
         let seeds: std::collections::BTreeSet<_> = specs
             .iter()
@@ -463,9 +463,9 @@ mod tests {
         // so the convergence verdicts are not vacuous.
         let config = AdversaryConfig::quick();
         let attack = AdversaryPlan::byzantine(0xBEE5);
-        let clock = AdversaryClock::new(&attack, 0x5EED);
+        let clock = DrawClock::new(attack.seed, 0x5EED);
         let byzantine = (0..config.panel as u64)
-            .filter(|&m| clock.is_adversary(&attack, m))
+            .filter(|&m| attack.is_adversary(&clock, m))
             .count();
         assert!(byzantine > 0, "no panel member is Byzantine");
         assert!(

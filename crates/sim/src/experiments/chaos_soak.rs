@@ -288,6 +288,13 @@ mod tests {
             assert_eq!(spec.faults.is_some(), faulted(j));
             assert_eq!(spec.name.ends_with("-chaos"), faulted(j));
         }
+        // Deadline, watchdog and fault plan pass admission at both fidelities.
+        for config in [ChaosConfig::quick(), ChaosConfig::paper()] {
+            for spec in job_specs(&config).unwrap() {
+                spec.validate()
+                    .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            }
+        }
         // Faulted jobs draw from distinct fault streams.
         let seeds: std::collections::BTreeSet<_> = specs
             .iter()

@@ -1,6 +1,6 @@
 //! Determinism guarantees of the round engine: for every selection scheme, the same seed
 //! produces a bit-identical `TrainingHistory` across repeated runs — and across execution
-//! substrates (inline, spawn-per-round, 1-thread pool, N-thread pool).
+//! substrates (inline, 1-thread pool, N-thread pool).
 //!
 //! This is the contract the pooled engine was built around: results are collected into
 //! pre-sized slots indexed by submission order and every training job owns a seed derived
@@ -65,14 +65,12 @@ fn pool_size_one_and_n_agree_per_scheme() {
     }
 }
 
-/// All four execution substrates agree: inline, the seed's spawn-per-round path, and pools.
+/// Both execution modes agree: inline and pooled.
 #[test]
 fn every_execution_mode_agrees_per_scheme() {
     for (name, strategy) in strategies() {
         let inline = history_with(strategy.clone(), RoundEngine::inline(), SEED);
-        let spawned = history_with(strategy.clone(), RoundEngine::spawn_per_round(), SEED);
         let pooled = history_with(strategy.clone(), RoundEngine::pooled(3), SEED);
-        assert_eq!(inline, spawned, "{name}: spawn-per-round must match inline");
         assert_eq!(inline, pooled, "{name}: pooled must match inline");
     }
 }
@@ -120,12 +118,11 @@ fn cluster_is_deterministic_across_engines() {
     let inline = run(RoundEngine::inline());
     assert_eq!(inline, run(RoundEngine::pooled(1)));
     assert_eq!(inline, run(RoundEngine::pooled(4)));
-    assert_eq!(inline, run(RoundEngine::spawn_per_round()));
 }
 
 /// The churn-capable cluster inherits the full guarantee: dropouts, stragglers, deadline
 /// misses, and re-auction waves are drawn on the control thread, so a dynamic run is
-/// bit-identical across inline, spawn-per-round, and 1-vs-N-thread pooled execution — for
+/// bit-identical across inline and 1-vs-N-thread pooled execution — for
 /// both schemes.
 #[test]
 fn dynamic_cluster_is_deterministic_across_engines() {
@@ -145,7 +142,6 @@ fn dynamic_cluster_is_deterministic_across_engines() {
         let inline = run(RoundEngine::inline());
         assert_eq!(inline, run(RoundEngine::pooled(1)), "{strategy:?}");
         assert_eq!(inline, run(RoundEngine::pooled(4)), "{strategy:?}");
-        assert_eq!(inline, run(RoundEngine::spawn_per_round()), "{strategy:?}");
         // Churn actually fired — the guarantee is not vacuous.
         assert!(
             inline.total_dropouts() + inline.total_stragglers() > 0,

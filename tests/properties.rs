@@ -387,6 +387,24 @@ fn uniform_quantile_inverts_cdf() {
     });
 }
 
+/// FedAvg (the [`fmore::fl::FedAvg`] rule) over owned updates; an empty result is an error.
+fn fedavg(updates: &[(Vec<f64>, f64)]) -> Result<Vec<f64>, String> {
+    use fmore::fl::{AggregationRule, AggregationScratch, FedAvg};
+    let borrowed: Vec<(&[f64], f64)> = updates.iter().map(|(p, w)| (p.as_slice(), *w)).collect();
+    let mut out = Vec::new();
+    let report = FedAvg
+        .aggregate_with(&borrowed, &mut out, &mut AggregationScratch::new())
+        .map_err(|e| e.to_string())?;
+    ensure(report.accepted == updates.len() && !out.is_empty(), || {
+        format!(
+            "{} of {} updates aggregated",
+            report.accepted,
+            updates.len()
+        )
+    })?;
+    Ok(out)
+}
+
 /// FedAvg output always lies inside the per-coordinate envelope of its inputs, and averaging
 /// identical updates returns them unchanged.
 #[test]
@@ -405,10 +423,7 @@ fn federated_average_stays_in_envelope() {
         |(coords, (weight_a, weight_b))| {
             let a: Vec<f64> = coords.iter().map(|(base, _)| *base).collect();
             let b: Vec<f64> = coords.iter().map(|(base, delta)| base + delta).collect();
-            let avg =
-                fmore::fl::federated_average(&[(a.clone(), *weight_a), (b.clone(), *weight_b)])
-                    .map_err(|e| e.to_string())?
-                    .ok_or("average of two updates must exist")?;
+            let avg = fedavg(&[(a.clone(), *weight_a), (b.clone(), *weight_b)])?;
             for i in 0..a.len() {
                 let lo = a[i].min(b[i]) - 1e-9;
                 let hi = a[i].max(b[i]) + 1e-9;
@@ -416,10 +431,7 @@ fn federated_average_stays_in_envelope() {
                     format!("coordinate {i}: {} escaped [{lo}, {hi}]", avg[i])
                 })?;
             }
-            let same =
-                fmore::fl::federated_average(&[(a.clone(), *weight_a), (a.clone(), *weight_b)])
-                    .map_err(|e| e.to_string())?
-                    .ok_or("average of identical updates must exist")?;
+            let same = fedavg(&[(a.clone(), *weight_a), (a.clone(), *weight_b)])?;
             for (x, y) in same.iter().zip(&a) {
                 ensure((x - y).abs() < 1e-9, || {
                     format!("identical updates averaged to {x} != {y}")
@@ -452,12 +464,8 @@ fn federated_average_is_invariant_under_weight_scaling() {
             .collect();
         let scaled: Vec<(Vec<f64>, f64)> =
             plain.iter().map(|(v, w)| (v.clone(), w * scale)).collect();
-        let base = fmore::fl::federated_average(&plain)
-            .map_err(|e| e.to_string())?
-            .ok_or("non-empty average")?;
-        let rescaled = fmore::fl::federated_average(&scaled)
-            .map_err(|e| e.to_string())?
-            .ok_or("non-empty average")?;
+        let base = fedavg(&plain)?;
+        let rescaled = fedavg(&scaled)?;
         for (x, y) in base.iter().zip(&rescaled) {
             ensure((x - y).abs() < 1e-9, || {
                 format!("weight scaling by {scale} moved a coordinate: {x} -> {y}")
@@ -2010,7 +2018,7 @@ fn aggregation_rules_match_fedavg_bits_with_zero_adversaries() {
 /// FedAvg over the honest subset.
 #[test]
 fn robust_rules_recover_the_honest_mean_under_byzantine_minority() {
-    use fmore::fl::{federated_average_into, AggregationScratch};
+    use fmore::fl::{AggregationRule, AggregationScratch, FedAvg};
     let strategy = Tuple3(
         Tuple3(
             UsizeRange::new(7, 10),
@@ -2053,9 +2061,10 @@ fn robust_rules_recover_the_honest_mean_under_byzantine_minority() {
                 .map(|(_, u)| *u)
                 .collect();
             let mut honest_mean = Vec::new();
-            federated_average_into(honest.iter().copied(), &mut honest_mean)
-                .map_err(|e| e.to_string())?;
             let mut scratch = AggregationScratch::new();
+            FedAvg
+                .aggregate_with(&honest, &mut honest_mean, &mut scratch)
+                .map_err(|e| e.to_string())?;
             // Skip FedAvg (index 0): the whole point is that it cannot survive this.
             for rule in aggregation_rules(f).into_iter().skip(1) {
                 let mut out = Vec::new();
