@@ -1,5 +1,5 @@
-//! A faithful replica of the **pre-refactor** training hot path, kept as the comparison
-//! baseline for the `hot_path` bench and the arena-equivalence property tests.
+//! A faithful replica of the **pre-refactor** training hot path, kept as the oracle of the
+//! arena-equivalence property tests.
 //!
 //! Before the allocation-free rework, every mini-batch of `Sequential::train_epoch`
 //! allocated: the batch gather, a clone of the input at the top of the forward pass, a
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 // --- The seed's scalar matrix kernels, reproduced verbatim. -----------------------------
 //
 // The refactor rewired `Matrix::matmul`/`transpose`/… onto the new register-blocked cores,
-// so timing the baseline through those methods would hide most of what this PR changed.
+// so timing the baseline through those methods would hide most of what the rework changed.
 // These free functions replicate the seed kernels operation-for-operation: the skip-zero
 // i/k/j matmul, the allocating transpose, and the collect-per-call element-wise ops. For
 // finite inputs they are bit-identical to the new kernels (pinned by the unit test below),
@@ -211,8 +211,7 @@ mod tests {
     use fmore_numerics::seeded_rng;
 
     /// The baseline and the arena-backed `Sequential` produce bit-identical parameter
-    /// trajectories from the same seed — the contract the hot-path bench relies on to call
-    /// its speedup like-for-like.
+    /// trajectories from the same seed — the contract that makes it a like-for-like oracle.
     #[test]
     fn baseline_matches_sequential_bit_for_bit() {
         let mut data_rng = seeded_rng(40);

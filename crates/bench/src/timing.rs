@@ -1,12 +1,6 @@
-//! Shared scaffolding of the committed bench reports (`BENCH_*.json`).
-//!
-//! All three report examples — `bench_report`, `auction_scale_report`, and
-//! `round_throughput_report` — time the same way: plain `Instant` loops taking the
+//! Timing helpers of the benchmark package: plain `Instant` loops taking the
 //! **minimum** of N samples after a few untimed warm-ups, which is far more stable across
-//! shared CI machines than means, and emit one hand-formatted JSON document (the offline
-//! workspace has no serde) whose first field is a versioned schema string from
-//! [`schema_string`]. This module is the single home of that scaffolding; the examples
-//! hold only their suite-specific measurement code.
+//! shared machines than means.
 
 use std::time::Instant;
 
@@ -25,32 +19,10 @@ pub fn min_time_ns<F: FnMut()>(warmup: usize, samples: usize, mut f: F) -> u128 
     best
 }
 
-/// The versioned schema identifier of a committed report: `fmore-<name>-bench/v<version>`.
-/// Bump the version whenever a report's field layout changes, so downstream consumers of
-/// the committed JSON can tell the difference.
-pub fn schema_string(name: &str, version: u32) -> String {
-    format!("fmore-{name}-bench/v{version}")
-}
-
-/// Hardware threads visible to this process — what the pooled-speedup gates key off:
-/// demanding an 8-thread speedup on a single-core runner would only measure scheduler
-/// noise, so the reports record this next to their numbers and scale their assertions.
+/// Hardware threads visible to this process. The benchmark records it next to its numbers:
+/// a pooled speedup measured on a single-core machine is scheduler noise, not scaling.
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Whether the workspace-wide quick-mode toggle is set (the same `FMORE_BENCH_QUICK`
-/// environment variable the vendored criterion honours): report examples shrink their
-/// problem sizes and sample counts so CI can afford to run them on every push.
-pub fn quick_mode() -> bool {
-    std::env::var("FMORE_BENCH_QUICK").is_ok_and(|v| v != "0")
-}
-
-/// Writes a finished report to `path` and echoes it to stdout (the CI log carries the
-/// numbers even when the artifact upload is skipped).
-pub fn write_report(path: &str, json: &str) {
-    std::fs::write(path, json).expect("write bench report");
-    print!("{json}");
 }
 
 #[cfg(test)]
@@ -65,15 +37,6 @@ mod tests {
         assert!(ns > 0);
         // Zero samples still times one invocation (min of an empty set is useless).
         assert!(min_time_ns(0, 0, || ()) < u128::MAX);
-    }
-
-    #[test]
-    fn schema_strings_are_versioned() {
-        assert_eq!(schema_string("hot-path", 1), "fmore-hot-path-bench/v1");
-        assert_eq!(
-            schema_string("round-throughput", 2),
-            "fmore-round-throughput-bench/v2"
-        );
     }
 
     #[test]

@@ -545,7 +545,7 @@ impl WorkerPool {
     /// the tasks run inline on the calling thread, which keeps the pool deadlock-free.
     ///
     /// This re-raising wrapper exists for batch drivers that own the whole process (sweep
-    /// examples, benches). Service-facing paths never call it: every round-pipeline
+    /// examples, the benchmark). Service-facing paths never call it: every round-pipeline
     /// fan-out goes through [`WorkerPool::run_indexed_checked`] (via
     /// `RoundEngine::try_run_tasks`), where a panic becomes a typed error on the
     /// submitting job's round instead of an abort.

@@ -8,8 +8,8 @@
 //!
 //! The byte format is a hand-rolled little-endian codec (the workspace takes no serde
 //! dependency): a `FMCK` magic + version header, then length-prefixed fields. Every decode
-//! failure — truncation, a bad tag, trailing bytes — is a typed
-//! [`FlError::CheckpointCorrupt`], never a panic.
+//! failure — truncation, a bad tag, a length the remaining bytes cannot hold, trailing
+//! bytes — is a typed [`FlError::CheckpointCorrupt`], never a panic.
 
 use crate::error::FlError;
 use crate::faults::{Corruption, FaultEvent, FaultKind};
@@ -38,6 +38,16 @@ pub struct JobCheckpoint {
 
 const MAGIC: &[u8; 4] = b"FMCK";
 const VERSION: u16 = 2;
+
+/// Smallest encoding of one round record: its fixed-width prefix (round, attempts, backoff,
+/// two collection lengths, the outcome tag).
+const ROUND_RECORD_MIN_BYTES: usize = 8 + 4 + 8 + 8 + 8 + 1;
+/// Encoding of one fault event: attempt, slot, kind tag.
+const FAULT_EVENT_BYTES: usize = 4 + 8 + 1;
+/// Encoding of one winner: four integers, score, payment.
+const WINNER_BYTES: usize = 6 * 8;
+/// Encoding of one reputation `(node, score)` pair.
+const REPUTATION_PAIR_BYTES: usize = 8 + 8;
 
 impl JobCheckpoint {
     /// The checkpointed job's name (restore validates it against the supplied spec).
@@ -91,7 +101,8 @@ impl JobCheckpoint {
     /// # Errors
     ///
     /// [`FlError::CheckpointCorrupt`] on any malformed input: wrong magic/version,
-    /// truncation, an unknown tag, invalid UTF-8, or trailing bytes.
+    /// truncation, a collection length the remaining bytes cannot hold, an unknown tag,
+    /// invalid UTF-8, or trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FlError> {
         let mut r = Reader::new(bytes);
         let magic = r.take(4)?;
@@ -104,13 +115,13 @@ impl JobCheckpoint {
         }
         let round = r.u64()?;
         let name = r.string()?;
-        let n_rounds = r.len()?;
+        let n_rounds = r.len(ROUND_RECORD_MIN_BYTES)?;
         let mut rounds = Vec::with_capacity(n_rounds);
         for _ in 0..n_rounds {
             let record_round = r.u64()?;
             let attempts = r.u32()?;
             let backoff_secs = r.f64()?;
-            let n_faults = r.len()?;
+            let n_faults = r.len(FAULT_EVENT_BYTES)?;
             let mut faults = Vec::with_capacity(n_faults);
             for _ in 0..n_faults {
                 let attempt = r.u32()?;
@@ -122,7 +133,8 @@ impl JobCheckpoint {
                     kind,
                 });
             }
-            let n_retry = r.len()?;
+            // Every encoded error is at least its one tag byte.
+            let n_retry = r.len(1)?;
             let mut retry_errors = Vec::with_capacity(n_retry);
             for _ in 0..n_retry {
                 retry_errors.push(take_fl_error(&mut r)?);
@@ -141,7 +153,7 @@ impl JobCheckpoint {
                 retry_errors,
             });
         }
-        let n_reputation = r.len()?;
+        let n_reputation = r.len(REPUTATION_PAIR_BYTES)?;
         let mut reputation = Vec::with_capacity(n_reputation);
         for _ in 0..n_reputation {
             let node = r.u64()?;
@@ -202,7 +214,7 @@ fn put_summary(out: &mut Vec<u8>, s: &RoundSummary) {
 fn take_summary(r: &mut Reader<'_>) -> Result<RoundSummary, FlError> {
     let round = r.u64()?;
     let offered = r.u64()? as usize;
-    let n_winners = r.len()?;
+    let n_winners = r.len(WINNER_BYTES)?;
     let mut winners = Vec::with_capacity(n_winners);
     for _ in 0..n_winners {
         winners.push(WinnerInfo {
@@ -488,18 +500,20 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// A collection length: bounded by the bytes actually remaining, so a corrupt length
-    /// word cannot trigger an absurd pre-allocation.
-    fn len(&mut self) -> Result<usize, FlError> {
+    /// A collection length whose elements each encode to at least `min_bytes`: a count the
+    /// remaining bytes could not hold is rejected before the caller pre-allocates for it, so
+    /// a corrupt length word costs at most one allocation the size of the input.
+    fn len(&mut self, min_bytes: usize) -> Result<usize, FlError> {
         let n = self.u64()?;
-        if n > self.bytes.len() as u64 {
+        let remaining = self.bytes.len() - self.pos;
+        if n > (remaining / min_bytes) as u64 {
             return Err(corrupt(&format!("implausible collection length {n}")));
         }
         Ok(n as usize)
     }
 
     fn string(&mut self) -> Result<String, FlError> {
-        let n = self.len()?;
+        let n = self.len(1)?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("invalid UTF-8 string"))
     }
@@ -683,14 +697,28 @@ mod tests {
             JobCheckpoint::from_bytes(&bad),
             Err(FlError::CheckpointCorrupt(_))
         ));
-        // An implausible collection length fails before allocating.
-        let mut bad = bytes;
+        // An implausible collection length fails at the length word, before allocating.
+        let rejects_length = |at: usize, n: u64| {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&n.to_le_bytes());
+            let expected = format!("implausible collection length {n}");
+            assert!(
+                matches!(
+                    JobCheckpoint::from_bytes(&bad),
+                    Err(FlError::CheckpointCorrupt(ref msg)) if *msg == expected
+                ),
+                "length {n} at byte {at}: {:?}",
+                JobCheckpoint::from_bytes(&bad)
+            );
+        };
         let name_len_at = 4 + 2 + 8;
-        bad[name_len_at..name_len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            JobCheckpoint::from_bytes(&bad),
-            Err(FlError::CheckpointCorrupt(_))
-        ));
+        rejects_length(name_len_at, u64::MAX);
+        // A round count one more than the remaining bytes could hold at the smallest
+        // record encoding: fewer rounds than bytes, but still rejected up front instead of
+        // reserving `size_of::<RoundRecord>()` bytes per claimed round.
+        let rounds_at = name_len_at + 8 + "cp-job".len();
+        let remaining = bytes.len() - (rounds_at + 8);
+        rejects_length(rounds_at, (remaining / ROUND_RECORD_MIN_BYTES + 1) as u64);
     }
 
     #[test]

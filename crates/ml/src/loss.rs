@@ -93,13 +93,6 @@ pub(crate) fn row_argmax(row: &[f64]) -> usize {
     best
 }
 
-/// Row-wise argmax: the predicted class for every sample.
-pub fn predictions(logits: &Matrix) -> Vec<usize> {
-    (0..logits.rows())
-        .map(|r| row_argmax(logits.row(r)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,15 +166,6 @@ mod tests {
                 grad.data()[idx]
             );
         }
-    }
-
-    #[test]
-    fn predictions_take_row_argmax() {
-        let logits = Matrix::from_vec(3, 3, vec![1.0, 5.0, 2.0, 9.0, 0.0, 1.0, 0.0, 0.1, 0.2]);
-        assert_eq!(predictions(&logits), vec![1, 0, 2]);
-        // Ties resolve to the last maximal index, matching `Iterator::max_by`.
-        let tied = Matrix::from_vec(1, 3, vec![4.0, 4.0, 1.0]);
-        assert_eq!(predictions(&tied), vec![1]);
     }
 
     #[test]

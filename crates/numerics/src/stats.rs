@@ -8,15 +8,6 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Population variance; `0.0` for inputs with fewer than two elements.
-pub fn variance(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
-}
-
 /// Linear-interpolation percentile, `p ∈ [0, 100]`. Returns `None` for empty input.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     if values.is_empty() {
@@ -112,12 +103,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_averages_and_is_zero_when_empty() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
-        assert!((variance(&v) - 4.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[1.0]), 0.0);
     }
 
     #[test]

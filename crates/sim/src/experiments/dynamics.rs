@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn fmore_degrades_more_gracefully_than_randfl_under_dropout() {
-        // The acceptance criterion of the dynamics subsystem: at every swept dropout rate
+        // The acceptance gate of the dynamics subsystem: at every swept dropout rate
         // FMore reaches at least RandFL's final accuracy, and whenever RandFL reaches the
         // accuracy target at all, FMore reaches it no later in simulated time.
         let config = DynamicsExperimentConfig::quick();

@@ -3,7 +3,7 @@
 //! The registry is the single catalogue of what this reproduction can regenerate. Each entry
 //! names the experiment, the paper figure it reproduces, and a runner function that executes
 //! the experiment's scenarios through a [`ScenarioRunner`] and returns presentation-ready
-//! tables. Drivers (examples, benches, CI smoke runs) iterate the registry instead of
+//! tables. Drivers (examples, tests, CI smoke runs) iterate the registry instead of
 //! hard-coding module calls, so adding a figure is one new entry plus its spec — no new
 //! driver code.
 
@@ -95,21 +95,21 @@ fn headline_targets(fidelity: Fidelity) -> (f64, f64) {
     }
 }
 
-fn accuracy_report(figure: &accuracy::AccuracyFigure) -> ExperimentReport {
+fn report_accuracy(figure: &accuracy::AccuracyFigure) -> ExperimentReport {
     ExperimentReport {
         name: "accuracy",
         tables: vec![figure.to_table()],
     }
 }
 
-fn cluster_report(figure: &cluster::ClusterFigure) -> ExperimentReport {
+fn report_cluster(figure: &cluster::ClusterFigure) -> ExperimentReport {
     ExperimentReport {
         name: "cluster",
         tables: vec![figure.to_table()],
     }
 }
 
-fn headline_report(
+fn report_headline(
     figure: &accuracy::AccuracyFigure,
     cluster_figure: &cluster::ClusterFigure,
     fidelity: Fidelity,
@@ -128,7 +128,7 @@ fn headline_report(
 
 fn run_accuracy(runner: &ScenarioRunner, fidelity: Fidelity) -> Result<ExperimentReport, SimError> {
     let figure = accuracy::run(runner, &accuracy_config(fidelity))?;
-    Ok(accuracy_report(&figure))
+    Ok(report_accuracy(&figure))
 }
 
 fn run_scores(runner: &ScenarioRunner, fidelity: Fidelity) -> Result<ExperimentReport, SimError> {
@@ -180,13 +180,13 @@ fn run_impact_psi(
 
 fn run_cluster(runner: &ScenarioRunner, fidelity: Fidelity) -> Result<ExperimentReport, SimError> {
     let figure = cluster::run(runner, &cluster_config(fidelity))?;
-    Ok(cluster_report(&figure))
+    Ok(report_cluster(&figure))
 }
 
 fn run_headline(runner: &ScenarioRunner, fidelity: Fidelity) -> Result<ExperimentReport, SimError> {
     let figure = accuracy::run(runner, &accuracy_config(fidelity))?;
     let cluster_figure = cluster::run(runner, &cluster_config(fidelity))?;
-    Ok(headline_report(&figure, &cluster_figure, fidelity))
+    Ok(report_headline(&figure, &cluster_figure, fidelity))
 }
 
 fn dynamics_config(fidelity: Fidelity) -> dynamics::DynamicsExperimentConfig {
@@ -432,9 +432,9 @@ pub fn run_all(
     REGISTRY
         .iter()
         .map(|def| match def.name {
-            "accuracy" => Ok(accuracy_report(&accuracy_figure)),
-            "cluster" => Ok(cluster_report(&cluster_figure)),
-            "headline" => Ok(headline_report(&accuracy_figure, &cluster_figure, fidelity)),
+            "accuracy" => Ok(report_accuracy(&accuracy_figure)),
+            "cluster" => Ok(report_cluster(&cluster_figure)),
+            "headline" => Ok(report_headline(&accuracy_figure, &cluster_figure, fidelity)),
             _ => def.run(runner, fidelity),
         })
         .collect()

@@ -19,8 +19,8 @@
 //! the only `O(N)` cost of a round is arithmetic, not memory.
 //!
 //! Quick fidelity keeps every column deterministic (wall-clock is reported as `-`), so the
-//! golden suite fingerprints these entries like any other figure; the committed
-//! `BENCH_auction_scale.json` carries the measured times.
+//! golden suite fingerprints these entries like any other figure; the benchmark's
+//! `select-1m` and `select-psi-250k` workloads carry the tracked times.
 
 use crate::error::SimError;
 use crate::scenario::ScenarioRunner;
@@ -110,8 +110,8 @@ impl ScaleConfig {
     }
 }
 
-/// The per-`N` machinery shared by every scale entry (and by the `auction_scale` bench): a
-/// lazily derived population, the tabulated equilibrium solver, and the auction of one
+/// The per-`N` machinery shared by every scale entry (and by the scale smokes of the
+/// integration tests): a lazily derived population, the tabulated equilibrium solver, and the auction of one
 /// selection round.
 pub struct ScaleGame {
     population: NodePopulation,
@@ -132,8 +132,8 @@ impl ScaleGame {
         Self::with_selection(n, config, SelectionRule::TopK)
     }
 
-    /// [`ScaleGame::new`] under an explicit selection rule — the ψ-FMore sweeps of the
-    /// scale bench ride on this constructor; everything else (population stream, solver
+    /// [`ScaleGame::new`] under an explicit selection rule — the ψ-FMore rounds of the
+    /// scale tests ride on this constructor; everything else (population stream, solver
     /// tabulation, per-`N` selection seed) is identical, so a ψ game at the same `n`
     /// draws the very same bid population as the top-K game.
     ///

@@ -150,7 +150,7 @@ fn dynamic_cluster_is_deterministic_across_engines() {
     }
 }
 
-/// The registry-facing path of the acceptance criterion: a dropout-sweep scenario pair runs
+/// The registry-facing path of the acceptance gate: a dropout-sweep scenario pair runs
 /// bit-identically through 1-thread and N-thread scenario runners.
 #[test]
 fn dropout_sweep_scenarios_agree_across_runner_pool_sizes() {

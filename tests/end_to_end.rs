@@ -167,10 +167,14 @@ fn whole_stack_is_deterministic_per_seed() {
 /// The population-scale smoke CI runs by name: a 100 000-bidder selection round (bid
 /// derivation → sharded scoring → bounded top-K → payments) through the streaming auction
 /// core, cross-checked against the dense full-sort path at a size where materialising the
-/// population is still cheap.
+/// population is still cheap — and the flat memory contract, to the byte: the peak resident
+/// bid bytes are those of one shard plus the standing pool, whatever the population size,
+/// the stream contract or the selection rule.
 #[test]
 fn hundred_thousand_bidder_selection_smoke() {
+    use fmore::auction::SelectionRule;
     use fmore::fl::engine::RoundEngine;
+    use fmore::mec::population::SpecVersion;
     use fmore::sim::experiments::scale::{ScaleConfig, ScaleGame};
 
     let mut config = ScaleConfig::quick();
@@ -186,10 +190,10 @@ fn hundred_thousand_bidder_selection_smoke() {
     assert!(stage.winners.windows(2).all(|w| w[0].score >= w[1].score));
     // Transient bid memory stays shard-scale: far below the ~4.8 MB a dense store of
     // 100 000 three-dimensional bids would hold.
+    let peak = stage.peak_bid_bytes;
     assert!(
-        stage.peak_bid_bytes < 1_000_000,
-        "peak bid bytes {} is no longer shard-scale",
-        stage.peak_bid_bytes
+        peak < 1_000_000,
+        "peak bid bytes {peak} is no longer shard-scale"
     );
 
     // Dense parity at 20 000 bidders: same bids, same winners, same payments, bit for bit.
@@ -204,14 +208,37 @@ fn hundred_thousand_bidder_selection_smoke() {
         assert_eq!(s.node, d.node);
         assert_eq!(s.payment.to_bits(), d.payment.to_bits());
     }
+
+    // The same peak at a fifth of the population, under the v2 stream contract, and under
+    // ψ-FMore (ψ = 0.8 reaches 108 ranks, inside the K + reserve = 128 pool).
+    let v2 = config.clone().with_spec_version(SpecVersion::V2);
+    let v2_stage = ScaleGame::new(parity_n, &v2)
+        .expect("scale game builds")
+        .run_streamed(&RoundEngine::inline(), &v2)
+        .expect("streamed round runs");
+    let psi_stage =
+        ScaleGame::with_selection(parity_n, &config, SelectionRule::PsiFMore { psi: 0.8 })
+            .expect("scale game builds")
+            .run_streamed(&RoundEngine::inline(), &config)
+            .expect("streamed round runs");
+    for (label, bytes) in [
+        ("v1 top-K at 2e4", streamed.peak_bid_bytes),
+        ("v2 top-K at 2e4", v2_stage.peak_bid_bytes),
+        ("v1 psi=0.8 at 2e4", psi_stage.peak_bid_bytes),
+    ] {
+        assert_eq!(
+            bytes, peak,
+            "{label}: peak bid bytes differ from the 1e5 round's"
+        );
+    }
 }
 
 /// Named CI smoke for the bounded ψ admission at scale: one streamed ψ-FMore (ψ = 0.8)
 /// selection round over 10,000,000 lazily derived bidders — one stream of the population
 /// into a pool that covers the walk's reach, the rank-only admission walk, the admitted
-/// ranks read off the pool — completing with a full winner set at the shard-scale peak the
-/// 1e5 top-K smoke holds. Ignored by default (a 1e7 round
-/// is too slow for the debug-mode tier-1 run); CI runs it by name in release.
+/// ranks read off the pool — completing with a full winner set at exactly the peak of a
+/// top-K round over 10 000 bidders. Ignored by default (a 1e7 round is too slow for the
+/// debug-mode tier-1 run); CI runs it by name in release.
 #[test]
 #[ignore = "ten-million-bidder round; CI runs it by name in release"]
 fn ten_million_bidder_psi_selection_smoke() {
@@ -232,12 +259,21 @@ fn ten_million_bidder_psi_selection_smoke() {
         "a full ψ winner set at 1e7 bidders"
     );
     assert!(stage.winners.iter().all(|w| w.payment > 0.0));
-    // The memory contract of the bounded ψ admission: resident bid bytes stay bounded by
-    // the shard and the standing pool, three orders of magnitude below a dense store.
+    // The memory contract of the bounded ψ admission: resident bid bytes are one shard
+    // plus the standing pool, to the byte — ψ = 0.8 reaches 108 ranks, inside the
+    // K + reserve = 128 pool, so a thousandfold smaller top-K round holds the same peak.
+    let top_k = ScaleGame::new(10_000, &config)
+        .expect("scale game builds")
+        .run_streamed(&RoundEngine::inline(), &config)
+        .expect("streamed round runs");
     assert!(
-        stage.peak_bid_bytes < 1_000_000,
+        top_k.peak_bid_bytes < 1_000_000,
         "peak bid bytes {} is no longer shard-scale",
-        stage.peak_bid_bytes
+        top_k.peak_bid_bytes
+    );
+    assert_eq!(
+        stage.peak_bid_bytes, top_k.peak_bid_bytes,
+        "the 1e7 psi round's peak differs from the 1e4 top-K round's"
     );
 }
 
