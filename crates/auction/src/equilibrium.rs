@@ -379,7 +379,7 @@ pub struct EquilibriumSolver {
     /// `∫_{u_min}^{u} g(x) dx` on the score grid.
     g_cumulative: Vec<f64>,
     /// `p*(θ_i)` for every θ grid point — the equilibrium ask table behind the O(1)
-    /// population-scale bid path ([`EquilibriumSolver::tabulated_ask`]).
+    /// population-scale bid path ([`EquilibriumSolver::tabulated_bids_at`]).
     payments: Vec<f64>,
     /// Row-major copy of `qualities` (`grid × dims`, stride `bounds.len()`): adjacent grid
     /// rows share cache lines, so the per-bid interpolation in
@@ -477,7 +477,7 @@ impl EquilibriumSolver {
 
     /// Fills the `p*(θ_i)` table once the rent machinery exists. At grid points the tabled
     /// value equals [`EquilibriumSolver::payment_for`] exactly (same `q*(θ_i)` and the same
-    /// rent); between grid points [`EquilibriumSolver::tabulated_ask`] interpolates
+    /// rent); between grid points [`EquilibriumSolver::tabulated_bid_into`] interpolates
     /// linearly.
     fn tabulate_payments(&mut self) -> Result<(), AuctionError> {
         // Before the rents: the Che closed form interpolates `q*(t)` from this table.
@@ -545,47 +545,6 @@ impl EquilibriumSolver {
         (idx, t - idx as f64)
     }
 
-    /// The equilibrium ask `p*(θ)` interpolated from the precomputed θ grid — `O(1)` per
-    /// call, no optimisation and no quadrature.
-    ///
-    /// This is the population-scale twin of [`EquilibriumSolver::payment_for`]: exact at
-    /// grid points, linear in between (error `O(grid⁻²)`), and cheap enough to price a
-    /// million bidders per round. The paper-fidelity simulators keep their nodes, so they
-    /// solve each node's exact [`EquilibriumStrategy`] once and hold it; the scale
-    /// experiments derive bidders lazily, hold none, and interpolate here instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuctionError::ThetaOutOfSupport`] for θ outside `[θ̲, θ̄]`.
-    #[inline]
-    pub fn tabulated_ask(&self, theta: f64) -> Result<f64, AuctionError> {
-        self.check_theta(theta)?;
-        Ok(self.interp_theta(&self.payments, theta))
-    }
-
-    /// The equilibrium quality `q*(θ)` interpolated from the precomputed θ grid and clipped
-    /// component-wise to `capacity`, written into `out` (cleared first, capacity reused) —
-    /// `O(m)` per call and allocation-free in steady state.
-    ///
-    /// The population-scale twin of [`EquilibriumStrategy::cap`]'s clipped quality.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuctionError::ThetaOutOfSupport`] for θ outside the support and
-    /// [`AuctionError::DimensionMismatch`] when `capacity` has the wrong dimension.
-    #[inline]
-    pub fn tabulated_quality_into(
-        &self,
-        theta: f64,
-        capacity: &[f64],
-        out: &mut Vec<f64>,
-    ) -> Result<(), AuctionError> {
-        let (idx, frac) = self.checked_grid_pos(theta, capacity)?;
-        out.clear();
-        out.extend(self.clipped_quality_at(idx, frac, capacity.iter().copied()));
-        Ok(())
-    }
-
     #[inline(always)]
     fn check_dims(&self, actual: usize) -> Result<(), AuctionError> {
         if actual != self.bounds.len() {
@@ -636,13 +595,13 @@ impl EquilibriumSolver {
         p[0] + frac * (p[1] - p[0])
     }
 
-    /// One whole tabulated equilibrium bid — capacity-capped quality into `out` plus the
-    /// returned ask — from a **single** θ-grid lookup shared by both interpolations, where
-    /// the [`EquilibriumSolver::tabulated_quality_into`] + [`EquilibriumSolver::tabulated_ask`]
-    /// pair pays for two support checks and two grid positions. The per-node form of the
-    /// population-scale bid path (whole shards go through
-    /// [`EquilibriumSolver::tabulated_bids_at`]); results are bit-identical to calling the
-    /// pair.
+    /// One whole tabulated equilibrium bid — the equilibrium quality `q*(θ)` clipped
+    /// component-wise to `capacity` into `out`, plus the returned ask `p*(θ)` — from a
+    /// single θ-grid lookup shared by both interpolations: `O(m)` per call, no optimisation
+    /// and no quadrature, exact at grid points and linear in between (error `O(grid⁻²)`).
+    /// The population-scale twin of [`EquilibriumStrategy::cap`] and
+    /// [`EquilibriumSolver::payment_for`]; the per-node form of the bid path whose whole
+    /// shards go through [`EquilibriumSolver::tabulated_bids_at`].
     ///
     /// # Errors
     ///

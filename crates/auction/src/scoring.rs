@@ -540,11 +540,6 @@ impl<S: ScoringFunction> NormalizedScoring<S> {
             .collect();
         Ok(Self { inner, normalizers })
     }
-
-    /// Access the wrapped scoring function.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: ScoringFunction> ScoringFunction for NormalizedScoring<S> {

@@ -600,13 +600,9 @@ impl ShardSelection {
     }
 
     /// Number of surviving candidates.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.kept.len()
-    }
-
-    /// Whether the shard kept nothing.
-    pub fn is_empty(&self) -> bool {
-        self.kept.len() == 0
     }
 }
 

@@ -99,21 +99,10 @@ impl EdgeClient {
     }
 
     /// Draws the subset of this round's available samples the client actually trains on,
-    /// using the client's own seeded RNG.
+    /// using the client's own seeded RNG, into `out` (cleared first, capacity reused).
     ///
     /// A winner may have declared (and be paid for) fewer samples than it has available; the
     /// trained subset is then a uniform draw from the availability — **not** a prefix of it.
-    /// (The pre-refactor trainer took the first `take` indices, silently biasing every
-    /// non-full-data round toward the front of the shard.)
-    pub fn draw_training_subset(&mut self, take: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.draw_training_subset_into(take, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`EdgeClient::draw_training_subset`]: writes the drawn sample
-    /// indices into `out` (cleared first, capacity reused). Consumes the identical RNG
-    /// stream, so the two forms are interchangeable mid-run.
     pub fn draw_training_subset_into(&mut self, take: usize, out: &mut Vec<usize>) {
         let take = take.min(self.available.len()).max(1);
         if take >= self.available.len() {

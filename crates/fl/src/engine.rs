@@ -10,10 +10,11 @@
 //! ```
 //!
 //! This module holds the shared implementation of each stage and the execution substrate
-//! they run on: the [`WorkerPool`] — the sharded work-stealing executor of
-//! [`crate::executor`] — is created once, reused across rounds (and across trainers, via
-//! [`shared_pool`]), and collects results into pre-sized slots indexed by submission order —
-//! deterministic by construction, no per-task queue contention, no per-round thread churn.
+//! they run on: the [`WorkerPool`] of [`crate::executor`] — one shared FIFO queue of task
+//! chunks, drained by its workers and by the submitting thread — is created once, reused
+//! across rounds (and across trainers, via [`shared_pool`]), and collects results into
+//! slots indexed by submission order — deterministic by construction, no per-round thread
+//! churn.
 //!
 //! Parallelism never affects results: a training job owns its slot's reusable model instance
 //! and scratch arena ([`SlotState`]), a shared snapshot of the global parameters, its sample
@@ -122,20 +123,9 @@ impl RoundEngine {
         &self,
         tasks: Vec<Task<T>>,
     ) -> Vec<Result<T, JobPanic>> {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let caught = |slot: usize, payload: Box<dyn std::any::Any + Send>| JobPanic {
-            slot,
-            message: crate::executor::panic_message(payload),
-        };
         match &self.pool {
             Some(pool) => pool.run_indexed_checked(tasks),
-            None => tasks
-                .into_iter()
-                .enumerate()
-                .map(|(slot, task)| {
-                    catch_unwind(AssertUnwindSafe(task)).map_err(|p| caught(slot, p))
-                })
-                .collect(),
+            None => crate::executor::run_inline(tasks),
         }
     }
 
@@ -760,154 +750,13 @@ impl TrainingJob {
     }
 }
 
-/// How the local-training stage decomposes each winner's work into executor tasks.
-///
-/// Every granularity produces bit-identical updates (a winner's units run strictly in
-/// order, with the same RNG stream); the knob only changes how finely the scheduler can
-/// pack work around a straggler winner. Coarser is cheaper in scheduling overhead, finer
-/// wins wall-clock when winners' workloads are skewed — see [`crate::chain`].
+/// How the local-training stage dispatches work: one task per winner. Kept, with its one
+/// variant, only because `benchmark/src/workloads.rs` names it in a `SoakConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FanOutGranularity {
-    /// One indivisible task per winner (the historical default).
+    /// One indivisible task per winner.
     #[default]
     PerWinner,
-    /// One chain unit per local epoch.
-    PerEpoch,
-    /// One chain unit per mini-batch (plus the epoch's shuffle folded into its first
-    /// batch) — the finest decomposition [`fmore_ml::model::Sequential`] supports.
-    PerBatch,
-}
-
-/// Incremental executor of one [`TrainingJob`]: the same phases as [`TrainingJob::run`]
-/// (prime the slot model, train the epochs, export the parameters) advanced one fan-out
-/// unit at a time, bit-identical to the one-shot path at every granularity.
-struct ChainedTraining {
-    job: TrainingJob,
-    rng: rand::rngs::StdRng,
-    granularity: FanOutGranularity,
-    primed: bool,
-    epoch: usize,
-    /// Sample cursor into the current epoch's shuffled order (per-batch only).
-    cursor: usize,
-}
-
-impl ChainedTraining {
-    fn new(job: TrainingJob, granularity: FanOutGranularity) -> Self {
-        let rng = seeded_rng(job.seed);
-        Self {
-            job,
-            rng,
-            granularity,
-            primed: false,
-            epoch: 0,
-            cursor: 0,
-        }
-    }
-
-    /// Estimated `(units, per-unit cost)` of the chain, in samples — scheduling hints for
-    /// the longest-remaining-first queue, never load-bearing for correctness.
-    fn estimate(&self) -> (usize, u64) {
-        let n = self.job.state.indices.len();
-        let epochs = self.job.epochs.max(1);
-        let batch = self.job.batch_size.max(1);
-        match self.granularity {
-            FanOutGranularity::PerWinner => (1, (epochs * n.max(1)) as u64),
-            FanOutGranularity::PerEpoch => (epochs, n.max(1) as u64),
-            FanOutGranularity::PerBatch => (
-                epochs * n.div_ceil(batch).max(1),
-                batch.min(n.max(1)) as u64,
-            ),
-        }
-    }
-
-    /// Runs one unit; returns `true` once every epoch has trained (the caller then
-    /// exports the parameters via [`ChainedTraining::finish`]).
-    fn advance(&mut self) -> bool {
-        let state = &mut self.job.state;
-        if !self.primed {
-            state.model.apply_parameters(&self.job.global_params);
-            state.model.reset_scratch_rng();
-            self.primed = true;
-            if self.job.epochs == 0 {
-                return true;
-            }
-        }
-        match self.granularity {
-            FanOutGranularity::PerWinner | FanOutGranularity::PerEpoch => {
-                state.model.train_epoch_in(
-                    &mut state.arena,
-                    &self.job.data,
-                    &state.indices,
-                    self.job.learning_rate,
-                    self.job.batch_size,
-                    &mut self.rng,
-                );
-                self.epoch += 1;
-            }
-            FanOutGranularity::PerBatch => {
-                if self.cursor == 0 {
-                    // First batch of the epoch carries the shuffle. An empty subset makes
-                    // the whole epoch a no-op consuming no RNG, exactly like
-                    // `train_epoch_in`'s early return.
-                    state
-                        .model
-                        .shuffle_epoch_in(&mut state.arena, &state.indices, &mut self.rng);
-                }
-                let n = state.arena.epoch_len();
-                if n == 0 {
-                    self.epoch += 1;
-                    return self.epoch == self.job.epochs;
-                }
-                let lo = self.cursor;
-                let hi = (lo + self.job.batch_size.max(1)).min(n);
-                state.model.train_batches_in(
-                    &mut state.arena,
-                    &self.job.data,
-                    lo..hi,
-                    self.job.learning_rate,
-                    self.job.batch_size,
-                );
-                self.cursor = hi;
-                if self.cursor >= n {
-                    self.cursor = 0;
-                    self.epoch += 1;
-                }
-            }
-        }
-        self.epoch == self.job.epochs
-    }
-
-    /// Exports the trained parameters — the tail of [`TrainingJob::run`], verbatim.
-    fn finish(mut self) -> (LocalUpdate, SlotState) {
-        let state = &mut self.job.state;
-        state.model.parameters_into(&mut state.params);
-        let update = LocalUpdate {
-            slot: self.job.slot,
-            client: self.job.client,
-            parameters: std::mem::take(&mut state.params),
-            weight: state.indices.len() as f64,
-        };
-        (update, self.job.state)
-    }
-
-    /// Wraps the chained job as a [`TaskChain`] step closure.
-    fn into_chain(self) -> crate::chain::TaskChain<(LocalUpdate, SlotState)> {
-        let (units, cost) = self.estimate();
-        let mut chained = Some(self);
-        crate::chain::TaskChain::new(units, cost, move || {
-            let c = chained.as_mut().expect("chain stepped past completion");
-            if c.advance() {
-                Some(
-                    chained
-                        .take()
-                        .expect("chain finished exactly once")
-                        .finish(),
-                )
-            } else {
-                None
-            }
-        })
-    }
 }
 
 /// Trains every job on the engine (steps 4–5 of Algorithm 1), returning updates and their
@@ -922,41 +771,11 @@ pub fn local_training(
     engine: &RoundEngine,
     jobs: Vec<TrainingJob>,
 ) -> Result<Vec<(LocalUpdate, SlotState)>, FlError> {
-    local_training_with(engine, jobs, FanOutGranularity::PerWinner)
-}
-
-/// [`local_training`] with an explicit [`FanOutGranularity`]: per-winner jobs go through
-/// the executor as indivisible tasks; per-epoch and per-batch jobs run as
-/// [`crate::chain::TaskChain`]s (see [`crate::chain::run_chains`]) whose units interleave
-/// across winners with
-/// longest-remaining-first scheduling. The returned updates are bit-identical across all
-/// granularities, engines, and pool widths.
-///
-/// # Errors
-///
-/// As for [`local_training`]; a panic mid-chain fails the round with the chain's winner
-/// slot, with every sibling winner still trained.
-pub fn local_training_with(
-    engine: &RoundEngine,
-    jobs: Vec<TrainingJob>,
-    granularity: FanOutGranularity,
-) -> Result<Vec<(LocalUpdate, SlotState)>, FlError> {
-    match granularity {
-        FanOutGranularity::PerWinner => {
-            let tasks: Vec<Task<(LocalUpdate, SlotState)>> = jobs
-                .into_iter()
-                .map(|job| Box::new(move || job.run()) as Task<(LocalUpdate, SlotState)>)
-                .collect();
-            engine.try_run_tasks(tasks)
-        }
-        FanOutGranularity::PerEpoch | FanOutGranularity::PerBatch => {
-            let chains = jobs
-                .into_iter()
-                .map(|job| ChainedTraining::new(job, granularity).into_chain())
-                .collect();
-            crate::chain::run_chains(engine, chains)
-        }
-    }
+    let tasks: Vec<Task<(LocalUpdate, SlotState)>> = jobs
+        .into_iter()
+        .map(|job| Box::new(move || job.run()) as Task<(LocalUpdate, SlotState)>)
+        .collect();
+    engine.try_run_tasks(tasks)
 }
 
 // ---------------------------------------------------------------------------
@@ -1504,88 +1323,6 @@ mod tests {
     fn engine_parallel_width_matches_the_substrate() {
         assert_eq!(RoundEngine::inline().parallel_width(), 1);
         assert_eq!(RoundEngine::pooled(3).parallel_width(), 3);
-    }
-
-    fn fan_out_jobs(sizes: &[usize]) -> Vec<TrainingJob> {
-        use fmore_ml::dataset::SyntheticImageSpec;
-        use fmore_ml::layers::{Dense, Dropout, Layer};
-        let mut rng = seeded_rng(90);
-        let data = Arc::new(SyntheticImageSpec::mnist_like().generate(160, &mut rng));
-        // Dropout makes the model's scratch RNG order-sensitive, so any unit-sequencing
-        // divergence between granularities corrupts the parameters.
-        let model = Sequential::new(vec![
-            Box::new(Dense::new(data.feature_dim(), 10, &mut rng)) as Box<dyn Layer>,
-            Box::new(Dropout::new(0.25)),
-            Box::new(Dense::new(10, data.num_classes(), &mut rng)),
-        ]);
-        let global_params = Arc::new(model.parameters());
-        sizes
-            .iter()
-            .enumerate()
-            .map(|(slot, &size)| {
-                let mut state = SlotState::new(model.clone());
-                state.indices = (0..size).map(|i| (slot * 13 + i) % data.len()).collect();
-                TrainingJob {
-                    slot,
-                    client: slot,
-                    state,
-                    global_params: Arc::clone(&global_params),
-                    data: Arc::clone(&data),
-                    epochs: 2,
-                    learning_rate: 0.1,
-                    batch_size: 8,
-                    seed: fmore_numerics::rng::derive_seed(91, slot as u64),
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn fan_out_granularities_produce_bit_identical_updates() {
-        // Skewed sizes (one straggler, an empty subset, a sub-batch subset) across every
-        // granularity × engine combination must reproduce the per-winner updates bitwise.
-        let sizes = [60usize, 5, 0, 23, 120];
-        let reference = local_training(&RoundEngine::inline(), fan_out_jobs(&sizes)).unwrap();
-        for granularity in [
-            FanOutGranularity::PerWinner,
-            FanOutGranularity::PerEpoch,
-            FanOutGranularity::PerBatch,
-        ] {
-            for engine in [
-                RoundEngine::inline(),
-                RoundEngine::pooled(2),
-                RoundEngine::pooled(8),
-            ] {
-                let got = local_training_with(&engine, fan_out_jobs(&sizes), granularity).unwrap();
-                assert_eq!(got.len(), reference.len());
-                for ((update, _), (expected, _)) in got.iter().zip(&reference) {
-                    assert_eq!(update.slot, expected.slot);
-                    assert_eq!(update.weight.to_bits(), expected.weight.to_bits());
-                    let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(&update.parameters),
-                        bits(&expected.parameters),
-                        "granularity {granularity:?} diverged in slot {}",
-                        update.slot
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fan_out_chain_panics_fail_the_round_with_the_winner_slot() {
-        let mut jobs = fan_out_jobs(&[10, 10, 10]);
-        // Poison slot 1 with indices past the dataset: the gather panics mid-chain.
-        jobs[1].state.indices = vec![usize::MAX];
-        for granularity in [FanOutGranularity::PerEpoch, FanOutGranularity::PerBatch] {
-            let err = local_training_with(&RoundEngine::pooled(2), jobs.clone(), granularity)
-                .unwrap_err();
-            assert!(
-                matches!(err, FlError::JobPanic(ref m) if m.slot == 1),
-                "granularity {granularity:?}: {err}"
-            );
-        }
     }
 
     #[test]

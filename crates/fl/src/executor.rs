@@ -1,58 +1,49 @@
-//! The sharded work-stealing executor behind every parallel stage of the round pipeline.
+//! The worker pool behind every parallel stage of the round pipeline: one FIFO queue of
+//! chunks under one mutex, drained by the workers and by the submitting thread.
 //!
-//! The first pooled engine (PR 1) was a single `Mutex<Receiver<Job>>` that every worker
-//! contended on, fed one `Box`ed job at a time, with results funnelled back through a
-//! per-call `(usize, T)` channel. Correct, but it serialised exactly the part that was
-//! supposed to scale: a 512-task fan-out was 512 locked sends on the way in and 512 locked
-//! receives on the way out, and the queue lock was the hottest line in the profile.
-//!
-//! This module replaces that substrate while keeping the public surface
-//! ([`WorkerPool::new`], [`WorkerPool::run_indexed`], [`WorkerPool::threads`]) byte-for-byte
-//! compatible, so `RoundEngine`, the trainer, the MEC cluster, `ScenarioRunner::map`, and
-//! the streamed auction stage all inherit the win without changing a line:
-//!
-//! * **Chunked batch submission.** A fan-out of `n` tasks is published as
-//!   `O(width)` contiguous *range units* (one injector lock for the whole batch), not `n`
-//!   queued closures. The tasks themselves live in a single shared [`FanOut`] slab.
-//! * **Per-worker deques + a global injector.** Each worker owns a deque of range units.
-//!   Executing a unit wider than the steal granularity first splits it — the upper half is
-//!   pushed onto the owner's deque where idle workers steal it from the opposite end — so
-//!   imbalance self-corrects at `O(log n)` deque operations instead of per-task handoffs.
-//! * **Reusable result slots.** Every task writes its result into its own pre-sized slot in
-//!   the [`FanOut`] slab (disjoint ranges, so no synchronisation per write); the submitter
-//!   wakes once on a completion latch instead of draining a channel `n` times.
+//! * **Chunked submission.** [`WorkerPool::run_indexed_checked`] cuts a fan-out of `n`
+//!   tasks into a few contiguous chunks (two per participating thread, the submitter
+//!   counted) and pushes them under one lock, waking one sleeping worker per chunk beyond
+//!   the first.
+//! * **The submitter helps.** Instead of parking, the submitting thread pops and runs
+//!   queued chunks — its own, or an earlier fan-out's — until its fan-out is done; only when
+//!   the queue is empty while other threads still run its chunks does it wait. On a
+//!   one-worker pool this is what makes a pooled round cost one running thread rather than
+//!   a worker plus an idle submitter, and a fan-out completes even while every worker is
+//!   blocked.
+//! * **Slot-indexed results.** Each chunk runs its tasks, then writes their outcomes into
+//!   the fan-out's slot vector under one lock; the submitter reads the slots once the last
+//!   chunk has written.
 //! * **Per-slot panic markers.** A panicking task records [`JobPanic`] in its slot rather
 //!   than silently vanishing; [`WorkerPool::run_indexed_checked`] surfaces every slot's
 //!   fate, and [`WorkerPool::run_indexed`] re-raises the first panic with its slot index.
 //!   Workers themselves never die — the pool keeps full capacity across poisoned waves.
 //!
-//! **Determinism contract.** Results are identified by submission index and written to
-//! disjoint slots, so the output order — and therefore everything downstream, from FedAvg
-//! to the golden figure fingerprints — is a pure function of the submitted tasks. Worker
-//! count, steal order, and split depth are wall-clock knobs only; the determinism suite
-//! pins bit-identical histories across widths 1/2/8 under active stealing.
+//! **Determinism contract.** Results are identified by submission index, so the output
+//! order — and therefore everything downstream, from FedAvg to the golden figure
+//! fingerprints — is a pure function of the submitted tasks. Worker count, chunking and
+//! which thread ran a chunk are wall-clock matters only; the determinism suite pins
+//! bit-identical histories across widths 1/2/8.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// A unit of work returning a value; see [`crate::engine::RoundEngine::run_tasks`].
+/// A unit of work returning a value; see [`crate::engine::RoundEngine::try_run_tasks`].
 pub type Task<T> = Box<dyn FnOnce() -> T + Send + 'static>;
 
+/// Contiguous chunks queued per participating thread (workers plus the submitter): enough
+/// that a thread finishing early finds another chunk, few enough that a fan-out of
+/// microsecond tasks costs a handful of queue operations.
+const CHUNKS_PER_THREAD: usize = 2;
+
 thread_local! {
-    /// Set while the current thread is a pool worker, so nested fan-outs (an experiment sweep
+    /// Set while the current thread runs pool work, so nested fan-outs (an experiment sweep
     /// whose tasks themselves train in parallel) degrade to inline execution instead of
     /// deadlocking on a saturated pool.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the calling thread is a pool worker (nested fan-outs run inline).
-pub(crate) fn in_pool_worker() -> bool {
-    IN_POOL_WORKER.with(|flag| flag.get())
 }
 
 /// Number of workers used when a pool is created with `threads = 0`.
@@ -62,13 +53,11 @@ pub fn default_threads() -> usize {
         .clamp(1, 8)
 }
 
-/// Locks a mutex, recovering the guard if a previous holder panicked (workers catch task
-/// panics before touching any queue lock, so poisoning is already impossible by
+/// Locks a mutex, recovering the guard if a previous holder panicked (task panics are
+/// caught before any pool lock is touched, so poisoning is already impossible by
 /// construction — this just keeps the pool unkillable even if that invariant slips).
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The fate marker of one fan-out slot whose task panicked: callers of
@@ -93,7 +82,7 @@ impl std::fmt::Display for JobPanic {
     }
 }
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -103,309 +92,151 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The fan-out slab: tasks and result slots of one `run_indexed` call.
-// ---------------------------------------------------------------------------
-
-/// One task/result slot pair. The `UnsafeCell`s are raced-free by construction: every slot
-/// index belongs to exactly one range unit (ranges are disjoint under splitting), and the
-/// submitter only reads after the completion latch — which the last writer sets — has
-/// flipped.
-struct FanCell<T> {
-    task: UnsafeCell<Option<Task<T>>>,
-    result: UnsafeCell<Option<Result<T, String>>>,
+/// Runs one task, catching a panic as the slot's [`JobPanic`] marker.
+fn run_slot<T>(slot: usize, task: Task<T>) -> Result<T, JobPanic> {
+    catch_unwind(AssertUnwindSafe(task)).map_err(|payload| JobPanic {
+        slot,
+        message: panic_message(payload),
+    })
 }
 
-/// The shared slab of one indexed fan-out: pre-sized task and result slots, the steal
-/// granularity, a remaining-task latch, and the condvar the submitter parks on.
-struct FanOut<T> {
-    cells: Vec<FanCell<T>>,
-    split_len: usize,
-    remaining: AtomicUsize,
-    done: Mutex<bool>,
-    done_cv: Condvar,
+/// Runs every task on the calling thread, in order, with per-slot panic markers — the
+/// inline engine and the pool's nested and single-task fan-outs.
+pub(crate) fn run_inline<T>(tasks: Vec<Task<T>>) -> Vec<Result<T, JobPanic>> {
+    tasks
+        .into_iter()
+        .enumerate()
+        .map(|(slot, task)| run_slot(slot, task))
+        .collect()
 }
 
-// SAFETY: slots are only touched by the worker owning the (disjoint) range that contains
-// them, and by the submitter after the `done` latch synchronises with the last writer.
-unsafe impl<T: Send> Sync for FanOut<T> {}
+/// A contiguous run of one fan-out's tasks, type-erased so one queue holds every result
+/// type: it runs its tasks and writes their outcomes into the fan-out's slots.
+type Chunk = Box<dyn FnOnce() + Send>;
 
-impl<T: Send + 'static> FanOut<T> {
-    fn new(tasks: Vec<Task<T>>, split_len: usize) -> Self {
-        let cells = tasks
-            .into_iter()
-            .map(|task| FanCell {
-                task: UnsafeCell::new(Some(task)),
-                result: UnsafeCell::new(None),
-            })
-            .collect::<Vec<_>>();
-        let remaining = AtomicUsize::new(cells.len());
+/// The result slots of one fan-out, and the latch its submitter waits on.
+struct Fan<T> {
+    slots: Mutex<Slots<T>>,
+    done: Condvar,
+}
+
+struct Slots<T> {
+    results: Vec<Option<Result<T, JobPanic>>>,
+    /// Tasks whose outcome is not written yet.
+    pending: usize,
+}
+
+impl<T> Fan<T> {
+    fn new(n: usize) -> Self {
         Self {
-            cells,
-            split_len,
-            remaining,
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
+            slots: Mutex::new(Slots {
+                results: (0..n).map(|_| None).collect(),
+                pending: n,
+            }),
+            done: Condvar::new(),
         }
     }
 
-    /// Blocks the submitter until every slot has been written.
-    fn wait_done(&self) {
-        let mut done = lock(&self.done);
-        while !*done {
-            done = self
-                .done_cv
-                .wait(done)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Drains the result slots in submission order. Only called by the submitter after
-    /// [`FanOut::wait_done`], which synchronises with every writer.
-    fn take_results(&self) -> Vec<Result<T, JobPanic>> {
-        self.cells
-            .iter()
+    /// Runs the tasks of slots `first..first + tasks.len()`, then writes their outcomes
+    /// under one lock, waking the submitter if they were the last.
+    fn run_chunk(&self, first: usize, tasks: Vec<Task<T>>) {
+        let outcomes: Vec<Result<T, JobPanic>> = tasks
+            .into_iter()
             .enumerate()
-            .map(|(slot, cell)| {
-                // SAFETY: all writers finished (done latch) and the submitter is the only
-                // reader.
-                let written = unsafe { &mut *cell.result.get() };
-                written
-                    .take()
-                    .expect("every slot written exactly once")
-                    .map_err(|message| JobPanic { slot, message })
-            })
+            .map(|(i, task)| run_slot(first + i, task))
+            .collect();
+        let mut guard = lock(&self.slots);
+        let Slots { results, pending } = &mut *guard;
+        *pending -= outcomes.len();
+        for (slot, outcome) in results[first..].iter_mut().zip(outcomes) {
+            *slot = Some(outcome);
+        }
+        if *pending == 0 {
+            self.done.notify_one();
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        lock(&self.slots).pending == 0
+    }
+
+    /// Waits until every chunk has written, then hands the slots back in submission order.
+    fn wait_results(&self) -> Vec<Result<T, JobPanic>> {
+        let mut slots = lock(&self.slots);
+        while slots.pending > 0 {
+            slots = self
+                .done
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        std::mem::take(&mut slots.results)
+            .into_iter()
+            .map(|slot| slot.expect("every slot written exactly once"))
             .collect()
     }
 }
 
-/// Type-erased execution of one contiguous slot range; implemented by [`FanOut`] per result
-/// type so the worker queues hold a single unit shape.
-trait RangeRunner: Send + Sync {
-    fn run_range(&self, lo: usize, hi: usize);
-    fn split_len(&self) -> usize;
+/// The queue every thread drains, with the bookkeeping of its sleepers.
+struct Queue {
+    chunks: VecDeque<Chunk>,
+    /// Workers waiting on [`Shared::work`].
+    idle: usize,
+    live: bool,
+    /// Worker wake-ups that found nothing queued.
+    stall_wakeups: usize,
 }
 
-impl<T: Send + 'static> RangeRunner for FanOut<T> {
-    fn run_range(&self, lo: usize, hi: usize) {
-        for i in lo..hi {
-            // SAFETY: this range owns slots [lo, hi) exclusively.
-            let task = unsafe { &mut *self.cells[i].task.get() }
-                .take()
-                .expect("each task claimed exactly once");
-            let outcome = catch_unwind(AssertUnwindSafe(task)).map_err(panic_message);
-            // SAFETY: as above; the slot's writer is this call alone.
-            unsafe { *self.cells[i].result.get() = Some(outcome) };
-        }
-        let ran = hi - lo;
-        // AcqRel: the last decrement observes every earlier writer's release, so flipping
-        // the latch publishes all result slots to the submitter.
-        if self.remaining.fetch_sub(ran, Ordering::AcqRel) == ran {
-            let mut done = lock(&self.done);
-            *done = true;
-            self.done_cv.notify_all();
-        }
-    }
-
-    fn split_len(&self) -> usize {
-        self.split_len
-    }
+struct Shared {
+    queue: Mutex<Queue>,
+    work: Condvar,
 }
 
-/// One stealable range of a fan-out.
-struct WorkUnit {
-    runner: Arc<dyn RangeRunner>,
-    lo: usize,
-    hi: usize,
-}
-
-// ---------------------------------------------------------------------------
-// The pool: per-worker deques, a global injector, and the sleep protocol.
-// ---------------------------------------------------------------------------
-
-struct PoolShared {
-    /// Per-worker stealable deques: the owner pushes/pops at the back, thieves take from
-    /// the front — opposite ends, so a busy owner and its thieves rarely collide.
-    locals: Vec<Mutex<VecDeque<WorkUnit>>>,
-    /// Where fresh batches land; workers drain it FIFO so earlier fan-outs finish first.
-    injector: Mutex<VecDeque<WorkUnit>>,
-    /// Parked workers wait here (paired with the injector mutex).
-    work_cv: Condvar,
-    /// Queued units across the injector and all local deques. Incremented *before* the
-    /// matching push, so a successful pop never underflows the counter.
-    queued: AtomicUsize,
-    /// Workers currently parked on `work_cv`; lets pushers skip the notify lock when
-    /// everyone is already busy.
-    sleepers: AtomicUsize,
-    live: AtomicBool,
-    /// Belt-and-braces park interval: how long a worker sleeps before re-checking for work
-    /// it was never notified about (see [`PoolShared::park`]).
-    park_timeout: Duration,
-    /// How many parks expired without a notification *and* without queued work — each one
-    /// is a wakeup the Dekker handshake says should never be needed, so a growing count
-    /// under load is the stall signature this diagnostic exists to surface.
-    stall_wakeups: AtomicUsize,
-}
-
-impl PoolShared {
-    /// Publishes one unit from a worker thread and wakes a sleeper if there is one.
-    ///
-    /// The counter/flag ordering forms the classic Dekker handshake with
-    /// [`PoolShared::park`]: the pusher writes `queued` then reads `sleepers`; the parking
-    /// worker writes `sleepers` then re-reads `queued`. Under `SeqCst` at least one side
-    /// sees the other, so a unit can never be published into a pool where every worker
-    /// sleeps through it.
-    fn push_local(&self, worker: usize, unit: WorkUnit) {
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        lock(&self.locals[worker]).push_back(unit);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = lock(&self.injector);
-            self.work_cv.notify_one();
+impl Shared {
+    /// Queues a fan-out's chunks under one lock and wakes a sleeping worker for each chunk
+    /// beyond the first, which the submitter runs itself.
+    fn push(&self, chunks: Vec<Chunk>) {
+        let mut queue = lock(&self.queue);
+        let wake = chunks.len().saturating_sub(1).min(queue.idle);
+        queue.chunks.extend(chunks);
+        drop(queue);
+        for _ in 0..wake {
+            self.work.notify_one();
         }
     }
 
-    /// Pops the next unit: own deque first (LIFO — cache-warm halves of the unit this
-    /// worker just split), then the injector (FIFO), then a steal sweep over the other
-    /// workers' deques (FIFO end — the oldest, largest ranges).
-    fn find_unit(&self, me: usize) -> Option<WorkUnit> {
-        if let Some(unit) = lock(&self.locals[me]).pop_back() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(unit);
-        }
-        if let Some(unit) = lock(&self.injector).pop_front() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(unit);
-        }
-        let n = self.locals.len();
-        for offset in 1..n {
-            let victim = (me + offset) % n;
-            if let Some(unit) = lock(&self.locals[victim]).pop_front() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(unit);
-            }
-        }
-        None
-    }
-
-    /// Parks the calling worker until work or shutdown arrives. Returns `false` when the
-    /// worker should exit.
-    fn park(&self) -> bool {
-        let guard = lock(&self.injector);
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        // Dekker partner of `push_local`: re-check after announcing the sleep.
-        if self.queued.load(Ordering::SeqCst) > 0 {
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return true;
-        }
-        if !self.live.load(Ordering::SeqCst) {
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return false;
-        }
-        // The timeout is a belt-and-braces liveness net only; the handshake above is what
-        // correctness rests on. The default interval is long enough that an idle
-        // process-wide pool costs essentially nothing in background wakeups.
-        let (_guard, timeout) = self
-            .work_cv
-            .wait_timeout(guard, self.park_timeout)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if timeout.timed_out()
-            && self.queued.load(Ordering::SeqCst) == 0
-            && self.live.load(Ordering::SeqCst)
-        {
-            // Expired with nothing to do and no shutdown: a silent stall wakeup. Counted
-            // instead of swallowed, so a wedged submitter shows up in diagnostics.
-            self.stall_wakeups.fetch_add(1, Ordering::Relaxed);
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        true
-    }
-
-    /// Runs one unit, eagerly splitting ranges wider than the steal granularity so idle
-    /// workers always have something to take.
-    fn execute(&self, me: usize, mut unit: WorkUnit) {
-        let min = unit.runner.split_len().max(1);
-        while unit.hi - unit.lo > min {
-            let mid = unit.lo + (unit.hi - unit.lo) / 2;
-            self.push_local(
-                me,
-                WorkUnit {
-                    runner: Arc::clone(&unit.runner),
-                    lo: mid,
-                    hi: unit.hi,
-                },
-            );
-            unit.hi = mid;
-        }
-        unit.runner.run_range(unit.lo, unit.hi);
-    }
-
-    /// Publishes one unit from an external (non-worker) thread — the helping submitter has
-    /// no local deque, so split halves land in the injector — and wakes a sleeper if there
-    /// is one. Same Dekker handshake as [`PoolShared::push_local`].
-    fn push_injector(&self, unit: WorkUnit) {
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        let mut injector = lock(&self.injector);
-        injector.push_back(unit);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            self.work_cv.notify_one();
-        }
-    }
-
-    /// Pops the next unit for an external thread: the injector first (FIFO — the oldest
-    /// fan-outs), then a steal sweep over every worker's deque.
-    fn find_unit_external(&self) -> Option<WorkUnit> {
-        if let Some(unit) = lock(&self.injector).pop_front() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(unit);
-        }
-        for victim in &self.locals {
-            if let Some(unit) = lock(victim).pop_front() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(unit);
-            }
-        }
-        None
-    }
-
-    /// Runs one unit on an external thread, splitting wide ranges into the injector. The
-    /// worker flag is set for the duration of the borrowed task so a nested fan-out inside
-    /// it degrades to inline execution, exactly as it would on a real worker.
-    fn execute_external(&self, mut unit: WorkUnit) {
-        let min = unit.runner.split_len().max(1);
-        while unit.hi - unit.lo > min {
-            let mid = unit.lo + (unit.hi - unit.lo) / 2;
-            self.push_injector(WorkUnit {
-                runner: Arc::clone(&unit.runner),
-                lo: mid,
-                hi: unit.hi,
-            });
-            unit.hi = mid;
-        }
-        let was_worker = IN_POOL_WORKER.with(|flag| flag.replace(true));
-        unit.runner.run_range(unit.lo, unit.hi);
-        IN_POOL_WORKER.with(|flag| flag.set(was_worker));
+    fn pop(&self) -> Option<Chunk> {
+        lock(&self.queue).chunks.pop_front()
     }
 }
 
-fn worker_loop(shared: Arc<PoolShared>, me: usize) {
+fn worker_loop(shared: &Shared) {
     IN_POOL_WORKER.with(|flag| flag.set(true));
+    let mut queue = lock(&shared.queue);
     loop {
-        match shared.find_unit(me) {
-            Some(unit) => shared.execute(me, unit),
-            None => {
-                if !shared.park() {
-                    break;
-                }
+        if let Some(chunk) = queue.chunks.pop_front() {
+            drop(queue);
+            chunk();
+            queue = lock(&shared.queue);
+        } else if !queue.live {
+            return;
+        } else {
+            queue.idle += 1;
+            queue = shared
+                .work
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+            queue.idle -= 1;
+            if queue.chunks.is_empty() && queue.live {
+                queue.stall_wakeups += 1;
             }
         }
     }
 }
 
-/// A persistent pool of work-stealing worker threads with slot-indexed, order-preserving
-/// result collection. See the module docs for the execution discipline; the public
-/// contract is unchanged from the channel-based pool it replaces.
+/// A persistent pool of worker threads with slot-indexed, order-preserving result
+/// collection. See the module docs for the execution discipline.
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -417,42 +248,29 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Default belt-and-braces park interval of [`WorkerPool::new`].
-pub const DEFAULT_PARK_TIMEOUT: Duration = Duration::from_secs(2);
-
 impl WorkerPool {
-    /// Spawns a pool with `threads` workers (`0` means [`default_threads`]) parking at
-    /// [`DEFAULT_PARK_TIMEOUT`].
+    /// Spawns a pool with `threads` workers (`0` means [`default_threads`]).
     pub fn new(threads: usize) -> Self {
-        Self::with_park_timeout(threads, DEFAULT_PARK_TIMEOUT)
-    }
-
-    /// Spawns a pool whose idle workers re-check for missed work every `park_timeout`
-    /// instead of the default two seconds. Shorter intervals surface stalls faster in
-    /// [`WorkerPool::stall_wakeups`] at the cost of more idle wakeups; the results of any
-    /// fan-out are identical either way.
-    pub fn with_park_timeout(threads: usize, park_timeout: Duration) -> Self {
         let threads = if threads == 0 {
             default_threads()
         } else {
             threads
         };
-        let shared = Arc::new(PoolShared {
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            work_cv: Condvar::new(),
-            queued: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            live: AtomicBool::new(true),
-            park_timeout: park_timeout.max(Duration::from_millis(1)),
-            stall_wakeups: AtomicUsize::new(0),
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue {
+                chunks: VecDeque::new(),
+                idle: 0,
+                live: true,
+                stall_wakeups: 0,
+            }),
+            work: Condvar::new(),
         });
         let workers = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("fmore-pool-{i}"))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -464,13 +282,11 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// How many worker parks have expired without a notification or queued work since the
-    /// pool was built. On a healthy pool this stays near zero under load (workers are
-    /// notified, not timed out); it climbs at `threads / park_timeout` per second while
-    /// the pool sits idle or a submitter is wedged — a cheap, always-on stall diagnostic
-    /// that used to be swallowed silently.
+    /// How many times a worker woke and found nothing queued since the pool was built — a
+    /// worker woken for a chunk that the submitter (or another worker) ran first. Idle
+    /// workers sleep until work arrives, so an idle pool adds nothing here.
     pub fn stall_wakeups(&self) -> usize {
-        self.shared.stall_wakeups.load(Ordering::Relaxed)
+        lock(&self.shared.queue).stall_wakeups
     }
 
     /// Runs every task on the pool and returns each slot's fate **in submission order**:
@@ -478,71 +294,42 @@ impl WorkerPool {
     /// kill workers (the pool keeps full capacity) and never mask sibling results —
     /// every healthy slot still delivers.
     ///
-    /// When called from inside a pool worker (a nested fan-out) the tasks run inline on
-    /// the calling thread, which keeps the pool deadlock-free.
+    /// When called from pool work (a nested fan-out) the tasks run inline on the calling
+    /// thread, which keeps the pool deadlock-free.
     pub fn run_indexed_checked<T: Send + 'static>(
         &self,
         tasks: Vec<Task<T>>,
     ) -> Vec<Result<T, JobPanic>> {
         let n = tasks.len();
-        if n <= 1 || in_pool_worker() {
-            return tasks
-                .into_iter()
-                .enumerate()
-                .map(|(slot, task)| {
-                    catch_unwind(AssertUnwindSafe(task)).map_err(|payload| JobPanic {
-                        slot,
-                        message: panic_message(payload),
-                    })
-                })
-                .collect();
+        if n <= 1 || IN_POOL_WORKER.with(Cell::get) {
+            return run_inline(tasks);
         }
-        let width = self.threads();
-        // O(width) contiguous batches regardless of n; stealing splits them down to a
-        // granularity that keeps every worker fed without descending to per-task handoffs.
-        let chunk = n.div_ceil(width).max(1);
-        let split_len = n.div_ceil(width * 8).max(1);
-        let fan = Arc::new(FanOut::new(tasks, split_len));
-        let runner: Arc<dyn RangeRunner> = Arc::clone(&fan) as Arc<dyn RangeRunner>;
-        {
-            let mut injector = lock(&self.shared.injector);
-            let mut lo = 0;
-            let mut units = 0usize;
-            while lo < n {
-                let hi = (lo + chunk).min(n);
-                injector.push_back(WorkUnit {
-                    runner: Arc::clone(&runner),
-                    lo,
-                    hi,
-                });
-                units += 1;
-                lo = hi;
-            }
-            self.shared.queued.fetch_add(units, Ordering::SeqCst);
-            self.shared.work_cv.notify_all();
-        }
-        // The submitter helps instead of parking: while its fan-out has outstanding slots
-        // it executes queued units like any worker would (its own units — or, work-
-        // conserving, an earlier fan-out's). On width-1 pools and single-core boxes this
-        // is what makes a pooled round cost one running thread instead of a worker plus a
-        // dead submitter; on wider pools it adds a thread to every wave. Only when the
-        // queues drain while stragglers still run does it fall back to the latch.
-        while fan.remaining.load(Ordering::Acquire) > 0 {
-            match self.shared.find_unit_external() {
-                Some(unit) => self.shared.execute_external(unit),
+        let fan = Arc::new(Fan::new(n));
+        let chunk_len = n.div_ceil(CHUNKS_PER_THREAD * (self.threads() + 1));
+        let mut tasks = tasks.into_iter();
+        let chunks = (0..n)
+            .step_by(chunk_len)
+            .map(|first| {
+                let batch: Vec<Task<T>> = tasks.by_ref().take(chunk_len).collect();
+                let fan = Arc::clone(&fan);
+                Box::new(move || fan.run_chunk(first, batch)) as Chunk
+            })
+            .collect();
+        self.shared.push(chunks);
+        // Help until this fan-out is done or the queue is empty. The flag makes a nested
+        // fan-out inside a borrowed chunk run inline, exactly as it would on a worker.
+        IN_POOL_WORKER.with(|flag| flag.set(true));
+        while !fan.is_done() {
+            match self.shared.pop() {
+                Some(chunk) => chunk(),
                 None => break,
             }
         }
-        fan.wait_done();
-        fan.take_results()
+        IN_POOL_WORKER.with(|flag| flag.set(false));
+        fan.wait_results()
     }
 
     /// Runs every task on the pool and returns the results **in submission order**.
-    ///
-    /// Results are written into pre-sized slots keyed by submission index, so the output
-    /// order is independent of completion order — determinism by construction rather than
-    /// by an after-the-fact sort. When called from inside a pool worker (a nested fan-out)
-    /// the tasks run inline on the calling thread, which keeps the pool deadlock-free.
     ///
     /// This re-raising wrapper exists for batch drivers that own the whole process (sweep
     /// examples, the benchmark). Service-facing paths never call it: every round-pipeline
@@ -567,11 +354,8 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.live.store(false, Ordering::SeqCst);
-        {
-            let _guard = lock(&self.shared.injector);
-            self.shared.work_cv.notify_all();
-        }
+        lock(&self.shared.queue).live = false;
+        self.shared.work.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -581,6 +365,9 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     #[test]
     fn checked_run_reports_per_slot_panic_markers() {
@@ -660,10 +447,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_preserves_submission_order_under_skew() {
+    fn skewed_fanouts_preserve_submission_order() {
         let pool = WorkerPool::new(4);
-        // Heavily skewed costs: the first chunk is orders of magnitude slower, so the
-        // other workers must steal from it for the wave to balance at all.
+        // Heavily skewed costs: the first chunks are orders of magnitude slower, so the
+        // chunks finish far out of submission order.
         let tasks: Vec<Task<usize>> = (0..256usize)
             .map(|i| {
                 Box::new(move || {
@@ -728,25 +515,87 @@ mod tests {
     }
 
     #[test]
-    fn stall_wakeups_are_counted_and_the_interval_is_configurable() {
-        // A freshly built pool at the default two-second interval reports no stalls.
+    fn idle_workers_sleep_without_stall_wakeups() {
         let pool = WorkerPool::new(2);
-        assert_eq!(pool.stall_wakeups(), 0);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(pool.stall_wakeups(), 0, "an idle pool never wakes");
+        // Each fan-out wakes at most one worker per chunk beyond the submitter's first,
+        // so the count stays bounded by the wake-ups actually sent.
+        let fanouts = 50;
+        for _ in 0..fanouts {
+            let tasks: Vec<Task<usize>> = (0..64usize)
+                .map(|i| Box::new(move || i * 3) as Task<usize>)
+                .collect();
+            assert_eq!(
+                pool.run_indexed(tasks),
+                (0..64).map(|i| i * 3).collect::<Vec<_>>()
+            );
+        }
+        assert!(pool.stall_wakeups() <= fanouts * pool.threads());
+    }
 
-        // At a short interval, idle workers accumulate counted stall wakeups quickly...
-        let pool = WorkerPool::with_park_timeout(2, Duration::from_millis(20));
-        std::thread::sleep(Duration::from_millis(150));
-        assert!(
-            pool.stall_wakeups() >= 1,
-            "idle workers at a 20ms park interval must register stall wakeups"
-        );
-        // ...and the pool still executes fan-outs normally afterwards.
-        let tasks: Vec<Task<usize>> = (0..64usize)
-            .map(|i| Box::new(move || i * 3) as Task<usize>)
-            .collect();
-        assert_eq!(
-            pool.run_indexed(tasks),
-            (0..64).map(|i| i * 3).collect::<Vec<_>>()
-        );
+    /// Eight submitters share a width-2 pool, each running a few hundred fan-outs of 1–64
+    /// tasks, some of them nested fan-outs and some panicking: every result must come back
+    /// in its slot with the right marker, and the whole storm must finish well inside a
+    /// timeout (a lost wake-up or a missed latch would hang it).
+    #[test]
+    fn concurrent_submitters_get_every_slot_back_in_order() {
+        const SUBMITTERS: usize = 8;
+        const FANOUTS: usize = 300;
+        let pool = Arc::new(WorkerPool::new(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut submitters = Vec::new();
+        for submitter in 0..SUBMITTERS {
+            let (pool, tx) = (Arc::clone(&pool), tx.clone());
+            submitters.push(std::thread::spawn(move || {
+                for round in 0..FANOUTS {
+                    let n = 1 + (submitter * 31 + round * 17) % 64;
+                    let doomed = (round % 7 == 0).then_some((submitter + round) % n);
+                    let tasks: Vec<Task<usize>> = (0..n)
+                        .map(|slot| {
+                            let pool = Arc::clone(&pool);
+                            Box::new(move || {
+                                if doomed == Some(slot) {
+                                    panic!("slot {slot} of round {round} died");
+                                }
+                                if slot % 16 == 3 {
+                                    let inner: Vec<Task<usize>> = (0..4usize)
+                                        .map(|j| Box::new(move || slot + j) as Task<usize>)
+                                        .collect();
+                                    return pool.run_indexed(inner).into_iter().sum();
+                                }
+                                slot * 1_000 + round
+                            }) as Task<usize>
+                        })
+                        .collect();
+                    for (slot, fate) in pool.run_indexed_checked(tasks).into_iter().enumerate() {
+                        match fate {
+                            Err(marker) => {
+                                assert_eq!(doomed, Some(slot), "unexpected panic: {marker}");
+                                assert_eq!(marker.slot, slot);
+                                assert_eq!(
+                                    marker.message,
+                                    format!("slot {slot} of round {round} died")
+                                );
+                            }
+                            Ok(value) if slot % 16 == 3 => assert_eq!(value, 4 * slot + 6),
+                            Ok(value) => assert_eq!(value, slot * 1_000 + round),
+                        }
+                    }
+                }
+                tx.send(()).unwrap();
+            }));
+        }
+        drop(tx);
+        // A submitter that failed an assertion hangs up instead of timing out; the joins
+        // below then surface its panic.
+        for _ in 0..SUBMITTERS {
+            if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(Duration::from_secs(60)) {
+                panic!("a fan-out never completed");
+            }
+        }
+        for submitter in submitters {
+            submitter.join().expect("every submitter finished cleanly");
+        }
     }
 }

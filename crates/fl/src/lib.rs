@@ -35,7 +35,6 @@
 
 pub mod adversary;
 pub mod aggregator;
-pub mod chain;
 pub mod client;
 pub mod config;
 pub mod engine;
@@ -54,12 +53,9 @@ pub use aggregator::{
     AggregationRule, AggregationScratch, CoordinateMedian, FedAvg, Krum, MedianNormScreen,
     Quarantine, ScreenPolicy, ScreenedAggregation, TrimmedMean, UpdateFault,
 };
-pub use chain::{run_chains, TaskChain};
 pub use client::EdgeClient;
 pub use config::FlConfig;
-pub use engine::{
-    shared_pool, ExecutionMode, FanOutGranularity, RoundEngine, SlotState, WorkerPool,
-};
+pub use engine::{shared_pool, ExecutionMode, RoundEngine, SlotState, WorkerPool};
 pub use error::FlError;
 pub use executor::JobPanic;
 pub use faults::{Corruption, DrawClock, FaultEvent, FaultKind, FaultPlan, WatchdogSpec};

@@ -4,16 +4,14 @@
 //! A job owns everything mutable it touches during a round — its RNG derivation, its
 //! auction, its round counter, its history. The only shared pieces are immutable
 //! ([`JobSpec::source`], [`JobSpec::work`] behind `Arc`) or explicitly concurrency-safe
-//! (the engine's worker pool, whose per-fan-out slabs are private to the submitting
-//! round). That ownership split is what makes a job's history bit-identical whether it
-//! runs alone or interleaved with noisy neighbours.
+//! (the engine's worker pool, whose per-fan-out result slots are private to the
+//! submitting round). That ownership split is what makes a job's history bit-identical
+//! whether it runs alone or interleaved with noisy neighbours.
 
 use crate::adversary::{AdversaryPlan, ReputationLedger, ReputationSpec};
 use crate::aggregator::{AggregationRule, AggregationScratch, MedianNormScreen, ScreenPolicy};
-use crate::chain::TaskChain;
 use crate::engine::{
-    apply_deadline, auction_select_streamed, FanOutGranularity, ParticipantTiming, RoundEngine,
-    Task,
+    apply_deadline, auction_select_streamed, ParticipantTiming, RoundEngine, Task,
 };
 use crate::error::FlError;
 use crate::faults::{
@@ -149,12 +147,6 @@ pub struct JobSpec {
     /// Optional deterministic fault-injection plan (chaos testing); `None` injects
     /// nothing and leaves the round pipeline byte-identical to a plan-free build.
     pub faults: Option<FaultPlan>,
-    /// How the per-winner work stage is dispatched. Synthetic winner work is a single
-    /// closure call, so anything finer than [`FanOutGranularity::PerWinner`] runs each
-    /// winner as a one-unit [`TaskChain`] through the chain scheduler — same work, same
-    /// history bit-for-bit (including injected work faults), different dispatch path. The
-    /// chaos determinism suite pins that equivalence.
-    pub fan_out: FanOutGranularity,
     /// Optional deterministic adversary model (Byzantine participants); `None` — or an
     /// all-honest plan — leaves every bid and update byte-identical to a plan-free build.
     pub adversaries: Option<AdversaryPlan>,
@@ -220,7 +212,6 @@ impl std::fmt::Debug for JobSpec {
             .field("update_dim", &self.update_dim)
             .field("watchdog", &self.watchdog)
             .field("faults", &self.faults)
-            .field("fan_out", &self.fan_out)
             .field("adversaries", &self.adversaries)
             .field("reputation", &self.reputation)
             .field("aggregation", &self.aggregation.name())
@@ -726,25 +717,7 @@ impl FlJob {
                         }) as Task<f64>
                     })
                     .collect();
-                match spec.fan_out {
-                    FanOutGranularity::PerWinner => engine.try_run_tasks(tasks)?.into_iter().sum(),
-                    // Winner work is a single closure call, so finer granularities
-                    // degrade to one-unit chains: the same tasks, dispatched through the
-                    // chain scheduler. Fault attribution (chain index = winner slot) and
-                    // the resulting history are bit-identical to the per-winner path.
-                    FanOutGranularity::PerEpoch | FanOutGranularity::PerBatch => {
-                        let chains: Vec<TaskChain<f64>> = tasks
-                            .into_iter()
-                            .map(|task| {
-                                let mut task = Some(task);
-                                TaskChain::new(1, 1, move || {
-                                    Some(task.take().expect("one-unit chain runs once")())
-                                })
-                            })
-                            .collect();
-                        crate::chain::run_chains(engine, chains)?.into_iter().sum()
-                    }
-                }
+                engine.try_run_tasks(tasks)?.into_iter().sum()
             }
             None => 0.0,
         };

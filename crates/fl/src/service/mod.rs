@@ -2,7 +2,7 @@
 //!
 //! Every experiment in the workspace so far has been a batch run that owns the process.
 //! [`AuctionService`] is the long-running shape FMore's §I/§VI pitch implies: one shared
-//! work-stealing executor multiplexing many concurrent FL jobs, each with its own
+//! worker pool multiplexing many concurrent FL jobs, each with its own
 //! population stream, seed, scheme, `K`, and deadline config.
 //!
 //! # Contract
@@ -100,11 +100,6 @@ impl AuctionService {
                 next: 0,
             }),
         }
-    }
-
-    /// The engine executing this service's rounds.
-    pub fn engine(&self) -> &RoundEngine {
-        &self.engine
     }
 
     /// Number of currently admitted jobs.
@@ -350,7 +345,6 @@ mod tests {
             update_dim: 0,
             watchdog: None,
             faults: None,
-            fan_out: Default::default(),
             adversaries: None,
             reputation: None,
             aggregation: JobSpec::default_aggregation(),

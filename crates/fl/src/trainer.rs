@@ -1,10 +1,10 @@
 //! The federated-learning round loop (Algorithm 1 of the paper), composed from the shared
 //! stages of [`crate::engine`].
 
-use crate::aggregator::{AggregationRule, AggregationScratch, FedAvg};
+use crate::aggregator::{AggregationScratch, FedAvg};
 use crate::client::EdgeClient;
 use crate::config::{FlConfig, ModelChoice};
-use crate::engine::{self, FanOutGranularity, RoundEngine, SlotState, TrainingJob};
+use crate::engine::{self, RoundEngine, SlotState, TrainingJob};
 use crate::error::FlError;
 use crate::metrics::{RoundMetrics, RoundOutcome, TrainingHistory, WinnerInfo};
 use crate::selection::SelectionStrategy;
@@ -36,8 +36,6 @@ pub struct FederatedTrainer {
     global: Sequential,
     auction: Option<Auction>,
     engine: RoundEngine,
-    /// How local training decomposes into executor tasks; never affects histories.
-    fan_out: FanOutGranularity,
     rng: StdRng,
     seed: u64,
     round: usize,
@@ -50,10 +48,7 @@ pub struct FederatedTrainer {
     eval_arena: ScratchArena,
     /// Reusable FedAvg accumulator.
     avg_buf: Vec<f64>,
-    /// Pluggable aggregation rule (step 6); defaults to plain [`FedAvg`], which keeps
-    /// histories bit-identical to the unscreened baseline.
-    aggregation: Arc<dyn AggregationRule>,
-    /// Reusable scratch for the aggregation rule's screening internals.
+    /// Reusable scratch of the step-6 [`FedAvg`] aggregation.
     agg_scratch: AggregationScratch,
 }
 
@@ -204,7 +199,6 @@ impl FederatedTrainer {
             global,
             auction,
             engine,
-            fan_out: FanOutGranularity::default(),
             rng,
             seed,
             round: 0,
@@ -212,7 +206,6 @@ impl FederatedTrainer {
             global_params: Arc::new(Vec::new()),
             eval_arena: ScratchArena::new(),
             avg_buf: Vec::new(),
-            aggregation: Arc::new(FedAvg),
             agg_scratch: AggregationScratch::new(),
         })
     }
@@ -225,42 +218,6 @@ impl FederatedTrainer {
     /// The selection strategy in use.
     pub fn strategy(&self) -> &SelectionStrategy {
         &self.strategy
-    }
-
-    /// The engine executing this trainer's parallel stages.
-    pub fn engine(&self) -> &RoundEngine {
-        &self.engine
-    }
-
-    /// How local training is decomposed into executor tasks (defaults to
-    /// [`FanOutGranularity::PerWinner`]).
-    pub fn fan_out(&self) -> FanOutGranularity {
-        self.fan_out
-    }
-
-    /// Sets the local-training fan-out granularity. Finer granularities let the scheduler
-    /// pack work around straggler winners on pooled engines; the produced
-    /// [`TrainingHistory`] is bit-identical at every setting.
-    pub fn set_fan_out(&mut self, granularity: FanOutGranularity) {
-        self.fan_out = granularity;
-    }
-
-    /// The aggregation rule applied at step 6 (defaults to plain [`FedAvg`]).
-    pub fn aggregation(&self) -> &Arc<dyn AggregationRule> {
-        &self.aggregation
-    }
-
-    /// Swaps the step-6 aggregation rule — e.g. a robust screen when some clients are
-    /// untrusted. With the default [`FedAvg`] rule, histories are bit-identical to the
-    /// unscreened baseline.
-    ///
-    /// # Errors
-    ///
-    /// [`FlError::InvalidConfig`] when the rule's own parameters are degenerate.
-    pub fn set_aggregation(&mut self, rule: Arc<dyn AggregationRule>) -> Result<(), FlError> {
-        rule.validate()?;
-        self.aggregation = rule;
-        Ok(())
     }
 
     /// The clients participating in the game.
@@ -410,18 +367,13 @@ impl FederatedTrainer {
     ) -> Result<RoundMetrics, FlError> {
         self.round += 1;
         let jobs = self.training_jobs(&winners);
-        let results = engine::local_training_with(&self.engine, jobs, self.fan_out)?;
+        let results = engine::local_training(&self.engine, jobs)?;
         let mut updates = Vec::with_capacity(results.len());
         for (update, state) in results {
             self.slots[update.slot] = Some(state);
             updates.push(update);
         }
-        engine::aggregate_with_rule(
-            self.aggregation.as_ref(),
-            &updates,
-            &mut self.agg_scratch,
-            &mut self.avg_buf,
-        )?;
+        engine::aggregate_with_rule(&FedAvg, &updates, &mut self.agg_scratch, &mut self.avg_buf)?;
         // The rule leaves `avg_buf` empty when it accepted nothing (e.g. an empty winner
         // set after total churn); the global model then simply carries over.
         if !self.avg_buf.is_empty() {
@@ -615,25 +567,6 @@ mod tests {
         assert_eq!(inline, run(RoundEngine::pooled(1)));
         assert_eq!(inline, run(RoundEngine::pooled(4)));
         assert_eq!(inline, run(RoundEngine::default()));
-    }
-
-    #[test]
-    fn fan_out_granularity_never_changes_the_history() {
-        let run = |granularity| {
-            let mut t = FederatedTrainer::with_engine(
-                fast_config(),
-                SelectionStrategy::fmore(),
-                29,
-                RoundEngine::pooled(2),
-            )
-            .unwrap();
-            t.set_fan_out(granularity);
-            assert_eq!(t.fan_out(), granularity);
-            t.run(2).unwrap()
-        };
-        let per_winner = run(FanOutGranularity::PerWinner);
-        assert_eq!(per_winner, run(FanOutGranularity::PerEpoch));
-        assert_eq!(per_winner, run(FanOutGranularity::PerBatch));
     }
 
     #[test]

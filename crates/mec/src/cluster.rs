@@ -393,11 +393,6 @@ impl MecCluster {
         self.churn.as_ref()
     }
 
-    /// The nodes of the cluster.
-    pub fn nodes(&self) -> &[MecNode] {
-        &self.nodes
-    }
-
     /// The payment ledger accumulated so far.
     pub fn ledger(&self) -> &PaymentLedger {
         &self.ledger

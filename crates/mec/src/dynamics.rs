@@ -207,11 +207,6 @@ impl ChurnState {
         }
     }
 
-    /// Presence mask over the node population.
-    pub fn present(&self) -> &[bool] {
-        &self.present
-    }
-
     /// Whether node `idx` is currently present.
     pub fn is_present(&self, idx: usize) -> bool {
         self.present.get(idx).copied().unwrap_or(false)

@@ -262,10 +262,10 @@ impl NodePopulation {
     ///
     /// Both stream contracts run the same three columnar passes over the shard and differ
     /// only in the first. Pass A is the pure derivation — θ and the normalised capacity
-    /// columns, written to per-thread scratch ([`ShardScratch`]); under either contract
+    /// columns, written to per-thread scratch (`ShardScratch`); under either contract
     /// its loop body is straight-line integer hashing and IEEE-exact float mapping with
     /// no branches or calls, which LLVM vectorises under the AVX-512 tier (see
-    /// [`derive_shard_avx512`]). The solver's batched grid lookup then vectorises the
+    /// `derive_shard_avx512`). The solver's batched grid lookup then vectorises the
     /// per-θ divide and floor, and its batched table tail walks the precomputed positions
     /// through the interpolation, writing straight onto the store's columns.
     ///
@@ -554,11 +554,6 @@ impl PopulationChurn {
             round: 0,
             bits,
         })
-    }
-
-    /// The churn model in force.
-    pub fn model(&self) -> &ChurnModel {
-        &self.model
     }
 
     /// Population size `N`.

@@ -44,13 +44,6 @@ impl ScratchArena {
         Self::default()
     }
 
-    /// Length of the shuffled sample order prepared by
-    /// [`crate::model::Sequential::shuffle_epoch_in`] — what a caller splitting the epoch
-    /// into [`crate::model::Sequential::train_batches_in`] ranges tiles over.
-    pub fn epoch_len(&self) -> usize {
-        self.order.len()
-    }
-
     /// Ensures the activation chain can hold `layers + 1` matrices (input plus one output
     /// per layer). Existing buffers are kept; missing ones start empty and are sized by the
     /// first forward pass.

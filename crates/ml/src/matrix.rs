@@ -404,7 +404,7 @@ impl Matrix {
 
     /// Matrix product `out = self · other`, written into a caller-owned matrix.
     ///
-    /// The loop nest is blocked twice: a panel of [`MATMUL_BLOCK`] rows of `other` stays in
+    /// The loop nest is blocked twice: a panel of `MATMUL_BLOCK` (64) rows of `other` stays in
     /// cache while every row of `self` streams against it, and within a panel the shared
     /// dimension is register-blocked four-wide — each output value is loaded once, updated
     /// by four consecutive `k` terms in a register, and stored once. Per output element the

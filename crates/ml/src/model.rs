@@ -169,12 +169,6 @@ impl Sequential {
     ///
     /// The arena only decides where intermediates live; after a warm-up pass at the largest
     /// batch shape the epoch performs zero matrix allocations.
-    ///
-    /// Internally this is [`Sequential::shuffle_epoch_in`] followed by one
-    /// [`Sequential::train_batches_in`] call covering the whole shuffled order; callers that
-    /// need finer work units (the per-batch training fan-out) invoke the two halves
-    /// themselves and stay bit-identical as long as the batch ranges tile `0..order.len()`
-    /// contiguously at multiples of `batch_size`.
     pub fn train_epoch_in(
         &mut self,
         arena: &mut ScratchArena,
@@ -187,55 +181,17 @@ impl Sequential {
         if indices.is_empty() {
             return 0.0;
         }
-        self.shuffle_epoch_in(arena, indices, rng);
-        let n = arena.order.len();
-        let (total_loss, batches) =
-            self.train_batches_in(arena, data, 0..n, learning_rate, batch_size);
-        total_loss / batches as f64
-    }
-
-    /// The shuffle half of one epoch: rewrites `arena.order` with a freshly shuffled copy of
-    /// `indices` and sizes the arena's layer buffers. Consumes RNG exactly as
-    /// [`Sequential::train_epoch_in`] does — in particular, nothing at all when `indices` is
-    /// empty (`arena.order` is just cleared), matching the epoch's early return.
-    pub fn shuffle_epoch_in(
-        &mut self,
-        arena: &mut ScratchArena,
-        indices: &[usize],
-        rng: &mut StdRng,
-    ) {
         arena.order.clear();
-        if indices.is_empty() {
-            return;
-        }
         arena.order.extend_from_slice(indices);
         fmore_numerics::rng::shuffle(&mut arena.order, rng);
         arena.ensure_layers(self.layers.len());
-    }
-
-    /// The SGD half of one epoch: trains the mini-batches covering `range` of the shuffled
-    /// `arena.order` (as prepared by [`Sequential::shuffle_epoch_in`]) and returns the sum
-    /// of their losses together with the batch count.
-    ///
-    /// Batch boundaries are anchored at `range.start`, so splitting an epoch into several
-    /// calls is bit-identical to one whole-epoch call exactly when every `range.start` is a
-    /// multiple of `batch_size` and the ranges tile `0..order.len()` in order — the contract
-    /// the per-batch training fan-out upholds. The range is clamped to `order.len()`.
-    pub fn train_batches_in(
-        &mut self,
-        arena: &mut ScratchArena,
-        data: &Dataset,
-        range: std::ops::Range<usize>,
-        learning_rate: f64,
-        batch_size: usize,
-    ) -> (f64, usize) {
         let batch_size = batch_size.max(1);
-        let limit = range.end.min(arena.order.len());
+        let n = arena.order.len();
         let mut total_loss = 0.0;
         let mut batches = 0;
-        let mut start = range.start;
-        while start < limit {
-            let end = (start + batch_size).min(limit);
+        let mut start = 0;
+        while start < n {
+            let end = (start + batch_size).min(n);
             // Gather the mini-batch into the arena (the chunk is copied out of `order`
             // borrow-free by splitting the borrow below).
             {
@@ -268,7 +224,7 @@ impl Sequential {
             batches += 1;
             start = end;
         }
-        (total_loss, batches)
+        total_loss / batches as f64
     }
 
     /// Evaluates loss and accuracy against a caller-owned scratch arena — the
@@ -463,56 +419,6 @@ mod tests {
         let ea = a.evaluate(&data, &all);
         let eb = b.evaluate_in(&mut arena, &data, &all);
         assert_eq!(ea, eb);
-    }
-
-    #[test]
-    fn split_batch_ranges_match_the_whole_epoch_bit_for_bit() {
-        use crate::layers::Dropout;
-        let mut data_rng = seeded_rng(40);
-        let data = SyntheticImageSpec::mnist_like().generate(130, &mut data_rng);
-        let all: Vec<usize> = (0..data.len()).collect();
-        let mut build_rng = seeded_rng(41);
-        let build = |rng: &mut StdRng| {
-            // A dropout layer makes the scratch RNG order-sensitive, so any divergence in
-            // batch sequencing shows up in the parameters.
-            Sequential::new(vec![
-                Box::new(Dense::new(64, 12, rng)) as Box<dyn Layer>,
-                Box::new(Dropout::new(0.3)),
-                Box::new(Dense::new(12, 10, rng)),
-            ])
-        };
-        let mut whole = build(&mut build_rng);
-        let mut split = whole.clone();
-        let mut arena_w = ScratchArena::new();
-        let mut arena_s = ScratchArena::new();
-        let mut rng_w = seeded_rng(42);
-        let mut rng_s = seeded_rng(42);
-        let batch = 17;
-        for _ in 0..2 {
-            let loss_w = whole.train_epoch_in(&mut arena_w, &data, &all, 0.1, batch, &mut rng_w);
-            // Split twin: shuffle once, then train one batch-aligned range at a time.
-            split.shuffle_epoch_in(&mut arena_s, &all, &mut rng_s);
-            let n = arena_s.order.len();
-            let (mut loss_s, mut batches) = (0.0, 0);
-            let mut lo = 0;
-            while lo < n {
-                let hi = (lo + batch).min(n);
-                let (sum, count) = split.train_batches_in(&mut arena_s, &data, lo..hi, 0.1, batch);
-                loss_s += sum;
-                batches += count;
-                lo = hi;
-            }
-            assert_eq!(loss_w.to_bits(), (loss_s / batches as f64).to_bits());
-            assert_eq!(whole.parameters(), split.parameters());
-        }
-        // Empty indices: the shuffle half consumes no RNG, matching the epoch early-return.
-        let before = fmore_numerics::seeded_rng(43);
-        let mut rng_probe = before.clone();
-        split.shuffle_epoch_in(&mut arena_s, &[], &mut rng_probe);
-        assert!(arena_s.order.is_empty());
-        let mut a = rng_probe;
-        let mut b = before;
-        assert_eq!(rand::Rng::gen::<u64>(&mut a), rand::Rng::gen::<u64>(&mut b));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! Bids are the capacity-capped equilibrium bids of the cluster's three-resource game,
 //! priced through the O(1) tabulated ask path
-//! ([`fmore_auction::EquilibriumSolver::tabulated_ask`]); node attributes come from a
+//! ([`fmore_auction::EquilibriumSolver::tabulated_bids_at`]); node attributes come from a
 //! [`fmore_mec::population::NodePopulation`] — derived per `(seed, i)`, never stored — so
 //! the only `O(N)` cost of a round is arithmetic, not memory.
 //!

@@ -42,8 +42,8 @@ pub struct SoakConfig {
     pub grid_size: usize,
     /// Base seed; job `j` derives its own stream as `derive_seed(seed, j)`.
     pub seed: u64,
-    /// Dispatch granularity of every job's per-winner work stage (never changes
-    /// histories; see [`fmore_fl::engine::FanOutGranularity`]).
+    /// Dispatch granularity of the per-winner work stage. It has one value and nothing
+    /// reads it; the field stays only because `benchmark/src/workloads.rs` sets it.
     pub fan_out: FanOutGranularity,
 }
 
@@ -166,7 +166,6 @@ pub fn job_specs(config: &SoakConfig) -> Result<Vec<JobSpec>, SimError> {
                 adversaries: None,
                 reputation: None,
                 aggregation: JobSpec::default_aggregation(),
-                fan_out: config.fan_out,
                 source,
                 // Deterministic stand-in for local training: pure in (round, slot, winner).
                 work: Some(Arc::new(|round, slot, winner| {

@@ -10,8 +10,8 @@
 //!   `K` winners, batched scoring/ranking, Nash-equilibrium bidding, ψ-FMore, the
 //!   mechanism-property checks, and the stand-alone auction games behind the parameter
 //!   sweeps ([`auction::game`]),
-//! * [`numerics`] — ODE solvers, quadrature, distributions, and optimisation used by the
-//!   equilibrium computation,
+//! * [`numerics`] — quadrature, distributions, optimisation and seeded RNG helpers used by
+//!   the equilibrium computation,
 //! * [`ml`] — the from-scratch machine-learning substrate (CNN / LSTM / MLP models, synthetic
 //!   datasets, non-IID partitioning),
 //! * [`fl`] — the federated-learning substrate: clients, FedAvg, RandFL / FixFL / FMore

@@ -409,9 +409,9 @@ fn streamed_selection_is_identical_across_shard_counts_and_pools() {
 }
 
 /// Executor width is a pure wall-clock knob across the whole selection-and-payment
-/// surface: under active work stealing (many shards in flight, skew-free ranges split and
-/// stolen between workers), winner sets, standing pools, and the cluster's payment
-/// ledgers are bit-identical across 1/2/8-worker pools.
+/// surface: with many shards in flight and their chunks run by whichever worker or
+/// submitter pops them, winner sets, standing pools, and the cluster's payment ledgers are
+/// bit-identical across 1/2/8-worker pools.
 #[test]
 fn winners_pools_and_ledgers_agree_across_executor_widths() {
     use fmore::sim::experiments::scale::{ScaleConfig, ScaleGame};
@@ -816,91 +816,6 @@ fn checkpoint_restore_equals_the_uninterrupted_run_even_under_chaos() {
                 history, uninterrupted,
                 "job '{}' interrupted after round {cut} diverged from the uninterrupted run",
                 spec.name
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Training fan-out granularity (ISSUE 9): dispatch shape is a pure wall-clock knob.
-// ---------------------------------------------------------------------------
-
-/// Splitting local training into per-epoch or per-batch task units must never change a
-/// history: every [`FanOutGranularity`] × every pool width reproduces the per-winner
-/// inline run bit-for-bit. Shuffles draw from the job RNG and dropout from the model
-/// scratch RNG in the same order regardless of how the work is chopped, so the parameter
-/// trajectories — and therefore the aggregated history — are byte-equal.
-#[test]
-fn fan_out_granularity_is_invisible_in_every_history() {
-    use fmore::fl::engine::FanOutGranularity;
-
-    let reference = history_with(SelectionStrategy::fmore(), RoundEngine::inline(), SEED);
-    for granularity in [
-        FanOutGranularity::PerWinner,
-        FanOutGranularity::PerEpoch,
-        FanOutGranularity::PerBatch,
-    ] {
-        for threads in [1usize, 2, 8] {
-            let mut trainer = FederatedTrainer::with_engine(
-                FlConfig::fast_test(TaskKind::MnistO),
-                SelectionStrategy::fmore(),
-                SEED,
-                RoundEngine::pooled(threads),
-            )
-            .expect("fast config is valid");
-            trainer.set_fan_out(granularity);
-            let history = trainer.run(ROUNDS).expect("training runs");
-            assert_eq!(
-                history, reference,
-                "{granularity:?} on a {threads}-thread pool diverged from per-winner inline"
-            );
-        }
-    }
-}
-
-/// The service leg of the same pin, under active fault injection: the chaos fleet's
-/// history fingerprints are identical whether the per-winner work stage dispatches
-/// directly through `try_run_tasks` or is wrapped into one-unit task chains
-/// (`fan_out: PerEpoch`/`PerBatch`), across 1/2/8-thread pools. Injected work panics
-/// land on the same winner slots either way — the chain index *is* the submission slot.
-#[test]
-fn chained_work_dispatch_matches_direct_dispatch_even_under_chaos() {
-    use fmore::fl::engine::FanOutGranularity;
-    use fmore::fl::service::{AuctionService, ServiceConfig};
-    use fmore::sim::experiments::chaos_soak::{job_specs, ChaosConfig};
-
-    let config = ChaosConfig::quick();
-    let rounds = config.soak.rounds;
-    let fingerprints = |fan_out: FanOutGranularity, threads: usize| -> Vec<u64> {
-        let mut specs = job_specs(&config).expect("chaos specs build");
-        for spec in &mut specs {
-            spec.fan_out = fan_out;
-        }
-        specs
-            .iter()
-            .map(|spec| {
-                let service = AuctionService::with_engine(
-                    ServiceConfig::default(),
-                    RoundEngine::pooled(threads),
-                );
-                let id = service.admit(spec.clone()).expect("admission");
-                for _ in 0..rounds {
-                    // Faulted rounds may exhaust the watchdog; the recorded outcome is
-                    // what the fingerprint comparison pins.
-                    let _ = service.run_round(id);
-                }
-                service.close(id).expect("close").fingerprint()
-            })
-            .collect()
-    };
-
-    let reference = fingerprints(FanOutGranularity::PerWinner, 2);
-    for fan_out in [FanOutGranularity::PerEpoch, FanOutGranularity::PerBatch] {
-        for threads in [1usize, 2, 8] {
-            assert_eq!(
-                fingerprints(fan_out, threads),
-                reference,
-                "{fan_out:?} dispatch on a {threads}-thread pool changed a chaos fingerprint"
             );
         }
     }
