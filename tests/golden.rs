@@ -180,6 +180,89 @@ fn v2_population_and_selection_digests_match_committed_values() {
     );
 }
 
+/// The committed digests of the parameter figures (Figs. 9–11), in this order: the quick
+/// `impact-n`, `impact-k` and `impact-psi` configurations (every rounds-to-accuracy triple,
+/// then every sweep point), then the N, K and ψ tables of `examples/parameter_sweep.rs`.
+/// The string goldens print one rounded row of these figures and none of the N / K sweeps;
+/// these fold the exact bits of every value, so a single-ULP move in one payment shows here.
+const PARAMETER_DIGESTS: [u64; 6] = [
+    0xb824_3e28_24ad_2769,
+    0x8701_a49d_3cc1_4792,
+    0x0611_2347_5bb2_cbba,
+    0xcb73_43ae_9ba0_5aa7,
+    0xfc11_9b11_76a9_b851,
+    0xe7dc_2080_9794_9066,
+];
+
+/// Folds one rounds-to-accuracy triple (target, rounds at the small and at the large end of
+/// the compared pair; `None` — never reached — folds as `u64::MAX`).
+fn fold_rounds_to_accuracy(
+    h: u64,
+    (target, small, large): (f64, Option<usize>, Option<usize>),
+) -> u64 {
+    let reached = |r: Option<usize>| r.map_or(u64::MAX, |r| r as u64);
+    fold_word(
+        fold_word(fold_bits(h, target), reached(small)),
+        reached(large),
+    )
+}
+
+#[test]
+fn parameter_figure_digests_match_committed_values() {
+    use fmore::sim::experiments::impact_k::{self, ImpactOfKConfig};
+    use fmore::sim::experiments::impact_n::{self, auction_game_statistics, ImpactOfNConfig};
+    use fmore::sim::experiments::impact_psi::{self, rank_spread_for_psi, ImpactOfPsiConfig};
+
+    let runner = ScenarioRunner::new();
+    let mut actual = [FNV_OFFSET; 6];
+    let n = impact_n::run(&runner, &ImpactOfNConfig::quick()).expect("impact-n runs");
+    let k = impact_k::run(&runner, &ImpactOfKConfig::quick()).expect("impact-k runs");
+    let psi = impact_psi::run(&runner, &ImpactOfPsiConfig::quick()).expect("impact-psi runs");
+    for (digest, rounds) in actual.iter_mut().zip([
+        &n.rounds_to_accuracy,
+        &k.rounds_to_accuracy,
+        &psi.rounds_to_accuracy,
+    ]) {
+        for &triple in rounds {
+            *digest = fold_rounds_to_accuracy(*digest, triple);
+        }
+    }
+    for (digest, sweep) in actual.iter_mut().zip([&n.sweep, &k.sweep]) {
+        for p in sweep {
+            *digest = fold_word(*digest, p.value as u64);
+            *digest = fold_bits(*digest, p.mean_payment);
+            *digest = fold_bits(*digest, p.mean_score);
+        }
+    }
+    for r in &psi.rank_spread {
+        for x in [r.psi, r.top10, r.top20, r.top30] {
+            actual[2] = fold_bits(actual[2], x);
+        }
+    }
+
+    // The three tables of examples/parameter_sweep.rs, through the calls it makes.
+    for n in [50, 80, 110, 140, 170, 200] {
+        let (payment, score) = auction_game_statistics(n, 20, 5, 100 + n as u64).expect("game");
+        actual[3] = fold_bits(fold_bits(fold_word(actual[3], n as u64), payment), score);
+    }
+    for k in [5, 10, 15, 20, 25, 30, 35] {
+        let (payment, score) = auction_game_statistics(100, k, 5, 200 + k as u64).expect("game");
+        actual[4] = fold_bits(fold_bits(fold_word(actual[4], k as u64), payment), score);
+    }
+    for psi in [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
+        let r = rank_spread_for_psi(psi, 100, 20, 300, 7);
+        for x in [psi, r.top10, r.top20, r.top30] {
+            actual[5] = fold_bits(actual[5], x);
+        }
+    }
+    assert_eq!(
+        actual, PARAMETER_DIGESTS,
+        "parameter-figure digests drifted (impact-n, impact-k, impact-psi, example N, K, ψ) \
+         — actual {actual:#x?}; if the change is intended, update PARAMETER_DIGESTS in \
+         tests/golden.rs"
+    );
+}
+
 #[test]
 fn every_registry_entry_matches_its_committed_fingerprint() {
     let runner = ScenarioRunner::new();
