@@ -983,9 +983,9 @@ impl EquilibriumSolver {
 
     /// The sealed bid of a node whose realised capacity caps its declared quality —
     /// [`EquilibriumSolver::strategy_for`] then [`EquilibriumStrategy::cap`] in one step,
-    /// for callers that meet each θ once (the auction games of Figs. 9b/10b draw a fresh
-    /// population every trial). A caller that keeps its nodes across rounds keeps each
-    /// node's strategy instead and only caps it per round.
+    /// for callers that meet each θ once (the one-shot `collect_bids` of the round engine,
+    /// and the tests that check a held strategy against it). A caller that keeps its nodes
+    /// across rounds keeps each node's strategy instead and only caps it per round.
     ///
     /// # Errors
     ///

@@ -64,7 +64,6 @@
 pub mod cost;
 pub mod equilibrium;
 pub mod error;
-pub mod game;
 pub mod mechanism;
 pub mod pricing;
 pub mod properties;
@@ -79,7 +78,6 @@ pub use equilibrium::{
     EquilibriumBid, EquilibriumSolver, EquilibriumSolverBuilder, EquilibriumStrategy, PaymentMethod,
 };
 pub use error::AuctionError;
-pub use game::{game_statistics, psi_rank_spread, GameConfig, GameStatistics, RankSpreadCounts};
 pub use mechanism::{AdmissionPlan, Auction, AuctionOutcome, Award, SubmittedBid};
 pub use pricing::PricingRule;
 pub use scoring::{

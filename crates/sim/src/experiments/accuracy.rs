@@ -36,7 +36,7 @@ impl AccuracyConfig {
     /// The paper's simulator parameters (`N = 100`, `K = 20`, 20 rounds, non-IID), with the
     /// fast surrogate model so the full figure regenerates in minutes rather than hours (the
     /// selection dynamics — which clients win and how much data reaches the aggregator — are
-    /// unchanged; see EXPERIMENTS.md).
+    /// unchanged).
     pub fn paper(task: TaskKind) -> Self {
         let mut fl = FlConfig::paper_simulation(task);
         fl.model = ModelChoice::FastSurrogate;

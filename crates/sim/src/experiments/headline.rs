@@ -4,8 +4,8 @@
 //!   accuracy by ~28% (LSTM) compared with RandFL,
 //! * cluster deployment: training time reduced by ~38.4% and accuracy improved by ~44.9%.
 //!
-//! This module computes the same quantities from reproduction runs so EXPERIMENTS.md can
-//! report paper-vs-measured values side by side.
+//! This module computes the same quantities from reproduction runs; the `headline` registry
+//! entry reports them, to be read against the paper's values above.
 
 use crate::experiments::accuracy::AccuracyFigure;
 use crate::experiments::cluster::ClusterFigure;

@@ -8,9 +8,9 @@
 //! driver code.
 
 use crate::error::SimError;
+use crate::experiments::parameter_impact::{self, Axis, ParameterImpactConfig};
 use crate::experiments::{
-    accuracy, adversary_soak, chaos_soak, cluster, dynamics, headline, impact_k, impact_n,
-    impact_psi, scale, scores, service_soak,
+    accuracy, adversary_soak, chaos_soak, cluster, dynamics, headline, scale, scores, service_soak,
 };
 use crate::scenario::ScenarioRunner;
 use crate::series::Table;
@@ -139,42 +139,19 @@ fn run_scores(runner: &ScenarioRunner, fidelity: Fidelity) -> Result<ExperimentR
     })
 }
 
-fn run_impact_n(runner: &ScenarioRunner, fidelity: Fidelity) -> Result<ExperimentReport, SimError> {
-    let config = match fidelity {
-        Fidelity::Quick => impact_n::ImpactOfNConfig::quick(),
-        Fidelity::Paper => impact_n::ImpactOfNConfig::paper(),
-    };
-    let result = impact_n::run(runner, &config)?;
-    Ok(ExperimentReport {
-        name: "impact-n",
-        tables: vec![result.to_table()],
-    })
-}
-
-fn run_impact_k(runner: &ScenarioRunner, fidelity: Fidelity) -> Result<ExperimentReport, SimError> {
-    let config = match fidelity {
-        Fidelity::Quick => impact_k::ImpactOfKConfig::quick(),
-        Fidelity::Paper => impact_k::ImpactOfKConfig::paper(),
-    };
-    let result = impact_k::run(runner, &config)?;
-    Ok(ExperimentReport {
-        name: "impact-k",
-        tables: vec![result.to_table()],
-    })
-}
-
-fn run_impact_psi(
+fn run_parameter_impact(
     runner: &ScenarioRunner,
     fidelity: Fidelity,
+    axis: Axis,
+    name: &'static str,
 ) -> Result<ExperimentReport, SimError> {
     let config = match fidelity {
-        Fidelity::Quick => impact_psi::ImpactOfPsiConfig::quick(),
-        Fidelity::Paper => impact_psi::ImpactOfPsiConfig::paper(),
+        Fidelity::Quick => ParameterImpactConfig::quick(axis),
+        Fidelity::Paper => ParameterImpactConfig::paper(axis),
     };
-    let result = impact_psi::run(runner, &config)?;
     Ok(ExperimentReport {
-        name: "impact-psi",
-        tables: vec![result.to_table()],
+        name,
+        tables: parameter_impact::run(runner, &config)?.tables(),
     })
 }
 
@@ -320,19 +297,19 @@ pub const REGISTRY: &[ExperimentDef] = &[
         name: "impact-n",
         figure: "Fig. 9",
         summary: "rounds-to-accuracy and (payment, score) as N varies",
-        run: run_impact_n,
+        run: |runner, fidelity| run_parameter_impact(runner, fidelity, Axis::N, "impact-n"),
     },
     ExperimentDef {
         name: "impact-k",
         figure: "Fig. 10",
         summary: "rounds-to-accuracy and (payment, score) as K varies",
-        run: run_impact_k,
+        run: |runner, fidelity| run_parameter_impact(runner, fidelity, Axis::K, "impact-k"),
     },
     ExperimentDef {
         name: "impact-psi",
         figure: "Fig. 11",
         summary: "training speed and winner-rank spread as psi varies",
-        run: run_impact_psi,
+        run: |runner, fidelity| run_parameter_impact(runner, fidelity, Axis::Psi, "impact-psi"),
     },
     ExperimentDef {
         name: "cluster",

@@ -17,18 +17,18 @@
 //! |---|---|---|
 //! | [`experiments::accuracy`] | Figs. 4–7 | accuracy & loss per round for FMore / RandFL / FixFL on each task |
 //! | [`experiments::scores`] | Fig. 8 | the distribution of winner scores per scheme |
-//! | [`experiments::impact_n`] | Fig. 9 | rounds-to-accuracy and (payment, score) as `N` varies |
-//! | [`experiments::impact_k`] | Fig. 10 | rounds-to-accuracy and (payment, score) as `K` varies |
-//! | [`experiments::impact_psi`] | Fig. 11 | training speed and winner-rank spread as ψ varies |
+//! | [`experiments::parameter_impact`] | Figs. 9–11 | rounds-to-accuracy, then (payment, score) as `N` or `K` varies, or the winner-rank spread as ψ varies |
 //! | [`experiments::cluster`] | Figs. 12–13 | accuracy and cumulative time on the simulated 32-node cluster |
 //! | [`experiments::headline`] | §I / §V text | the headline round-reduction and accuracy-improvement percentages |
 //! | [`experiments::dynamics`] | §I / §VI dynamics | churn robustness: dropout sweep, curves under churn, payment waste |
 //! | [`experiments::scale`] | population scale | streamed top-K selection, peak bid memory, and dense-path parity as `N` sweeps toward 10⁶ |
 //!
 //! Every experiment has a `quick()` configuration (seconds, used by tests and CI) and a
-//! `paper()` configuration (the full parameters of Section V). The stand-alone auction games
-//! behind the Fig. 9b/10b/11b sweeps live in [`fmore_auction::game`]; no experiment module
-//! constructs an auction or an equilibrium solver of its own.
+//! `paper()` configuration (the full parameters of Section V). The modules that sweep a
+//! stand-alone auction ([`experiments::parameter_impact`], [`experiments::scale`]) build the
+//! game's equilibrium solver and auction themselves, then select winners through the round
+//! engine's streamed selector ([`fmore_fl::engine::auction_select_streamed`]), the path
+//! production rounds run.
 //!
 //! # Example
 //!

@@ -6,55 +6,35 @@
 //! cargo run --release --example parameter_sweep
 //! ```
 
-use fmore::sim::experiments::impact_n::auction_game_statistics;
-use fmore::sim::experiments::impact_psi::rank_spread_for_psi;
-use fmore::sim::Table;
+use fmore::sim::experiments::parameter_impact::{self, Axis, ParameterImpactConfig};
+use fmore::sim::ScenarioRunner;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Fig. 9b: payment and score versus N (K = 20).
-    let mut n_table = Table::new(
-        "Payment and score vs N (Fig. 9b)",
-        &["N", "mean payment", "mean score"],
-    );
-    for n in [50, 80, 110, 140, 170, 200] {
-        let (payment, score) = auction_game_statistics(n, 20, 5, 100 + n as u64)?;
-        n_table.push_row(&[
-            n.to_string(),
-            format!("{payment:.4}"),
-            format!("{score:.4}"),
-        ]);
+    let runner = ScenarioRunner::new();
+    for config in [
+        // Fig. 9b: payment and score versus N (K = 20).
+        ParameterImpactConfig {
+            seed: 100,
+            ..ParameterImpactConfig::paper(Axis::N)
+        },
+        // Fig. 10b: payment and score versus K (N = 100).
+        ParameterImpactConfig {
+            seed: 200,
+            ..ParameterImpactConfig::paper(Axis::K)
+        },
+        // Fig. 11b: how many winners come from the top score ranks as ψ varies.
+        ParameterImpactConfig {
+            trials: 300,
+            seed: 7,
+            ..ParameterImpactConfig::paper(Axis::Psi)
+        },
+    ] {
+        let mut table =
+            parameter_impact::sweep_table(config.axis, &parameter_impact::sweep(&runner, &config)?);
+        if config.axis == Axis::Psi {
+            table.title = "Winner rank spread vs ψ (Fig. 11b)".into();
+        }
+        println!("{}", table.to_markdown());
     }
-    println!("{}", n_table.to_markdown());
-
-    // Fig. 10b: payment and score versus K (N = 100).
-    let mut k_table = Table::new(
-        "Payment and score vs K (Fig. 10b)",
-        &["K", "mean payment", "mean score"],
-    );
-    for k in [5, 10, 15, 20, 25, 30, 35] {
-        let (payment, score) = auction_game_statistics(100, k, 5, 200 + k as u64)?;
-        k_table.push_row(&[
-            k.to_string(),
-            format!("{payment:.4}"),
-            format!("{score:.4}"),
-        ]);
-    }
-    println!("{}", k_table.to_markdown());
-
-    // Fig. 11b: how many winners come from the top score ranks as ψ varies.
-    let mut psi_table = Table::new(
-        "Winner rank spread vs ψ (Fig. 11b)",
-        &["ψ", "top-10", "top-20", "top-30"],
-    );
-    for psi in [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
-        let spread = rank_spread_for_psi(psi, 100, 20, 300, 7);
-        psi_table.push_row(&[
-            format!("{psi:.1}"),
-            format!("{:.1}", spread.top10),
-            format!("{:.1}", spread.top20),
-            format!("{:.1}", spread.top30),
-        ]);
-    }
-    println!("{}", psi_table.to_markdown());
     Ok(())
 }

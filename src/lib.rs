@@ -7,9 +7,8 @@
 //! single crate:
 //!
 //! * [`auction`] — the paper's contribution: the multi-dimensional procurement auction with
-//!   `K` winners, batched scoring/ranking, Nash-equilibrium bidding, ψ-FMore, the
-//!   mechanism-property checks, and the stand-alone auction games behind the parameter
-//!   sweeps ([`auction::game`]),
+//!   `K` winners, batched scoring/ranking, Nash-equilibrium bidding, ψ-FMore, and the
+//!   mechanism-property checks,
 //! * [`numerics`] — quadrature, distributions, optimisation and seeded RNG helpers used by
 //!   the equilibrium computation,
 //! * [`ml`] — the from-scratch machine-learning substrate (CNN / LSTM / MLP models, synthetic

@@ -8,15 +8,23 @@
 //! it must be reviewed and, if intended, re-committed here, instead of silently shifting the
 //! figures.
 //!
+//! A fingerprint sees only what its last row prints, rounded. Two families of **digests**
+//! fold exact `f64` bits instead: `V2_DIGESTS` pins the v2 population stream contract, and
+//! `PARAMETER_DIGESTS` pins every value of the parameter figures (Figs. 9–11) — each
+//! rounds-to-accuracy triple and sweep point at quick fidelity, and the three tables
+//! `examples/parameter_sweep.rs` prints.
+//!
 //! To regenerate after an intentional change:
 //!
 //! ```bash
 //! cargo test --test golden -- --nocapture 2>&1 | grep -A2 'fingerprint\['
 //! ```
-//! (the failure output prints the actual fingerprint of every drifted entry).
+//! (the failure output prints the actual fingerprint of every drifted entry, and a drifted
+//! digest assertion prints the actual digests).
 
 use fmore::fl::engine::RoundEngine;
 use fmore::mec::population::{NodePopulation, PopulationSpec, SpecVersion};
+use fmore::sim::experiments::parameter_impact::{self, Axis, ParameterImpactConfig, SweepPoint};
 use fmore::sim::experiments::registry::{self, ExperimentReport, Fidelity};
 use fmore::sim::experiments::scale::{ScaleConfig, ScaleGame};
 use fmore::sim::ScenarioRunner;
@@ -50,15 +58,18 @@ const EXPECTED: &[(&str, &str)] = &[
     ),
     (
         "impact-n",
-        "Impact of N (Fig. 9) [rows=2] last: 70%;not reached;not reached",
+        "Impact of N (Fig. 9) [rows=2] last: 70%;not reached;not reached || \
+         Payment and score vs N (Fig. 9b) [rows=3] last: 80;1.1029;18.7807",
     ),
     (
         "impact-k",
-        "Impact of K (Fig. 10) [rows=2] last: 70%;not reached;4",
+        "Impact of K (Fig. 10) [rows=2] last: 70%;not reached;4 || \
+         Payment and score vs K (Fig. 10b) [rows=3] last: 8;1.6665;14.4578",
     ),
     (
         "impact-psi",
-        "Impact of ψ (Fig. 11) [rows=3] last: 0.9;9.1;18.2;20.0",
+        "Impact of ψ on training speed (Fig. 11a) [rows=2] last: 70%;not reached;not reached || \
+         Impact of ψ (Fig. 11) [rows=3] last: 0.9;9.1;18.2;20.0",
     ),
     (
         "cluster",
@@ -207,53 +218,50 @@ fn fold_rounds_to_accuracy(
     )
 }
 
+/// Folds panel (b) of one figure: per point, the swept value (a count folded as a word on
+/// the N and K axes, ψ's bits on the ψ axis), then the bits of every plotted quantity.
+fn fold_sweep(h: u64, axis: Axis, sweep: &[SweepPoint]) -> u64 {
+    sweep.iter().fold(h, |h, p| {
+        let h = match axis {
+            Axis::N | Axis::K => fold_word(h, p.value as u64),
+            Axis::Psi => fold_bits(h, p.value),
+        };
+        p.stats.iter().copied().fold(h, fold_bits)
+    })
+}
+
 #[test]
 fn parameter_figure_digests_match_committed_values() {
-    use fmore::sim::experiments::impact_k::{self, ImpactOfKConfig};
-    use fmore::sim::experiments::impact_n::{self, auction_game_statistics, ImpactOfNConfig};
-    use fmore::sim::experiments::impact_psi::{self, rank_spread_for_psi, ImpactOfPsiConfig};
-
     let runner = ScenarioRunner::new();
     let mut actual = [FNV_OFFSET; 6];
-    let n = impact_n::run(&runner, &ImpactOfNConfig::quick()).expect("impact-n runs");
-    let k = impact_k::run(&runner, &ImpactOfKConfig::quick()).expect("impact-k runs");
-    let psi = impact_psi::run(&runner, &ImpactOfPsiConfig::quick()).expect("impact-psi runs");
-    for (digest, rounds) in actual.iter_mut().zip([
-        &n.rounds_to_accuracy,
-        &k.rounds_to_accuracy,
-        &psi.rounds_to_accuracy,
-    ]) {
-        for &triple in rounds {
-            *digest = fold_rounds_to_accuracy(*digest, triple);
-        }
+    for (digest, axis) in actual.iter_mut().zip([Axis::N, Axis::K, Axis::Psi]) {
+        let figure = parameter_impact::run(&runner, &ParameterImpactConfig::quick(axis))
+            .expect("parameter figure runs");
+        *digest = figure
+            .rounds_to_accuracy
+            .iter()
+            .fold(*digest, |h, &triple| fold_rounds_to_accuracy(h, triple));
+        *digest = fold_sweep(*digest, axis, &figure.sweep);
     }
-    for (digest, sweep) in actual.iter_mut().zip([&n.sweep, &k.sweep]) {
-        for p in sweep {
-            *digest = fold_word(*digest, p.value as u64);
-            *digest = fold_bits(*digest, p.mean_payment);
-            *digest = fold_bits(*digest, p.mean_score);
-        }
-    }
-    for r in &psi.rank_spread {
-        for x in [r.psi, r.top10, r.top20, r.top30] {
-            actual[2] = fold_bits(actual[2], x);
-        }
-    }
-
-    // The three tables of examples/parameter_sweep.rs, through the calls it makes.
-    for n in [50, 80, 110, 140, 170, 200] {
-        let (payment, score) = auction_game_statistics(n, 20, 5, 100 + n as u64).expect("game");
-        actual[3] = fold_bits(fold_bits(fold_word(actual[3], n as u64), payment), score);
-    }
-    for k in [5, 10, 15, 20, 25, 30, 35] {
-        let (payment, score) = auction_game_statistics(100, k, 5, 200 + k as u64).expect("game");
-        actual[4] = fold_bits(fold_bits(fold_word(actual[4], k as u64), payment), score);
-    }
-    for psi in [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
-        let r = rank_spread_for_psi(psi, 100, 20, 300, 7);
-        for x in [psi, r.top10, r.top20, r.top30] {
-            actual[5] = fold_bits(actual[5], x);
-        }
+    // The three tables of examples/parameter_sweep.rs, through the call it makes.
+    let example = [
+        ParameterImpactConfig {
+            seed: 100,
+            ..ParameterImpactConfig::paper(Axis::N)
+        },
+        ParameterImpactConfig {
+            seed: 200,
+            ..ParameterImpactConfig::paper(Axis::K)
+        },
+        ParameterImpactConfig {
+            trials: 300,
+            seed: 7,
+            ..ParameterImpactConfig::paper(Axis::Psi)
+        },
+    ];
+    for (digest, config) in actual[3..].iter_mut().zip(&example) {
+        let sweep = parameter_impact::sweep(&runner, config).expect("sweep runs");
+        *digest = fold_sweep(*digest, config.axis, &sweep);
     }
     assert_eq!(
         actual, PARAMETER_DIGESTS,
