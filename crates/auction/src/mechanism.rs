@@ -123,14 +123,6 @@ impl AuctionOutcome {
         }
         self.winners.iter().map(|w| w.score).sum::<f64>() / self.winners.len() as f64
     }
-
-    /// Mean payment of the winners (reported in Figs. 9b and 10b of the paper).
-    pub fn mean_winner_payment(&self) -> f64 {
-        if self.winners.is_empty() {
-            return 0.0;
-        }
-        self.total_payment() / self.winners.len() as f64
-    }
 }
 
 /// The rank-level admission decisions of one streamed round, produced by
@@ -541,7 +533,6 @@ mod tests {
         assert_eq!(outcome.winner_ids(), vec![NodeId(1), NodeId(2)]);
         assert_eq!(outcome.ranked().len(), 4);
         assert!((outcome.total_payment() - 0.3).abs() < 1e-12);
-        assert!((outcome.mean_winner_payment() - 0.15).abs() < 1e-12);
         assert!(outcome.mean_winner_score() > 0.0);
     }
 
