@@ -1,214 +1,45 @@
-//! Figure 10: the impact of the winner count `K`.
-//!
-//! * Fig. 10a — rounds needed to reach accuracy targets for a small vs a large `K` (a larger
-//!   `K` feeds more data per round and speeds up training).
-//! * Fig. 10b — the mean winner payment rises and the mean winner score falls as `K` grows
-//!   (weaker competition per slot; Theorem 3).
+//! Tests of the `impact-k` experiment (Fig. 10): the [`Axis::K`](super::parameter_impact::Axis::K) sweep of
+//! [`parameter_impact`](super::parameter_impact).
 
-use crate::error::SimError;
-use crate::experiments::impact_n::AuctionSweepPoint;
-use crate::scenario::{ScenarioRunner, ScenarioSpec};
-use crate::series::{Series, Table};
-use fmore_auction::game::{game_statistics, GameConfig};
-use fmore_fl::config::FlConfig;
-use fmore_fl::selection::SelectionStrategy;
-use fmore_ml::dataset::TaskKind;
-
-/// The reproduction of Fig. 10.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImpactOfK {
-    /// For each accuracy target: rounds needed at the small and at the large `K`.
-    pub rounds_to_accuracy: Vec<(f64, Option<usize>, Option<usize>)>,
-    /// The two winner counts compared in Fig. 10a.
-    pub winner_counts: (usize, usize),
-    /// Payment / score as a function of `K` (Fig. 10b).
-    pub sweep: Vec<AuctionSweepPoint>,
-}
-
-impl ImpactOfK {
-    /// The payment-vs-K series.
-    pub fn payment_series(&self) -> Series {
-        Series::new(
-            "mean winner payment",
-            self.sweep.iter().map(|p| p.value as f64).collect(),
-            self.sweep.iter().map(|p| p.mean_payment).collect(),
-        )
-    }
-
-    /// The score-vs-K series.
-    pub fn score_series(&self) -> Series {
-        Series::new(
-            "mean winner score",
-            self.sweep.iter().map(|p| p.value as f64).collect(),
-            self.sweep.iter().map(|p| p.mean_score).collect(),
-        )
-    }
-
-    /// Markdown table for the rounds-to-accuracy panel.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Impact of K (Fig. 10)",
-            &["accuracy target", "rounds (K small)", "rounds (K large)"],
-        );
-        for (target, small, large) in &self.rounds_to_accuracy {
-            let fmt = |v: &Option<usize>| v.map_or("not reached".to_string(), |r| r.to_string());
-            t.push_row(&[format!("{:.0}%", target * 100.0), fmt(small), fmt(large)]);
-        }
-        t
-    }
-}
-
-/// Configuration for the Fig. 10 experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImpactOfKConfig {
-    /// The two winner counts compared in Fig. 10a (the paper uses 5 and 25).
-    pub winner_counts: (usize, usize),
-    /// Accuracy targets of Fig. 10a.
-    pub accuracy_targets: Vec<f64>,
-    /// Round budget for the training runs.
-    pub rounds: usize,
-    /// Base FL configuration (the winner count is overridden per run).
-    pub fl: FlConfig,
-    /// Values of `K` swept in Fig. 10b.
-    pub sweep_values: Vec<usize>,
-    /// Population `N` used in the sweep.
-    pub n: usize,
-    /// Auction games averaged per sweep point.
-    pub trials: usize,
-    /// Base seed.
-    pub seed: u64,
-}
-
-impl ImpactOfKConfig {
-    /// Quick configuration for tests.
-    pub fn quick() -> Self {
-        Self {
-            winner_counts: (2, 6),
-            accuracy_targets: vec![0.5, 0.7],
-            rounds: 4,
-            fl: FlConfig::fast_test(TaskKind::MnistO),
-            sweep_values: vec![2, 5, 8],
-            n: 30,
-            trials: 2,
-            seed: 9,
-        }
-    }
-
-    /// The paper's configuration: `K ∈ {5, 25}` for Fig. 10a and `K ∈ {5 … 35}` for Fig. 10b
-    /// with `N = 100`.
-    pub fn paper() -> Self {
-        let mut fl = FlConfig::paper_simulation(TaskKind::MnistF);
-        fl.model = fmore_fl::config::ModelChoice::FastSurrogate;
-        fl.train_samples = 8_000;
-        fl.test_samples = 1_000;
-        Self {
-            winner_counts: (5, 25),
-            accuracy_targets: vec![0.70, 0.80, 0.82, 0.84, 0.86],
-            rounds: 20,
-            fl,
-            sweep_values: vec![5, 10, 15, 20, 25, 30, 35],
-            n: 100,
-            trials: 5,
-            seed: 9,
-        }
-    }
-}
-
-/// The declarative specs of Fig. 10a: one FMore training scenario per winner count.
-pub fn specs(config: &ImpactOfKConfig) -> Vec<ScenarioSpec> {
-    let (k_small, k_large) = config.winner_counts;
-    [k_small, k_large]
-        .into_iter()
-        .map(|k| {
-            ScenarioSpec::new(
-                format!("K={k}"),
-                config.fl.clone(),
-                SelectionStrategy::fmore(),
-                config.rounds,
-                config.seed,
-            )
-            .with_winners(k)
-        })
-        .collect()
-}
-
-/// Reproduces Fig. 10: the two training runs of panel (a) and the auction-game sweep of
-/// panel (b), every independent piece in parallel on the runner’s pool.
-///
-/// # Errors
-///
-/// Propagates trainer and auction errors.
-pub fn run(runner: &ScenarioRunner, config: &ImpactOfKConfig) -> Result<ImpactOfK, SimError> {
-    let outcomes = runner.run_all(&specs(config))?;
-    let rounds_to_accuracy = config
-        .accuracy_targets
-        .iter()
-        .map(|&target| {
-            (
-                target,
-                outcomes[0].history.rounds_to_accuracy(target),
-                outcomes[1].history.rounds_to_accuracy(target),
-            )
-        })
-        .collect();
-
-    let (n, trials, seed) = (config.n, config.trials, config.seed);
-    let sweep = runner
-        .map(config.sweep_values.clone(), move |k| {
-            let k = k.min(n);
-            let stats =
-                game_statistics(&GameConfig::paper_simulation(n, k, trials), seed + k as u64)?;
-            Ok(AuctionSweepPoint {
-                value: k,
-                mean_payment: stats.mean_payment,
-                mean_score: stats.mean_score,
-            })
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, fmore_auction::AuctionError>>()?;
-    Ok(ImpactOfK {
-        rounds_to_accuracy,
-        winner_counts: config.winner_counts,
-        sweep,
-    })
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::experiments::impact_n::auction_game_statistics;
+    use crate::experiments::parameter_impact::{auction_game, run, Axis, ParameterImpactConfig};
+    use crate::scenario::ScenarioRunner;
 
     #[test]
     fn payment_rises_and_score_falls_with_k() {
         // Theorem 3 / Fig. 10b. The payment effect is small relative to per-game noise, so
         // average enough games for the direction to be stable.
-        let small = auction_game_statistics(40, 4, 16, 2).unwrap();
-        let large = auction_game_statistics(40, 20, 16, 2).unwrap();
+        let small = auction_game(40, 4, 16, 2).unwrap();
+        let large = auction_game(40, 20, 16, 2).unwrap();
         assert!(
-            large.0 >= small.0 - 0.05,
+            large[0] >= small[0] - 0.05,
             "mean payment should not fall with K: {small:?} -> {large:?}"
         );
         assert!(
-            large.1 <= small.1 + 0.05,
+            large[1] <= small[1] + 0.05,
             "mean score should not rise with K: {small:?} -> {large:?}"
         );
     }
 
     #[test]
     fn quick_run_produces_both_panels() {
-        let result = run(&ScenarioRunner::new(), &ImpactOfKConfig::quick()).unwrap();
+        let config = ParameterImpactConfig::quick(Axis::K);
+        let result = run(&ScenarioRunner::new(), &config).unwrap();
         assert_eq!(result.rounds_to_accuracy.len(), 2);
         assert_eq!(result.sweep.len(), 3);
-        assert!(result.payment_series().len() == 3 && result.score_series().len() == 3);
-        assert!(result.to_table().to_markdown().contains("Impact of K"));
-        assert_eq!(result.winner_counts, (2, 6));
+        assert!(result.sweep.iter().all(|p| p.stats.len() == 2));
+        let tables = result.tables();
+        assert_eq!(tables.len(), 2);
+        assert!(tables[0].title.starts_with("Impact of K"));
+        assert_eq!(tables[1].rows.len(), 3);
+        assert_eq!(config.pair, (2.0, 6.0));
     }
 
     #[test]
     fn paper_config_matches_figure_axes() {
-        let c = ImpactOfKConfig::paper();
-        assert_eq!(c.winner_counts, (5, 25));
-        assert_eq!(c.sweep_values, vec![5, 10, 15, 20, 25, 30, 35]);
+        let c = ParameterImpactConfig::paper(Axis::K);
+        assert_eq!(c.pair, (5.0, 25.0));
+        assert_eq!(c.values, vec![5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0]);
         assert_eq!(c.n, 100);
     }
 }

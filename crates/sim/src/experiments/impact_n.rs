@@ -1,244 +1,48 @@
-//! Figure 9: the impact of the total node count `N`.
-//!
-//! * Fig. 9a — rounds needed to reach given accuracy targets for `N = 50` vs `N = 100`
-//!   (more nodes → more data diversity and better winners → fewer rounds).
-//! * Fig. 9b — the mean winner payment and mean winner score as `N` grows (more competition
-//!   → lower payments, higher scores; Theorem 2).
+//! Tests of the `impact-n` experiment (Fig. 9): the [`Axis::N`](super::parameter_impact::Axis::N) sweep of
+//! [`parameter_impact`](super::parameter_impact).
 
-use crate::error::SimError;
-use crate::scenario::{ScenarioRunner, ScenarioSpec};
-use crate::series::{Series, Table};
-use fmore_auction::game::{game_statistics, GameConfig};
-use fmore_fl::config::FlConfig;
-use fmore_fl::selection::SelectionStrategy;
-use fmore_ml::dataset::TaskKind;
-
-/// Result of the auction-side sweep over `N` (Fig. 9b) or `K` (Fig. 10b).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuctionSweepPoint {
-    /// The swept parameter value (`N` or `K`).
-    pub value: usize,
-    /// Mean payment per winner.
-    pub mean_payment: f64,
-    /// Mean score per winner.
-    pub mean_score: f64,
-}
-
-/// The reproduction of Fig. 9.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImpactOfN {
-    /// For each accuracy target: rounds needed at `N = n_small` and `N = n_large`
-    /// (`None` if the target was never reached within the round budget).
-    pub rounds_to_accuracy: Vec<(f64, Option<usize>, Option<usize>)>,
-    /// The small and large population sizes compared in Fig. 9a.
-    pub populations: (usize, usize),
-    /// Payment / score as a function of `N` (Fig. 9b).
-    pub sweep: Vec<AuctionSweepPoint>,
-}
-
-impl ImpactOfN {
-    /// The payment-vs-N series.
-    pub fn payment_series(&self) -> Series {
-        Series::new(
-            "mean winner payment",
-            self.sweep.iter().map(|p| p.value as f64).collect(),
-            self.sweep.iter().map(|p| p.mean_payment).collect(),
-        )
-    }
-
-    /// The score-vs-N series.
-    pub fn score_series(&self) -> Series {
-        Series::new(
-            "mean winner score",
-            self.sweep.iter().map(|p| p.value as f64).collect(),
-            self.sweep.iter().map(|p| p.mean_score).collect(),
-        )
-    }
-
-    /// Markdown table combining both panels.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Impact of N (Fig. 9)",
-            &["accuracy target", "rounds (N small)", "rounds (N large)"],
-        );
-        for (target, small, large) in &self.rounds_to_accuracy {
-            let fmt = |v: &Option<usize>| v.map_or("not reached".to_string(), |r| r.to_string());
-            t.push_row(&[format!("{:.0}%", target * 100.0), fmt(small), fmt(large)]);
-        }
-        t
-    }
-}
-
-/// Runs the paper's pure auction game (via [`fmore_auction::game`]) for a population of `n`
-/// nodes and `k` winners and returns `(mean winner payment, mean winner score)` averaged
-/// over `trials` independent games.
-///
-/// # Errors
-///
-/// Propagates auction-construction failures.
-pub fn auction_game_statistics(
-    n: usize,
-    k: usize,
-    trials: usize,
-    seed: u64,
-) -> Result<(f64, f64), fmore_auction::AuctionError> {
-    let stats = game_statistics(&GameConfig::paper_simulation(n, k, trials), seed)?;
-    Ok((stats.mean_payment, stats.mean_score))
-}
-
-/// Configuration for the Fig. 9 experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImpactOfNConfig {
-    /// The two populations compared in Fig. 9a.
-    pub populations: (usize, usize),
-    /// Accuracy targets of Fig. 9a.
-    pub accuracy_targets: Vec<f64>,
-    /// Round budget for the training runs.
-    pub rounds: usize,
-    /// Base FL configuration (clients/partition are overridden per population).
-    pub fl: FlConfig,
-    /// Values of `N` swept in Fig. 9b.
-    pub sweep_values: Vec<usize>,
-    /// Winner count `K` used in the sweep.
-    pub k: usize,
-    /// Auction games averaged per sweep point.
-    pub trials: usize,
-    /// Base seed.
-    pub seed: u64,
-}
-
-impl ImpactOfNConfig {
-    /// Quick configuration for tests.
-    pub fn quick() -> Self {
-        Self {
-            populations: (8, 16),
-            accuracy_targets: vec![0.5, 0.7],
-            rounds: 4,
-            fl: FlConfig::fast_test(TaskKind::MnistO),
-            sweep_values: vec![20, 40, 80],
-            k: 5,
-            trials: 2,
-            seed: 7,
-        }
-    }
-
-    /// The paper's configuration: `N ∈ {50, 100}` for Fig. 9a, `N ∈ {50 … 200}` for Fig. 9b,
-    /// `K = 20`.
-    pub fn paper() -> Self {
-        let mut fl = FlConfig::paper_simulation(TaskKind::MnistF);
-        fl.model = fmore_fl::config::ModelChoice::FastSurrogate;
-        fl.train_samples = 8_000;
-        fl.test_samples = 1_000;
-        Self {
-            populations: (50, 100),
-            accuracy_targets: vec![0.70, 0.80, 0.82, 0.84, 0.86],
-            rounds: 20,
-            fl,
-            sweep_values: vec![50, 80, 110, 140, 170, 200],
-            k: 20,
-            trials: 5,
-            seed: 7,
-        }
-    }
-}
-
-/// The declarative specs of Fig. 9a: one FMore training scenario per population size.
-pub fn specs(config: &ImpactOfNConfig) -> Vec<ScenarioSpec> {
-    let (n_small, n_large) = config.populations;
-    [n_small, n_large]
-        .into_iter()
-        .map(|n| {
-            ScenarioSpec::new(
-                format!("N={n}"),
-                config.fl.clone(),
-                SelectionStrategy::fmore(),
-                config.rounds,
-                config.seed,
-            )
-            .with_population(n)
-        })
-        .collect()
-}
-
-/// Reproduces Fig. 9: the two training runs of panel (a) and the auction-game sweep of
-/// panel (b), every independent piece in parallel on the runner’s pool.
-///
-/// # Errors
-///
-/// Propagates trainer and auction errors.
-pub fn run(runner: &ScenarioRunner, config: &ImpactOfNConfig) -> Result<ImpactOfN, SimError> {
-    let outcomes = runner.run_all(&specs(config))?;
-    let rounds_to_accuracy = config
-        .accuracy_targets
-        .iter()
-        .map(|&target| {
-            (
-                target,
-                outcomes[0].history.rounds_to_accuracy(target),
-                outcomes[1].history.rounds_to_accuracy(target),
-            )
-        })
-        .collect();
-
-    let (k, trials, seed) = (config.k, config.trials, config.seed);
-    let sweep = runner
-        .map(config.sweep_values.clone(), move |n| {
-            let stats = game_statistics(
-                &GameConfig::paper_simulation(n, k.min(n), trials),
-                seed + n as u64,
-            )?;
-            Ok(AuctionSweepPoint {
-                value: n,
-                mean_payment: stats.mean_payment,
-                mean_score: stats.mean_score,
-            })
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, fmore_auction::AuctionError>>()?;
-    Ok(ImpactOfN {
-        rounds_to_accuracy,
-        populations: config.populations,
-        sweep,
-    })
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::parameter_impact::{auction_game, run, Axis, ParameterImpactConfig};
+    use crate::scenario::ScenarioRunner;
 
     #[test]
     fn sweep_shows_payment_falling_and_score_rising_with_n() {
         // Theorem 2 / Fig. 9b: more competition lowers payments and raises winner scores.
-        let small = auction_game_statistics(20, 5, 4, 1).unwrap();
-        let large = auction_game_statistics(80, 5, 4, 1).unwrap();
+        let small = auction_game(20, 5, 4, 1).unwrap();
+        let large = auction_game(80, 5, 4, 1).unwrap();
         assert!(
-            large.0 <= small.0 + 0.05,
+            large[0] <= small[0] + 0.05,
             "mean payment should not rise with N: {small:?} -> {large:?}"
         );
         assert!(
-            large.1 >= small.1 - 0.05,
+            large[1] >= small[1] - 0.05,
             "mean score should not fall with N: {small:?} -> {large:?}"
         );
     }
 
     #[test]
     fn quick_run_produces_both_panels() {
-        let result = run(&ScenarioRunner::new(), &ImpactOfNConfig::quick()).unwrap();
+        let result = run(
+            &ScenarioRunner::new(),
+            &ParameterImpactConfig::quick(Axis::N),
+        )
+        .unwrap();
         assert_eq!(result.rounds_to_accuracy.len(), 2);
         assert_eq!(result.sweep.len(), 3);
-        assert_eq!(result.payment_series().len(), 3);
-        assert_eq!(result.score_series().len(), 3);
-        let md = result.to_table().to_markdown();
-        assert!(md.contains("Impact of N"));
-        assert!(md.contains('%'));
+        assert!(result.sweep.iter().all(|p| p.stats.len() == 2));
+        let tables = result.tables();
+        assert_eq!(tables.len(), 2);
+        assert!(tables[0].title.starts_with("Impact of N"));
+        assert!(tables[0].to_markdown().contains('%'));
+        assert_eq!(tables[1].rows.len(), 3);
     }
 
     #[test]
     fn paper_config_matches_figure_axes() {
-        let c = ImpactOfNConfig::paper();
-        assert_eq!(c.populations, (50, 100));
-        assert_eq!(c.sweep_values.first(), Some(&50));
-        assert_eq!(c.sweep_values.last(), Some(&200));
+        let c = ParameterImpactConfig::paper(Axis::N);
+        assert_eq!(c.pair, (50.0, 100.0));
+        assert_eq!(c.values.first(), Some(&50.0));
+        assert_eq!(c.values.last(), Some(&200.0));
         assert_eq!(c.k, 20);
     }
 }

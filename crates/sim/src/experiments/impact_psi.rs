@@ -1,220 +1,24 @@
-//! Figure 11: the impact of the admission probability ψ in ψ-FMore.
-//!
-//! * Fig. 11a — rounds needed to reach accuracy targets for a small vs a large ψ (small ψ
-//!   trades training speed for data diversity).
-//! * Fig. 11b — how many of the selected nodes come from the top-10 / top-20 / top-30 ranks
-//!   of the score ordering, as ψ varies (large ψ concentrates on the top ranks).
+//! Tests of the `impact-psi` experiment (Fig. 11): the [`Axis::Psi`](super::parameter_impact::Axis::Psi) sweep of
+//! [`parameter_impact`](super::parameter_impact).
 
-use crate::error::SimError;
-use crate::scenario::{ScenarioRunner, ScenarioSpec};
-use crate::series::{Series, Table};
-use fmore_auction::game::psi_rank_spread;
-use fmore_fl::config::FlConfig;
-use fmore_fl::selection::SelectionStrategy;
-use fmore_ml::dataset::TaskKind;
-
-/// How many winners fall into the top-10 / top-20 / top-30 score ranks for one ψ.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankSpread {
-    /// The admission probability ψ.
-    pub psi: f64,
-    /// Mean number of winners ranked in the top 10.
-    pub top10: f64,
-    /// Mean number of winners ranked in the top 20.
-    pub top20: f64,
-    /// Mean number of winners ranked in the top 30.
-    pub top30: f64,
-}
-
-/// The reproduction of Fig. 11.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImpactOfPsi {
-    /// For each accuracy target: rounds needed at the small and at the large ψ.
-    pub rounds_to_accuracy: Vec<(f64, Option<usize>, Option<usize>)>,
-    /// The two ψ values compared in Fig. 11a.
-    pub psi_pair: (f64, f64),
-    /// Winner-rank spread per ψ (Fig. 11b).
-    pub rank_spread: Vec<RankSpread>,
-}
-
-impl ImpactOfPsi {
-    /// Series of mean top-`rank` winners vs ψ, for `rank ∈ {10, 20, 30}`.
-    pub fn rank_series(&self, rank: usize) -> Series {
-        let ys = self
-            .rank_spread
-            .iter()
-            .map(|r| match rank {
-                10 => r.top10,
-                20 => r.top20,
-                _ => r.top30,
-            })
-            .collect();
-        Series::new(
-            format!("winners in top {rank}"),
-            self.rank_spread.iter().map(|r| r.psi).collect(),
-            ys,
-        )
-    }
-
-    /// Markdown table for both panels.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(
-            "Impact of ψ (Fig. 11)",
-            &["ψ", "top-10", "top-20", "top-30"],
-        );
-        for r in &self.rank_spread {
-            t.push_row(&[
-                format!("{:.1}", r.psi),
-                format!("{:.1}", r.top10),
-                format!("{:.1}", r.top20),
-                format!("{:.1}", r.top30),
-            ]);
-        }
-        t
-    }
-}
-
-/// Counts how many ψ-FMore winners come from the top-10/20/30 ranks of an `n`-node score
-/// ordering, averaged over `trials` selections of `k` winners (via [`fmore_auction::game`]).
-pub fn rank_spread_for_psi(psi: f64, n: usize, k: usize, trials: usize, seed: u64) -> RankSpread {
-    let counts = psi_rank_spread(psi, n, k, trials, seed);
-    RankSpread {
-        psi,
-        top10: counts.top10,
-        top20: counts.top20,
-        top30: counts.top30,
-    }
-}
-
-/// Configuration for the Fig. 11 experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ImpactOfPsiConfig {
-    /// The two ψ values compared in Fig. 11a (the paper uses 0.3 and 0.9).
-    pub psi_pair: (f64, f64),
-    /// Accuracy targets of Fig. 11a.
-    pub accuracy_targets: Vec<f64>,
-    /// Round budget for the training runs.
-    pub rounds: usize,
-    /// Base FL configuration.
-    pub fl: FlConfig,
-    /// ψ values swept in Fig. 11b.
-    pub sweep_values: Vec<f64>,
-    /// Population and winner count used for the rank-spread panel.
-    pub n: usize,
-    /// Winners per selection in the rank-spread panel.
-    pub k: usize,
-    /// Selections averaged per ψ.
-    pub trials: usize,
-    /// Base seed.
-    pub seed: u64,
-}
-
-impl ImpactOfPsiConfig {
-    /// Quick configuration for tests.
-    pub fn quick() -> Self {
-        Self {
-            psi_pair: (0.3, 0.9),
-            accuracy_targets: vec![0.5, 0.7],
-            rounds: 4,
-            fl: FlConfig::fast_test(TaskKind::MnistO),
-            sweep_values: vec![0.3, 0.6, 0.9],
-            n: 100,
-            k: 20,
-            trials: 20,
-            seed: 21,
-        }
-    }
-
-    /// The paper's configuration: ψ ∈ {0.3, 0.9} for Fig. 11a and ψ ∈ {0.3 … 0.9} for
-    /// Fig. 11b with `N = 100`, `K = 20`.
-    pub fn paper() -> Self {
-        let mut fl = FlConfig::paper_simulation(TaskKind::MnistF);
-        fl.model = fmore_fl::config::ModelChoice::FastSurrogate;
-        fl.train_samples = 8_000;
-        fl.test_samples = 1_000;
-        // The ψ extension targets small-data scenarios; shrink the shards accordingly.
-        fl.partition.size_range = (30, 150);
-        Self {
-            psi_pair: (0.3, 0.9),
-            accuracy_targets: vec![0.70, 0.80, 0.82, 0.84, 0.86, 0.87],
-            rounds: 30,
-            fl,
-            sweep_values: vec![0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-            n: 100,
-            k: 20,
-            trials: 200,
-            seed: 21,
-        }
-    }
-}
-
-/// The declarative specs of Fig. 11a: one ψ-FMore training scenario per ψ value.
-pub fn specs(config: &ImpactOfPsiConfig) -> Vec<ScenarioSpec> {
-    let (psi_small, psi_large) = config.psi_pair;
-    [psi_small, psi_large]
-        .into_iter()
-        .map(|psi| {
-            ScenarioSpec::new(
-                format!("psi={psi}"),
-                config.fl.clone(),
-                SelectionStrategy::psi_fmore(psi),
-                config.rounds,
-                config.seed,
-            )
-        })
-        .collect()
-}
-
-/// Reproduces Fig. 11: the two training runs of panel (a) and the rank-spread sweep of
-/// panel (b), every independent piece in parallel on the runner’s pool.
-///
-/// # Errors
-///
-/// Propagates trainer and auction errors.
-pub fn run(runner: &ScenarioRunner, config: &ImpactOfPsiConfig) -> Result<ImpactOfPsi, SimError> {
-    let outcomes = runner.run_all(&specs(config))?;
-    let rounds_to_accuracy = config
-        .accuracy_targets
-        .iter()
-        .map(|&target| {
-            (
-                target,
-                outcomes[0].history.rounds_to_accuracy(target),
-                outcomes[1].history.rounds_to_accuracy(target),
-            )
-        })
-        .collect();
-
-    let (n, k, trials, seed) = (config.n, config.k, config.trials, config.seed);
-    let rank_spread = runner.map(config.sweep_values.clone(), move |psi| {
-        rank_spread_for_psi(psi, n, k, trials, seed)
-    });
-
-    Ok(ImpactOfPsi {
-        rounds_to_accuracy,
-        psi_pair: config.psi_pair,
-        rank_spread,
-    })
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::parameter_impact::{rank_spread, run, Axis, ParameterImpactConfig};
+    use crate::scenario::ScenarioRunner;
 
     #[test]
     fn large_psi_concentrates_winners_at_the_top() {
         // Fig. 11b: with ψ = 0.8 roughly two thirds of the selected nodes are in the top 30;
         // with ψ = 0.2 the selection is much more spread out.
-        let low = rank_spread_for_psi(0.2, 100, 20, 200, 1);
-        let high = rank_spread_for_psi(0.8, 100, 20, 200, 1);
-        assert!(high.top30 > low.top30);
-        assert!(high.top10 > low.top10);
+        let low = rank_spread(0.2, 100, 20, 200, 1);
+        let high = rank_spread(0.8, 100, 20, 200, 1);
+        assert!(high[2] > low[2]);
+        assert!(high[0] > low[0]);
         // Sanity: counts are bounded by K and by the rank width.
-        for r in [&low, &high] {
-            assert!(r.top10 <= 10.0 + 1e-9);
-            assert!(r.top20 <= 20.0 + 1e-9);
-            assert!(r.top30 <= 20.0 + 1e-9, "cannot select more than K nodes");
-            assert!(r.top10 <= r.top20 && r.top20 <= r.top30);
+        for [top10, top20, top30] in [low, high] {
+            assert!(top10 <= 10.0 + 1e-9);
+            assert!(top20 <= 20.0 + 1e-9);
+            assert!(top30 <= 20.0 + 1e-9, "cannot select more than K nodes");
+            assert!(top10 <= top20 && top20 <= top30);
         }
     }
 
@@ -224,8 +28,7 @@ mod tests {
         // among the top 30 scores; a literal score-order walk concentrates at least that much
         // (the exact fraction depends on tie handling the paper does not specify), so we
         // assert the qualitative claim: a clear majority of selections fall in the top 30.
-        let spread = rank_spread_for_psi(0.8, 100, 20, 400, 3);
-        let fraction = spread.top30 / 20.0;
+        let fraction = rank_spread(0.8, 100, 20, 400, 3)[2] / 20.0;
         assert!(
             (0.6..=1.0).contains(&fraction),
             "top-30 fraction {fraction} should be a clear majority"
@@ -234,20 +37,23 @@ mod tests {
 
     #[test]
     fn quick_run_produces_both_panels() {
-        let result = run(&ScenarioRunner::new(), &ImpactOfPsiConfig::quick()).unwrap();
+        let config = ParameterImpactConfig::quick(Axis::Psi);
+        let result = run(&ScenarioRunner::new(), &config).unwrap();
         assert_eq!(result.rounds_to_accuracy.len(), 2);
-        assert_eq!(result.rank_spread.len(), 3);
-        assert_eq!(result.rank_series(10).len(), 3);
-        assert_eq!(result.rank_series(30).len(), 3);
-        assert!(result.to_table().to_markdown().contains("Impact of ψ"));
-        assert_eq!(result.psi_pair, (0.3, 0.9));
+        assert_eq!(result.sweep.len(), 3);
+        assert!(result.sweep.iter().all(|p| p.stats.len() == 3));
+        let tables = result.tables();
+        assert_eq!(tables.len(), 2);
+        assert!(tables[0].title.starts_with("Impact of ψ"));
+        assert!(tables[1].to_markdown().contains("Impact of ψ"));
+        assert_eq!(config.pair, (0.3, 0.9));
     }
 
     #[test]
     fn paper_config_matches_figure_axes() {
-        let c = ImpactOfPsiConfig::paper();
-        assert_eq!(c.psi_pair, (0.3, 0.9));
-        assert_eq!(c.sweep_values.len(), 7);
+        let c = ParameterImpactConfig::paper(Axis::Psi);
+        assert_eq!(c.pair, (0.3, 0.9));
+        assert_eq!(c.values.len(), 7);
         assert_eq!(c.n, 100);
         assert_eq!(c.k, 20);
     }

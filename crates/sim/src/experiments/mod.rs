@@ -10,6 +10,12 @@ pub mod chaos_soak;
 pub mod cluster;
 pub mod dynamics;
 pub mod headline;
+#[cfg(test)]
+mod impact_k;
+#[cfg(test)]
+mod impact_n;
+#[cfg(test)]
+mod impact_psi;
 pub mod parameter_impact;
 pub mod registry;
 pub mod scale;

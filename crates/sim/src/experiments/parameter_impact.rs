@@ -12,6 +12,9 @@
 //! * Fig. 11b — how many ψ-FMore selections land in the top-10 / top-20 / top-30 score ranks,
 //!   walked over ranks alone ([`SelectionRule::select_indices`], the draw sequence of the
 //!   streamed bounded ψ admission).
+//!
+//! Its tests sit under the registry names they check (`impact_n`, `impact_k` and `impact_psi`
+//! beside this module) and, for the game itself, in the crate's `game` module.
 
 use crate::error::SimError;
 use crate::scenario::{ScenarioRunner, ScenarioSpec};
@@ -33,7 +36,7 @@ use std::sync::Arc;
 // The paper's simulator game (Section V-A): scoring `s(q) = 25·q1·q2`, linear cost
 // `θ(2q1 + q2)`, capacities uniform in `[0.3, 1]`, θ uniform in `[0.1, 1]`, top-K selection
 // and first-price payment.
-const SCORING_SCALE: f64 = 25.0;
+pub(crate) const SCORING_SCALE: f64 = 25.0;
 const COST_COEFFICIENTS: [f64; 2] = [2.0, 1.0];
 const CAPACITY_RANGE: (f64, f64) = (0.3, 1.0);
 const THETA_RANGE: (f64, f64) = (0.1, 1.0);
@@ -325,7 +328,12 @@ pub fn sweep(
 /// with `n` bidders and `k` winners. Each trial draws every node's θ, then its capacities,
 /// from one seeded stream; bids are held equilibrium strategies capped to the capacities,
 /// and winners come from the streamed selector over one in-memory shard.
-fn auction_game(n: usize, k: usize, trials: usize, seed: u64) -> Result<[f64; 2], SimError> {
+pub(crate) fn auction_game(
+    n: usize,
+    k: usize,
+    trials: usize,
+    seed: u64,
+) -> Result<[f64; 2], SimError> {
     let scoring = CobbDouglas::with_scale(SCORING_SCALE, vec![1.0; COST_COEFFICIENTS.len()])?;
     let theta = UniformDist::new(THETA_RANGE.0, THETA_RANGE.1).map_err(AuctionError::from)?;
     let solver = EquilibriumSolver::builder()
@@ -381,7 +389,7 @@ fn auction_game(n: usize, k: usize, trials: usize, seed: u64) -> Result<[f64; 2]
 
 /// Selects `k` of `n` ranks with the ψ-FMore walk `trials` times and returns the mean number
 /// of selections among the top 10, 20 and 30 ranks.
-fn rank_spread(psi: f64, n: usize, k: usize, trials: usize, seed: u64) -> [f64; 3] {
+pub(crate) fn rank_spread(psi: f64, n: usize, k: usize, trials: usize, seed: u64) -> [f64; 3] {
     let rule = SelectionRule::PsiFMore { psi };
     let mut rng = seeded_rng(seed);
     let trials = trials.max(1);
@@ -393,118 +401,4 @@ fn rank_spread(psi: f64, n: usize, k: usize, trials: usize, seed: u64) -> [f64; 
         }
     }
     counts.map(|c| c as f64 / trials as f64)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_runs_report_panel_a_then_panel_b() {
-        let runner = ScenarioRunner::new();
-        for (axis, title) in [
-            (Axis::N, "Impact of N"),
-            (Axis::K, "Impact of K"),
-            (Axis::Psi, "Impact of ψ"),
-        ] {
-            let result = run(&runner, &ParameterImpactConfig::quick(axis)).unwrap();
-            assert_eq!(result.rounds_to_accuracy.len(), 2);
-            assert_eq!(result.sweep.len(), 3);
-            let tables = result.tables();
-            assert_eq!(tables.len(), 2);
-            assert!(tables[0].title.starts_with(title), "{}", tables[0].title);
-            assert!(tables[0].to_markdown().contains('%'));
-            assert_eq!(tables[1].rows.len(), 3);
-        }
-    }
-
-    #[test]
-    fn paper_configs_match_figure_axes() {
-        let n = ParameterImpactConfig::paper(Axis::N);
-        assert_eq!(n.pair, (50.0, 100.0));
-        assert_eq!(n.values.first(), Some(&50.0));
-        assert_eq!(n.values.last(), Some(&200.0));
-        assert_eq!(n.k, 20);
-        let k = ParameterImpactConfig::paper(Axis::K);
-        assert_eq!(k.pair, (5.0, 25.0));
-        assert_eq!(k.values, vec![5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0]);
-        assert_eq!(k.n, 100);
-        let psi = ParameterImpactConfig::paper(Axis::Psi);
-        assert_eq!(psi.pair, (0.3, 0.9));
-        assert_eq!(psi.values.len(), 7);
-        assert_eq!((psi.n, psi.k), (100, 20));
-    }
-
-    #[test]
-    fn auction_game_is_deterministic_per_seed_and_bounded() {
-        let a = auction_game(20, 5, 2, 7).unwrap();
-        assert_eq!(a, auction_game(20, 5, 2, 7).unwrap());
-        assert_ne!(a, auction_game(20, 5, 2, 8).unwrap());
-        let [payment, score] = auction_game(30, 5, 3, 1).unwrap();
-        assert!(payment > 0.0);
-        assert!(score > 0.0);
-        // Score cannot exceed the scoring scale at full quality and zero ask.
-        assert!(score <= SCORING_SCALE);
-    }
-
-    #[test]
-    fn sweep_shows_payment_falling_and_score_rising_with_n() {
-        // Theorem 2 / Fig. 9b: more competition lowers payments and raises winner scores.
-        let small = auction_game(20, 5, 4, 1).unwrap();
-        let large = auction_game(80, 5, 4, 1).unwrap();
-        assert!(
-            large[0] <= small[0] + 0.05,
-            "mean payment should not rise with N: {small:?} -> {large:?}"
-        );
-        assert!(
-            large[1] >= small[1] - 0.05,
-            "mean score should not fall with N: {small:?} -> {large:?}"
-        );
-    }
-
-    #[test]
-    fn payment_rises_and_score_falls_with_k() {
-        // Theorem 3 / Fig. 10b. The payment effect is small relative to per-game noise, so
-        // average enough games for the direction to be stable.
-        let small = auction_game(40, 4, 16, 2).unwrap();
-        let large = auction_game(40, 20, 16, 2).unwrap();
-        assert!(
-            large[0] >= small[0] - 0.05,
-            "mean payment should not fall with K: {small:?} -> {large:?}"
-        );
-        assert!(
-            large[1] <= small[1] + 0.05,
-            "mean score should not rise with K: {small:?} -> {large:?}"
-        );
-    }
-
-    #[test]
-    fn large_psi_concentrates_winners_at_the_top() {
-        // Fig. 11b: with ψ = 0.8 roughly two thirds of the selected nodes are in the top 30;
-        // with ψ = 0.2 the selection is much more spread out.
-        let low = rank_spread(0.2, 100, 20, 200, 1);
-        let high = rank_spread(0.8, 100, 20, 200, 1);
-        assert!(high[2] > low[2]);
-        assert!(high[0] > low[0]);
-        // Sanity: counts are bounded by K and by the rank width.
-        for [top10, top20, top30] in [low, high] {
-            assert!(top10 <= 10.0 + 1e-9);
-            assert!(top20 <= 20.0 + 1e-9);
-            assert!(top30 <= 20.0 + 1e-9, "cannot select more than K nodes");
-            assert!(top10 <= top20 && top20 <= top30);
-        }
-    }
-
-    #[test]
-    fn psi_08_selects_most_winners_from_top_30() {
-        // The paper reports that with ψ = 0.8 roughly two thirds of the selected nodes are
-        // among the top 30 scores; a literal score-order walk concentrates at least that much
-        // (the exact fraction depends on tie handling the paper does not specify), so we
-        // assert the qualitative claim: a clear majority of selections fall in the top 30.
-        let fraction = rank_spread(0.8, 100, 20, 400, 3)[2] / 20.0;
-        assert!(
-            (0.6..=1.0).contains(&fraction),
-            "top-30 fraction {fraction} should be a clear majority"
-        );
-    }
 }

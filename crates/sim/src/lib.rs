@@ -47,6 +47,8 @@
 
 pub mod error;
 pub mod experiments;
+#[cfg(test)]
+mod game;
 pub mod scenario;
 pub mod series;
 
