@@ -8,11 +8,12 @@
 //! it must be reviewed and, if intended, re-committed here, instead of silently shifting the
 //! figures.
 //!
-//! A fingerprint sees only what its last row prints, rounded. Two families of **digests**
-//! fold exact `f64` bits instead: `V2_DIGESTS` pins the v2 population stream contract, and
+//! A fingerprint sees only what its last row prints, rounded. Three families of **digests**
+//! fold exact `f64` bits instead: `V2_DIGESTS` pins the v2 population stream contract,
 //! `PARAMETER_DIGESTS` pins every value of the parameter figures (Figs. 9–11) — each
 //! rounds-to-accuracy triple and sweep point at quick fidelity, and the three tables
-//! `examples/parameter_sweep.rs` prints.
+//! `examples/parameter_sweep.rs` prints — and `DRIVER_DIGESTS` pins every per-round metric
+//! of the federated trainer and of a churn-heavy MEC cluster.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -22,8 +23,15 @@
 //! (the failure output prints the actual fingerprint of every drifted entry, and a drifted
 //! digest assertion prints the actual digests).
 
+use fmore::auction::{PricingRule, SelectionRule};
+use fmore::fl::config::FlConfig;
 use fmore::fl::engine::RoundEngine;
+use fmore::fl::metrics::RoundMetrics;
+use fmore::fl::selection::{AuctionSelectionConfig, SelectionStrategy};
+use fmore::fl::trainer::FederatedTrainer;
 use fmore::mec::population::{NodePopulation, PopulationSpec, SpecVersion};
+use fmore::mec::{ChurnModel, ClusterConfig, ClusterStrategy, DynamicsConfig, MecCluster};
+use fmore::ml::dataset::TaskKind;
 use fmore::sim::experiments::parameter_impact::{self, Axis, ParameterImpactConfig, SweepPoint};
 use fmore::sim::experiments::registry::{self, ExperimentReport, Fidelity};
 use fmore::sim::experiments::scale::{ScaleConfig, ScaleGame};
@@ -268,6 +276,104 @@ fn parameter_figure_digests_match_committed_values() {
         "parameter-figure digests drifted (impact-n, impact-k, impact-psi, example N, K, ψ) \
          — actual {actual:#x?}; if the change is intended, update PARAMETER_DIGESTS in \
          tests/golden.rs"
+    );
+}
+
+/// The committed digests of the two drivers that select winners from a list of collected
+/// bids, in this order: a churn-heavy `MecCluster` (dropouts, stragglers, a deadline and
+/// re-auction refills; six seeds × four rounds), then `FederatedTrainer` (K = 3, two
+/// rounds) under ψ = 0.5 with first price, ψ = 0.3 with second price, and top-K with second
+/// price. They fold the exact bits of every `RoundMetrics` field, and of each cluster
+/// round's `round_secs`, where the `cluster` and `accuracy` goldens print one rounded row.
+const DRIVER_DIGESTS: [u64; 4] = [
+    0x59e6_7a3b_40d6_e196,
+    0x08c9_f2c7_3692_5501,
+    0x75d1_7da8_bea6_5b0e,
+    0x995c_c4cd_5645_a681,
+];
+
+/// Folds one round's metrics: accuracy and loss, every winner, every score of the auction
+/// and every churn counter.
+fn fold_round(h: u64, m: &RoundMetrics) -> u64 {
+    let mut h = fold_bits(fold_bits(fold_word(h, m.round as u64), m.accuracy), m.loss);
+    h = fold_word(h, m.winners.len() as u64);
+    for w in &m.winners {
+        h = fold_word(
+            fold_word(fold_word(h, w.node.0), w.client as u64),
+            w.data_size as u64,
+        );
+        h = fold_bits(fold_bits(h, w.score), w.payment);
+    }
+    h = fold_word(h, m.all_scores.len() as u64);
+    h = m.all_scores.iter().copied().fold(h, fold_bits);
+    let o = &m.outcome;
+    let counts = [
+        o.selected,
+        o.completed,
+        o.dropouts,
+        o.stragglers,
+        o.deadline_misses,
+        o.reauction_waves,
+        o.replacements,
+    ];
+    h = counts.into_iter().fold(h, |h, c| fold_word(h, c as u64));
+    fold_bits(h, o.wasted_payment)
+}
+
+#[test]
+fn trainer_and_cluster_digests_match_committed_values() {
+    let churn = ChurnModel::stable()
+        .with_dropout(0.3)
+        .with_stragglers(0.3, 5.0);
+    let dynamics = DynamicsConfig::new(churn)
+        .with_deadline(20.0)
+        .with_reauction_waves(3);
+    let (mut cluster_digest, mut replacements) = (FNV_OFFSET, 0);
+    for seed in 0..6 {
+        let config = ClusterConfig::fast_test().with_dynamics(dynamics);
+        let mut cluster =
+            MecCluster::new(config, ClusterStrategy::FMore, seed).expect("cluster builds");
+        for round in cluster.run(4).expect("cluster runs").rounds {
+            replacements += round.learning.outcome.replacements;
+            cluster_digest = fold_bits(
+                fold_round(cluster_digest, &round.learning),
+                round.round_secs,
+            );
+        }
+    }
+    assert!(
+        replacements > 0,
+        "the churn scenario must refill from the standing pool"
+    );
+    let mut actual = [cluster_digest; 4];
+    let trainers = [
+        (
+            SelectionRule::PsiFMore { psi: 0.5 },
+            PricingRule::FirstPrice,
+        ),
+        (
+            SelectionRule::PsiFMore { psi: 0.3 },
+            PricingRule::SecondPrice,
+        ),
+        (SelectionRule::TopK, PricingRule::SecondPrice),
+    ];
+    for (digest, (selection, pricing)) in actual[1..].iter_mut().zip(trainers) {
+        let mut config = FlConfig::fast_test(TaskKind::MnistO);
+        config.winners_per_round = 3;
+        let strategy = SelectionStrategy::Auction(AuctionSelectionConfig {
+            selection,
+            pricing,
+            ..AuctionSelectionConfig::default()
+        });
+        let mut trainer = FederatedTrainer::new(config, strategy, 5).expect("trainer builds");
+        let history = trainer.run(2).expect("trainer runs");
+        *digest = history.rounds.iter().fold(FNV_OFFSET, fold_round);
+    }
+    assert_eq!(
+        actual, DRIVER_DIGESTS,
+        "driver digests drifted (churn cluster, ψ 0.5 first price, ψ 0.3 second price, top-K \
+         second price) — actual {actual:#x?}; if the change is intended, update DRIVER_DIGESTS \
+         in tests/golden.rs"
     );
 }
 
