@@ -1,13 +1,16 @@
 //! The auction round run by the aggregator: bid collection → winner determination → payment.
 //!
 //! [`Auction`] bundles the broadcast scoring rule, the number of winners `K`, the selection
-//! rule (FMore or ψ-FMore), and the pricing rule. [`Auction::run`] consumes the sealed bids
-//! of one federated-learning round and produces an [`AuctionOutcome`] with the ranked bids,
-//! the winner awards, and the aggregator's realised profit.
+//! rule (FMore or ψ-FMore), and the pricing rule. Production rounds determine winners through
+//! the bounded streaming selector ([`Auction::selector`], [`Auction::plan_admission`],
+//! [`Auction::award_standing`]), which every driver reaches through `fmore_fl::engine`.
+//! [`Auction::run`] is the **full-sort reference**: it consumes the sealed bids of one round,
+//! ranks all of them and produces an [`AuctionOutcome`] with the ranked bids and the winner
+//! awards — the oracle the streaming path is tested against, bit for bit.
 
 use crate::error::AuctionError;
 use crate::pricing::PricingRule;
-use crate::scoring::{ScoringFunction, ScoringRule};
+use crate::scoring::ScoringRule;
 use crate::store::{rank_order, BidSelector, Candidate, StandingPool, TieBreak};
 use crate::types::{NodeId, Quality, ScoredBid};
 use crate::winner::SelectionRule;
@@ -86,12 +89,6 @@ impl AuctionOutcome {
         &self.winners
     }
 
-    /// Consumes the outcome, returning the ranked population (the round's standing bid
-    /// pool, kept by dynamic drivers for re-auction waves).
-    pub fn into_ranked(self) -> Vec<ScoredBid> {
-        self.ranked
-    }
-
     /// Node ids of the winners, in selection order (cached at construction).
     pub fn winner_ids(&self) -> &[NodeId] {
         &self.winner_ids
@@ -100,20 +97,6 @@ impl AuctionOutcome {
     /// Total payment promised to the winners (cached at construction).
     pub fn total_payment(&self) -> f64 {
         self.total_payment
-    }
-
-    /// Aggregator profit `V = Σ_{i ∈ W} (U(q_i) − p_i)` under utility `U` (Eq. 6).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuctionError::DimensionMismatch`] if `utility` expects a different number of
-    /// resource dimensions than the winning bids carry.
-    pub fn aggregator_profit<U: ScoringFunction>(&self, utility: &U) -> Result<f64, AuctionError> {
-        let mut total = 0.0;
-        for w in &self.winners {
-            total += utility.evaluate(w.quality.as_slice())? - w.payment;
-        }
-        Ok(total)
     }
 
     /// Mean score of the winners (reported in Figs. 9b and 10b of the paper).
@@ -197,7 +180,9 @@ impl Auction {
     ///
     /// Bids with invalid quality vectors (negative or non-finite components, wrong dimension)
     /// are rejected with an error rather than silently dropped, because a malformed bid
-    /// indicates a protocol violation by the submitting node.
+    /// indicates a protocol violation by the submitting node. Each bid is checked in the
+    /// order [`crate::store::BidStore::push`] checks it — dimension, quality, ask — so both
+    /// paths report the same error for the same bid.
     ///
     /// # Errors
     ///
@@ -206,6 +191,12 @@ impl Auction {
     pub fn score_bids(&self, bids: Vec<SubmittedBid>) -> Result<Vec<ScoredBid>, AuctionError> {
         let mut scored = Vec::with_capacity(bids.len());
         for bid in bids {
+            if bid.quality.dims() != self.scoring.dims() {
+                return Err(AuctionError::DimensionMismatch {
+                    expected: self.scoring.dims(),
+                    actual: bid.quality.dims(),
+                });
+            }
             if !bid.quality.is_valid() {
                 return Err(AuctionError::InvalidParameter(format!(
                     "bid from {} has an invalid quality vector",
@@ -261,33 +252,36 @@ impl Auction {
         Ok(keyed.into_iter().map(|(_, bid)| bid).collect())
     }
 
-    /// Runs one auction round over the submitted sealed bids: batched scoring and ranking
-    /// ([`Auction::rank_bids`]), winner selection, and payment computation.
+    /// The full-sort reference round over the submitted sealed bids: batched scoring and
+    /// ranking of the whole population ([`Auction::rank_bids`]), winner selection, and
+    /// payment computation. No production round runs it; it is the oracle the streaming
+    /// selector is checked against, and its errors come in the streaming stage's order.
     ///
     /// # Errors
     ///
-    /// * [`AuctionError::NoBids`] when `bids` is empty,
+    /// In this order:
     /// * [`AuctionError::InvalidGame`] when the auction was configured with `K = 0` or an
     ///   invalid ψ,
-    /// * [`AuctionError::DimensionMismatch`] / [`AuctionError::InvalidParameter`] for
-    ///   malformed bids.
+    /// * [`AuctionError::DimensionMismatch`] / [`AuctionError::InvalidParameter`] for the
+    ///   first malformed bid,
+    /// * [`AuctionError::NoBids`] when `bids` is empty.
     pub fn run<R: Rng + ?Sized>(
         &self,
         bids: Vec<SubmittedBid>,
         rng: &mut R,
     ) -> Result<AuctionOutcome, AuctionError> {
-        if bids.is_empty() {
-            return Err(AuctionError::NoBids);
-        }
         if self.k == 0 || !self.selection.is_valid() {
             return Err(AuctionError::InvalidGame {
                 n: bids.len(),
                 k: self.k,
             });
         }
+        if bids.is_empty() {
+            return Err(AuctionError::NoBids);
+        }
 
         let scored = self.rank_bids(bids, rng)?;
-        let winner_indices = self.selection.select(&scored, self.k, rng);
+        let winner_indices = self.selection.select_indices(scored.len(), self.k, rng);
         let best_losing_score = scored
             .iter()
             .enumerate()
@@ -394,10 +388,18 @@ impl Auction {
     /// is the re-auction refill of a dynamic round, reading from the standing store without
     /// re-scoring a single bid.
     ///
+    /// The refill follows the paper's dynamic-environment discussion (§I, §VI): nodes "may
+    /// join or leave anytime", so the aggregator recruits replacements for dropouts,
+    /// departures and deadline misses without re-broadcasting the scoring rule and waiting
+    /// for a fresh sealed-bid phase. Every standing bid is already a sealed equilibrium bid
+    /// for *this* round's rule, so selecting again over the not-yet-awarded remainder is
+    /// incentive-neutral: the same bid competes under the same rule in every wave. Fewer
+    /// (possibly zero) awards come back when the pool runs short.
+    ///
     /// Second-score pricing reads the best losing score as the best standing non-winner
-    /// merged with the best score the bounded selector dropped — exactly the dense value as
-    /// long as every excluded node is a standing candidate (always true for prior winners,
-    /// which are kept by construction).
+    /// merged with the best score the bounded selector dropped — exactly the full-sort value
+    /// as long as every excluded node is a standing candidate (always true for prior
+    /// winners, which are kept by construction).
     pub fn award_standing<R: Rng + ?Sized>(
         &self,
         pool: &StandingPool,
@@ -428,78 +430,13 @@ impl Auction {
             .map(|&pos| self.award_candidate(&pool.candidates()[avail[pos]], best_losing))
             .collect()
     }
-
-    /// Re-runs winner determination over a **standing bid pool** — the ranked bids of a round
-    /// whose winner set came up short (dropouts, departures, deadline misses in a dynamic MEC
-    /// deployment).
-    ///
-    /// The paper's dynamic-environment discussion (§I, §VI) motivates exactly this: nodes
-    /// "may join or leave anytime", so the aggregator must be able to recruit replacements
-    /// without re-broadcasting the scoring rule and waiting for a fresh sealed-bid phase.
-    /// Because every standing bid is already a sealed equilibrium bid for *this* round's
-    /// rule, re-running selection over the not-yet-awarded remainder is incentive-neutral:
-    /// no node can improve its outcome by withholding in the first phase, since the same
-    /// bid competes under the same rule in every wave.
-    ///
-    /// `exclude` lists nodes that must not be awarded again (prior winners — including the
-    /// ones that dropped out — and nodes that have since departed). Up to `quota`
-    /// replacements are selected from the remaining pool under the auction's own selection
-    /// and pricing rules; fewer (possibly zero) awards are returned when the pool is too
-    /// small. `ranked` must be in descending score order, as produced by
-    /// [`Auction::rank_bids`] / [`AuctionOutcome::ranked`].
-    pub fn reauction<R: Rng + ?Sized>(
-        &self,
-        ranked: &[ScoredBid],
-        exclude: &[NodeId],
-        quota: usize,
-        rng: &mut R,
-    ) -> Vec<Award> {
-        if quota == 0 {
-            return Vec::new();
-        }
-        // Index into the standing bids instead of cloning the eligible remainder: a refill
-        // wave reads the pool, it does not rebuild it.
-        let avail: Vec<usize> = (0..ranked.len())
-            .filter(|&i| !exclude.contains(&ranked[i].node))
-            .collect();
-        if avail.is_empty() {
-            return Vec::new();
-        }
-        let picked = self.selection.select_indices(avail.len(), quota, rng);
-        let best_losing_score = avail
-            .iter()
-            .enumerate()
-            .filter(|(pos, _)| !picked.contains(pos))
-            .map(|(_, &idx)| ranked[idx].score)
-            .fold(None, |acc: Option<f64>, s| {
-                Some(acc.map_or(s, |a| a.max(s)))
-            });
-        picked
-            .iter()
-            .map(|&pos| {
-                let b = &ranked[avail[pos]];
-                let payment = self.pricing.payment_from_parts(
-                    &self.scoring,
-                    b.quality.as_slice(),
-                    b.ask,
-                    b.score,
-                    best_losing_score,
-                );
-                Award {
-                    node: b.node,
-                    quality: b.quality.clone(),
-                    score: b.score,
-                    payment,
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scoring::{Additive, CobbDouglas};
+    use crate::store::BidStore;
     use fmore_numerics::seeded_rng;
 
     fn simple_auction(k: usize) -> Auction {
@@ -537,25 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_profit_uses_utility_minus_payment() {
-        let auction = simple_auction(2);
-        let mut rng = seeded_rng(2);
-        let outcome = auction
-            .run(
-                vec![bid(0, 1.0, 0.1), bid(1, 0.8, 0.2), bid(2, 0.5, 0.1)],
-                &mut rng,
-            )
-            .unwrap();
-        let utility = Additive::new(vec![1.0]).unwrap();
-        let profit = outcome.aggregator_profit(&utility).unwrap();
-        // Winners: node 0 (1.0 - 0.1) and node 1 (0.8 - 0.2) => profit 1.5.
-        assert!((profit - 1.5).abs() < 1e-12);
-        // Wrong-dimension utility is rejected.
-        let bad = Additive::new(vec![1.0, 1.0]).unwrap();
-        assert!(outcome.aggregator_profit(&bad).is_err());
-    }
-
-    #[test]
     fn k_larger_than_population_awards_everyone() {
         let auction = simple_auction(10);
         let mut rng = seeded_rng(3);
@@ -588,6 +506,13 @@ mod tests {
             auction.run(vec![wrong_dims], &mut rng).unwrap_err(),
             AuctionError::DimensionMismatch { .. }
         ));
+
+        // The dimension is checked first, as `BidStore::push` checks it.
+        let both = SubmittedBid::new(NodeId(0), Quality::new(vec![f64::NAN, 1.0]), f64::NAN);
+        assert!(matches!(
+            auction.run(vec![both], &mut rng).unwrap_err(),
+            AuctionError::DimensionMismatch { .. }
+        ));
     }
 
     #[test]
@@ -598,6 +523,11 @@ mod tests {
             zero_k.run(vec![bid(0, 1.0, 0.1)], &mut rng).unwrap_err(),
             AuctionError::InvalidGame { .. }
         ));
+        // An invalid game is reported before an empty bid list, as the streamed stage does.
+        assert_eq!(
+            zero_k.run(vec![], &mut rng).unwrap_err(),
+            AuctionError::InvalidGame { n: 0, k: 0 }
+        );
         let bad_psi = Auction::new(
             ScoringRule::new(Additive::new(vec![1.0]).unwrap()),
             1,
@@ -662,29 +592,40 @@ mod tests {
         }
     }
 
+    /// The standing pool a bounded selector keeps over `bids`: `K + reserve` deep.
+    fn standing_pool<R: Rng>(
+        auction: &Auction,
+        bids: &[SubmittedBid],
+        reserve: usize,
+        rng: &mut R,
+    ) -> StandingPool {
+        let mut store = BidStore::with_dims(auction.scoring_rule().dims());
+        for b in bids {
+            store.push(b.node, b.quality.as_slice(), b.ask).unwrap();
+        }
+        store.score_with(auction.scoring_rule()).unwrap();
+        let mut selector = auction.selector(reserve);
+        selector.offer_store(&store, rng);
+        selector.finish(rng)
+    }
+
     #[test]
     fn reauction_refills_from_the_standing_pool() {
         let auction = simple_auction(2);
         let mut rng = seeded_rng(11);
-        let outcome = auction
-            .run(
-                vec![
-                    bid(0, 1.0, 0.1),
-                    bid(1, 0.9, 0.1),
-                    bid(2, 0.8, 0.1),
-                    bid(3, 0.7, 0.1),
-                ],
-                &mut rng,
-            )
-            .unwrap();
-        assert_eq!(outcome.winner_ids(), vec![NodeId(0), NodeId(1)]);
+        let bids = [
+            bid(0, 1.0, 0.1),
+            bid(1, 0.9, 0.1),
+            bid(2, 0.8, 0.1),
+            bid(3, 0.7, 0.1),
+        ];
+        let pool = standing_pool(&auction, &bids, bids.len(), &mut rng);
+        let winners = auction.award_standing(&pool, 2, &[], &mut rng);
+        let ids: Vec<NodeId> = winners.iter().map(|w| w.node).collect();
+        assert_eq!(ids, [NodeId(0), NodeId(1)]);
         // Node 1 dropped out: recruit one replacement, excluding both original winners.
-        let replacements = auction.reauction(
-            outcome.ranked(),
-            &[NodeId(0), NodeId(1)],
-            1,
-            &mut seeded_rng(12),
-        );
+        let replacements =
+            auction.award_standing(&pool, 1, &[NodeId(0), NodeId(1)], &mut seeded_rng(12));
         assert_eq!(replacements.len(), 1);
         assert_eq!(replacements[0].node, NodeId(2));
         // First-price: the replacement is paid its standing ask.
@@ -695,21 +636,57 @@ mod tests {
     fn reauction_handles_exhausted_pools_and_zero_quota() {
         let auction = simple_auction(1);
         let mut rng = seeded_rng(13);
-        let outcome = auction
-            .run(vec![bid(0, 1.0, 0.1), bid(1, 0.5, 0.2)], &mut rng)
-            .unwrap();
+        let pool = standing_pool(&auction, &[bid(0, 1.0, 0.1), bid(1, 0.5, 0.2)], 1, &mut rng);
         // Everyone excluded: nothing to award.
         assert!(auction
-            .reauction(outcome.ranked(), &[NodeId(0), NodeId(1)], 3, &mut rng)
+            .award_standing(&pool, 3, &[NodeId(0), NodeId(1)], &mut rng)
             .is_empty());
         // Zero quota: nothing to award even with a full pool.
-        assert!(auction
-            .reauction(outcome.ranked(), &[], 0, &mut rng)
-            .is_empty());
+        assert!(auction.award_standing(&pool, 0, &[], &mut rng).is_empty());
         // Quota larger than the remaining pool: awards are capped by the pool.
-        let all = auction.reauction(outcome.ranked(), &[NodeId(0)], 5, &mut rng);
+        let all = auction.award_standing(&pool, 5, &[NodeId(0)], &mut rng);
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].node, NodeId(1));
+    }
+
+    /// A second-price refill from a pool cut to `K + reserve` pays what a refill from the
+    /// whole ranked population pays: the best losing score merges the pool's best
+    /// non-picked candidate with the best score the selector dropped. With one reserve
+    /// candidate the refill empties the pool and only the dropped score prices it; with two
+    /// the pool's own next candidate does.
+    #[test]
+    fn second_price_refill_from_a_truncated_pool_prices_like_the_full_population() {
+        let auction = Auction::new(
+            ScoringRule::new(Additive::new(vec![1.0]).unwrap()),
+            2,
+            SelectionRule::TopK,
+            PricingRule::SecondPrice,
+        );
+        // Scores 0.9, 0.8, …, 0.4 for nodes 0, 1, …, 5.
+        let bids: Vec<SubmittedBid> = (0..6u32)
+            .map(|i| bid(u64::from(i), 1.0 - 0.1 * f64::from(i), 0.1))
+            .collect();
+        let full = standing_pool(&auction, &bids, bids.len(), &mut seeded_rng(21));
+        let prior = [NodeId(0), NodeId(1)];
+        let reference = auction.award_standing(&full, 1, &prior, &mut seeded_rng(22));
+        assert_eq!(reference.len(), 1);
+        assert_eq!(reference[0].node, NodeId(2));
+        // s(q) = 0.8, best losing score 0.6 (node 3): paid 0.2, above the 0.1 ask.
+        assert!((reference[0].payment - 0.2).abs() < 1e-12);
+        for reserve in [1usize, 2] {
+            let pool = standing_pool(&auction, &bids, reserve, &mut seeded_rng(21));
+            assert_eq!(pool.len(), 2 + reserve);
+            let first_cut = full.candidates()[2 + reserve].score;
+            assert_eq!(pool.best_dropped_score(), Some(first_cut));
+            let refill = auction.award_standing(&pool, 1, &prior, &mut seeded_rng(22));
+            assert_eq!(refill.len(), 1, "reserve {reserve}");
+            assert_eq!(refill[0].node, reference[0].node, "reserve {reserve}");
+            assert_eq!(
+                refill[0].payment.to_bits(),
+                reference[0].payment.to_bits(),
+                "reserve {reserve}"
+            );
+        }
     }
 
     #[test]

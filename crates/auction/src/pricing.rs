@@ -7,7 +7,6 @@
 //! natural K-winner extension of the second-price sealed-bid auction.
 
 use crate::scoring::ScoringRule;
-use crate::types::ScoredBid;
 
 /// How winners are paid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -22,31 +21,10 @@ pub enum PricingRule {
 }
 
 impl PricingRule {
-    /// Computes the payment of the winner at `sorted[winner_idx]`.
-    ///
-    /// `sorted` must be in descending score order and `best_losing_score` is the score of the
-    /// highest-ranked bid that did **not** win, if any.
-    pub fn payment(
-        &self,
-        rule: &ScoringRule,
-        sorted: &[ScoredBid],
-        winner_idx: usize,
-        best_losing_score: Option<f64>,
-    ) -> f64 {
-        let bid = &sorted[winner_idx];
-        self.payment_from_parts(
-            rule,
-            bid.quality.as_slice(),
-            bid.ask,
-            bid.score,
-            best_losing_score,
-        )
-    }
-
     /// The payment of one winner from its raw bid parts — the single pricing implementation
-    /// shared by the dense [`crate::mechanism::Auction::run`] path and the streaming
-    /// [`crate::store::StandingPool`] path (which holds columnar candidates, not
-    /// [`ScoredBid`]s).
+    /// shared by the streaming [`crate::store::StandingPool`] path and the full-sort
+    /// reference [`crate::mechanism::Auction::run`]. `best_losing_score` is the score of the
+    /// highest-ranked bid that did **not** win, if any.
     pub fn payment_from_parts(
         &self,
         rule: &ScoringRule,
@@ -75,10 +53,28 @@ impl PricingRule {
 mod tests {
     use super::*;
     use crate::scoring::{Additive, ScoringRule};
-    use crate::types::{NodeId, Quality};
+    use crate::types::{NodeId, Quality, ScoredBid};
 
     fn rule() -> ScoringRule {
         ScoringRule::new(Additive::new(vec![1.0]).unwrap())
+    }
+
+    /// The payment of the winner at `sorted[winner_idx]`.
+    fn payment(
+        pricing: PricingRule,
+        rule: &ScoringRule,
+        sorted: &[ScoredBid],
+        winner_idx: usize,
+        best_losing_score: Option<f64>,
+    ) -> f64 {
+        let bid = &sorted[winner_idx];
+        pricing.payment_from_parts(
+            rule,
+            bid.quality.as_slice(),
+            bid.ask,
+            bid.score,
+            best_losing_score,
+        )
     }
 
     fn bid(node: u64, q: f64, ask: f64, rule: &ScoringRule) -> ScoredBid {
@@ -97,7 +93,7 @@ mod tests {
         let r = rule();
         let sorted = vec![bid(0, 1.0, 0.3, &r), bid(1, 0.8, 0.2, &r)];
         assert_eq!(
-            PricingRule::FirstPrice.payment(&r, &sorted, 0, Some(0.6)),
+            payment(PricingRule::FirstPrice, &r, &sorted, 0, Some(0.6)),
             0.3
         );
     }
@@ -107,13 +103,13 @@ mod tests {
         let r = rule();
         // Winner: s(q) = 1.0, ask 0.3 (score 0.7). Best losing score 0.5.
         let sorted = vec![bid(0, 1.0, 0.3, &r), bid(1, 0.8, 0.3, &r)];
-        let p = PricingRule::SecondPrice.payment(&r, &sorted, 0, Some(0.5));
+        let p = payment(PricingRule::SecondPrice, &r, &sorted, 0, Some(0.5));
         assert!(
             (p - 0.5).abs() < 1e-12,
             "winner should be paid s(q) − S_loser = 0.5, got {p}"
         );
         // The payment is never below the ask.
-        let p = PricingRule::SecondPrice.payment(&r, &sorted, 0, Some(0.9));
+        let p = payment(PricingRule::SecondPrice, &r, &sorted, 0, Some(0.9));
         assert_eq!(p, 0.3);
     }
 
@@ -121,7 +117,10 @@ mod tests {
     fn second_price_without_losers_falls_back_to_first_price() {
         let r = rule();
         let sorted = vec![bid(0, 1.0, 0.25, &r)];
-        assert_eq!(PricingRule::SecondPrice.payment(&r, &sorted, 0, None), 0.25);
+        assert_eq!(
+            payment(PricingRule::SecondPrice, &r, &sorted, 0, None),
+            0.25
+        );
     }
 
     #[test]
@@ -134,8 +133,8 @@ mod tests {
         ];
         let losing = Some(sorted[2].score);
         for idx in 0..2 {
-            let fp = PricingRule::FirstPrice.payment(&r, &sorted, idx, losing);
-            let sp = PricingRule::SecondPrice.payment(&r, &sorted, idx, losing);
+            let fp = payment(PricingRule::FirstPrice, &r, &sorted, idx, losing);
+            let sp = payment(PricingRule::SecondPrice, &r, &sorted, idx, losing);
             assert!(sp >= fp, "second price must weakly exceed first price");
         }
     }

@@ -167,7 +167,7 @@ pub fn psi_preserves_win_probability_for_identical_types(
         // Shuffle to model the random tie-break among identical scores, then select.
         let mut shuffled = bids.clone();
         fmore_numerics::rng::shuffle(&mut shuffled, &mut rng);
-        let winners = rule.select(&shuffled, k, &mut rng);
+        let winners = rule.select_indices(shuffled.len(), k, &mut rng);
         if winners.iter().any(|&idx| shuffled[idx].node == NodeId(0)) {
             wins_node0 += 1;
         }

@@ -1,11 +1,12 @@
-//! The population-scale bid path: a columnar bid store, deterministic tie-break keys, and a
-//! bounded streaming top-K selector.
+//! The bid path of every production round: a columnar bid store, deterministic tie-break
+//! keys, and a bounded streaming top-K selector.
 //!
-//! The dense path of [`crate::mechanism::Auction::run`] materialises every submitted bid,
-//! scores them, and full-sorts the population — fine for the paper's toy sizes (tens of
-//! nodes), hopeless for the MEC populations the mechanism is actually pitched at (related
-//! work frames winner determination at 10⁵–10⁶ bidders). This module holds the pieces that
-//! make a million-bidder round routine:
+//! The full-sort reference [`crate::mechanism::Auction::run`] materialises every submitted
+//! bid, scores them, and sorts the population — fine as an oracle at the paper's toy sizes
+//! (tens of nodes), hopeless for the MEC populations the mechanism is actually pitched at
+//! (related work frames winner determination at 10⁵–10⁶ bidders). No production round runs
+//! it: a held bid list is streamed through this module as one shard, exactly like a
+//! million-bidder population. This module holds the pieces that make that round routine:
 //!
 //! * [`BidStore`] — a struct-of-arrays bid buffer (flattened quality dims, asks, node ids,
 //!   scores). One shard-sized store is filled, scored in one pass, fed to the selector, and
@@ -209,9 +210,9 @@ impl BidStore {
         self.scores.clear();
     }
 
-    /// Appends one sealed bid after validating it (same rules as the dense
-    /// [`crate::mechanism::Auction::score_bids`]: finite non-negative quality of the right
-    /// dimension, finite non-negative ask).
+    /// Appends one sealed bid after validating it (the rules, and the order — dimension,
+    /// quality, ask — of [`crate::mechanism::Auction::score_bids`]: finite non-negative
+    /// quality of the right dimension, finite non-negative ask).
     ///
     /// # Errors
     ///

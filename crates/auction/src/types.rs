@@ -114,15 +114,6 @@ pub struct ScoredBid {
     pub score: f64,
 }
 
-impl ScoredBid {
-    /// Orders two scored bids by descending score (the aggregator's sort order).
-    pub fn by_descending_score(a: &ScoredBid, b: &ScoredBid) -> std::cmp::Ordering {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,7 +183,8 @@ mod tests {
                 score: 0.5,
             },
         ];
-        bids.sort_by(ScoredBid::by_descending_score);
+        // The aggregator's rank order: descending score (node ids stand in for tie keys).
+        bids.sort_by(|a, b| crate::store::rank_order(a.score, a.node.0, b.score, b.node.0));
         let order: Vec<u64> = bids.iter().map(|b| b.node.0).collect();
         assert_eq!(order, vec![2, 3, 1]);
     }

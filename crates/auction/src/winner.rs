@@ -6,7 +6,6 @@
 //! is filled), which trades selection quality for data diversity. Ties are resolved by a coin
 //! flip, as in the paper's simulator.
 
-use crate::types::ScoredBid;
 use rand::Rng;
 
 /// How the aggregator forms the winner set from the sorted scores.
@@ -54,26 +53,13 @@ impl SelectionRule {
         }
     }
 
-    /// Selects the indices (into `sorted`) of the winners.
-    ///
-    /// `sorted` must already be in descending score order; at most `k` indices are returned
-    /// and each index appears at most once. Tie-breaking among equal scores is performed by
-    /// the caller via the deterministic tie-break keys of [`crate::store::TieBreak`] before
-    /// sorting (see [`crate::mechanism::Auction`]).
-    pub fn select<R: Rng + ?Sized>(
-        &self,
-        sorted: &[ScoredBid],
-        k: usize,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        self.select_indices(sorted.len(), k, rng)
-    }
-
-    /// Rank-based core of [`SelectionRule::select`]: selects winner positions out of `n`
-    /// candidates already in descending rank order. The rule never inspects bid contents —
-    /// only ranks — so the dense full-sort path and the streaming
-    /// [`crate::store::StandingPool`] path share this exact implementation (and therefore
-    /// the exact RNG draw sequence).
+    /// Selects winner positions out of `n` candidates already in descending rank order: at
+    /// most `k` positions, each at most once. Tie-breaking among equal scores happens before,
+    /// in the rank order itself (the deterministic keys of [`crate::store::TieBreak`]). The
+    /// rule never inspects bid contents — only ranks — so the streaming
+    /// [`crate::store::StandingPool`] path and the full-sort reference
+    /// [`crate::mechanism::Auction::run`] share this exact implementation (and therefore the
+    /// exact RNG draw sequence).
     ///
     /// State is `O(k)` regardless of `n`: the admitted set is a sorted position vector, not
     /// an `n`-wide bitmap, so the ψ walk over a 10⁸-candidate ranking costs winners-sized
@@ -188,57 +174,43 @@ pub fn psi_fill_probability(n: usize, k: usize, psi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{NodeId, Quality};
     use fmore_numerics::seeded_rng;
-
-    fn sorted_bids(scores: &[f64]) -> Vec<ScoredBid> {
-        let mut bids: Vec<ScoredBid> = scores
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| ScoredBid {
-                node: NodeId(i as u64),
-                quality: Quality::default(),
-                ask: 0.0,
-                score: s,
-            })
-            .collect();
-        bids.sort_by(ScoredBid::by_descending_score);
-        bids
-    }
 
     #[test]
     fn top_k_selects_highest_scores() {
-        let bids = sorted_bids(&[0.1, 0.9, 0.5, 0.7, 0.3]);
+        // Node ids in descending score order: scores 0.9, 0.7, 0.5, … belong to 1, 3, 2, ….
+        let ranked = [1u64, 3, 2, 4, 0];
         let mut rng = seeded_rng(1);
-        let winners = SelectionRule::TopK.select(&bids, 3, &mut rng);
+        let winners = SelectionRule::TopK.select_indices(ranked.len(), 3, &mut rng);
         assert_eq!(winners, vec![0, 1, 2]);
-        let chosen: Vec<u64> = winners.iter().map(|&i| bids[i].node.0).collect();
+        let chosen: Vec<u64> = winners.iter().map(|&i| ranked[i]).collect();
         assert_eq!(chosen, vec![1, 3, 2]);
     }
 
     #[test]
     fn top_k_handles_small_populations_and_zero_k() {
-        let bids = sorted_bids(&[0.4, 0.2]);
         let mut rng = seeded_rng(1);
-        assert_eq!(SelectionRule::TopK.select(&bids, 5, &mut rng).len(), 2);
-        assert!(SelectionRule::TopK.select(&bids, 0, &mut rng).is_empty());
-        assert!(SelectionRule::TopK.select(&[], 3, &mut rng).is_empty());
+        assert_eq!(SelectionRule::TopK.select_indices(2, 5, &mut rng).len(), 2);
+        assert!(SelectionRule::TopK
+            .select_indices(2, 0, &mut rng)
+            .is_empty());
+        assert!(SelectionRule::TopK
+            .select_indices(0, 3, &mut rng)
+            .is_empty());
     }
 
     #[test]
     fn psi_one_equals_top_k() {
-        let bids = sorted_bids(&[0.9, 0.8, 0.7, 0.6, 0.5, 0.4]);
         let mut rng = seeded_rng(2);
-        let a = SelectionRule::PsiFMore { psi: 1.0 }.select(&bids, 3, &mut rng);
+        let a = SelectionRule::PsiFMore { psi: 1.0 }.select_indices(6, 3, &mut rng);
         assert_eq!(a, vec![0, 1, 2]);
     }
 
     #[test]
     fn psi_selection_always_fills_k_distinct_winners() {
-        let bids = sorted_bids(&(0..50).map(|i| i as f64 / 50.0).collect::<Vec<_>>());
         let mut rng = seeded_rng(3);
         for &psi in &[0.05, 0.2, 0.5, 0.8] {
-            let winners = SelectionRule::PsiFMore { psi }.select(&bids, 20, &mut rng);
+            let winners = SelectionRule::PsiFMore { psi }.select_indices(50, 20, &mut rng);
             assert_eq!(winners.len(), 20, "psi={psi}");
             let mut dedup = winners.clone();
             dedup.sort_unstable();
@@ -251,14 +223,13 @@ mod tests {
     fn larger_psi_concentrates_on_top_ranks() {
         // With ψ = 0.9 most winners come from the top of the ranking; with ψ = 0.2 the
         // selection is much more scattered (Fig. 11b of the paper).
-        let bids = sorted_bids(&(0..100).map(|i| 1.0 - i as f64 / 100.0).collect::<Vec<_>>());
         let mut rng = seeded_rng(4);
         let trials = 200;
         let mut top30_high = 0usize;
         let mut top30_low = 0usize;
         for _ in 0..trials {
-            let high = SelectionRule::PsiFMore { psi: 0.9 }.select(&bids, 20, &mut rng);
-            let low = SelectionRule::PsiFMore { psi: 0.2 }.select(&bids, 20, &mut rng);
+            let high = SelectionRule::PsiFMore { psi: 0.9 }.select_indices(100, 20, &mut rng);
+            let low = SelectionRule::PsiFMore { psi: 0.2 }.select_indices(100, 20, &mut rng);
             top30_high += high.iter().filter(|&&i| i < 30).count();
             top30_low += low.iter().filter(|&&i| i < 30).count();
         }

@@ -9,6 +9,12 @@
 //! (collect_adopted_bids) (auction_select) (local_training) (aggregate_with_rule)  (trainer)
 //! ```
 //!
+//! Winner determination has one implementation, the streamed selector of
+//! [`auction_select_streamed`]: a population streamed in shards (the service, the scale
+//! path) and a bid list a driver already holds ([`auction_select`] /
+//! [`auction_select_standing`], one in-memory shard) go through the same ranking, selection
+//! and pricing. [`Auction::run`] is the full-sort reference the tests compare it against.
+//!
 //! This module holds the shared implementation of each stage and the execution substrate
 //! they run on: the [`WorkerPool`] of [`crate::executor`] — one shared FIFO queue of task
 //! chunks, drained by its workers and by the submitting thread — is created once, reused
@@ -34,8 +40,8 @@ use crate::error::FlError;
 use crate::metrics::WinnerInfo;
 use fmore_auction::mechanism::Award;
 use fmore_auction::{
-    Auction, AuctionError, BidSelector, BidStore, EquilibriumSolver, ScoredBid, SelectionRule,
-    ShardSelection, StandingPool, SubmittedBid,
+    Auction, AuctionError, BidSelector, BidStore, EquilibriumSolver, SelectionRule, ShardSelection,
+    StandingPool, SubmittedBid,
 };
 use fmore_ml::arena::ScratchArena;
 use fmore_ml::dataset::Dataset;
@@ -199,16 +205,12 @@ pub fn collect_bids(
 // Stage 3: winner determination.
 // ---------------------------------------------------------------------------
 
-/// Runs the batched auction over the collected bids (step 3 of Algorithm 1) and maps each
-/// award onto the caller's notion of a winner.
-///
-/// The caller supplies `map_award` because the trainer and the MEC cluster attach different
-/// data to a win (declared data size vs node resource fraction); everything else — scoring
-/// the population in one call, ranking, selection, payment — is shared here.
+/// [`auction_select_standing`] without the pool: the winners, and every score of the round
+/// in rank order (read off the standing pool, which holds the whole population).
 ///
 /// # Errors
 ///
-/// Propagates auction failures ([`AuctionError::NoBids`], malformed bids, invalid games).
+/// As for [`auction_select_standing`].
 pub fn auction_select<R, F>(
     auction: &Auction,
     bids: Vec<SubmittedBid>,
@@ -220,48 +222,53 @@ where
     F: FnMut(&Award) -> WinnerInfo,
 {
     let stage = auction_select_standing(auction, bids, rng, map_award)?;
-    Ok((stage.winners, stage.all_scores))
+    let all_scores = stage
+        .standing
+        .candidates()
+        .iter()
+        .map(|c| c.score)
+        .collect();
+    Ok((stage.winners, all_scores))
 }
 
-/// The result of the winner-determination stage when the caller also needs the **standing
-/// bid pool** — the full ranked population of the round, kept so that a dynamic round can
-/// recruit replacements through [`Auction::reauction`] without a fresh bid-collection phase.
+/// Winner determination over bids the caller already holds (step 3 of Algorithm 1), through
+/// the streamed selector of [`auction_select_streamed`]: the list is one in-memory shard on
+/// the inline engine, and the reserve is the whole list, so the returned standing pool is
+/// the round's full ranked population — what a dynamic round refills from with
+/// [`Auction::award_standing`] without a fresh bid-collection phase.
 ///
-/// The default value is the empty stage (no winners, no scores, no pool) — what a round
-/// with nobody eligible produces.
-#[derive(Debug, Clone, Default)]
-pub struct AuctionStage {
-    /// The mapped winners, in selection order.
-    pub winners: Vec<WinnerInfo>,
-    /// Every score computed this round, in rank order.
-    pub all_scores: Vec<f64>,
-    /// The full ranked bid population (descending score), valid for re-auction this round.
-    pub standing: Vec<ScoredBid>,
-}
-
-/// Like [`auction_select`], but additionally returns the ranked standing pool for dynamic
-/// rounds that may need re-auction waves.
+/// The caller supplies `map_award` because the trainer and the MEC cluster attach different
+/// data to a win (declared data size vs node resource fraction). Winners, payments, scores,
+/// the RNG position and the error of a malformed round are those of the full-sort
+/// reference [`Auction::run`] over the same bids.
 ///
 /// # Errors
 ///
-/// Propagates auction failures ([`AuctionError::NoBids`], malformed bids, invalid games).
+/// [`AuctionError::InvalidGame`] for `K = 0` or an invalid ψ (checked first), then the
+/// first malformed bid's error, then [`AuctionError::NoBids`] for an empty list.
 pub fn auction_select_standing<R, F>(
     auction: &Auction,
     bids: Vec<SubmittedBid>,
     rng: &mut R,
-    mut map_award: F,
-) -> Result<AuctionStage, AuctionError>
+    map_award: F,
+) -> Result<StreamedAuction, AuctionError>
 where
     R: Rng + ?Sized,
     F: FnMut(&Award) -> WinnerInfo,
 {
-    let outcome = auction.run(bids, rng)?;
-    let all_scores: Vec<f64> = outcome.ranked().iter().map(|b| b.score).collect();
-    let winners = outcome.winners().iter().map(&mut map_award).collect();
-    Ok(AuctionStage {
-        winners,
-        all_scores,
-        standing: outcome.into_ranked(),
+    let n = bids.len();
+    let fill = Arc::new(move |range: std::ops::Range<usize>, store: &mut BidStore| {
+        bids[range]
+            .iter()
+            .try_for_each(|bid| store.push(bid.node, bid.quality.as_slice(), bid.ask))
+    });
+    let engine = RoundEngine::inline();
+    auction_select_streamed(auction, n, n, n, &engine, fill, rng, map_award).map_err(|err| {
+        match err {
+            FlError::Auction(err) => err,
+            // The fill only pushes, so no task can panic; keep the error typed regardless.
+            other => AuctionError::InvalidParameter(other.to_string()),
+        }
     })
 }
 
@@ -269,8 +276,9 @@ where
 // Stage 1–3, population scale: streamed bid collection + bounded selection.
 // ---------------------------------------------------------------------------
 
-/// The result of the population-scale winner-determination stage: winners plus the bounded
-/// standing store — never the `O(N)` ranked population the dense stage carries.
+/// The result of the winner-determination stage: winners plus the bounded standing store
+/// (the whole ranked population only when the caller's reserve covers it, as
+/// [`auction_select_standing`]'s does).
 #[derive(Debug, Clone)]
 pub struct StreamedAuction {
     /// The mapped winners, in selection order.
@@ -289,8 +297,9 @@ pub struct StreamedAuction {
     pub peak_bid_bytes: usize,
 }
 
-/// Population-scale twin of [`auction_select`]: streams a bidder population through the
-/// engine **in shards** instead of collecting an all-bids `Vec`.
+/// The winner-determination stage of every production round: streams a bidder population
+/// through the engine **in shards** instead of collecting an all-bids `Vec`
+/// ([`auction_select_standing`] hands it a held list as one shard).
 ///
 /// `fill` is called once per shard — on a worker thread for pooled engines — with the
 /// shard's index range and a reusable columnar [`BidStore`] to push sealed bids into
@@ -314,8 +323,9 @@ pub struct StreamedAuction {
 /// across waves, so the stage's transient memory is `O(width · shard + depth)` regardless
 /// of the population size.
 ///
-/// Winner sets are **bit-identical** to [`Auction::run`] over the same bids for **every**
-/// selection rule at any `reserve`, and the population is streamed **once**. The selector
+/// Winner sets are **bit-identical** to the full-sort reference [`Auction::run`] over the
+/// same bids for **every** selection rule at any `reserve`, and the population is streamed
+/// **once**. The selector
 /// runs `max(K + reserve, min(reach(K) + 1, population))` candidates deep
 /// ([`SelectionRule::reach`]: a function of the rule and `K`, not a setting — `K + reserve`
 /// for top-K at any positive reserve, and for ψ-FMore whenever the caller's reserve already
@@ -328,9 +338,9 @@ pub struct StreamedAuction {
 /// its reach all the same is resolved exactly by a **replay pass**: fills are pure
 /// functions of their range, so the shards are streamed again, through the same wave loop,
 /// into a [`BidSelector::replay`] selector as deep as the deepest admitted rank — the same
-/// salt, hence the same keys and ranking, and no RNG. Winners materialise through
-/// `map_award` exactly as in [`auction_select`]: nothing beyond the `K` awards ever becomes
-/// a full client object. A `shard_size` beyond the population means one shard.
+/// salt, hence the same keys and ranking, and no RNG. Winners materialise through the
+/// caller's `map_award`: nothing beyond the `K` awards ever becomes a full client object. A
+/// `shard_size` beyond the population means one shard.
 ///
 /// # Errors
 ///

@@ -4,8 +4,9 @@
 //! The cluster is a thin driver over the shared round engine of [`fmore_fl::engine`]: every
 //! node solves its [`fmore_auction::EquilibriumStrategy`] once, when the cluster is built,
 //! and each round's bid is that strategy capped to the resources the node offers
-//! ([`fmore_auction::EquilibriumStrategy::cap`]); winner determination goes through the same batched
-//! [`fmore_fl::engine::auction_select`] stage the federated trainer uses, and local training
+//! ([`fmore_auction::EquilibriumStrategy::cap`]); winner determination goes through the same
+//! streamed-selector stage the federated trainer uses
+//! ([`fmore_fl::engine::auction_select_standing`]), and local training
 //! runs on the engine's worker pool inside the embedded [`FederatedTrainer`]. The only
 //! cluster-specific parts left are the three-dimensional resource model and the wall-clock
 //! accounting.
@@ -17,10 +18,10 @@ use crate::node::{MecNode, ResourceRanges};
 use crate::time_model::TimeModel;
 use fmore_auction::{
     Additive, Auction, EquilibriumSolver, LinearCost, NodeId, PricingRule, ScoringRule,
-    SelectionRule,
+    SelectionRule, StandingPool,
 };
 use fmore_fl::config::{FlConfig, ModelChoice};
-use fmore_fl::engine::{self, apply_deadline, AuctionStage, ParticipantTiming, RoundEngine};
+use fmore_fl::engine::{self, apply_deadline, ParticipantTiming, RoundEngine};
 use fmore_fl::metrics::{RoundMetrics, RoundOutcome, WinnerInfo};
 use fmore_fl::selection::SelectionStrategy;
 use fmore_fl::trainer::FederatedTrainer;
@@ -422,13 +423,16 @@ impl MecCluster {
     }
 
     /// Stage 1–2 of a round: winner determination over the `eligible` node indices — an
-    /// FMore auction over their capacity-capped equilibrium bids (keeping the ranked
-    /// population as the round's standing pool) or a uniform RandFL draw.
-    fn select_winners(&mut self, eligible: &[usize]) -> Result<AuctionStage, MecError> {
+    /// FMore auction over their capacity-capped equilibrium bids, whose standing pool is the
+    /// whole ranked population, or a uniform RandFL draw with an empty pool.
+    fn select_winners(
+        &mut self,
+        eligible: &[usize],
+    ) -> Result<(Vec<WinnerInfo>, StandingPool), MecError> {
         let maxima = self.config.resources.maxima();
         let quota = self.config.winners_per_round.min(eligible.len());
         if quota == 0 {
-            return Ok(AuctionStage::default());
+            return Ok((Vec::new(), StandingPool::default()));
         }
         match self.strategy {
             ClusterStrategy::FMore => {
@@ -457,7 +461,7 @@ impl MecCluster {
                             award.payment,
                         )
                     })?;
-                Ok(stage)
+                Ok((stage.winners, stage.standing))
             }
             ClusterStrategy::RandFL => {
                 let picked = sample_indices(eligible.len(), quota, &mut self.rng);
@@ -474,10 +478,7 @@ impl MecCluster {
                         )
                     })
                     .collect();
-                Ok(AuctionStage {
-                    winners,
-                    ..AuctionStage::default()
-                })
+                Ok((winners, StandingPool::default()))
             }
         }
     }
@@ -486,11 +487,13 @@ impl MecCluster {
     ///
     /// 1. membership churn (departures/arrivals), then resource refresh and bid collection
     ///    from the **present** nodes only;
-    /// 2. winner determination (auction or random) with the ranked population kept as the
-    ///    round's standing bid pool;
+    /// 2. winner determination (auction or random) through
+    ///    [`fmore_fl::engine::auction_select_standing`], whose standing pool holds the whole
+    ///    ranked population of the present nodes;
     /// 3. per-winner fate draws (dropout, straggler, resource jitter) and the deadline gate
     ///    of [`fmore_fl::engine::apply_deadline`];
-    /// 4. re-auction waves from the standing pool while the surviving set is under quota;
+    /// 4. re-auction waves while the surviving set is under quota: refills from that pool
+    ///    through [`Auction::award_standing`], excluding every node already assigned;
     /// 5. training and aggregation of the survivors, with the full [`RoundOutcome`]
     ///    accounting attached.
     ///
@@ -528,11 +531,8 @@ impl MecCluster {
         let mut round_secs = 0.0;
 
         // Stage 1-2: selection over the present population, keeping the ranked pool.
-        let AuctionStage {
-            winners: mut wave_winners,
-            all_scores,
-            standing,
-        } = self.select_winners(&present)?;
+        let (mut wave_winners, standing) = self.select_winners(&present)?;
+        let all_scores = standing.candidates().iter().map(|c| c.score).collect();
 
         // Stages 3-4: fate draws, deadline gate, re-auction waves.
         let mut assigned: Vec<NodeId> = wave_winners.iter().map(|w| w.node).collect();
@@ -607,7 +607,7 @@ impl MecCluster {
                         .auction
                         .as_ref()
                         .expect("FMore cluster always has an auction");
-                    let awards = auction.reauction(&standing, &assigned, need, &mut self.rng);
+                    let awards = auction.award_standing(&standing, need, &assigned, &mut self.rng);
                     let nodes = &self.nodes;
                     let clients = self.trainer.clients();
                     awards
@@ -1011,8 +1011,8 @@ mod tests {
             let change = churn.begin_round(&model);
             let present = churn.present_indices();
             departures += change.departed.len();
-            let stage = cluster.select_winners(&present).unwrap();
-            assert_eq!(stage.standing.len(), present.len());
+            let (_, standing) = cluster.select_winners(&present).unwrap();
+            assert_eq!(standing.len(), present.len());
             for &idx in &change.arrived {
                 arrivals += 1;
                 let node = &cluster.nodes[idx];
@@ -1020,13 +1020,13 @@ mod tests {
                 let expected = solver
                     .capped_bid(node.id(), node.theta(), capacity.as_slice())
                     .unwrap();
-                let bid = stage
-                    .standing
+                let bid = standing
+                    .candidates()
                     .iter()
                     .find(|b| b.node == node.id())
                     .expect("an arrived node bids in the round it rejoins");
                 assert_eq!(bid.ask.to_bits(), expected.ask.to_bits());
-                assert_eq!(bid.quality, expected.quality);
+                assert_eq!(bid.quality, expected.quality.as_slice());
             }
         }
         assert!(

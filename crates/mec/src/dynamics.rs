@@ -26,7 +26,7 @@
 //! (work was delivered, merely late) but the spend is **wasted**. Dropouts never deliver and
 //! forfeit payment. Whenever the surviving winner set is under quota, the aggregator runs a
 //! **re-auction wave** over the round's standing bid pool
-//! ([`fmore_auction::Auction::reauction`]): the already-collected sealed bids compete again
+//! ([`fmore_auction::Auction::award_standing`]): the already-collected sealed bids compete again
 //! under the same scoring rule, excluding every node already assigned. This mirrors the
 //! paper's dynamic-environment discussion — recruitment must not restart the bid-ask phase,
 //! and because the standing bids are equilibrium bids for this round's broadcast rule, the

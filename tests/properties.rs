@@ -314,23 +314,14 @@ fn strategy_then_cap_is_bit_identical_to_the_one_shot_bid() {
 /// ψ-FMore always returns exactly `min(K, N)` distinct winners regardless of ψ.
 #[test]
 fn psi_selection_always_fills_the_winner_set() {
-    use fmore::auction::types::ScoredBid;
     let strategy = Tuple3(
         UsizeRange::new(1, 60),
         UsizeRange::new(1, 30),
         F64Range::new(0.01, 1.0),
     );
     check(&Config::seeded(0xA4), &strategy, |&(n, k, psi)| {
-        let bids: Vec<ScoredBid> = (0..n)
-            .map(|i| ScoredBid {
-                node: NodeId(i as u64),
-                quality: Quality::default(),
-                ask: 0.0,
-                score: i as f64,
-            })
-            .collect();
         let mut rng = fmore::numerics::seeded_rng((n * 31 + k) as u64);
-        let winners = SelectionRule::PsiFMore { psi }.select(&bids, k, &mut rng);
+        let winners = SelectionRule::PsiFMore { psi }.select_indices(n, k, &mut rng);
         ensure(winners.len() == k.min(n), || {
             format!("{} winners for K={k}, N={n}, psi={psi}", winners.len())
         })?;
@@ -1278,6 +1269,133 @@ fn floor_carried_selection_matches_sequential_and_dense_on_hostile_streams() {
                 }
             }
             Ok(())
+        },
+    );
+}
+
+/// The held-list entry point `auction_select` — the streamed selector over one in-memory
+/// shard — against the full-sort reference `Auction::run` on hostile input: NaN, ±∞,
+/// negative, −0.0 and subnormal qualities and asks, wrong dimensions, empty lists,
+/// duplicate node ids, K = 0, K > N, and ψ outside (0, 1], under three scoring families and
+/// both pricing rules. Either both fail with the same error, or they agree bit for bit on
+/// the winners, their payments, every score in rank order, and the next word of the round
+/// RNG. Neither may panic.
+#[test]
+fn held_bid_selection_matches_the_full_sort_on_hostile_input() {
+    use fmore::fl::engine::auction_select;
+    use rand::Rng;
+    /// A quality or ask: mostly well-formed, many of them tied or signed zeros.
+    fn value(i: usize) -> f64 {
+        match i {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.5,
+            _ => [
+                0.0,
+                -0.0,
+                5e-324,
+                f64::MIN_POSITIVE / 3.0,
+                f64::MIN_POSITIVE,
+                0.25,
+                0.5,
+                1.0,
+            ][i % 8],
+        }
+    }
+    let selections = [
+        SelectionRule::TopK,
+        SelectionRule::PsiFMore { psi: 0.0 },
+        SelectionRule::PsiFMore { psi: 1.5 },
+        SelectionRule::PsiFMore { psi: f64::NAN },
+        SelectionRule::PsiFMore { psi: 1.0 },
+        SelectionRule::PsiFMore { psi: 0.3 },
+        SelectionRule::PsiFMore { psi: 0.7 },
+        SelectionRule::PsiFMore { psi: -0.5 },
+    ];
+    // Per bid: three quality draws, the ask and the dimension (1 and 3 are wrong, each one
+    // time in forty), and a node id from a small range, so duplicates are common.
+    let bid = Tuple3(
+        Tuple3(
+            UsizeRange::new(0, 255),
+            UsizeRange::new(0, 255),
+            UsizeRange::new(0, 255),
+        ),
+        Tuple2(UsizeRange::new(0, 255), UsizeRange::new(0, 39)),
+        UsizeRange::new(0, 5),
+    );
+    let strategy = Tuple3(
+        VecOf::new(bid, 0, 12),
+        Tuple3(
+            UsizeRange::new(0, 14),
+            UsizeRange::new(0, selections.len() - 1),
+            UsizeRange::new(0, 5),
+        ),
+        UsizeRange::new(0, 100_000),
+    );
+    check(
+        &Config::seeded(0xF7).with_cases(2048),
+        &strategy,
+        |(rows, (k, rule, scheme), seed)| {
+            let bids: Vec<SubmittedBid> = rows
+                .iter()
+                .map(|&((a, b, c), (ask, dims), node)| {
+                    let dims = match dims {
+                        0 => 1,
+                        1 => 3,
+                        _ => 2,
+                    };
+                    let quality = [a, b, c][..dims].iter().map(|&i| value(i)).collect();
+                    SubmittedBid::new(NodeId(node as u64), Quality::new(quality), value(ask))
+                })
+                .collect();
+            let scoring = match scheme % 3 {
+                0 => ScoringRule::new(Additive::new(vec![1.0, 0.5]).unwrap()),
+                1 => ScoringRule::new(CobbDouglas::with_scale(25.0, vec![1.0, 1.0]).unwrap()),
+                _ => ScoringRule::new(PerfectComplementary::new(vec![1.0, 1.0]).unwrap()),
+            };
+            let pricing = match scheme / 3 {
+                0 => PricingRule::FirstPrice,
+                _ => PricingRule::SecondPrice,
+            };
+            let selection = selections[*rule];
+            let auction = Auction::new(scoring, *k, selection, pricing);
+            let name = format!("scheme={scheme} {selection:?} k={k} n={}", bids.len());
+            let mut dense_rng = fmore::numerics::seeded_rng(*seed as u64);
+            let dense = auction.run(bids.clone(), &mut dense_rng);
+            let mut rng = fmore::numerics::seeded_rng(*seed as u64);
+            let held = auction_select(&auction, bids, &mut rng, streamed_winner);
+            match (dense, held) {
+                (Err(dense), Err(held)) => ensure(dense == held, || {
+                    format!("{name}: errors differ: {dense:?} vs {held:?}")
+                }),
+                (Ok(dense), Ok((winners, scores))) => {
+                    ensure(winners.len() == dense.winners().len(), || {
+                        format!("{name}: winner count diverged")
+                    })?;
+                    for (w, d) in winners.iter().zip(dense.winners()) {
+                        ensure(
+                            w.node == d.node
+                                && w.score.to_bits() == d.score.to_bits()
+                                && w.payment.to_bits() == d.payment.to_bits(),
+                            || {
+                                format!(
+                                    "{name}: winner diverged ({} pay {} vs {} pay {})",
+                                    w.node, w.payment, d.node, d.payment
+                                )
+                            },
+                        )?;
+                    }
+                    let ranked: Vec<u64> =
+                        dense.ranked().iter().map(|b| b.score.to_bits()).collect();
+                    let held: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+                    ensure(held == ranked, || format!("{name}: scores diverged"))?;
+                    ensure(rng.gen::<u64>() == dense_rng.gen::<u64>(), || {
+                        format!("{name}: the round left the RNG elsewhere")
+                    })
+                }
+                (dense, held) => Err(format!("{name}: one path failed: {dense:?} vs {held:?}")),
+            }
         },
     );
 }
