@@ -376,6 +376,9 @@ pub struct FlJob {
     /// Per-node reputation accumulated from aggregation verdicts; `Some` iff the spec
     /// enables the loop. Part of the job's resumable state (checkpointed).
     ledger: Option<ReputationLedger>,
+    /// Aggregation buffers reused by every attempt of every round. Not job state: never
+    /// checkpointed or fingerprinted, and a restored job starts with an empty one.
+    scratch: AggregationScratch,
 }
 
 impl FlJob {
@@ -391,6 +394,7 @@ impl FlJob {
             pending: 0,
             history,
             ledger,
+            scratch: AggregationScratch::new(),
         }
     }
 
@@ -450,6 +454,7 @@ impl FlJob {
             pending: 0,
             history: checkpoint.history,
             ledger,
+            scratch: AggregationScratch::new(),
         }
     }
 
@@ -469,8 +474,17 @@ impl FlJob {
         // retry loop settles: within one round every attempt sees the same reputation
         // snapshot, so retries replay the identical auction.
         let mut verdicts: Vec<(u64, bool)> = Vec::new();
+        // Moved out so `round_body` can borrow the job immutably; restored below.
+        let mut scratch = std::mem::take(&mut self.scratch);
         let outcome = loop {
-            match self.round_body(round, attempt, engine, &mut faults, &mut verdicts) {
+            match self.round_body(
+                round,
+                attempt,
+                engine,
+                &mut faults,
+                &mut verdicts,
+                &mut scratch,
+            ) {
                 Ok(summary) => break Ok(summary),
                 Err(error) => {
                     if attempt >= max_retries || !WatchdogSpec::retryable(&error) {
@@ -489,6 +503,7 @@ impl FlJob {
                 }
             }
         };
+        self.scratch = scratch;
         if let Some(ledger) = &mut self.ledger {
             for &(node, accepted) in &verdicts {
                 ledger.record(node, accepted);
@@ -516,6 +531,7 @@ impl FlJob {
         engine: &RoundEngine,
         faults: &mut Vec<FaultEvent>,
         verdicts: &mut Vec<(u64, bool)>,
+        scratch: &mut AggregationScratch,
     ) -> Result<RoundSummary, FlError> {
         verdicts.clear();
         let spec = &self.spec;
@@ -770,21 +786,19 @@ impl FlJob {
                 .map(|(params, weight)| (params.as_slice(), *weight))
                 .collect();
             let mut global = Vec::new();
-            let mut scratch = AggregationScratch::new();
-            let screened =
-                match spec
-                    .aggregation
-                    .aggregate_with(&borrowed, &mut global, &mut scratch)
-                {
-                    Ok(screened) => screened,
-                    Err(e @ FlError::AllUpdatesQuarantined { .. }) => {
-                        // The round fails, but the ledger still learns: every winner of the
-                        // fully quarantined batch takes the penalty.
-                        verdicts.extend(winners.iter().map(|w| (w.node.0, false)));
-                        return Err(e);
-                    }
-                    Err(e) => return Err(e),
-                };
+            let screened = match spec
+                .aggregation
+                .aggregate_with(&borrowed, &mut global, scratch)
+            {
+                Ok(screened) => screened,
+                Err(e @ FlError::AllUpdatesQuarantined { .. }) => {
+                    // The round fails, but the ledger still learns: every winner of the
+                    // fully quarantined batch takes the penalty.
+                    verdicts.extend(winners.iter().map(|w| (w.node.0, false)));
+                    return Err(e);
+                }
+                Err(e) => return Err(e),
+            };
             quarantined = screened.quarantined.len();
             let mut next_bad = screened.quarantined.iter().peekable();
             for (slot, winner) in winners.iter().enumerate() {
