@@ -71,11 +71,6 @@ impl LinearCost {
         validate_coefficients(&beta)?;
         Ok(Self { beta })
     }
-
-    /// The per-resource cost coefficients `βi`.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.beta
-    }
 }
 
 impl CostFunction for LinearCost {
@@ -113,11 +108,6 @@ impl QuadraticCost {
     pub fn new(beta: Vec<f64>) -> Result<Self, AuctionError> {
         validate_coefficients(&beta)?;
         Ok(Self { beta })
-    }
-
-    /// The per-resource cost coefficients `βi`.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.beta
     }
 }
 
@@ -166,88 +156,88 @@ impl<C: CostFunction + ?Sized> CostFunction for &C {
     }
 }
 
-/// Numerically checks the single-crossing conditions of Section III-A on a sample grid:
-/// `c_qq ≥ 0`, `c_qθ > 0`, and `c_qqθ ≥ 0` for every dimension.
-///
-/// Returns `true` if all three hold (up to a small numerical tolerance) at every grid point.
-/// Used by property tests to validate user-supplied cost functions before running
-/// equilibrium computations.
-pub fn satisfies_single_crossing<C: CostFunction>(
-    cost: &C,
-    bounds: &[(f64, f64)],
-    theta_range: (f64, f64),
-    grid: usize,
-) -> bool {
-    if bounds.len() != cost.dims() || grid < 2 {
-        return false;
-    }
-    let eps_q: Vec<f64> = bounds
-        .iter()
-        .map(|(lo, hi)| (hi - lo).abs().max(1e-6) * 1e-4)
-        .collect();
-    let eps_t = (theta_range.1 - theta_range.0).abs().max(1e-6) * 1e-4;
-    let tol: f64 = 1e-9;
-
-    let grid_points = |lo: f64, hi: f64| -> Vec<f64> {
-        (0..grid)
-            .map(|i| lo + (hi - lo) * (i as f64 + 0.5) / grid as f64)
-            .collect()
-    };
-
-    let thetas = grid_points(theta_range.0, theta_range.1);
-    for dim in 0..cost.dims() {
-        let qs = grid_points(bounds[dim].0, bounds[dim].1);
-        for &theta in &thetas {
-            for &qv in &qs {
-                let mut base: Vec<f64> = bounds.iter().map(|&(lo, hi)| 0.5 * (lo + hi)).collect();
-                base[dim] = qv;
-                let h = eps_q[dim];
-                let mut q_plus = base.clone();
-                q_plus[dim] += h;
-                let mut q_minus = base.clone();
-                q_minus[dim] -= h;
-
-                // c_qq ≥ 0 (convexity in q).
-                let cqq = (cost.value(&q_plus, theta) - 2.0 * cost.value(&base, theta)
-                    + cost.value(&q_minus, theta))
-                    / (h * h);
-                if cqq < -tol.max(1e-5) {
-                    return false;
-                }
-
-                // c_qθ > 0 (marginal cost increases with θ).
-                let cq_hi = (cost.value(&q_plus, theta + eps_t)
-                    - cost.value(&q_minus, theta + eps_t))
-                    / (2.0 * h);
-                let cq_lo = (cost.value(&q_plus, theta - eps_t)
-                    - cost.value(&q_minus, theta - eps_t))
-                    / (2.0 * h);
-                let cqt = (cq_hi - cq_lo) / (2.0 * eps_t);
-                if qv > bounds[dim].0 + h && cqt <= 0.0 {
-                    return false;
-                }
-
-                // c_qqθ ≥ 0.
-                let cqq_hi = (cost.value(&q_plus, theta + eps_t)
-                    - 2.0 * cost.value(&base, theta + eps_t)
-                    + cost.value(&q_minus, theta + eps_t))
-                    / (h * h);
-                let cqq_lo = (cost.value(&q_plus, theta - eps_t)
-                    - 2.0 * cost.value(&base, theta - eps_t)
-                    + cost.value(&q_minus, theta - eps_t))
-                    / (h * h);
-                if (cqq_hi - cqq_lo) / (2.0 * eps_t) < -1e-4 {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Numerically checks the single-crossing conditions of Section III-A on a sample grid:
+    /// `c_qq ≥ 0`, `c_qθ > 0`, and `c_qqθ ≥ 0` for every dimension.
+    ///
+    /// Returns `true` if all three hold (up to a small numerical tolerance) at every grid point.
+    /// The tests below hold the production cost families to it.
+    fn satisfies_single_crossing<C: CostFunction>(
+        cost: &C,
+        bounds: &[(f64, f64)],
+        theta_range: (f64, f64),
+        grid: usize,
+    ) -> bool {
+        if bounds.len() != cost.dims() || grid < 2 {
+            return false;
+        }
+        let eps_q: Vec<f64> = bounds
+            .iter()
+            .map(|(lo, hi)| (hi - lo).abs().max(1e-6) * 1e-4)
+            .collect();
+        let eps_t = (theta_range.1 - theta_range.0).abs().max(1e-6) * 1e-4;
+        let tol: f64 = 1e-9;
+
+        let grid_points = |lo: f64, hi: f64| -> Vec<f64> {
+            (0..grid)
+                .map(|i| lo + (hi - lo) * (i as f64 + 0.5) / grid as f64)
+                .collect()
+        };
+
+        let thetas = grid_points(theta_range.0, theta_range.1);
+        for dim in 0..cost.dims() {
+            let qs = grid_points(bounds[dim].0, bounds[dim].1);
+            for &theta in &thetas {
+                for &qv in &qs {
+                    let mut base: Vec<f64> =
+                        bounds.iter().map(|&(lo, hi)| 0.5 * (lo + hi)).collect();
+                    base[dim] = qv;
+                    let h = eps_q[dim];
+                    let mut q_plus = base.clone();
+                    q_plus[dim] += h;
+                    let mut q_minus = base.clone();
+                    q_minus[dim] -= h;
+
+                    // c_qq ≥ 0 (convexity in q).
+                    let cqq = (cost.value(&q_plus, theta) - 2.0 * cost.value(&base, theta)
+                        + cost.value(&q_minus, theta))
+                        / (h * h);
+                    if cqq < -tol.max(1e-5) {
+                        return false;
+                    }
+
+                    // c_qθ > 0 (marginal cost increases with θ).
+                    let cq_hi = (cost.value(&q_plus, theta + eps_t)
+                        - cost.value(&q_minus, theta + eps_t))
+                        / (2.0 * h);
+                    let cq_lo = (cost.value(&q_plus, theta - eps_t)
+                        - cost.value(&q_minus, theta - eps_t))
+                        / (2.0 * h);
+                    let cqt = (cq_hi - cq_lo) / (2.0 * eps_t);
+                    if qv > bounds[dim].0 + h && cqt <= 0.0 {
+                        return false;
+                    }
+
+                    // c_qqθ ≥ 0.
+                    let cqq_hi = (cost.value(&q_plus, theta + eps_t)
+                        - 2.0 * cost.value(&base, theta + eps_t)
+                        + cost.value(&q_minus, theta + eps_t))
+                        / (h * h);
+                    let cqq_lo = (cost.value(&q_plus, theta - eps_t)
+                        - 2.0 * cost.value(&base, theta - eps_t)
+                        + cost.value(&q_minus, theta - eps_t))
+                        / (h * h);
+                    if (cqq_hi - cqq_lo) / (2.0 * eps_t) < -1e-4 {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
 
     #[test]
     fn linear_cost_value_and_derivative() {
@@ -256,7 +246,7 @@ mod tests {
         assert!((c.value(&[1.0, 2.0], 0.5) - 0.5 * 1.4).abs() < 1e-12);
         assert!((c.dtheta(&[1.0, 2.0], 0.5) - 1.4).abs() < 1e-12);
         assert_eq!(c.name(), "linear");
-        assert_eq!(c.coefficients(), &[0.6, 0.4]);
+        assert_eq!(c.beta, &[0.6, 0.4]);
     }
 
     #[test]
@@ -265,7 +255,7 @@ mod tests {
         assert!((c.value(&[3.0], 0.5) - 9.0).abs() < 1e-12);
         assert!((c.dtheta(&[3.0], 0.5) - 18.0).abs() < 1e-12);
         assert_eq!(c.name(), "quadratic");
-        assert_eq!(c.coefficients(), &[2.0]);
+        assert_eq!(c.beta, &[2.0]);
     }
 
     #[test]

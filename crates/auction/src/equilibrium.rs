@@ -79,16 +79,6 @@ pub struct EquilibriumStrategy {
 }
 
 impl EquilibriumStrategy {
-    /// The uncapped equilibrium quality `q*(θ)`.
-    pub fn quality(&self) -> &[f64] {
-        &self.quality
-    }
-
-    /// The equilibrium payment ask `p*(θ)`.
-    pub fn ask(&self) -> f64 {
-        self.ask
-    }
-
     /// The sealed bid of `node` in a round where it holds `capacity`: `q*(θ)` clipped
     /// component-wise to the capacity (a node cannot promise more data, categories, or
     /// hardware than it holds this round), with the ask `p*(θ)` unchanged. No solver work.
@@ -407,24 +397,9 @@ impl EquilibriumSolver {
         EquilibriumSolverBuilder::default()
     }
 
-    /// Total number of competing nodes `N`.
-    pub fn population(&self) -> usize {
-        self.n
-    }
-
-    /// Number of winners `K`.
-    pub fn winners(&self) -> usize {
-        self.k
-    }
-
     /// The θ support `[θ̲, θ̄]`.
     pub fn theta_support(&self) -> (f64, f64) {
         (self.theta.lo, self.theta.hi)
-    }
-
-    /// The quality bounds the strategy optimises over.
-    pub fn bounds(&self) -> &[(f64, f64)] {
-        &self.bounds
     }
 
     fn tabulate(&mut self, grid: usize) -> Result<(), AuctionError> {
@@ -762,7 +737,7 @@ impl EquilibriumSolver {
     }
 
     /// The opponent-score CDF `H(x) = 1 − F(u⁻¹(x))`.
-    pub fn opponent_score_cdf(&self, x: f64) -> f64 {
+    pub(crate) fn opponent_score_cdf(&self, x: f64) -> f64 {
         let u_min = *self.u_values.last().unwrap();
         let u_max = self.u_values[0];
         if x <= u_min {
@@ -795,7 +770,7 @@ impl EquilibriumSolver {
 
     /// The paper's winning probability `g(u) = Σ_{i=1}^{K} [1−H(u)]^{i−1} [H(u)]^{N−i}`
     /// (Theorem 1, Eq. 9).
-    pub fn win_probability_at(&self, u: f64) -> f64 {
+    pub(crate) fn win_probability_at(&self, u: f64) -> f64 {
         let h = self.opponent_score_cdf(u);
         let mut sum = 0.0;
         for i in 1..=self.k {
@@ -807,8 +782,8 @@ impl EquilibriumSolver {
     /// The exact rank-based winning probability
     /// `Pr{at most K−1 of the N−1 opponents beat u} = Σ_{i=0}^{K−1} C(N−1, i) [1−H]^i H^{N−1−i}`.
     ///
-    /// The paper's Eq. 9 omits the binomial coefficients; this variant is provided for the
-    /// ablation benchmarks comparing the two.
+    /// The paper's Eq. 9 omits the binomial coefficients; this variant keeps them, so a test
+    /// can compare the two.
     pub fn win_probability_exact_at(&self, u: f64) -> f64 {
         let h = self.opponent_score_cdf(u);
         let n1 = self.n - 1;
@@ -977,7 +952,7 @@ impl EquilibriumSolver {
     /// # Errors
     ///
     /// Returns [`AuctionError::ThetaOutOfSupport`] for θ outside `[θ̲, θ̄]`.
-    pub fn expected_profit(&self, theta: f64) -> Result<f64, AuctionError> {
+    pub(crate) fn expected_profit(&self, theta: f64) -> Result<f64, AuctionError> {
         Ok(self.bid_for(theta)?.expected_profit)
     }
 
@@ -1375,11 +1350,11 @@ mod tests {
             let strategy = solver.strategy_for(theta).unwrap();
             let (q, u) = solver.quality_choice(theta);
             let bid = solver.bid_for(theta).unwrap();
-            assert_eq!(strategy.quality(), q.as_slice());
+            assert_eq!(strategy.quality, q);
             assert_eq!(bid.quality.as_slice(), q.as_slice());
             assert_eq!(bid.max_score.to_bits(), u.to_bits());
             let ask = solver.payment_for(theta).unwrap();
-            assert_eq!(strategy.ask().to_bits(), ask.to_bits());
+            assert_eq!(strategy.ask.to_bits(), ask.to_bits());
             assert_eq!(bid.ask.to_bits(), ask.to_bits());
             // A generous capacity leaves the strategy untouched; a tight one clips it.
             let roomy = strategy.cap(NodeId(7), &[2.0, 2.0]).unwrap();
@@ -1454,10 +1429,10 @@ mod tests {
     #[test]
     fn accessors_report_configuration() {
         let solver = simple_solver(15, 3, PaymentMethod::Quadrature);
-        assert_eq!(solver.population(), 15);
-        assert_eq!(solver.winners(), 3);
+        assert_eq!(solver.n, 15);
+        assert_eq!(solver.k, 3);
         let (lo, hi) = solver.theta_support();
         assert_eq!((lo, hi), (0.2, 1.0));
-        assert_eq!(solver.bounds(), &[(0.0, 5.0)]);
+        assert_eq!(solver.bounds, [(0.0, 5.0)]);
     }
 }

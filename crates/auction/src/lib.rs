@@ -60,6 +60,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod cost;
 pub mod equilibrium;
@@ -74,21 +75,18 @@ pub mod walkthrough;
 pub mod winner;
 
 pub use cost::{CostFunction, LinearCost, QuadraticCost};
-pub use equilibrium::{
-    EquilibriumBid, EquilibriumSolver, EquilibriumSolverBuilder, EquilibriumStrategy, PaymentMethod,
-};
+pub use equilibrium::{EquilibriumBid, EquilibriumSolver, EquilibriumStrategy, PaymentMethod};
 pub use error::AuctionError;
-pub use mechanism::{AdmissionPlan, Auction, AuctionOutcome, Award, SubmittedBid};
+pub use mechanism::{Auction, AuctionOutcome, Award, SubmittedBid};
 pub use pricing::PricingRule;
 pub use scoring::{
     Additive, CobbDouglas, CountingScoring, NormalizedScoring, PerfectComplementary,
     ScoringFunction, ScoringRule,
 };
 pub use store::{
-    AdmissionFloor, BidSelector, BidStore, Candidate, RankRefiner, RankedCandidates,
-    ScoreHistogram, ShardSelection, StandingPool, TieBreak,
+    BidSelector, BidStore, Candidate, RankRefiner, ScoreHistogram, ShardSelection, StandingPool,
 };
-pub use types::{NodeId, Quality, ScoredBid};
+pub use types::{NodeId, Quality};
 pub use winner::SelectionRule;
 
 /// Convenient glob import of the most commonly used items.
@@ -104,6 +102,6 @@ pub mod prelude {
         Additive, CobbDouglas, CountingScoring, NormalizedScoring, PerfectComplementary,
         ScoringFunction, ScoringRule,
     };
-    pub use crate::types::{NodeId, Quality, ScoredBid};
+    pub use crate::types::{NodeId, Quality};
     pub use crate::winner::SelectionRule;
 }

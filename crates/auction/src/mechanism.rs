@@ -49,7 +49,7 @@ pub struct Award {
 
 /// The result of one auction round.
 ///
-/// The fields are private and the outcome is immutable after [`AuctionOutcome::new`]: the
+/// The fields are private and the outcome is immutable after `AuctionOutcome::new`: the
 /// winner-id slice and total payment are computed once at construction, so per-round
 /// consumers read cached values instead of rebuilding a `Vec<NodeId>` or re-summing
 /// payments every time they are asked — and nothing can desynchronise the caches from the
@@ -68,7 +68,7 @@ pub struct AuctionOutcome {
 
 impl AuctionOutcome {
     /// Builds an outcome, caching the winner-id slice and the total payment.
-    pub fn new(ranked: Vec<ScoredBid>, winners: Vec<Award>) -> Self {
+    pub(crate) fn new(ranked: Vec<ScoredBid>, winners: Vec<Award>) -> Self {
         let winner_ids = winners.iter().map(|w| w.node).collect();
         let total_payment = winners.iter().map(|w| w.payment).sum();
         Self {
@@ -112,7 +112,7 @@ impl AuctionOutcome {
 /// [`Auction::plan_admission`] from the number of bids alone, before any candidate is
 /// looked at: which global ranks won (in admission order) and which rank prices
 /// second-score payments. Ranks are positions in the full-sort ranking of
-/// [`Auction::rank_bids`] — the plan consumes exactly the RNG words the dense
+/// `Auction::rank_bids` — the plan consumes exactly the RNG words the dense
 /// winner-determination stage consumes, so a seeded round can be planned bounded and
 /// resolved lazily with unchanged histories.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,11 +168,6 @@ impl Auction {
         self.selection
     }
 
-    /// The pricing rule in use.
-    pub fn pricing_rule(&self) -> PricingRule {
-        self.pricing
-    }
-
     /// Scores a full bid population in one call, preserving input order.
     ///
     /// This is the batched entry point every caller should prefer over scoring bid-by-bid:
@@ -188,7 +183,10 @@ impl Auction {
     ///
     /// [`AuctionError::DimensionMismatch`] / [`AuctionError::InvalidParameter`] for malformed
     /// bids.
-    pub fn score_bids(&self, bids: Vec<SubmittedBid>) -> Result<Vec<ScoredBid>, AuctionError> {
+    pub(crate) fn score_bids(
+        &self,
+        bids: Vec<SubmittedBid>,
+    ) -> Result<Vec<ScoredBid>, AuctionError> {
         let mut scored = Vec::with_capacity(bids.len());
         for bid in bids {
             if bid.quality.dims() != self.scoring.dims() {
@@ -232,7 +230,7 @@ impl Auction {
     /// # Errors
     ///
     /// Propagates [`Auction::score_bids`] failures.
-    pub fn rank_bids<R: Rng + ?Sized>(
+    pub(crate) fn rank_bids<R: Rng + ?Sized>(
         &self,
         bids: Vec<SubmittedBid>,
         rng: &mut R,
@@ -253,7 +251,7 @@ impl Auction {
     }
 
     /// The full-sort reference round over the submitted sealed bids: batched scoring and
-    /// ranking of the whole population ([`Auction::rank_bids`]), winner selection, and
+    /// ranking of the whole population (`Auction::rank_bids`), winner selection, and
     /// payment computation. No production round runs it; it is the oracle the streaming
     /// selector is checked against, and its errors come in the streaming stage's order.
     ///
@@ -694,7 +692,7 @@ mod tests {
         let auction = simple_auction(7);
         assert_eq!(auction.winners_per_round(), 7);
         assert_eq!(auction.selection_rule(), SelectionRule::TopK);
-        assert_eq!(auction.pricing_rule(), PricingRule::FirstPrice);
+        assert_eq!(auction.pricing, PricingRule::FirstPrice);
         assert_eq!(auction.scoring_rule().dims(), 1);
     }
 }

@@ -25,7 +25,7 @@ impl PricingRule {
     /// shared by the streaming [`crate::store::StandingPool`] path and the full-sort
     /// reference [`crate::mechanism::Auction::run`]. `best_losing_score` is the score of the
     /// highest-ranked bid that did **not** win, if any.
-    pub fn payment_from_parts(
+    pub(crate) fn payment_from_parts(
         &self,
         rule: &ScoringRule,
         quality: &[f64],

@@ -1,7 +1,7 @@
 //! Executable checks of the paper's mechanism-design guarantees (Section IV).
 //!
 //! The theorems and propositions of the paper are not just documented — each one is exposed
-//! as a function the tests, property tests, and ablation benchmarks can run:
+//! as a function the unit, integration and property tests can run:
 //!
 //! * [`is_individually_rational`] — the IR constraint `π_i(q, p) ≥ 0`,
 //! * [`incentive_compatibility_holds`] — Theorem 5: under-declaring quality can never raise a

@@ -273,11 +273,6 @@ impl Additive {
         Ok(Self { weights })
     }
 
-    /// The per-resource weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// The scalar cores behind [`ScoringFunction::score_batch`], bypassing the runtime AVX
     /// dispatch — the parity oracle the property suite compares the dispatched path
     /// against bit-for-bit.
@@ -341,11 +336,6 @@ impl PerfectComplementary {
         validate_weights(&weights)?;
         Ok(Self { weights })
     }
-
-    /// The per-resource weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 impl ScoringFunction for PerfectComplementary {
@@ -405,15 +395,6 @@ pub struct CobbDouglas {
 }
 
 impl CobbDouglas {
-    /// Creates a Cobb–Douglas scoring function with unit scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuctionError::InvalidParameter`] for invalid exponents.
-    pub fn new(exponents: Vec<f64>) -> Result<Self, AuctionError> {
-        Self::with_scale(1.0, exponents)
-    }
-
     /// Creates a Cobb–Douglas scoring function `scale · Π qi^αi`.
     ///
     /// # Errors
@@ -428,16 +409,6 @@ impl CobbDouglas {
         }
         validate_weights(&exponents)?;
         Ok(Self { scale, exponents })
-    }
-
-    /// The per-resource exponents `αi`.
-    pub fn exponents(&self) -> &[f64] {
-        &self.exponents
-    }
-
-    /// The multiplicative scale.
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 
     /// The scalar cores behind [`ScoringFunction::score_batch`], bypassing the runtime AVX
@@ -687,7 +658,7 @@ impl ScoringRule {
     /// # Errors
     ///
     /// Returns [`AuctionError::DimensionMismatch`] if `q` has the wrong dimensions.
-    pub fn resource_value(&self, q: &Quality) -> Result<f64, AuctionError> {
+    pub(crate) fn resource_value(&self, q: &Quality) -> Result<f64, AuctionError> {
         self.s.evaluate(q.as_slice())
     }
 
@@ -727,7 +698,7 @@ impl ScoringRule {
     }
 
     /// Access the underlying scoring function as a trait object.
-    pub fn function(&self) -> &dyn ScoringFunction {
+    pub(crate) fn function(&self) -> &dyn ScoringFunction {
         self.s.as_ref()
     }
 }
@@ -742,7 +713,7 @@ mod tests {
         assert_eq!(s.dims(), 3);
         assert_eq!(s.name(), "additive");
         assert!((s.value(&[1.0, 2.0, 3.0]) - (0.4 + 0.6 + 0.9)).abs() < 1e-12);
-        assert_eq!(s.weights(), &[0.4, 0.3, 0.3]);
+        assert_eq!(s.weights, [0.4, 0.3, 0.3]);
     }
 
     /// `Iterator::sum` starts an `f64` fold at `-0.0`, the batch kernels at `0.0`: only an
@@ -773,7 +744,7 @@ mod tests {
         assert!(Additive::new(vec![-1.0, 2.0]).is_err());
         assert!(Additive::new(vec![0.0, 0.0]).is_err());
         assert!(PerfectComplementary::new(vec![f64::NAN]).is_err());
-        assert!(CobbDouglas::new(vec![]).is_err());
+        assert!(CobbDouglas::with_scale(1.0, vec![]).is_err());
         assert!(CobbDouglas::with_scale(0.0, vec![1.0]).is_err());
         assert!(CobbDouglas::with_scale(-3.0, vec![1.0]).is_err());
     }
@@ -783,7 +754,7 @@ mod tests {
         let s = PerfectComplementary::new(vec![0.5, 0.5]).unwrap();
         assert!((s.value(&[0.75, 0.842]) - 0.375).abs() < 1e-12);
         assert_eq!(s.name(), "perfect-complementary");
-        assert_eq!(s.weights(), &[0.5, 0.5]);
+        assert_eq!(s.weights, [0.5, 0.5]);
     }
 
     #[test]
@@ -791,15 +762,15 @@ mod tests {
         // s(q1, q2) = 25 q1 q2, the simulator scoring rule.
         let s = CobbDouglas::with_scale(25.0, vec![1.0, 1.0]).unwrap();
         assert!((s.value(&[0.4, 0.8]) - 8.0).abs() < 1e-12);
-        assert_eq!(s.scale(), 25.0);
-        assert_eq!(s.exponents(), &[1.0, 1.0]);
+        assert_eq!(s.scale, 25.0);
+        assert_eq!(s.exponents, [1.0, 1.0]);
         // Negative inputs are clamped to zero rather than producing NaN.
         assert_eq!(s.value(&[-1.0, 0.5]), 0.0);
     }
 
     #[test]
     fn cobb_douglas_exponents_shape_returns() {
-        let s = CobbDouglas::new(vec![0.5, 0.5]).unwrap();
+        let s = CobbDouglas::with_scale(1.0, vec![0.5, 0.5]).unwrap();
         assert!((s.value(&[4.0, 9.0]) - 6.0).abs() < 1e-12);
     }
 

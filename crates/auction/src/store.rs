@@ -12,7 +12,7 @@
 //!   scores). One shard-sized store is filled, scored in one pass, fed to the selector, and
 //!   reused for the next shard, so the resident bid bytes of a round are `O(shard)`, not
 //!   `O(N)`.
-//! * [`TieBreak`] — the deterministic tie-break keys that replace the historical
+//! * `TieBreak` — the deterministic tie-break keys that replace the historical
 //!   shuffle-before-sort. Ranking is the strict total order *(score descending, key
 //!   ascending)*; keys are derived per bid index from one salt word, so any two bids compare
 //!   the same way no matter how the population was sharded. The generator consumes **exactly
@@ -32,7 +32,7 @@
 //!   ([`crate::mechanism::Auction::award_standing`]).
 //!
 //! The streaming selection is pinned **bit-identical** to the full-sort
-//! [`crate::mechanism::Auction::rank_bids`] path (same keys, same order, same selection
+//! `crate::mechanism::Auction::rank_bids` path (same keys, same order, same selection
 //! draws, same payments) by `tests/properties.rs` — for plain top-K at any `reserve`, and
 //! for ψ-FMore at any `reserve` too. A ψ round's admission walk needs only *ranks*
 //! ([`crate::mechanism::Auction::plan_admission`]) and how deep it goes is known from the
@@ -59,7 +59,7 @@ use std::cmp::Ordering;
 /// The strict rank order of the aggregator: descending score, ties by ascending tie-break
 /// key. Keys are distinct per round (a bijection of the bid index), so the order is total —
 /// two independent rankings of the same population can never disagree.
-pub fn rank_order(score_a: f64, key_a: u64, score_b: f64, key_b: u64) -> Ordering {
+pub(crate) fn rank_order(score_a: f64, key_a: u64, score_b: f64, key_b: u64) -> Ordering {
     match score_b.partial_cmp(&score_a) {
         Some(Ordering::Equal) | None => key_a.cmp(&key_b),
         Some(order) => order,
@@ -83,25 +83,25 @@ pub fn rank_order(score_a: f64, key_a: u64, score_b: f64, key_b: u64) -> Orderin
 /// the ψ-participation draws and every later consumer of the round RNG see an unchanged
 /// stream position.
 #[derive(Debug, Clone, Default)]
-pub struct TieBreak {
+pub(crate) struct TieBreak {
     salt: Option<u64>,
     count: usize,
 }
 
 impl TieBreak {
     /// A fresh key stream for one round.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of keys handed out so far.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.count
     }
 
     /// The key of the `i`-th offered bid (0 until the salt exists — callers re-key bid 0
     /// once a second bid arrives; a single-bid round never compares keys).
-    pub fn key_of(&self, i: usize) -> u64 {
+    pub(crate) fn key_of(&self, i: usize) -> u64 {
         match self.salt {
             Some(salt) => derive_seed(salt, i as u64),
             None => 0,
@@ -109,7 +109,7 @@ impl TieBreak {
     }
 
     /// Returns the key for the next offered bid, drawing the round salt on the second call.
-    pub fn next_key<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
+    pub(crate) fn next_key<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         let i = self.count;
         self.count += 1;
         if i == 1 && self.salt.is_none() {
@@ -125,7 +125,7 @@ impl TieBreak {
     /// drawn, so the stream position is unchanged — but callers must only force the salt
     /// when the round is guaranteed to offer at least two bids in total, or the
     /// `max(n−1, 0)`-word contract above would be violated.
-    pub fn force_salt<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
+    pub(crate) fn force_salt<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         if self.salt.is_none() {
             self.salt = Some(rng.gen::<u64>());
         }
@@ -133,21 +133,21 @@ impl TieBreak {
     }
 
     /// Whether the round salt has been drawn yet.
-    pub fn salt_known(&self) -> bool {
+    pub(crate) fn salt_known(&self) -> bool {
         self.salt.is_some()
     }
 
     /// Advances the offered-bid counter past `n` externally keyed bids (bids whose keys
     /// were computed on worker threads from a forced salt and absorbed wholesale), keeping
     /// [`TieBreak::finish`]'s burn count — and therefore the RNG contract — exact.
-    pub fn advance(&mut self, n: usize) {
+    pub(crate) fn advance(&mut self, n: usize) {
         self.count += n;
     }
 
     /// Burns the remainder of the round's RNG budget (`n−2` words for `n ≥ 2`), pinning the
     /// stream position to what the historical shuffle consumed. Call exactly once, after the
     /// last bid of the round.
-    pub fn finish<R: Rng + ?Sized>(&self, rng: &mut R) {
+    pub(crate) fn finish<R: Rng + ?Sized>(&self, rng: &mut R) {
         for _ in 0..self.count.saturating_sub(2) {
             let _ = rng.gen::<u64>();
         }
@@ -188,7 +188,7 @@ impl BidStore {
     }
 
     /// Number of resource dimensions per bid.
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.dims
     }
 
@@ -211,7 +211,7 @@ impl BidStore {
     }
 
     /// Appends one sealed bid after validating it (the rules, and the order — dimension,
-    /// quality, ask — of [`crate::mechanism::Auction::score_bids`]: finite non-negative
+    /// quality, ask — of `crate::mechanism::Auction::score_bids`: finite non-negative
     /// quality of the right dimension, finite non-negative ask).
     ///
     /// # Errors
@@ -414,7 +414,7 @@ pub struct Candidate {
     pub node: NodeId,
     /// Score under the broadcast rule.
     pub score: f64,
-    /// Deterministic tie-break key (see [`TieBreak`]).
+    /// Deterministic tie-break key (see `TieBreak`).
     pub key: u64,
     /// Payment ask.
     pub ask: f64,
@@ -595,11 +595,6 @@ impl ShardSelection {
         Self { kept, offered }
     }
 
-    /// Number of bids the shard scanned.
-    pub fn offered(&self) -> usize {
-        self.offered
-    }
-
     /// Number of surviving candidates.
     #[cfg(test)]
     fn len(&self) -> usize {
@@ -612,7 +607,7 @@ impl ShardSelection {
 /// the pricing rules need from the losers). Feeding the whole population through it and
 /// sorting the kept set reproduces the head of the dense full-sort ranking bit-for-bit.
 ///
-/// Two equivalent feeding disciplines exist: the sequential [`BidSelector::offer`] /
+/// Two equivalent feeding disciplines exist: the sequential `BidSelector::offer` /
 /// [`BidSelector::offer_store`] path (keys drawn from the round RNG as bids arrive), and
 /// the parallel-wave path — [`BidSelector::force_salt`] once, then per wave one
 /// [`BidSelector::admission_floor`] snapshot, [`ShardSelection::select_above`] per shard on
@@ -653,11 +648,6 @@ impl BidSelector {
         self.tie.count()
     }
 
-    /// Number of candidates currently kept.
-    pub fn kept(&self) -> usize {
-        self.heap.len()
-    }
-
     /// The bound on kept candidates (`K + reserve` as configured by
     /// [`crate::mechanism::Auction::selector`]).
     pub fn capacity(&self) -> usize {
@@ -673,7 +663,7 @@ impl BidSelector {
     /// Offers one scored bid. Draws exactly one tie-break key from the round stream (see
     /// [`TieBreak`] for the RNG contract); a bid that does not beat the weakest kept
     /// candidate only updates the best-dropped score.
-    pub fn offer<R: Rng + ?Sized>(
+    pub(crate) fn offer<R: Rng + ?Sized>(
         &mut self,
         node: NodeId,
         quality: &[f64],
@@ -707,7 +697,7 @@ impl BidSelector {
     /// Draws the round salt now and returns it, so shard selections can compute keys on
     /// worker threads. Re-keys the provisional first candidate if one is already kept.
     /// Callers must guarantee the round offers at least two bids in total (the RNG
-    /// contract of [`TieBreak::force_salt`]).
+    /// contract of `TieBreak::force_salt`).
     pub fn force_salt<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         let salt = self.tie.force_salt(rng);
         if self.tie.count() == 1 {
@@ -837,7 +827,7 @@ impl StandingPool {
 /// The first streaming pass counts every scored bid into one of 2¹⁶ bins, keyed by the top
 /// 16 bits of an order-preserving integer image of the score (higher bin index ⇔ higher
 /// score; exactly equal scores always share a bin, so the strict rank order within a bin is
-/// decided purely by [`rank_order`] over the bin's members). After the pass, the global
+/// decided purely by `rank_order` over the bin's members). After the pass, the global
 /// rank interval of every bin is known: bin `b` holds ranks
 /// `[Σ_{b' > b} count(b'), Σ_{b' ≥ b} count(b'))`. That is enough to translate the ranks an
 /// admission walk picks into *(bin, within-bin offset)* coordinates without ever holding
@@ -846,7 +836,7 @@ impl StandingPool {
 /// The histogram is `BINS` words of constant state (512 KiB) regardless of the population
 /// size, consumes no RNG, and is deterministic in the bid stream (counting is order- and
 /// shard-independent). `-0.0` is canonicalised to `+0.0` so the binning never splits a pair
-/// of scores that [`rank_order`] treats as equal. Scores must be finite — the bid
+/// of scores that `rank_order` treats as equal. Scores must be finite — the bid
 /// validation of [`BidStore::push`] guarantees it.
 #[derive(Debug, Clone)]
 pub struct ScoreHistogram {
@@ -862,7 +852,7 @@ impl Default for ScoreHistogram {
 
 impl ScoreHistogram {
     /// Number of bins (top 16 bits of the score's order-preserving integer image).
-    pub const BINS: usize = 1 << 16;
+    pub(crate) const BINS: usize = 1 << 16;
 
     /// A zeroed histogram.
     pub fn new() -> Self {
@@ -886,12 +876,12 @@ impl ScoreHistogram {
     }
 
     /// The bin a score counts into.
-    pub fn bin_of(score: f64) -> usize {
+    pub(crate) fn bin_of(score: f64) -> usize {
         (Self::ordinal(score) >> 48) as usize
     }
 
     /// Counts one score.
-    pub fn record(&mut self, score: f64) {
+    pub(crate) fn record(&mut self, score: f64) {
         self.counts[Self::bin_of(score)] += 1;
         self.total += 1;
     }
@@ -903,19 +893,9 @@ impl ScoreHistogram {
         }
     }
 
-    /// Total number of scores counted.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Resident bytes of the bin table (constant in the population size).
-    pub fn resident_bytes(&self) -> usize {
-        self.counts.len() * std::mem::size_of::<u64>()
-    }
-
     /// Locates each of the (ascending, distinct) global ranks: returns `(bin,
-    /// first_rank_of_bin)` per rank, in order. Every rank must be smaller than
-    /// [`ScoreHistogram::total`].
+    /// first_rank_of_bin)` per rank, in order. Every rank must be smaller than the number
+    /// of scores counted.
     fn locate(&self, sorted_ranks: &[usize]) -> Vec<(usize, usize)> {
         debug_assert!(sorted_ranks.windows(2).all(|w| w[0] < w[1]));
         let mut out = Vec::with_capacity(sorted_ranks.len());
@@ -978,7 +958,7 @@ pub struct RankRefiner {
 
 impl RankRefiner {
     /// Builds the probes for the (ascending, distinct) needed global ranks, as counted by
-    /// `histogram`. `salt` is the round's tie-break salt ([`TieBreak::force_salt`]) and
+    /// `histogram`. `salt` is the round's tie-break salt (`TieBreak::force_salt`) and
     /// `dims` the bid dimensionality.
     pub fn new(histogram: &ScoreHistogram, sorted_ranks: &[usize], salt: u64, dims: usize) -> Self {
         let located = histogram.locate(sorted_ranks);
@@ -1033,17 +1013,6 @@ impl RankRefiner {
         }
     }
 
-    /// Resident bytes of the kept candidates (len-based, deterministic).
-    pub fn resident_bytes(&self) -> usize {
-        self.probes
-            .iter()
-            .map(|p| {
-                p.heap.len()
-                    * (std::mem::size_of::<Candidate>() + p.heap.dims * std::mem::size_of::<f64>())
-            })
-            .sum()
-    }
-
     /// Finishes the pass: sorts each probe's members into within-bin rank order and returns
     /// a rank-addressable view of the collected candidates.
     pub fn into_ranked(self) -> RankedCandidates {
@@ -1083,6 +1052,20 @@ impl RankedCandidates {
         };
         let (start, members) = &self.groups[group];
         members.get(rank - start)
+    }
+}
+
+#[cfg(test)]
+impl RankRefiner {
+    /// Resident bytes of the kept candidates (len-based, deterministic).
+    fn resident_bytes(&self) -> usize {
+        self.probes
+            .iter()
+            .map(|p| {
+                p.heap.len()
+                    * (std::mem::size_of::<Candidate>() + p.heap.dims * std::mem::size_of::<f64>())
+            })
+            .sum()
     }
 }
 
@@ -1259,7 +1242,7 @@ mod tests {
             selector.offer(NodeId(i as u64), &[s], 0.0, s, &mut rng);
         }
         assert_eq!(selector.offered(), scores.len());
-        assert_eq!(selector.kept(), 3);
+        assert_eq!(selector.heap.len(), 3);
         assert!(selector.resident_bytes() > 0);
         let pool = selector.finish(&mut rng);
         let kept: Vec<u64> = pool.candidates().iter().map(|c| c.node.0).collect();
@@ -1359,7 +1342,7 @@ mod tests {
             assert_eq!(floorless.len(), capacity.min(store.len()));
             let admission = selector.admission_floor().expect("salt forced above");
             let selection = ShardSelection::select_above(&store, lo, admission);
-            assert_eq!(selection.offered(), store.len());
+            assert_eq!(selection.offered, store.len());
             absorbed += selection.len();
             selector.absorb(selection);
         }
@@ -1369,7 +1352,7 @@ mod tests {
             "absorbed {absorbed} candidates, bound {bound:.0}"
         );
         assert_eq!(selector.offered(), n);
-        assert_eq!(selector.kept(), capacity);
+        assert_eq!(selector.heap.len(), capacity);
     }
 
     /// `n` one-dimensional bids in shards of seven, scored on a grid of five values so that
@@ -1482,8 +1465,8 @@ mod tests {
         for &s in &samples {
             hist.record(s);
         }
-        assert_eq!(hist.total(), samples.len() as u64);
-        assert_eq!(hist.resident_bytes(), ScoreHistogram::BINS * 8);
+        assert_eq!(hist.total, samples.len() as u64);
+        assert_eq!(hist.counts.len(), ScoreHistogram::BINS);
     }
 
     #[test]
@@ -1526,7 +1509,7 @@ mod tests {
             store.score_with(&rule).unwrap();
             hist.record_store(&store);
         }
-        assert_eq!(hist.total() as usize, rows.len());
+        assert_eq!(hist.total as usize, rows.len());
 
         // Needed ranks spread across the ranking, including tied regions and the tail.
         let needed = vec![0usize, 1, 5, 17, 18, 19, 64, 123, 299];

@@ -47,19 +47,14 @@ impl Quality {
         self.0.get(i).copied()
     }
 
-    /// Consumes the wrapper and returns the raw vector.
-    pub fn into_inner(self) -> Vec<f64> {
-        self.0
-    }
-
     /// Returns `true` if every component is finite and non-negative.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.0.iter().all(|v| v.is_finite() && *v >= 0.0)
     }
 
     /// Returns a copy where every component is scaled by `factor` (used to model quality
     /// misreporting in incentive-compatibility checks).
-    pub fn scaled(&self, factor: f64) -> Quality {
+    pub(crate) fn scaled(&self, factor: f64) -> Quality {
         Quality(self.0.iter().map(|v| v * factor).collect())
     }
 
@@ -132,7 +127,7 @@ mod tests {
         assert_eq!(q.get(0), Some(4000.0));
         assert_eq!(q.get(5), None);
         assert_eq!(q.as_slice(), &[4000.0, 85.0]);
-        assert_eq!(q.clone().into_inner(), vec![4000.0, 85.0]);
+        assert_eq!(q.0, vec![4000.0, 85.0]);
         assert!(q.is_valid());
         assert_eq!(q.to_string(), "(4000.0000, 85.0000)");
     }

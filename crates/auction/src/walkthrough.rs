@@ -17,14 +17,14 @@ use crate::winner::SelectionRule;
 use rand::Rng;
 
 /// Data-size range of the example, in samples.
-pub const DATA_RANGE: (f64, f64) = (1000.0, 5000.0);
+pub(crate) const DATA_RANGE: (f64, f64) = (1000.0, 5000.0);
 /// Bandwidth range of the example, in Mb.
-pub const BANDWIDTH_RANGE: (f64, f64) = (5.0, 100.0);
+pub(crate) const BANDWIDTH_RANGE: (f64, f64) = (5.0, 100.0);
 /// Number of winners per round in the example.
-pub const WINNERS: usize = 3;
+pub(crate) const WINNERS: usize = 3;
 
 /// Node labels used in Fig. 3, in submission order (A, B, C, D, E).
-pub const NODE_LABELS: [char; 5] = ['A', 'B', 'C', 'D', 'E'];
+pub(crate) const NODE_LABELS: [char; 5] = ['A', 'B', 'C', 'D', 'E'];
 
 /// Builds the walk-through scoring rule
 /// `S(q, p) = min{0.5·norm(q1), 0.5·norm(q2)} − p`.
@@ -32,7 +32,7 @@ pub const NODE_LABELS: [char; 5] = ['A', 'B', 'C', 'D', 'E'];
 /// # Errors
 ///
 /// Never fails in practice; the error type is kept for API uniformity.
-pub fn walkthrough_scoring_rule() -> Result<ScoringRule, AuctionError> {
+pub(crate) fn walkthrough_scoring_rule() -> Result<ScoringRule, AuctionError> {
     let inner = PerfectComplementary::new(vec![0.5, 0.5])?;
     let normalized = NormalizedScoring::new(inner, vec![DATA_RANGE, BANDWIDTH_RANGE])?;
     Ok(ScoringRule::new(normalized))
@@ -43,7 +43,7 @@ pub fn walkthrough_scoring_rule() -> Result<ScoringRule, AuctionError> {
 /// # Errors
 ///
 /// Never fails in practice; the error type is kept for API uniformity.
-pub fn walkthrough_auction() -> Result<Auction, AuctionError> {
+pub(crate) fn walkthrough_auction() -> Result<Auction, AuctionError> {
     Ok(Auction::new(
         walkthrough_scoring_rule()?,
         WINNERS,
@@ -53,7 +53,7 @@ pub fn walkthrough_auction() -> Result<Auction, AuctionError> {
 }
 
 /// The five sealed bids of round 1: (data size, bandwidth, expected payment).
-pub fn round1_bids() -> Vec<SubmittedBid> {
+pub(crate) fn round1_bids() -> Vec<SubmittedBid> {
     bids(&[
         (4000.0, 85.0, 0.20),
         (3000.0, 35.0, 0.10),
@@ -64,7 +64,7 @@ pub fn round1_bids() -> Vec<SubmittedBid> {
 }
 
 /// The five sealed bids of round 2, after nodes revise their resources and asks.
-pub fn round2_bids() -> Vec<SubmittedBid> {
+pub(crate) fn round2_bids() -> Vec<SubmittedBid> {
     bids(&[
         (4000.0, 85.0, 0.16),
         (3500.0, 45.0, 0.10),

@@ -55,7 +55,7 @@ impl SelectionRule {
 
     /// Selects winner positions out of `n` candidates already in descending rank order: at
     /// most `k` positions, each at most once. Tie-breaking among equal scores happens before,
-    /// in the rank order itself (the deterministic keys of [`crate::store::TieBreak`]). The
+    /// in the rank order itself (the deterministic keys of `crate::store::TieBreak`). The
     /// rule never inspects bid contents — only ranks — so the streaming
     /// [`crate::store::StandingPool`] path and the full-sort reference
     /// [`crate::mechanism::Auction::run`] share this exact implementation (and therefore the

@@ -9,5 +9,7 @@
 //! * [`baseline`] — a replica of the pre-refactor training path, the bit-for-bit oracle of
 //!   the arena-equivalence property tests.
 
+#![warn(unreachable_pub)]
+
 pub mod baseline;
 pub mod timing;

@@ -14,7 +14,7 @@
 //! must replay the same auction — retrying does not give the adversary a second roll.
 //! (Crash faults retry differently on purpose; dishonesty does not.)
 //!
-//! [`ReputationLedger`] closes the loop: quarantine verdicts from the aggregation rule
+//! `ReputationLedger` closes the loop: quarantine verdicts from the aggregation rule
 //! become per-node reputation, which the service feeds back into [`fmore_auction`]'s
 //! `BidStore` selection — down-weighting suspect bids and excluding nodes below a
 //! threshold. When exclusion empties a round's bid book entirely, the service fails the
@@ -28,7 +28,7 @@ use crate::faults::{validate_at_least, validate_rates, DrawClock};
 
 /// Per-class adversary rates of one job's population. All rates are probabilities in
 /// `[0, 1]`; the bid-class rates and the poison-class rates each share a single draw, so
-/// each family must sum to at most 1 (validated by [`AdversaryPlan::validate`]).
+/// each family must sum to at most 1 (validated by `AdversaryPlan::validate`).
 ///
 /// Membership is drawn **per node** (round-independent), so a node is the same honest
 /// or adversarial actor for the whole job — the property the reputation loop learns.
@@ -115,7 +115,7 @@ impl AdversaryPlan {
 
     /// Whether the plan can produce any adversarial behavior at all. Drivers skip the
     /// adversary machinery entirely for inactive plans.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.adversary_rate > 0.0
     }
 
@@ -126,7 +126,7 @@ impl AdversaryPlan {
     /// # Errors
     ///
     /// [`FlError::InvalidConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), FlError> {
+    pub(crate) fn validate(&self) -> Result<(), FlError> {
         validate_rates(
             "adversary plan",
             &[
@@ -172,7 +172,7 @@ impl AdversaryPlan {
 
 /// How an adversarial node distorts its bid this round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BidDistortion {
+pub(crate) enum BidDistortion {
     /// Ask inflated by `overbid_factor` (extracting rent if it still wins).
     Overbid,
     /// Ask cut by `underbid_factor` (buying the win below cost).
@@ -185,7 +185,7 @@ pub enum BidDistortion {
 
 impl BidDistortion {
     /// Applies the distortion in place to one bid's quality row and ask.
-    pub fn apply(self, plan: &AdversaryPlan, qualities: &mut [f64], ask: &mut f64) {
+    pub(crate) fn apply(self, plan: &AdversaryPlan, qualities: &mut [f64], ask: &mut f64) {
         match self {
             BidDistortion::Overbid => *ask *= plan.overbid_factor,
             BidDistortion::Underbid => *ask *= plan.underbid_factor,
@@ -259,14 +259,14 @@ impl AdversaryPlan {
     }
 
     /// Whether `node` belongs to the colluding cartel (implies [`Self::is_adversary`]).
-    pub fn in_cartel(&self, clock: &DrawClock, node: u64) -> bool {
+    pub(crate) fn in_cartel(&self, clock: &DrawClock, node: u64) -> bool {
         self.is_adversary(clock, node) && draw(clock, 0, node, CH_CARTEL) < self.cartel_rate
     }
 
     /// The bid distortion (if any) `node` applies in `round`. Cartel members always bid
     /// the cartel line; independent adversaries draw one of the bid classes per round
     /// (and may bid honestly when the class rates leave slack).
-    pub fn bid_distortion(
+    pub(crate) fn bid_distortion(
         &self,
         clock: &DrawClock,
         round: u64,
@@ -356,7 +356,7 @@ impl ReputationSpec {
     /// # Errors
     ///
     /// [`FlError::InvalidConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), FlError> {
+    pub(crate) fn validate(&self) -> Result<(), FlError> {
         validate_rates(
             "reputation spec",
             &[
@@ -373,39 +373,29 @@ impl ReputationSpec {
 /// score has ever left `spec.initial` occupy memory, so a mostly-honest fleet tracks a
 /// handful of entries regardless of population size.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReputationLedger {
+pub(crate) struct ReputationLedger {
     spec: ReputationSpec,
     scores: BTreeMap<u64, f64>,
 }
 
 impl ReputationLedger {
     /// An empty ledger under `spec` — every node at `spec.initial`.
-    pub fn new(spec: ReputationSpec) -> Self {
+    pub(crate) fn new(spec: ReputationSpec) -> Self {
         Self {
             spec,
             scores: BTreeMap::new(),
         }
     }
 
-    /// The spec this ledger runs under.
-    pub fn spec(&self) -> &ReputationSpec {
-        &self.spec
-    }
-
     /// Current score of `node` (the presumed `initial` when untracked).
-    pub fn score(&self, node: u64) -> f64 {
+    pub(crate) fn score(&self, node: u64) -> f64 {
         self.scores.get(&node).copied().unwrap_or(self.spec.initial)
-    }
-
-    /// Whether `node`'s bids are excluded from selection.
-    pub fn excluded(&self, node: u64) -> bool {
-        self.score(node) < self.spec.exclusion_threshold
     }
 
     /// Applies one round verdict for `node`: accepted updates earn `reward`, quarantined
     /// ones cost `penalty`, clamped to `[0, 1]`. A node resting at `initial` whose score
     /// would not move is not inserted, keeping the ledger sparse.
-    pub fn record(&mut self, node: u64, accepted: bool) {
+    pub(crate) fn record(&mut self, node: u64, accepted: bool) {
         let current = self.score(node);
         let next = if accepted {
             (current + self.spec.reward).min(1.0)
@@ -417,18 +407,13 @@ impl ReputationLedger {
         }
     }
 
-    /// Number of nodes whose score has ever moved off `initial`.
-    pub fn tracked(&self) -> usize {
-        self.scores.len()
-    }
-
     /// The tracked `(node, score)` pairs in node order — the checkpoint serialisation.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.scores.iter().map(|(&node, &score)| (node, score))
     }
 
     /// Rebuilds a ledger from checkpointed entries (inverse of [`Self::entries`]).
-    pub fn from_entries(
+    pub(crate) fn from_entries(
         spec: ReputationSpec,
         entries: impl IntoIterator<Item = (u64, f64)>,
     ) -> Self {
@@ -441,7 +426,7 @@ impl ReputationLedger {
     /// An immutable snapshot for the round's fill closures (which run on worker threads):
     /// the scores as of the round's start, under the same spec. Selection within one round
     /// sees one consistent reputation state however wide the pool is.
-    pub fn snapshot(&self) -> ReputationFilter {
+    pub(crate) fn snapshot(&self) -> ReputationFilter {
         ReputationFilter {
             spec: self.spec,
             scores: self.scores.clone(),
@@ -454,21 +439,21 @@ impl ReputationLedger {
 /// score), excluded nodes are dropped. Nodes at full score pass through untouched —
 /// bit-for-bit — so an all-honest fleet's auction is unchanged by the filter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReputationFilter {
+pub(crate) struct ReputationFilter {
     spec: ReputationSpec,
     scores: BTreeMap<u64, f64>,
 }
 
 impl ReputationFilter {
     /// Current score of `node` under the snapshot.
-    pub fn score(&self, node: u64) -> f64 {
+    pub(crate) fn score(&self, node: u64) -> f64 {
         self.scores.get(&node).copied().unwrap_or(self.spec.initial)
     }
 
     /// Applies the filter to one bid in place. Returns `false` when the bid must be
     /// dropped (node excluded). Scores at exactly 1 leave the bid untouched, so honest
     /// histories stay bit-identical.
-    pub fn revise(&self, node: u64, qualities: &mut [f64], _ask: &mut f64) -> bool {
+    pub(crate) fn revise(&self, node: u64, qualities: &mut [f64], _ask: &mut f64) -> bool {
         let score = self.score(node);
         if score < self.spec.exclusion_threshold {
             return false;
@@ -479,6 +464,19 @@ impl ReputationFilter {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+impl ReputationLedger {
+    /// Whether `node`'s bids are excluded from selection.
+    fn excluded(&self, node: u64) -> bool {
+        self.score(node) < self.spec.exclusion_threshold
+    }
+
+    /// Number of nodes whose score has ever moved off `initial`.
+    fn tracked(&self) -> usize {
+        self.scores.len()
     }
 }
 
@@ -696,7 +694,7 @@ mod tests {
         ledger.record(9, false);
         ledger.record(9, false);
         let rebuilt =
-            ReputationLedger::from_entries(*ledger.spec(), ledger.entries().collect::<Vec<_>>());
+            ReputationLedger::from_entries(ledger.spec, ledger.entries().collect::<Vec<_>>());
         assert_eq!(ledger, rebuilt);
     }
 

@@ -385,15 +385,6 @@ impl Krum {
             distance_factor: 4.0,
         }
     }
-
-    /// Multi-Krum averaging the `select` best-scored members.
-    pub fn multi(assumed_byzantine: usize, select: usize) -> Self {
-        Self {
-            assumed_byzantine,
-            select,
-            distance_factor: 4.0,
-        }
-    }
 }
 
 impl AggregationRule for Krum {
@@ -917,6 +908,18 @@ fn squared_distances<const K: usize>(base: &[f64], rows: &[&[f64]; K]) -> [f64; 
         }
     }
     sums
+}
+
+#[cfg(test)]
+impl Krum {
+    /// Multi-Krum averaging the `select` best-scored members.
+    pub(crate) fn multi(assumed_byzantine: usize, select: usize) -> Self {
+        Self {
+            assumed_byzantine,
+            select,
+            distance_factor: 4.0,
+        }
+    }
 }
 
 #[cfg(test)]

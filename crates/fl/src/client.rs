@@ -45,23 +45,18 @@ impl EdgeClient {
     }
 
     /// The client's node identifier.
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.id
     }
 
     /// The private cost parameter θ.
-    pub fn theta(&self) -> f64 {
+    pub(crate) fn theta(&self) -> f64 {
         self.theta
     }
 
     /// The full data shard owned by the client.
     pub fn shard(&self) -> &ClientShard {
         &self.shard
-    }
-
-    /// Sample indices the client offers in the current round.
-    pub fn available_indices(&self) -> &[usize] {
-        &self.available
     }
 
     /// Data size offered in the current round (the `q1` resource).
@@ -75,7 +70,7 @@ impl EdgeClient {
     }
 
     /// Category proportion `q2 ∈ (0, 1]` relative to the task's class count.
-    pub fn category_proportion(&self, num_classes: usize) -> f64 {
+    pub(crate) fn category_proportion(&self, num_classes: usize) -> f64 {
         if num_classes == 0 {
             return 0.0;
         }
@@ -118,7 +113,7 @@ impl EdgeClient {
 
     /// The client's currently offered resource quality `(q1, q2)` =
     /// (data size normalised by `max_data_size`, category proportion).
-    pub fn resource_quality(&self, max_data_size: f64, num_classes: usize) -> Quality {
+    pub(crate) fn resource_quality(&self, max_data_size: f64, num_classes: usize) -> Quality {
         let q1 = if max_data_size > 0.0 {
             (self.data_size() as f64 / max_data_size).clamp(0.0, 1.0)
         } else {
@@ -136,7 +131,7 @@ impl EdgeClient {
     /// # Errors
     ///
     /// Returns [`FlError::Auction`] if θ lies outside the solver's support.
-    pub fn adopt_strategy(&mut self, solver: &EquilibriumSolver) -> Result<(), FlError> {
+    pub(crate) fn adopt_strategy(&mut self, solver: &EquilibriumSolver) -> Result<(), FlError> {
         self.strategy = Some(solver.strategy_for(self.theta)?);
         Ok(())
     }
@@ -153,7 +148,7 @@ impl EdgeClient {
     ///
     /// Returns [`FlError::InvalidConfig`] if no strategy was adopted, and
     /// [`FlError::Auction`] if the strategy's dimension is not the client's two resources.
-    pub fn make_bid(
+    pub(crate) fn make_bid(
         &self,
         max_data_size: f64,
         num_classes: usize,
@@ -242,14 +237,11 @@ mod tests {
         assert!(c.data_size() >= (full as f64 * 0.45) as usize);
         assert!(c.data_size() <= (full as f64 * 0.65).ceil() as usize);
         // Offered indices are a subset of the shard.
-        assert!(c
-            .available_indices()
-            .iter()
-            .all(|i| c.shard().indices.contains(i)));
+        assert!(c.available.iter().all(|i| c.shard().indices.contains(i)));
         // Re-drawing availability changes the offer (with very high probability).
-        let first = c.available_indices().to_vec();
+        let first = c.available.clone();
         c.refresh_availability((0.5, 0.6), &data);
-        assert_ne!(first, c.available_indices());
+        assert_ne!(first, c.available);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use fmore_numerics::seeded_rng;
 use rand::Rng;
 use std::sync::{Arc, OnceLock};
 
-pub use crate::executor::{default_threads, JobPanic, Task, WorkerPool};
+pub use crate::executor::{JobPanic, Task, WorkerPool};
 
 /// The process-wide shared pool: created on first use, reused by every trainer, cluster, and
 /// scenario runner that does not bring its own pool. Worker threads are started exactly once
@@ -89,7 +89,7 @@ impl RoundEngine {
         Self { pool: None }
     }
 
-    /// An engine owning a fresh pool with `threads` workers (`0` means [`default_threads`]).
+    /// An engine owning a fresh pool with `threads` workers (`0` means `default_threads`).
     pub fn pooled(threads: usize) -> Self {
         Self::with_pool(Arc::new(WorkerPool::new(threads)))
     }
@@ -125,7 +125,7 @@ impl RoundEngine {
     /// task that panicked. Panics never propagate, never kill pool workers, and never mask
     /// sibling results — routed through [`WorkerPool::run_indexed_checked`] on pooled
     /// engines.
-    pub fn run_tasks_checked<T: Send + 'static>(
+    pub(crate) fn run_tasks_checked<T: Send + 'static>(
         &self,
         tasks: Vec<Task<T>>,
     ) -> Vec<Result<T, JobPanic>> {
@@ -144,7 +144,10 @@ impl RoundEngine {
     /// # Errors
     ///
     /// Returns [`FlError::JobPanic`] naming the first panicked slot.
-    pub fn try_run_tasks<T: Send + 'static>(&self, tasks: Vec<Task<T>>) -> Result<Vec<T>, FlError> {
+    pub(crate) fn try_run_tasks<T: Send + 'static>(
+        &self,
+        tasks: Vec<Task<T>>,
+    ) -> Result<Vec<T>, FlError> {
         self.run_tasks_checked(tasks)
             .into_iter()
             .map(|slot| slot.map_err(FlError::from))
@@ -158,7 +161,7 @@ impl RoundEngine {
 
 /// Collects the sealed bid of every client (step 2 of Algorithm 1) from the equilibrium
 /// strategy each adopted when the scoring rule was broadcast
-/// ([`EdgeClient::adopt_strategy`]): every bid is that strategy capped to the client's
+/// (`EdgeClient::adopt_strategy`): every bid is that strategy capped to the client's
 /// resources this round. No solver takes part, so a round of bid collection costs two small
 /// vectors per client and cannot disagree with the rule the clients were given.
 ///
@@ -734,7 +737,7 @@ pub struct LocalUpdate {
 impl TrainingJob {
     /// Runs the local SGD epochs and returns the update together with the slot state for
     /// the driver to reclaim.
-    pub fn run(mut self) -> (LocalUpdate, SlotState) {
+    pub(crate) fn run(mut self) -> (LocalUpdate, SlotState) {
         let mut rng = seeded_rng(self.seed);
         let state = &mut self.state;
         state.model.apply_parameters(&self.global_params);

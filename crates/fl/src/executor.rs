@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// A unit of work returning a value; see [`crate::engine::RoundEngine::try_run_tasks`].
+/// A unit of work returning a value; see `crate::engine::RoundEngine::try_run_tasks`.
 pub type Task<T> = Box<dyn FnOnce() -> T + Send + 'static>;
 
 /// Contiguous chunks queued per participating thread (workers plus the submitter): enough
@@ -47,7 +47,7 @@ thread_local! {
 }
 
 /// Number of workers used when a pool is created with `threads = 0`.
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map_or(4, |n| n.get())
         .clamp(1, 8)
@@ -249,7 +249,7 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool with `threads` workers (`0` means [`default_threads`]).
+    /// Spawns a pool with `threads` workers (`0` means `default_threads`).
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
             default_threads()

@@ -46,7 +46,7 @@ pub enum Corruption {
 
 impl Corruption {
     /// Applies this corruption to a parameter vector in place.
-    pub fn apply(self, params: &mut [f64], scale: f64) {
+    pub(crate) fn apply(self, params: &mut [f64], scale: f64) {
         match self {
             Corruption::Nan => {
                 if let Some(first) = params.first_mut() {
@@ -150,7 +150,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// [`FlError::InvalidConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), FlError> {
+    pub(crate) fn validate(&self) -> Result<(), FlError> {
         validate_rates(
             "fault plan",
             &[
@@ -181,7 +181,7 @@ impl FaultPlan {
     }
 
     /// Whether the bid-collection shard starting at `shard_start` panics this attempt.
-    pub fn fill_panics(
+    pub(crate) fn fill_panics(
         &self,
         clock: &DrawClock,
         round: u64,
@@ -195,7 +195,7 @@ impl FaultPlan {
     /// The fault (if any) injected into winner `slot`'s work task this attempt: one draw
     /// split between [`FaultKind::WorkPanic`] and [`FaultKind::Stall`], so a slot never
     /// both panics and stalls.
-    pub fn work_fault(
+    pub(crate) fn work_fault(
         &self,
         clock: &DrawClock,
         round: u64,
@@ -213,14 +213,20 @@ impl FaultPlan {
     }
 
     /// Whether winner `slot` drops out mid-round this attempt.
-    pub fn drops_out(&self, clock: &DrawClock, round: u64, attempt: u32, slot: usize) -> bool {
+    pub(crate) fn drops_out(
+        &self,
+        clock: &DrawClock,
+        round: u64,
+        attempt: u32,
+        slot: usize,
+    ) -> bool {
         self.draw(clock, round, attempt, slot as u64, CH_DROPOUT)
             .is_some_and(|u| u < self.dropout_rate)
     }
 
     /// The corruption (if any) applied to winner `slot`'s update this attempt; the
     /// corruption kind is a second, independent draw split evenly three ways.
-    pub fn corruption(
+    pub(crate) fn corruption(
         &self,
         clock: &DrawClock,
         round: u64,
@@ -269,7 +275,7 @@ impl DrawClock {
     }
 
     /// The draw keyed by `keys`.
-    pub fn uniform(&self, keys: &[u64]) -> f64 {
+    pub(crate) fn uniform(&self, keys: &[u64]) -> f64 {
         keyed_unit(self.root, keys)
     }
 }
@@ -297,17 +303,6 @@ pub struct WatchdogSpec {
 }
 
 impl WatchdogSpec {
-    /// A forgiving default: a minute of simulated budget, three retries, 1 s → 2 s → 4 s
-    /// backoff.
-    pub fn standard() -> Self {
-        Self {
-            round_budget_secs: 60.0,
-            max_retries: 3,
-            backoff_base_secs: 1.0,
-            backoff_factor: 2.0,
-        }
-    }
-
     /// Validates the budget and backoff: `round_budget_secs` and `backoff_base_secs` must
     /// be finite and non-negative (a NaN budget never trips, a NaN base poisons every
     /// backoff), `backoff_factor` finite and at least 1.
@@ -315,14 +310,14 @@ impl WatchdogSpec {
     /// # Errors
     ///
     /// [`FlError::InvalidConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), FlError> {
+    pub(crate) fn validate(&self) -> Result<(), FlError> {
         validate_at_least("watchdog", "round_budget_secs", self.round_budget_secs, 0.0)?;
         validate_at_least("watchdog", "backoff_base_secs", self.backoff_base_secs, 0.0)?;
         validate_at_least("watchdog", "backoff_factor", self.backoff_factor, 1.0)
     }
 
     /// The backoff charged before retrying failed attempt `attempt` (0-based).
-    pub fn backoff_secs(&self, attempt: u32) -> f64 {
+    pub(crate) fn backoff_secs(&self, attempt: u32) -> f64 {
         self.backoff_base_secs * self.backoff_factor.powi(attempt as i32)
     }
 
@@ -387,6 +382,20 @@ pub(crate) fn validate_at_least(
     Err(FlError::InvalidConfig(format!(
         "{owner} {name} {value} must be finite and >= {min}"
     )))
+}
+
+#[cfg(test)]
+impl WatchdogSpec {
+    /// A forgiving default: a minute of simulated budget, three retries, 1 s → 2 s → 4 s
+    /// backoff.
+    pub(crate) fn standard() -> Self {
+        Self {
+            round_budget_secs: 60.0,
+            max_retries: 3,
+            backoff_base_secs: 1.0,
+            backoff_factor: 2.0,
+        }
+    }
 }
 
 #[cfg(test)]

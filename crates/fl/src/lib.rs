@@ -32,6 +32,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod adversary;
 pub mod aggregator;
@@ -46,19 +47,17 @@ pub mod selection;
 pub mod service;
 pub mod trainer;
 
-pub use adversary::{
-    AdversaryPlan, BidDistortion, Poison, ReputationFilter, ReputationLedger, ReputationSpec,
-};
+pub use adversary::{AdversaryPlan, ReputationSpec};
 pub use aggregator::{
     AggregationRule, AggregationScratch, CoordinateMedian, FedAvg, Krum, MedianNormScreen,
-    Quarantine, ScreenPolicy, ScreenedAggregation, TrimmedMean, UpdateFault,
+    ScreenPolicy, TrimmedMean,
 };
 pub use client::EdgeClient;
 pub use config::FlConfig;
 pub use engine::{shared_pool, ExecutionMode, RoundEngine, SlotState, WorkerPool};
 pub use error::FlError;
 pub use executor::JobPanic;
-pub use faults::{Corruption, DrawClock, FaultEvent, FaultKind, FaultPlan, WatchdogSpec};
+pub use faults::{DrawClock, FaultPlan, WatchdogSpec};
 pub use metrics::{RoundMetrics, RoundOutcome, TrainingHistory, WinnerInfo};
 pub use selection::SelectionStrategy;
 pub use service::{

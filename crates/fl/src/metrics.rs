@@ -52,7 +52,7 @@ pub struct RoundOutcome {
 
 impl RoundOutcome {
     /// The trivial outcome of a static round: everyone selected completes.
-    pub fn all_completed(selected: usize) -> Self {
+    pub(crate) fn all_completed(selected: usize) -> Self {
         Self {
             selected,
             completed: selected,
@@ -62,7 +62,7 @@ impl RoundOutcome {
 
     /// Fraction of assigned winners whose update reached aggregation (1.0 for an empty
     /// round).
-    pub fn completion_rate(&self) -> f64 {
+    pub(crate) fn completion_rate(&self) -> f64 {
         if self.selected == 0 {
             return 1.0;
         }
@@ -122,22 +122,6 @@ impl RoundMetrics {
         self.winners.iter().map(|w| w.payment).sum()
     }
 
-    /// Mean winner score this round.
-    pub fn mean_winner_score(&self) -> f64 {
-        if self.winners.is_empty() {
-            return 0.0;
-        }
-        self.winners.iter().map(|w| w.score).sum::<f64>() / self.winners.len() as f64
-    }
-
-    /// Mean winner payment this round.
-    pub fn mean_winner_payment(&self) -> f64 {
-        if self.winners.is_empty() {
-            return 0.0;
-        }
-        self.total_payment() / self.winners.len() as f64
-    }
-
     /// Total number of samples fed into this round's aggregation.
     pub fn total_data(&self) -> usize {
         self.winners.iter().map(|w| w.data_size).sum()
@@ -167,11 +151,6 @@ impl TrainingHistory {
         self.rounds.last().map_or(0.0, |r| r.accuracy)
     }
 
-    /// Loss after the last round, `0.0` if no rounds were run.
-    pub fn final_loss(&self) -> f64 {
-        self.rounds.last().map_or(0.0, |r| r.loss)
-    }
-
     /// The first round (1-based) whose accuracy reaches `target`, or `None` if the target is
     /// never reached. This is the "rounds to accuracy" metric of Figs. 9a/10a/11a.
     pub fn rounds_to_accuracy(&self, target: f64) -> Option<usize> {
@@ -189,62 +168,6 @@ impl TrainingHistory {
     /// Total payment promised over the whole run.
     pub fn total_payment(&self) -> f64 {
         self.rounds.iter().map(|r| r.total_payment()).sum()
-    }
-
-    /// Flattened list of every winner score across all rounds (Fig. 8 input).
-    pub fn winner_scores(&self) -> Vec<f64> {
-        self.rounds
-            .iter()
-            .flat_map(|r| r.winners.iter().map(|w| w.score))
-            .collect()
-    }
-
-    /// Flattened list of every score computed in any auction across all rounds.
-    pub fn all_scores(&self) -> Vec<f64> {
-        self.rounds
-            .iter()
-            .flat_map(|r| r.all_scores.iter().copied())
-            .collect()
-    }
-
-    /// Element-wise run totals of the per-round churn accounting.
-    pub fn churn_totals(&self) -> RoundOutcome {
-        RoundOutcome::accumulate(self.rounds.iter().map(|r| &r.outcome))
-    }
-
-    /// Total winners that vanished mid-round over the whole run.
-    pub fn total_dropouts(&self) -> usize {
-        self.churn_totals().dropouts
-    }
-
-    /// Total straggler events over the whole run.
-    pub fn total_stragglers(&self) -> usize {
-        self.churn_totals().stragglers
-    }
-
-    /// Total deadline misses over the whole run.
-    pub fn total_deadline_misses(&self) -> usize {
-        self.churn_totals().deadline_misses
-    }
-
-    /// Total re-auction waves over the whole run.
-    pub fn total_reauction_waves(&self) -> usize {
-        self.churn_totals().reauction_waves
-    }
-
-    /// Total winners recruited by re-auction over the whole run.
-    pub fn total_replacements(&self) -> usize {
-        self.churn_totals().replacements
-    }
-
-    /// Total payment promised for updates that never aggregated.
-    pub fn total_wasted_payment(&self) -> f64 {
-        self.churn_totals().wasted_payment
-    }
-
-    /// Mean per-round completion rate (1.0 for an empty history).
-    pub fn mean_completion_rate(&self) -> f64 {
-        RoundOutcome::mean_completion_rate(self.rounds.iter().map(|r| &r.outcome))
     }
 }
 
@@ -287,20 +210,7 @@ mod tests {
     fn round_aggregates() {
         let r = round(1, 0.5, 1.2);
         assert!((r.total_payment() - 0.5).abs() < 1e-12);
-        assert!((r.mean_winner_score() - 0.9).abs() < 1e-12);
-        assert!((r.mean_winner_payment() - 0.25).abs() < 1e-12);
         assert_eq!(r.total_data(), 150);
-
-        let empty = RoundMetrics {
-            round: 1,
-            accuracy: 0.0,
-            loss: 0.0,
-            winners: vec![],
-            all_scores: vec![],
-            outcome: RoundOutcome::default(),
-        };
-        assert_eq!(empty.mean_winner_score(), 0.0);
-        assert_eq!(empty.mean_winner_payment(), 0.0);
     }
 
     #[test]
@@ -308,15 +218,17 @@ mod tests {
         let h = TrainingHistory {
             rounds: vec![round(1, 0.3, 2.0), round(2, 0.55, 1.5)],
         };
-        assert_eq!(h.total_dropouts(), 2);
-        assert_eq!(h.total_stragglers(), 2);
-        assert_eq!(h.total_deadline_misses(), 0);
-        assert_eq!(h.total_reauction_waves(), 2);
-        assert_eq!(h.total_replacements(), 2);
-        assert!((h.total_wasted_payment() - 0.5).abs() < 1e-12);
-        assert!((h.mean_completion_rate() - 2.0 / 3.0).abs() < 1e-12);
+        let totals = RoundOutcome::accumulate(h.rounds.iter().map(|r| &r.outcome));
+        assert_eq!(totals.dropouts, 2);
+        assert_eq!(totals.stragglers, 2);
+        assert_eq!(totals.deadline_misses, 0);
+        assert_eq!(totals.reauction_waves, 2);
+        assert_eq!(totals.replacements, 2);
+        assert!((totals.wasted_payment - 0.5).abs() < 1e-12);
+        let rate = RoundOutcome::mean_completion_rate(h.rounds.iter().map(|r| &r.outcome));
+        assert!((rate - 2.0 / 3.0).abs() < 1e-12);
         // Empty histories and rounds default to a perfect completion rate.
-        assert_eq!(TrainingHistory::default().mean_completion_rate(), 1.0);
+        assert_eq!(RoundOutcome::mean_completion_rate(std::iter::empty()), 1.0);
         assert_eq!(RoundOutcome::default().completion_rate(), 1.0);
         let trivial = RoundOutcome::all_completed(5);
         assert_eq!(trivial.selected, 5);
@@ -333,20 +245,16 @@ mod tests {
         assert_eq!(h.accuracy_series(), vec![0.3, 0.55, 0.7]);
         assert_eq!(h.loss_series(), vec![2.0, 1.5, 1.1]);
         assert_eq!(h.final_accuracy(), 0.7);
-        assert_eq!(h.final_loss(), 1.1);
         assert_eq!(h.best_accuracy(), 0.7);
         assert_eq!(h.rounds_to_accuracy(0.5), Some(2));
         assert_eq!(h.rounds_to_accuracy(0.9), None);
         assert!((h.total_payment() - 1.5).abs() < 1e-12);
-        assert_eq!(h.winner_scores().len(), 6);
-        assert_eq!(h.all_scores().len(), 9);
     }
 
     #[test]
     fn empty_history_defaults() {
         let h = TrainingHistory::default();
         assert_eq!(h.final_accuracy(), 0.0);
-        assert_eq!(h.final_loss(), 0.0);
         assert_eq!(h.best_accuracy(), 0.0);
         assert_eq!(h.rounds_to_accuracy(0.1), None);
         assert!(h.accuracy_series().is_empty());

@@ -86,11 +86,6 @@ impl SelectionStrategy {
             },
         }
     }
-
-    /// Whether the strategy runs an auction (and therefore produces scores and payments).
-    pub fn uses_auction(&self) -> bool {
-        matches!(self, SelectionStrategy::Auction(_))
-    }
 }
 
 #[cfg(test)]
@@ -103,8 +98,6 @@ mod tests {
         assert_eq!(SelectionStrategy::fixed_first(5).name(), "FixFL");
         assert_eq!(SelectionStrategy::fmore().name(), "FMore");
         assert_eq!(SelectionStrategy::psi_fmore(0.7).name(), "psi-FMore");
-        assert!(SelectionStrategy::fmore().uses_auction());
-        assert!(!SelectionStrategy::random().uses_auction());
     }
 
     #[test]

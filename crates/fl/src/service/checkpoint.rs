@@ -9,7 +9,8 @@
 //! The byte format is a hand-rolled little-endian codec (the workspace takes no serde
 //! dependency): a `FMCK` magic + version header, then length-prefixed fields. Every decode
 //! failure — truncation, a bad tag, a length the remaining bytes cannot hold, trailing
-//! bytes — is a typed [`FlError::CheckpointCorrupt`], never a panic.
+//! bytes, reputation entries no ledger could hold — is a typed
+//! [`FlError::CheckpointCorrupt`], never a panic.
 
 use crate::error::FlError;
 use crate::faults::{Corruption, FaultEvent, FaultKind};
@@ -51,7 +52,7 @@ const REPUTATION_PAIR_BYTES: usize = 8 + 8;
 
 impl JobCheckpoint {
     /// The checkpointed job's name (restore validates it against the supplied spec).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.history.name
     }
 
@@ -158,6 +159,14 @@ impl JobCheckpoint {
         for _ in 0..n_reputation {
             let node = r.u64()?;
             let score = r.f64()?;
+            // A ledger holds one finite score in [0, 1] per node, in node order: anything
+            // else would be silently deduplicated, or trusted as a NaN, on restore.
+            if reputation.last().is_some_and(|&(prev, _)| node <= prev) {
+                return Err(corrupt(&format!("reputation node {node} out of order")));
+            }
+            if !(0.0..=1.0).contains(&score) {
+                return Err(corrupt(&format!("reputation score {score} of node {node}")));
+            }
             reputation.push((node, score));
         }
         r.finish()?;
@@ -719,6 +728,35 @@ mod tests {
         let rounds_at = name_len_at + 8 + "cp-job".len();
         let remaining = bytes.len() - (rounds_at + 8);
         rejects_length(rounds_at, (remaining / ROUND_RECORD_MIN_BYTES + 1) as u64);
+    }
+
+    #[test]
+    fn hostile_reputation_entries_are_typed_errors() {
+        let decode = |reputation: Vec<(u64, f64)>| {
+            let cp = JobCheckpoint {
+                reputation,
+                ..sample_checkpoint()
+            };
+            JobCheckpoint::from_bytes(&cp.to_bytes())
+        };
+        for hostile in [
+            vec![(9, f64::NAN), (3, 7.5), (3, -2.0), (1, f64::INFINITY)],
+            vec![(3, 0.5), (3, 0.25)],
+            vec![(4, 0.5), (2, 0.25)],
+            vec![(1, f64::NAN)],
+            vec![(1, f64::INFINITY)],
+            vec![(1, f64::NEG_INFINITY)],
+            vec![(1, 1.5)],
+            vec![(1, -0.25)],
+        ] {
+            assert!(
+                matches!(decode(hostile.clone()), Err(FlError::CheckpointCorrupt(_))),
+                "{hostile:?} decoded"
+            );
+        }
+        // The ledger's own range, both ends included, still decodes.
+        let edges = vec![(0, 0.0), (1, 1.0), (u64::MAX, 0.5)];
+        assert_eq!(decode(edges.clone()).unwrap().reputation, edges);
     }
 
     #[test]

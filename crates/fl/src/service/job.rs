@@ -44,7 +44,7 @@ pub type BidSource =
 /// service traffic): called as `work(round, slot, winner)` on a worker thread, returning a
 /// scalar folded into [`RoundSummary::work_value`]. A panic inside is caught by the
 /// checked executor path and fails only this job's round.
-pub type WinnerWork = dyn Fn(u64, usize, &WinnerInfo) -> f64 + Send + Sync;
+pub(crate) type WinnerWork = dyn Fn(u64, usize, &WinnerInfo) -> f64 + Send + Sync;
 
 /// A [`BidSource`] already bound to its round — the shape the streamed selector's fill
 /// input takes (and the fault layer wraps to inject shard panics).
@@ -83,7 +83,7 @@ impl DeadlineSpec {
     /// # Errors
     ///
     /// [`FlError::InvalidConfig`] naming the offending field.
-    pub fn validate(&self) -> Result<(), FlError> {
+    pub(crate) fn validate(&self) -> Result<(), FlError> {
         validate_rates("deadline", &[&[("straggler_rate", self.straggler_rate)]])?;
         validate_at_least("deadline", "deadline_secs", self.deadline_secs, 0.0)?;
         validate_at_least("deadline", "base_secs", self.base_secs, 0.0)?;
@@ -368,7 +368,7 @@ const STALL_SLEEP: Duration = Duration::from_micros(200);
 /// accumulated history. All of it is private to the job's own mutex; a round holds no
 /// other lock while it runs.
 #[derive(Debug)]
-pub struct FlJob {
+pub(crate) struct FlJob {
     spec: JobSpec,
     round: u64,
     pending: usize,

@@ -29,10 +29,8 @@ mod checkpoint;
 mod job;
 
 pub use checkpoint::JobCheckpoint;
-pub use job::{
-    BidSource, DeadlineSpec, FlJob, JobHistory, JobId, JobSpec, RoundRecord, RoundSummary,
-    WinnerWork,
-};
+use job::FlJob;
+pub use job::{BidSource, DeadlineSpec, JobHistory, JobId, JobSpec, RoundRecord, RoundSummary};
 
 use crate::engine::RoundEngine;
 use crate::error::FlError;
@@ -83,11 +81,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl AuctionService {
-    /// Builds a service on the process-wide shared worker pool.
-    pub fn new(config: ServiceConfig) -> Self {
-        Self::with_engine(config, RoundEngine::default())
-    }
-
     /// Builds a service running its rounds on a caller-supplied engine (an inline engine
     /// for strict single-threaded runs, or a private pool of a chosen width). The engine
     /// never affects job histories — only wall-clock.
@@ -103,23 +96,8 @@ impl AuctionService {
     }
 
     /// Number of currently admitted jobs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         lock(&self.state).jobs.len()
-    }
-
-    /// Whether no jobs are admitted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The service's job capacity.
-    pub fn capacity(&self) -> usize {
-        self.config.max_jobs
-    }
-
-    /// The ids of all live jobs, in admission order.
-    pub fn jobs(&self) -> Vec<JobId> {
-        lock(&self.state).jobs.keys().copied().collect()
     }
 
     /// Admits a job, returning its id.
@@ -303,6 +281,19 @@ impl std::fmt::Debug for AuctionService {
 }
 
 #[cfg(test)]
+impl AuctionService {
+    /// Whether no jobs are admitted.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The ids of all live jobs, in admission order.
+    fn jobs(&self) -> Vec<JobId> {
+        lock(&self.state).jobs.keys().copied().collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use fmore_auction::{CobbDouglas, NodeId, PricingRule, ScoringRule, SelectionRule};
@@ -399,7 +390,7 @@ mod tests {
 
     #[test]
     fn unknown_job_is_a_typed_error_everywhere() {
-        let service = AuctionService::new(ServiceConfig::default());
+        let service = AuctionService::with_engine(ServiceConfig::default(), RoundEngine::default());
         assert_eq!(service.run_round(7).unwrap_err(), FlError::UnknownJob(7));
         assert_eq!(service.history(7).unwrap_err(), FlError::UnknownJob(7));
         assert_eq!(service.close(7).unwrap_err(), FlError::UnknownJob(7));

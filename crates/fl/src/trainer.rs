@@ -17,7 +17,6 @@ use fmore_ml::partition::partition_non_iid;
 use fmore_numerics::rng::{derive_seed, sample_indices};
 use fmore_numerics::{seeded_rng, UniformDist};
 use rand::rngs::StdRng;
-use rand::Rng;
 use std::sync::Arc;
 
 /// Drives federated training: client selection (random, fixed, or by FMore auction), local
@@ -230,11 +229,6 @@ impl FederatedTrainer {
         self.global.parameters()
     }
 
-    /// Evaluates the current global model on the held-out test set.
-    pub fn evaluate_global(&self) -> fmore_ml::model::Evaluation {
-        self.global.evaluate(&self.test_data, &self.test_indices)
-    }
-
     /// Runs `rounds` federated rounds and returns the full history.
     ///
     /// # Errors
@@ -263,7 +257,7 @@ impl FederatedTrainer {
     /// Re-draws every client's per-round data availability. Called automatically by
     /// [`FederatedTrainer::run_round`]; exposed for drivers (such as the MEC cluster
     /// simulator) that perform their own selection and use
-    /// [`FederatedTrainer::run_round_with`].
+    /// `FederatedTrainer::run_round_with`.
     pub fn refresh_clients(&mut self) {
         for client in &mut self.clients {
             client.refresh_availability(self.config.availability, &self.train_data);
@@ -339,7 +333,7 @@ impl FederatedTrainer {
     ///
     /// Returns [`FlError::JobPanic`] if a local-training task panics; the trainer and its
     /// worker pool survive and the next round may run normally.
-    pub fn run_round_with(
+    pub(crate) fn run_round_with(
         &mut self,
         winners: Vec<WinnerInfo>,
         all_scores: Vec<f64>,
@@ -348,7 +342,7 @@ impl FederatedTrainer {
         self.run_round_with_outcome(winners, all_scores, outcome)
     }
 
-    /// Like [`FederatedTrainer::run_round_with`], but attaches a caller-supplied
+    /// Like `FederatedTrainer::run_round_with`, but attaches a caller-supplied
     /// [`RoundOutcome`] — the entry point for drivers that select their own winners (the
     /// MEC cluster simulator, whose churn model may drop, delay, or replace winners before
     /// the surviving set reaches local training).
@@ -358,7 +352,7 @@ impl FederatedTrainer {
     ///
     /// # Errors
     ///
-    /// As for [`FederatedTrainer::run_round_with`].
+    /// As for `FederatedTrainer::run_round_with`.
     pub fn run_round_with_outcome(
         &mut self,
         winners: Vec<WinnerInfo>,
@@ -447,12 +441,13 @@ impl FederatedTrainer {
             })
             .collect()
     }
+}
 
-    /// Draws `n` fresh θ samples from the configured distribution (exposed for experiments
-    /// that need to inspect the type population, e.g. the score-distribution analysis).
-    pub fn sample_thetas(&mut self, n: usize) -> Vec<f64> {
-        let (lo, hi) = self.config.theta_range;
-        (0..n).map(|_| self.rng.gen_range(lo..hi)).collect()
+#[cfg(test)]
+impl FederatedTrainer {
+    /// Evaluates the current global model on the held-out test set.
+    fn evaluate_global(&self) -> fmore_ml::model::Evaluation {
+        self.global.evaluate(&self.test_data, &self.test_indices)
     }
 }
 
@@ -619,12 +614,9 @@ mod tests {
 
     #[test]
     fn sampled_thetas_stay_in_range() {
-        let mut trainer =
+        let trainer =
             FederatedTrainer::new(fast_config(), SelectionStrategy::random(), 19).unwrap();
-        let thetas = trainer.sample_thetas(50);
-        assert_eq!(thetas.len(), 50);
-        assert!(thetas.iter().all(|t| (0.1..1.0).contains(t)));
-        // Client thetas were drawn from the same range.
+        // Client thetas are drawn from the configured range.
         assert!(trainer
             .clients()
             .iter()

@@ -131,7 +131,7 @@ impl ClusterConfig {
     /// # Errors
     ///
     /// Returns [`MecError::InvalidConfig`] describing the first violated constraint.
-    pub fn validate(&self) -> Result<(), MecError> {
+    pub(crate) fn validate(&self) -> Result<(), MecError> {
         if self.nodes == 0 {
             return Err(MecError::InvalidConfig("nodes must be positive".into()));
         }
@@ -187,16 +187,6 @@ impl ClusterHistory {
         self.rounds.last().map_or(0.0, |r| r.cumulative_secs)
     }
 
-    /// Accuracy after every round.
-    pub fn accuracy_series(&self) -> Vec<f64> {
-        self.rounds.iter().map(|r| r.learning.accuracy).collect()
-    }
-
-    /// Loss after every round.
-    pub fn loss_series(&self) -> Vec<f64> {
-        self.rounds.iter().map(|r| r.learning.loss).collect()
-    }
-
     /// Cumulative time after every round.
     pub fn cumulative_time_series(&self) -> Vec<f64> {
         self.rounds.iter().map(|r| r.cumulative_secs).collect()
@@ -218,7 +208,7 @@ impl ClusterHistory {
 
     /// Element-wise run totals of the per-round churn accounting (all zeros for static
     /// runs).
-    pub fn churn_totals(&self) -> RoundOutcome {
+    pub(crate) fn churn_totals(&self) -> RoundOutcome {
         RoundOutcome::accumulate(self.rounds.iter().map(|r| &r.learning.outcome))
     }
 
@@ -235,11 +225,6 @@ impl ClusterHistory {
     /// Total deadline misses over the run.
     pub fn total_deadline_misses(&self) -> usize {
         self.churn_totals().deadline_misses
-    }
-
-    /// Total re-auction waves over the run.
-    pub fn total_reauction_waves(&self) -> usize {
-        self.churn_totals().reauction_waves
     }
 
     /// Total winners recruited by re-auction over the run.
@@ -389,24 +374,9 @@ impl MecCluster {
         })
     }
 
-    /// The churn state, if dynamics are enabled.
-    pub fn churn(&self) -> Option<&ChurnState> {
-        self.churn.as_ref()
-    }
-
     /// The payment ledger accumulated so far.
     pub fn ledger(&self) -> &PaymentLedger {
         &self.ledger
-    }
-
-    /// The strategy the cluster runs.
-    pub fn strategy(&self) -> ClusterStrategy {
-        self.strategy
-    }
-
-    /// Total simulated time elapsed so far.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed_secs
     }
 
     /// Runs `rounds` cluster rounds.
@@ -508,7 +478,7 @@ impl MecCluster {
     /// # Errors
     ///
     /// Propagates auction and training failures.
-    pub fn run_round(&mut self) -> Result<ClusterRound, MecError> {
+    pub(crate) fn run_round(&mut self) -> Result<ClusterRound, MecError> {
         // Without dynamics: no deadline, no re-auction budget, and a churn model nothing
         // draws from (such a cluster has no churn state).
         let dynamics = self.config.dynamics.unwrap_or(DynamicsConfig {
@@ -707,6 +677,24 @@ fn winner_from_award(
 }
 
 #[cfg(test)]
+impl ClusterHistory {
+    /// Accuracy after every round.
+    fn accuracy_series(&self) -> Vec<f64> {
+        self.rounds.iter().map(|r| r.learning.accuracy).collect()
+    }
+
+    /// Loss after every round.
+    fn loss_series(&self) -> Vec<f64> {
+        self.rounds.iter().map(|r| r.learning.loss).collect()
+    }
+
+    /// Total re-auction waves over the run.
+    fn total_reauction_waves(&self) -> usize {
+        self.churn_totals().reauction_waves
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use fmore_auction::{CountingScoring, ScoringFunction};
@@ -770,7 +758,7 @@ mod tests {
         assert!(round.learning.winners.iter().all(|w| w.payment == 0.0));
         assert!(round.learning.all_scores.is_empty());
         assert_eq!(cluster.ledger().total(), 0.0);
-        assert_eq!(cluster.strategy(), ClusterStrategy::RandFL);
+        assert_eq!(cluster.strategy, ClusterStrategy::RandFL);
     }
 
     #[test]
@@ -788,7 +776,7 @@ mod tests {
         assert_eq!(history.accuracy_series().len(), 3);
         assert_eq!(history.loss_series().len(), 3);
         assert!(history.final_accuracy() >= 0.0);
-        assert_eq!(cluster.elapsed_secs(), history.total_time_secs());
+        assert_eq!(cluster.elapsed_secs, history.total_time_secs());
         // Time-to-accuracy of an unreachable target is None.
         assert!(history.time_to_accuracy(2.0).is_none());
         assert_eq!(
@@ -925,14 +913,14 @@ mod tests {
         ];
         assert!(totals.iter().all(|&t| t < 1000));
         assert!(history.total_wasted_payment() >= 0.0);
-        assert!(cluster.churn().is_some());
+        assert!(cluster.churn.is_some());
         // Static clusters report trivial accounting.
         let mut static_cluster =
             MecCluster::new(ClusterConfig::fast_test(), ClusterStrategy::FMore, 9).unwrap();
         let static_history = static_cluster.run(2).unwrap();
         assert_eq!(static_history.total_dropouts(), 0);
         assert_eq!(static_history.mean_completion_rate(), 1.0);
-        assert!(static_cluster.churn().is_none());
+        assert!(static_cluster.churn.is_none());
     }
 
     #[test]

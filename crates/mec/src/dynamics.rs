@@ -11,7 +11,7 @@
 //!   winner's round is slowed by a multiplicative factor), and **resource jitter** (the
 //!   resources actually available during execution wander around what was declared at bid
 //!   time).
-//! * [`ChurnState`] — the mutable per-cluster state: which nodes are currently present plus
+//! * `ChurnState` — the mutable per-cluster state: which nodes are currently present plus
 //!   the model's own RNG stream, kept separate from the auction/training RNGs so enabling
 //!   churn never perturbs the static results.
 //! * [`DynamicsConfig`] — churn plus the **server deadline** and the re-auction budget,
@@ -46,7 +46,7 @@ use rand::Rng;
 ///
 /// All probabilities are per round: departures/arrivals are drawn per node between rounds,
 /// dropout/straggler fates per assigned winner within a round. The model is pure data —
-/// state (presence, RNG) lives in [`ChurnState`].
+/// state (presence, RNG) lives in `ChurnState`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnModel {
     /// Probability that a present node leaves the cluster before the next bid collection.
@@ -111,19 +111,12 @@ impl ChurnModel {
         self
     }
 
-    /// Returns the model with the departure/arrival processes replaced.
-    pub fn with_membership(mut self, departure: f64, arrival: f64) -> Self {
-        self.departure_prob = departure;
-        self.arrival_prob = arrival;
-        self
-    }
-
     /// Checks internal consistency.
     ///
     /// # Errors
     ///
     /// Returns [`MecError::InvalidConfig`] describing the first violated constraint.
-    pub fn validate(&self) -> Result<(), MecError> {
+    pub(crate) fn validate(&self) -> Result<(), MecError> {
         let prob_ok = |p: f64| (0.0..=1.0).contains(&p);
         if !(prob_ok(self.departure_prob)
             && prob_ok(self.arrival_prob)
@@ -157,7 +150,7 @@ impl ChurnModel {
 
 /// The fate drawn for one assigned winner within a round.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParticipantFate {
+pub(crate) struct ParticipantFate {
     /// The winner vanished mid-round.
     pub dropped_out: bool,
     /// The winner's round is slowed by the model's straggler factor.
@@ -170,7 +163,7 @@ pub struct ParticipantFate {
 impl ParticipantFate {
     /// The fate of a winner in a cluster without dynamics: present to the end, on time, with
     /// exactly the resources it declared.
-    pub const NEUTRAL: Self = Self {
+    pub(crate) const NEUTRAL: Self = Self {
         dropped_out: false,
         straggler: false,
         resource_factor: 1.0,
@@ -179,7 +172,7 @@ impl ParticipantFate {
 
 /// The membership change of one inter-round churn step.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct MembershipChange {
+pub(crate) struct MembershipChange {
     /// Node indices that left the cluster this round.
     pub departed: Vec<usize>,
     /// Node indices that rejoined this round.
@@ -193,32 +186,27 @@ pub struct MembershipChange {
 /// seeded independently of the auction and training RNGs, so enabling a zero-probability
 /// churn model reproduces the static results exactly.
 #[derive(Debug, Clone)]
-pub struct ChurnState {
+pub(crate) struct ChurnState {
     rng: StdRng,
     present: Vec<bool>,
 }
 
 impl ChurnState {
     /// Creates the state for `nodes` initially-present nodes.
-    pub fn new(nodes: usize, seed: u64) -> Self {
+    pub(crate) fn new(nodes: usize, seed: u64) -> Self {
         Self {
             rng: fmore_numerics::seeded_rng(seed),
             present: vec![true; nodes],
         }
     }
 
-    /// Whether node `idx` is currently present.
-    pub fn is_present(&self, idx: usize) -> bool {
-        self.present.get(idx).copied().unwrap_or(false)
-    }
-
     /// Number of currently present nodes.
-    pub fn present_count(&self) -> usize {
+    pub(crate) fn present_count(&self) -> usize {
         self.present.iter().filter(|&&p| p).count()
     }
 
     /// Indices of the currently present nodes, in node order.
-    pub fn present_indices(&self) -> Vec<usize> {
+    pub(crate) fn present_indices(&self) -> Vec<usize> {
         self.present
             .iter()
             .enumerate()
@@ -232,7 +220,7 @@ impl ChurnState {
     /// pushed the population below the floor, nodes are revived (in node order, no RNG
     /// consumed) until the floor holds again — the floor is an invariant at bid-collection
     /// time, so the cluster can never start a round churned empty.
-    pub fn begin_round(&mut self, model: &ChurnModel) -> MembershipChange {
+    pub(crate) fn begin_round(&mut self, model: &ChurnModel) -> MembershipChange {
         let mut change = MembershipChange::default();
         let mut remaining = self.present_count();
         for idx in 0..self.present.len() {
@@ -266,14 +254,14 @@ impl ChurnState {
     /// Marks a node absent immediately (a mid-round dropout also leaves the cluster; it may
     /// rejoin through the arrival process — and is revived at the start of the next round if
     /// the population fell below the model's `min_present` floor).
-    pub fn mark_departed(&mut self, idx: usize) {
+    pub(crate) fn mark_departed(&mut self, idx: usize) {
         if let Some(slot) = self.present.get_mut(idx) {
             *slot = false;
         }
     }
 
     /// Draws the in-round fate of one assigned winner.
-    pub fn draw_fate(&mut self, model: &ChurnModel) -> ParticipantFate {
+    pub(crate) fn draw_fate(&mut self, model: &ChurnModel) -> ParticipantFate {
         // Three draws in fixed order keep the stream independent of the outcomes.
         let dropped_out = self.rng.gen::<f64>() < model.dropout_prob;
         let straggler = self.rng.gen::<f64>() < model.straggler_prob;
@@ -329,7 +317,7 @@ impl DynamicsConfig {
     /// # Errors
     ///
     /// Returns [`MecError::InvalidConfig`] describing the first violated constraint.
-    pub fn validate(&self) -> Result<(), MecError> {
+    pub(crate) fn validate(&self) -> Result<(), MecError> {
         self.churn.validate()?;
         // Infinity is rejected too: one failed wave would cost the server an infinite wait
         // and poison every downstream time metric. "No deadline pressure" is any finite
@@ -341,6 +329,24 @@ impl DynamicsConfig {
             )));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl ChurnModel {
+    /// Returns the model with the departure/arrival processes replaced.
+    pub(crate) fn with_membership(mut self, departure: f64, arrival: f64) -> Self {
+        self.departure_prob = departure;
+        self.arrival_prob = arrival;
+        self
+    }
+}
+
+#[cfg(test)]
+impl ChurnState {
+    /// Whether node `idx` is currently present.
+    fn is_present(&self, idx: usize) -> bool {
+        self.present.get(idx).copied().unwrap_or(false)
     }
 }
 

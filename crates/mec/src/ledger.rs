@@ -12,12 +12,12 @@ pub struct PaymentLedger {
 
 impl PaymentLedger {
     /// Creates an empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records that `node` won a round and was promised `payment`.
-    pub fn record(&mut self, node: NodeId, payment: f64) {
+    pub(crate) fn record(&mut self, node: NodeId, payment: f64) {
         let entry = self.entries.entry(node).or_insert((0.0, 0));
         entry.0 += payment;
         entry.1 += 1;
@@ -26,22 +26,12 @@ impl PaymentLedger {
     /// Records one round's winners in a single pass, reading `(node, payment)` pairs
     /// straight from the stored winner list — zero-payment entries (RandFL picks) are
     /// skipped, so callers no longer filter and re-collect ids per round.
-    pub fn record_round<I: IntoIterator<Item = (NodeId, f64)>>(&mut self, winners: I) {
+    pub(crate) fn record_round<I: IntoIterator<Item = (NodeId, f64)>>(&mut self, winners: I) {
         for (node, payment) in winners {
             if payment > 0.0 {
                 self.record(node, payment);
             }
         }
-    }
-
-    /// Total payment promised to `node` so far.
-    pub fn total_for(&self, node: NodeId) -> f64 {
-        self.entries.get(&node).map_or(0.0, |(p, _)| *p)
-    }
-
-    /// Number of rounds `node` has won so far.
-    pub fn wins_for(&self, node: NodeId) -> usize {
-        self.entries.get(&node).map_or(0, |(_, w)| *w)
     }
 
     /// Total payment promised to all nodes.
@@ -53,9 +43,22 @@ impl PaymentLedger {
     pub fn distinct_winners(&self) -> usize {
         self.entries.len()
     }
+}
+
+#[cfg(test)]
+impl PaymentLedger {
+    /// Total payment promised to `node` so far.
+    fn total_for(&self, node: NodeId) -> f64 {
+        self.entries.get(&node).map_or(0.0, |(p, _)| *p)
+    }
+
+    /// Number of rounds `node` has won so far.
+    fn wins_for(&self, node: NodeId) -> usize {
+        self.entries.get(&node).map_or(0, |(_, w)| *w)
+    }
 
     /// Iterates over `(node, total_payment, wins)` entries in node order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64, usize)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (NodeId, f64, usize)> + '_ {
         self.entries.iter().map(|(&id, &(p, w))| (id, p, w))
     }
 }

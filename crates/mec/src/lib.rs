@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod cluster;
 pub mod dynamics;
@@ -45,10 +46,10 @@ pub mod node;
 pub mod population;
 pub mod time_model;
 
-pub use cluster::{ClusterConfig, ClusterHistory, ClusterRound, ClusterStrategy, MecCluster};
-pub use dynamics::{ChurnModel, ChurnState, DynamicsConfig, MembershipChange, ParticipantFate};
+pub use cluster::{ClusterConfig, ClusterHistory, ClusterStrategy, MecCluster};
+pub use dynamics::{ChurnModel, DynamicsConfig};
 pub use error::MecError;
 pub use ledger::PaymentLedger;
-pub use node::{MecNode, ResourceProfile, ResourceRanges};
-pub use population::{NodePopulation, PopulationChurn, PopulationSpec};
+pub use node::ResourceProfile;
+pub use population::{NodePopulation, PopulationSpec};
 pub use time_model::TimeModel;

@@ -1,7 +1,7 @@
 //! Edge nodes of the simulated cluster and their dynamic resource provision.
 
 use crate::error::MecError;
-use fmore_auction::{EquilibriumSolver, EquilibriumStrategy, NodeId, Quality, SubmittedBid};
+use fmore_auction::{EquilibriumSolver, EquilibriumStrategy, NodeId, SubmittedBid};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -18,24 +18,16 @@ pub struct ResourceProfile {
 }
 
 impl ResourceProfile {
-    /// Normalises the profile against per-dimension maxima into a quality vector
-    /// `(q1, q2, q3) ∈ [0, 1]³` in the paper's order (computing power, bandwidth, data size).
-    pub fn to_quality(&self, max: &ResourceProfile) -> Quality {
-        let mut out = Vec::with_capacity(3);
-        self.quality_into(max, &mut out);
-        Quality::new(out)
-    }
-
     /// Allocation-free form of [`ResourceProfile::to_quality`]: writes the normalised
     /// components into `out` (cleared first, capacity reused) — the form the
     /// population-scale bid path cycles through per node.
     #[inline(always)]
-    pub fn quality_into(&self, max: &ResourceProfile, out: &mut Vec<f64>) {
+    pub(crate) fn quality_into(&self, max: &ResourceProfile, out: &mut Vec<f64>) {
         out.clear();
         out.extend_from_slice(&self.to_quality_array(max));
     }
 
-    /// Stack-array form of [`ResourceProfile::quality_into`] — same normalisation, no
+    /// Stack-array form of `ResourceProfile::quality_into` — same normalisation, no
     /// heap buffer; the population-scale bid loop keeps the round's capacity in registers.
     #[inline(always)]
     pub fn to_quality_array(&self, max: &ResourceProfile) -> [f64; 3] {
@@ -68,7 +60,7 @@ pub struct ResourceRanges {
 impl ResourceRanges {
     /// The paper's cluster hardware class: Intel i7 (up to 8 cores), 1 Gbps Ethernet shared
     /// with other traffic, and data allocated over `[2000, 10000]` samples.
-    pub fn paper_cluster() -> Self {
+    pub(crate) fn paper_cluster() -> Self {
         Self {
             cpu_cores: (1.0, 8.0),
             bandwidth_mbps: (100.0, 1000.0),
@@ -78,7 +70,7 @@ impl ResourceRanges {
 
     /// The per-dimension maxima, used for normalisation.
     #[inline]
-    pub fn maxima(&self) -> ResourceProfile {
+    pub(crate) fn maxima(&self) -> ResourceProfile {
         ResourceProfile {
             cpu_cores: self.cpu_cores.1,
             bandwidth_mbps: self.bandwidth_mbps.1,
@@ -102,7 +94,7 @@ impl ResourceRanges {
     }
 
     /// Validates that every range is ordered and positive.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         let ok = |(lo, hi): (f64, f64)| lo > 0.0 && hi >= lo && hi.is_finite();
         ok(self.cpu_cores) && ok(self.bandwidth_mbps) && ok(self.data_size)
     }
@@ -123,7 +115,7 @@ pub struct MecNode {
 
 impl MecNode {
     /// Creates a node with its resource ranges, private cost parameter, and RNG seed.
-    pub fn new(id: NodeId, ranges: ResourceRanges, theta: f64, seed: u64) -> Self {
+    pub(crate) fn new(id: NodeId, ranges: ResourceRanges, theta: f64, seed: u64) -> Self {
         let mut rng = fmore_numerics::seeded_rng(seed);
         let current = ranges.draw(&mut rng);
         Self {
@@ -134,11 +126,6 @@ impl MecNode {
             rng,
             current,
         }
-    }
-
-    /// The node identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
     }
 
     /// The node's private cost parameter θ.
@@ -154,7 +141,7 @@ impl MecNode {
     /// # Errors
     ///
     /// Returns [`MecError::Auction`] if θ lies outside the solver's support.
-    pub fn adopt_strategy(&mut self, solver: &EquilibriumSolver) -> Result<(), MecError> {
+    pub(crate) fn adopt_strategy(&mut self, solver: &EquilibriumSolver) -> Result<(), MecError> {
         self.strategy = Some(solver.strategy_for(self.theta)?);
         Ok(())
     }
@@ -166,7 +153,7 @@ impl MecNode {
     ///
     /// Returns [`MecError::InvalidConfig`] if no strategy was adopted, and
     /// [`MecError::Auction`] if the strategy's dimension is not the node's three resources.
-    pub fn make_bid(&self, maxima: &ResourceProfile) -> Result<SubmittedBid, MecError> {
+    pub(crate) fn make_bid(&self, maxima: &ResourceProfile) -> Result<SubmittedBid, MecError> {
         let strategy = self.strategy.as_ref().ok_or_else(|| {
             MecError::InvalidConfig(format!("{} bids before adopting a strategy", self.id))
         })?;
@@ -174,22 +161,41 @@ impl MecNode {
     }
 
     /// The resources the node offers in the current round.
-    pub fn current(&self) -> ResourceProfile {
+    pub(crate) fn current(&self) -> ResourceProfile {
         self.current
     }
 
+    /// Re-draws the resources offered for the next round (the dynamic provision of MEC).
+    pub(crate) fn refresh(&mut self) {
+        self.current = self.ranges.draw(&mut self.rng);
+    }
+}
+
+#[cfg(test)]
+impl ResourceProfile {
+    /// Normalises the profile against per-dimension maxima into a quality vector
+    /// `(q1, q2, q3) ∈ [0, 1]³` in the paper's order (computing power, bandwidth, data size).
+    pub(crate) fn to_quality(self, max: &ResourceProfile) -> fmore_auction::Quality {
+        let mut out = Vec::with_capacity(3);
+        self.quality_into(max, &mut out);
+        fmore_auction::Quality::new(out)
+    }
+}
+
+#[cfg(test)]
+impl MecNode {
+    /// The node identifier.
+    pub(crate) fn id(&self) -> NodeId {
+        self.id
+    }
+
     /// The node's resource ranges.
-    pub fn ranges(&self) -> &ResourceRanges {
+    pub(crate) fn ranges(&self) -> &ResourceRanges {
         &self.ranges
     }
 
-    /// Re-draws the resources offered for the next round (the dynamic provision of MEC).
-    pub fn refresh(&mut self) {
-        self.current = self.ranges.draw(&mut self.rng);
-    }
-
     /// The node's current quality vector, normalised against `maxima`.
-    pub fn quality(&self, maxima: &ResourceProfile) -> Quality {
+    pub(crate) fn quality(&self, maxima: &ResourceProfile) -> fmore_auction::Quality {
         self.current.to_quality(maxima)
     }
 }

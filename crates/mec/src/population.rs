@@ -8,16 +8,7 @@
 //! its per-round resource provision are pure functions of `(seed, i)` through
 //! [`fmore_numerics::rng::derive_stream`], computed in O(1) when asked and never retained.
 //! Only auction winners graduate to full state, via [`NodePopulation::materialize`].
-//!
-//! [`PopulationChurn`] is the membership layer at the same scale: the [`ChurnModel`]
-//! probabilities applied over **index sets** — presence is one bit per node in a packed
-//! bitmap (125 KB for a million nodes), per-round departure/arrival draws are derived
-//! per `(round, node)` hashes (order-independent, shard-independent), and mid-round
-//! dropouts clear bits directly. The dense [`crate::dynamics::ChurnState`] keeps its
-//! stream-based semantics for the paper-sized cluster; this type is its population-scale
-//! sibling.
 
-use crate::dynamics::ChurnModel;
 use crate::error::MecError;
 use crate::node::{MecNode, ResourceProfile, ResourceRanges};
 use fmore_auction::{AuctionError, BidStore, EquilibriumSolver};
@@ -101,7 +92,7 @@ impl PopulationSpec {
     /// # Errors
     ///
     /// Returns [`MecError::InvalidConfig`] describing the first violated constraint.
-    pub fn validate(&self) -> Result<(), MecError> {
+    pub(crate) fn validate(&self) -> Result<(), MecError> {
         if self.size == 0 {
             return Err(MecError::InvalidConfig(
                 "population size must be positive".into(),
@@ -139,7 +130,7 @@ impl NodePopulation {
     ///
     /// # Errors
     ///
-    /// Propagates [`PopulationSpec::validate`] failures.
+    /// Propagates `PopulationSpec::validate` failures.
     pub fn new(spec: PopulationSpec) -> Result<Self, MecError> {
         spec.validate()?;
         Ok(Self {
@@ -165,7 +156,7 @@ impl NodePopulation {
 
     /// The per-dimension resource maxima used for quality normalisation.
     #[inline]
-    pub fn maxima(&self) -> ResourceProfile {
+    pub(crate) fn maxima(&self) -> ResourceProfile {
         self.spec.ranges.maxima()
     }
 
@@ -433,23 +424,6 @@ unsafe fn derive_shard_avx512(
     population.derive_shard_core(start, round, scratch);
 }
 
-/// Packed-bitmap membership churn over a [`NodePopulation`]'s index space.
-///
-/// Presence is one bit per node; the per-round departure/arrival draws are derived from
-/// `(seed, round, node)` hashes rather than a sequential stream, so advancing a round is an
-/// embarrassingly parallel pass over the bitmap and the result is independent of evaluation
-/// order. The `min_present` floor is enforced in node order, as in
-/// [`crate::dynamics::ChurnState::begin_round`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PopulationChurn {
-    model: ChurnModel,
-    seed: u64,
-    size: usize,
-    round: u64,
-    /// Presence bitmap, one bit per node index.
-    bits: Vec<u64>,
-}
-
 /// θ from one 64-bit word, mapped onto `[lo, hi)` exactly as the generator's float
 /// `gen_range(lo..hi)` maps its next output, exclusive-top clamp included: the v2 draw
 /// from the node's fused stream word, and the v1 draw when handed the θ stream's first
@@ -522,122 +496,6 @@ fn profile_from_units(
 fn profile_from_hash(ranges: &ResourceRanges, h: u64) -> ResourceProfile {
     let units = [unit21(h), unit21(h >> 21), unit21(h >> 42)];
     profile_from_units(ranges, units, snap)
-}
-
-fn churn_hash(seed: u64, round: u64, node: u64, tag: u64) -> u64 {
-    derive_seed(
-        derive_seed(seed, round.wrapping_mul(2).wrapping_add(tag)),
-        node,
-    )
-}
-
-impl PopulationChurn {
-    /// Everyone-present churn state over `size` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ChurnModel::validate`] failures.
-    pub fn new(size: usize, model: ChurnModel, seed: u64) -> Result<Self, MecError> {
-        model.validate()?;
-        let words = size.div_ceil(64);
-        let mut bits = vec![u64::MAX; words];
-        if let Some(last) = bits.last_mut() {
-            let tail = size % 64;
-            if tail != 0 {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        Ok(Self {
-            model,
-            seed,
-            size,
-            round: 0,
-            bits,
-        })
-    }
-
-    /// Population size `N`.
-    pub fn len(&self) -> usize {
-        self.size
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.size == 0
-    }
-
-    /// Whether node `i` is currently present.
-    pub fn is_present(&self, i: usize) -> bool {
-        i < self.size && self.bits[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Number of currently present nodes (a popcount over the bitmap).
-    pub fn present_count(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Marks node `i` absent immediately (a mid-round dropout).
-    pub fn mark_departed(&mut self, i: usize) {
-        if i < self.size {
-            self.bits[i / 64] &= !(1u64 << (i % 64));
-        }
-    }
-
-    /// Advances membership by one round: present nodes depart with the model's departure
-    /// probability, absent nodes rejoin with its arrival probability — each decided by a
-    /// per-`(round, node)` derived hash, so the update is order-independent. Departures
-    /// honour the `min_present` floor in node order; if dropouts pushed the population
-    /// below the floor, nodes are revived in node order until it holds.
-    pub fn advance_round(&mut self) {
-        self.round += 1;
-        let mut remaining = self.present_count();
-        for i in 0..self.size {
-            let word = i / 64;
-            let mask = 1u64 << (i % 64);
-            let present = self.bits[word] & mask != 0;
-            if present {
-                let u = unit_f64(churn_hash(self.seed, self.round, i as u64, 0));
-                if u < self.model.departure_prob && remaining > self.model.min_present {
-                    self.bits[word] &= !mask;
-                    remaining -= 1;
-                }
-            } else {
-                let u = unit_f64(churn_hash(self.seed, self.round, i as u64, 1));
-                if u < self.model.arrival_prob {
-                    self.bits[word] |= mask;
-                    remaining += 1;
-                }
-            }
-        }
-        for i in 0..self.size {
-            if remaining >= self.model.min_present {
-                break;
-            }
-            let word = i / 64;
-            let mask = 1u64 << (i % 64);
-            if self.bits[word] & mask == 0 {
-                self.bits[word] |= mask;
-                remaining += 1;
-            }
-        }
-    }
-
-    /// Calls `f` for every present node index in `range`, in index order — the shape bid
-    /// collection wants: a shard filler walks its index range and skips absentees without
-    /// ever building an index `Vec`.
-    pub fn for_each_present<F: FnMut(usize)>(&self, range: std::ops::Range<usize>, mut f: F) {
-        let end = range.end.min(self.size);
-        for i in range.start..end {
-            if self.bits[i / 64] & (1u64 << (i % 64)) != 0 {
-                f(i);
-            }
-        }
-    }
-
-    /// Resident bytes of the presence bitmap.
-    pub fn resident_bytes(&self) -> usize {
-        self.bits.len() * std::mem::size_of::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -780,77 +638,5 @@ mod tests {
         let pop = NodePopulation::new(spec(32).with_version(SpecVersion::V2)).unwrap();
         let node = pop.materialize(9);
         assert_eq!(node.theta().to_bits(), pop.theta(9).to_bits());
-    }
-
-    #[test]
-    fn churn_bitmap_tracks_presence_and_floor() {
-        let mut churn = PopulationChurn::new(130, ChurnModel::stable(), 1).unwrap();
-        assert_eq!(churn.len(), 130);
-        assert!(!churn.is_empty());
-        assert_eq!(churn.present_count(), 130);
-        assert!(churn.is_present(129));
-        assert!(!churn.is_present(130), "out of range is absent");
-        churn.mark_departed(129);
-        assert!(!churn.is_present(129));
-        assert_eq!(churn.present_count(), 129);
-        // Stable model: nothing changes round over round.
-        churn.advance_round();
-        assert_eq!(churn.present_count(), 129);
-        assert_eq!(churn.resident_bytes(), 3 * 8);
-    }
-
-    #[test]
-    fn certain_departures_respect_the_floor_and_revival() {
-        let mut model = ChurnModel::stable().with_membership(1.0, 0.0);
-        model.min_present = 5;
-        let mut churn = PopulationChurn::new(64, model, 3).unwrap();
-        churn.advance_round();
-        assert_eq!(churn.present_count(), 5, "floor holds under certain exodus");
-        // Dropouts below the floor are revived at the next round boundary.
-        for i in 0..64 {
-            churn.mark_departed(i);
-        }
-        assert_eq!(churn.present_count(), 0);
-        churn.advance_round();
-        assert_eq!(churn.present_count(), 5);
-    }
-
-    #[test]
-    fn churn_draws_are_deterministic_and_order_independent() {
-        let model = ChurnModel::edge_default();
-        let run = |rounds: usize| {
-            let mut churn = PopulationChurn::new(256, model, 11).unwrap();
-            for _ in 0..rounds {
-                churn.advance_round();
-            }
-            (0..256).map(|i| churn.is_present(i)).collect::<Vec<_>>()
-        };
-        assert_eq!(run(4), run(4));
-        assert_ne!(run(1), run(4));
-        // The churn actually churns.
-        let present = run(1).iter().filter(|&&p| p).count();
-        assert!(present < 256);
-        assert!(present >= model.min_present);
-    }
-
-    #[test]
-    fn for_each_present_walks_index_ranges_in_order() {
-        let mut churn = PopulationChurn::new(20, ChurnModel::stable(), 5).unwrap();
-        churn.mark_departed(3);
-        churn.mark_departed(7);
-        let mut seen = Vec::new();
-        churn.for_each_present(0..10, |i| seen.push(i));
-        assert_eq!(seen, vec![0, 1, 2, 4, 5, 6, 8, 9]);
-        // Ranges beyond the population are clamped.
-        let mut tail = Vec::new();
-        churn.for_each_present(18..99, |i| tail.push(i));
-        assert_eq!(tail, vec![18, 19]);
-    }
-
-    #[test]
-    fn invalid_churn_models_are_rejected() {
-        let mut bad = ChurnModel::stable();
-        bad.dropout_prob = 2.0;
-        assert!(PopulationChurn::new(10, bad, 1).is_err());
     }
 }

@@ -41,11 +41,6 @@ impl TaskKind {
             TaskKind::HpNews => "HPNews",
         }
     }
-
-    /// Whether the task is a sequence (LSTM) task.
-    pub fn is_sequence(&self) -> bool {
-        matches!(self, TaskKind::HpNews)
-    }
 }
 
 /// A labelled dataset with dense feature rows.
@@ -54,7 +49,6 @@ pub struct Dataset {
     features: Matrix,
     labels: Vec<usize>,
     num_classes: usize,
-    task: TaskKind,
 }
 
 impl Dataset {
@@ -64,7 +58,7 @@ impl Dataset {
     ///
     /// Panics if the number of label entries differs from the number of feature rows or a
     /// label is out of range.
-    pub fn new(features: Matrix, labels: Vec<usize>, num_classes: usize, task: TaskKind) -> Self {
+    pub(crate) fn new(features: Matrix, labels: Vec<usize>, num_classes: usize) -> Self {
         assert_eq!(
             features.rows(),
             labels.len(),
@@ -78,7 +72,6 @@ impl Dataset {
             features,
             labels,
             num_classes,
-            task,
         }
     }
 
@@ -102,18 +95,8 @@ impl Dataset {
         self.num_classes
     }
 
-    /// Which paper task the dataset emulates.
-    pub fn task(&self) -> TaskKind {
-        self.task
-    }
-
-    /// The feature matrix.
-    pub fn features(&self) -> &Matrix {
-        &self.features
-    }
-
     /// The labels.
-    pub fn labels(&self) -> &[usize] {
+    pub(crate) fn labels(&self) -> &[usize] {
         &self.labels
     }
 
@@ -135,7 +118,7 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if an index is out of bounds.
-    pub fn batch_into(&self, indices: &[usize], x: &mut Matrix, y: &mut Vec<usize>) {
+    pub(crate) fn batch_into(&self, indices: &[usize], x: &mut Matrix, y: &mut Vec<usize>) {
         self.features.batch_gather_into(indices, x);
         y.clear();
         y.extend(indices.iter().map(|&i| self.labels[i]));
@@ -187,7 +170,7 @@ impl SyntheticImageSpec {
     }
 
     /// The Fashion-MNIST stand-in: 8×8 single-channel images, medium noise.
-    pub fn fashion_like() -> Self {
+    pub(crate) fn fashion_like() -> Self {
         Self {
             channels: 1,
             height: 8,
@@ -200,7 +183,7 @@ impl SyntheticImageSpec {
     }
 
     /// The CIFAR-10 stand-in: 8×8 three-channel images, high noise.
-    pub fn cifar_like() -> Self {
+    pub(crate) fn cifar_like() -> Self {
         Self {
             channels: 3,
             height: 8,
@@ -213,7 +196,7 @@ impl SyntheticImageSpec {
     }
 
     /// Flattened feature width.
-    pub fn feature_dim(&self) -> usize {
+    pub(crate) fn feature_dim(&self) -> usize {
         self.channels * self.height * self.width
     }
 
@@ -237,7 +220,7 @@ impl SyntheticImageSpec {
                 *v = prototypes[class][j] + self.noise * gaussian(rng);
             }
         }
-        Dataset::new(features, labels, self.num_classes, self.task)
+        Dataset::new(features, labels, self.num_classes)
     }
 }
 
@@ -270,7 +253,7 @@ impl SyntheticTextSpec {
     }
 
     /// Flattened feature width (`seq_len · vocab`).
-    pub fn feature_dim(&self) -> usize {
+    pub(crate) fn feature_dim(&self) -> usize {
         self.seq_len * self.vocab
     }
 
@@ -297,7 +280,7 @@ impl SyntheticTextSpec {
                 row[t * self.vocab + token] = 1.0;
             }
         }
-        Dataset::new(features, labels, self.num_classes, TaskKind::HpNews)
+        Dataset::new(features, labels, self.num_classes)
     }
 }
 
@@ -323,6 +306,14 @@ pub fn image_spec_for(task: TaskKind) -> SyntheticImageSpec {
 }
 
 #[cfg(test)]
+impl Dataset {
+    /// The feature matrix.
+    pub(crate) fn features(&self) -> &Matrix {
+        &self.features
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use fmore_numerics::seeded_rng;
@@ -335,7 +326,6 @@ mod tests {
         assert!(!data.is_empty());
         assert_eq!(data.feature_dim(), 64);
         assert_eq!(data.num_classes(), 10);
-        assert_eq!(data.task(), TaskKind::MnistO);
         assert_eq!(data.features().rows(), 50);
         assert_eq!(data.labels().len(), 50);
         let (x, y) = data.batch(&[0, 5, 7]);
@@ -347,13 +337,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "one label per feature row")]
     fn mismatched_labels_are_rejected() {
-        let _ = Dataset::new(Matrix::zeros(3, 4), vec![0, 1], 2, TaskKind::MnistO);
+        let _ = Dataset::new(Matrix::zeros(3, 4), vec![0, 1], 2);
     }
 
     #[test]
     #[should_panic(expected = "labels must be <")]
     fn out_of_range_label_is_rejected() {
-        let _ = Dataset::new(Matrix::zeros(2, 4), vec![0, 5], 2, TaskKind::MnistO);
+        let _ = Dataset::new(Matrix::zeros(2, 4), vec![0, 5], 2);
     }
 
     #[test]
@@ -363,8 +353,6 @@ mod tests {
         assert!(SyntheticImageSpec::mnist_like().noise < SyntheticImageSpec::fashion_like().noise);
         assert!(SyntheticImageSpec::fashion_like().noise < SyntheticImageSpec::cifar_like().noise);
         assert_eq!(SyntheticTextSpec::hpnews_like().num_classes, 10);
-        assert!(TaskKind::HpNews.is_sequence());
-        assert!(!TaskKind::Cifar10.is_sequence());
         assert_eq!(TaskKind::MnistF.name(), "MNIST-F");
     }
 

@@ -1,74 +1,21 @@
-//! Element-wise activation layers (ReLU, tanh, sigmoid).
+//! The element-wise ReLU activation layer.
 
 use super::Layer;
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 
-/// Which activation function an [`Activation`] layer applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActivationKind {
-    /// Rectified linear unit `max(0, x)`.
-    Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid `1 / (1 + e^(−x))`.
-    Sigmoid,
-}
-
-impl ActivationKind {
-    fn apply(self, x: f64) -> f64 {
-        match self {
-            ActivationKind::Relu => x.max(0.0),
-            ActivationKind::Tanh => x.tanh(),
-            ActivationKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        }
-    }
-
-    /// Derivative expressed in terms of the activation *output* `y`.
-    fn derivative_from_output(self, y: f64) -> f64 {
-        match self {
-            ActivationKind::Relu => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            ActivationKind::Tanh => 1.0 - y * y,
-            ActivationKind::Sigmoid => y * (1.0 - y),
-        }
-    }
-}
-
-/// An element-wise activation layer.
+/// An element-wise rectified linear unit `max(0, x)`.
 #[derive(Debug, Clone)]
 pub struct Activation {
-    kind: ActivationKind,
     cached_output: Option<Matrix>,
 }
 
 impl Activation {
-    /// Creates an activation layer of the given kind.
-    pub fn new(kind: ActivationKind) -> Self {
+    /// Creates a ReLU layer.
+    pub fn relu() -> Self {
         Self {
-            kind,
             cached_output: None,
         }
-    }
-
-    /// Shorthand for a ReLU layer.
-    pub fn relu() -> Self {
-        Self::new(ActivationKind::Relu)
-    }
-
-    /// Shorthand for a tanh layer.
-    pub fn tanh() -> Self {
-        Self::new(ActivationKind::Tanh)
-    }
-
-    /// Shorthand for a sigmoid layer.
-    pub fn sigmoid() -> Self {
-        Self::new(ActivationKind::Sigmoid)
     }
 }
 
@@ -82,7 +29,7 @@ impl Layer for Activation {
     ) {
         out.resize(input.rows(), input.cols());
         for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
-            *o = self.kind.apply(x);
+            *o = x.max(0.0);
         }
         let mut cache = self.cached_output.take().unwrap_or_default();
         cache.copy_from(out);
@@ -106,7 +53,7 @@ impl Layer for Activation {
             .zip(grad_output.data())
             .zip(out.data())
         {
-            *gi = go * self.kind.derivative_from_output(y);
+            *gi = go * if y > 0.0 { 1.0 } else { 0.0 };
         }
     }
 
@@ -115,11 +62,7 @@ impl Layer for Activation {
     }
 
     fn name(&self) -> &'static str {
-        match self.kind {
-            ActivationKind::Relu => "relu",
-            ActivationKind::Tanh => "tanh",
-            ActivationKind::Sigmoid => "sigmoid",
-        }
+        "relu"
     }
 }
 
@@ -141,28 +84,16 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_and_tanh_ranges() {
-        let mut rng = seeded_rng(1);
-        let x = Matrix::from_vec(1, 3, vec![-10.0, 0.0, 10.0]);
-        let s = Activation::sigmoid().forward(&x, true, &mut rng);
-        assert!(s.data()[0] < 0.01 && (s.data()[1] - 0.5).abs() < 1e-12 && s.data()[2] > 0.99);
-        let t = Activation::tanh().forward(&x, true, &mut rng);
-        assert!(t.data()[0] < -0.99 && t.data()[1].abs() < 1e-12 && t.data()[2] > 0.99);
-    }
-
-    #[test]
     fn gradients_match_finite_differences() {
         // ReLU is checked away from the kink at zero.
         let x = Matrix::from_vec(1, 4, vec![-0.9, -0.3, 0.4, 1.2]);
         check_input_gradient(&mut Activation::relu(), &x, 1e-4);
-        check_input_gradient(&mut Activation::tanh(), &x, 1e-4);
-        check_input_gradient(&mut Activation::sigmoid(), &x, 1e-4);
     }
 
     #[test]
     fn clone_preserves_kind() {
-        let layer = Activation::tanh();
+        let layer = Activation::relu();
         let cloned = layer.clone_layer();
-        assert_eq!(cloned.name(), "tanh");
+        assert_eq!(cloned.name(), "relu");
     }
 }

@@ -811,7 +811,11 @@ mod tests {
         // Gradient step changes the parameters.
         let x = Matrix::random_uniform(1, shape.flat_len(), 1.0, &mut rng);
         let y = conv.forward(&x, true, &mut rng);
-        conv.backward(&y.map(|_| 1.0));
+        conv.backward(&Matrix::from_vec(
+            y.rows(),
+            y.cols(),
+            vec![1.0; y.data().len()],
+        ));
         conv.apply_gradients(0.1);
         let mut after = Vec::new();
         conv.write_params(&mut after);

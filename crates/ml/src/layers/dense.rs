@@ -26,16 +26,6 @@ impl Dense {
         }
     }
 
-    /// Input dimension.
-    pub fn in_features(&self) -> usize {
-        self.weights.rows()
-    }
-
-    /// Output dimension.
-    pub fn out_features(&self) -> usize {
-        self.weights.cols()
-    }
-
     /// The parameter half of the backward pass: `grad_w = xᵀ · ∂L/∂y`, `grad_b = Σ rows`.
     fn param_grads(&mut self, grad_output: &Matrix) {
         let input = self
@@ -129,8 +119,6 @@ mod tests {
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let y = layer.forward(&x, true, &mut rng);
         assert_eq!(y.data(), &[5.5, 6.5, 10.0]);
-        assert_eq!(layer.in_features(), 2);
-        assert_eq!(layer.out_features(), 3);
         assert_eq!(layer.name(), "dense");
     }
 
@@ -169,7 +157,8 @@ mod tests {
         let before = loss_of(&mut layer, &mut rng);
         for _ in 0..50 {
             let y = layer.forward(&x, true, &mut rng);
-            let grad = y.map(|v| 2.0 * v);
+            let mut grad = y.clone();
+            grad.scale_in_place(2.0);
             layer.backward(&grad);
             layer.apply_gradients(0.05);
         }

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 
 /// Single-layer LSTM over flattened sequences.
 #[derive(Debug, Clone)]
-pub struct Lstm {
+pub(crate) struct Lstm {
     input_dim: usize,
     hidden_dim: usize,
     seq_len: usize,
@@ -94,7 +94,12 @@ impl Lstm {
     /// # Panics
     ///
     /// Panics if any dimension is zero.
-    pub fn new(seq_len: usize, input_dim: usize, hidden_dim: usize, rng: &mut StdRng) -> Self {
+    pub(crate) fn new(
+        seq_len: usize,
+        input_dim: usize,
+        hidden_dim: usize,
+        rng: &mut StdRng,
+    ) -> Self {
         assert!(
             seq_len > 0 && input_dim > 0 && hidden_dim > 0,
             "LSTM dimensions must be positive"
@@ -115,12 +120,12 @@ impl Lstm {
     }
 
     /// Hidden-state width (the layer's output dimension).
-    pub fn hidden_dim(&self) -> usize {
+    pub(crate) fn hidden_dim(&self) -> usize {
         self.hidden_dim
     }
 
     /// Expected flattened input width `seq_len · input_dim`.
-    pub fn input_width(&self) -> usize {
+    pub(crate) fn input_width(&self) -> usize {
         self.seq_len * self.input_dim
     }
 }
@@ -421,7 +426,7 @@ mod tests {
         let mut grad = Matrix::default();
         // Warm up all internal buffers at this batch size.
         lstm.forward_into(&x, &mut out, true, &mut rng);
-        let ones = out.map(|_| 1.0);
+        let ones = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.data().len()]);
         lstm.backward_into(&ones, &mut grad);
         let first_out = out.clone();
         let first_grad = grad.clone();

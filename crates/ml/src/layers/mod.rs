@@ -10,11 +10,11 @@ mod dense;
 mod dropout;
 mod lstm;
 
-pub use activation::{Activation, ActivationKind};
+pub use activation::Activation;
 pub use conv::{Conv2d, ImageShape, MaxPool2d};
 pub use dense::Dense;
 pub use dropout::Dropout;
-pub use lstm::Lstm;
+pub(crate) use lstm::Lstm;
 
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
@@ -108,7 +108,7 @@ pub(crate) mod testutil {
     /// Finite-difference gradient check for a layer: perturbs each input entry and compares
     /// the numerical gradient of `sum(output)` with the analytic gradient returned by
     /// `backward(ones)`.
-    pub fn check_input_gradient<L: Layer>(layer: &mut L, input: &Matrix, tolerance: f64) {
+    pub(crate) fn check_input_gradient<L: Layer>(layer: &mut L, input: &Matrix, tolerance: f64) {
         let mut rng = seeded_rng(0);
         let out = layer.forward(input, false, &mut rng);
         let ones = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);

@@ -6,8 +6,8 @@
 //! crate implements the required substrate directly:
 //!
 //! * a small dense [`matrix`] kernel,
-//! * neural-network [`layers`] (dense, ReLU/tanh/sigmoid, dropout, 2-D convolution, max
-//!   pooling, LSTM) with forward and backward passes,
+//! * neural-network [`layers`] (dense, ReLU, dropout, 2-D convolution, max pooling, LSTM)
+//!   with forward and backward passes,
 //! * a [`model::Sequential`] container trained by mini-batch SGD with softmax cross-entropy
 //!   ([`loss`]),
 //! * ready-made [`models`] mirroring the paper's CNN-for-MNIST, CNN-for-CIFAR and
@@ -15,8 +15,7 @@
 //! * synthetic [`dataset`]s that stand in for the four real datasets while preserving the
 //!   properties FMore's evaluation depends on (10 classes, per-class structure, a difficulty
 //!   ordering, and data volume/diversity driving accuracy),
-//! * the non-IID label-shard [`partition`]er used to distribute data across edge nodes, and
-//! * evaluation [`metrics`].
+//! * the non-IID label-shard [`partition`]er used to distribute data across edge nodes.
 //!
 //! # Example
 //!
@@ -39,13 +38,13 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod arena;
 pub mod dataset;
 pub mod layers;
 pub mod loss;
 pub mod matrix;
-pub mod metrics;
 pub mod model;
 pub mod models;
 pub mod partition;
@@ -54,4 +53,4 @@ pub use arena::ScratchArena;
 pub use dataset::{Dataset, SyntheticImageSpec, SyntheticTextSpec, TaskKind};
 pub use matrix::Matrix;
 pub use model::{Evaluation, Model, Sequential};
-pub use partition::{partition_iid, partition_non_iid, ClientShard, PartitionConfig};
+pub use partition::{partition_non_iid, ClientShard, PartitionConfig};

@@ -25,30 +25,22 @@ fn softmax_inplace(out: &mut Matrix) {
     }
 }
 
-/// Mean softmax cross-entropy loss and its gradient with respect to the logits.
-///
-/// Returns `(loss, grad)` where `grad` has the same shape as `logits` and already includes
-/// the `1/batch` factor, so it can be fed straight into the backward pass.
-///
-/// # Panics
-///
-/// Panics if `labels.len() != logits.rows()` or a label is out of range.
-pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
-    let mut grad = Matrix::default();
-    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
-    (loss, grad)
-}
-
-/// Allocation-free form of [`softmax_cross_entropy`]: writes the logit gradient into `grad`
-/// (reshaped to match `logits`, reusing its buffer) and returns the mean loss.
+/// Mean softmax cross-entropy loss and its gradient with respect to the logits: writes the
+/// logit gradient into `grad` (reshaped to match `logits`, reusing its buffer; it already
+/// includes the `1/batch` factor, so it can be fed straight into the backward pass) and
+/// returns the mean loss.
 ///
 /// The probabilities are computed directly inside `grad`, so the hot path needs no
-/// intermediate matrix at all; results are bit-identical to the allocating form.
+/// intermediate matrix at all.
 ///
 /// # Panics
 ///
 /// Panics if `labels.len() != logits.rows()` or a label is out of range.
-pub fn softmax_cross_entropy_into(logits: &Matrix, labels: &[usize], grad: &mut Matrix) -> f64 {
+pub(crate) fn softmax_cross_entropy_into(
+    logits: &Matrix,
+    labels: &[usize],
+    grad: &mut Matrix,
+) -> f64 {
     assert_eq!(
         labels.len(),
         logits.rows(),
@@ -97,6 +89,13 @@ pub(crate) fn row_argmax(row: &[f64]) -> usize {
 mod tests {
     use super::*;
 
+    /// The kernel with a fresh gradient buffer.
+    fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
+        let mut grad = Matrix::default();
+        let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+        (loss, grad)
+    }
+
     #[test]
     fn softmax_rows_sum_to_one() {
         let logits = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -5.0, 0.0, 5.0]);
@@ -138,12 +137,24 @@ mod tests {
     fn into_form_matches_allocating_form_and_reuses_buffers() {
         let logits = Matrix::from_vec(2, 3, vec![0.2, -0.1, 0.5, 1.0, 0.3, -0.7]);
         let labels = [2, 0];
-        let (loss, grad) = softmax_cross_entropy(&logits, &labels);
         // Start from a stale, wrongly-shaped buffer.
         let mut buf = Matrix::from_vec(1, 1, vec![42.0]);
-        let loss_into = softmax_cross_entropy_into(&logits, &labels, &mut buf);
-        assert_eq!(loss.to_bits(), loss_into.to_bits());
-        assert_eq!(grad, buf);
+        let loss = softmax_cross_entropy_into(&logits, &labels, &mut buf);
+        assert_eq!((buf.rows(), buf.cols()), (2, 3));
+        // An independent loop: p = softmax(row), loss = mean(−ln p[label]),
+        // grad = (p − onehot(label)) / batch.
+        let mut expected_loss = 0.0;
+        for (r, &label) in labels.iter().enumerate() {
+            let row = logits.row(r);
+            let z: f64 = row.iter().map(|v| v.exp()).sum();
+            for (j, v) in row.iter().enumerate() {
+                let p = v.exp() / z;
+                let onehot = if j == label { 1.0 } else { 0.0 };
+                assert!((buf.get(r, j) - (p - onehot) / 2.0).abs() < 1e-12);
+            }
+            expected_loss -= (row[label].exp() / z).ln() / 2.0;
+        }
+        assert!((loss - expected_loss).abs() < 1e-12);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`Matrix::matmul_into`] — `out = self · other`, cache-blocked over the shared dimension,
 //! * [`Matrix::matmul_transpose_a_into`] — `out = selfᵀ · other` without materialising the
 //!   transpose (the dense/LSTM weight-gradient product),
-//! * [`Matrix::matmul_acc_into`] / [`Matrix::matmul_transpose_a_acc_into`] — the same two
+//! * `Matrix::matmul_acc_into` / `Matrix::matmul_transpose_a_acc_into` — the same two
 //!   cores in their native **accumulate** form, `out += self · other` and
 //!   `out += selfᵀ · other`: each output element keeps whatever it held and takes the partial
 //!   products on top in ascending shared-dimension order. The overwriting forms above are
@@ -21,15 +21,15 @@
 //!   and its weight gradient at the running accumulator instead,
 //! * [`Matrix::matmul_transpose_b_into`] — `out = self · otherᵀ` without materialising the
 //!   transpose (the dense/LSTM input-gradient product),
-//! * [`Matrix::map_inplace`], [`Matrix::add_row_inplace`], [`Matrix::sum_rows_into`],
-//!   [`Matrix::batch_gather_into`] — the element-wise / broadcast / reduction / batch-extract
+//! * [`Matrix::map_inplace`], `Matrix::add_row_inplace`, `Matrix::sum_rows_into`,
+//!   `Matrix::batch_gather_into` — the element-wise / broadcast / reduction / batch-extract
 //!   counterparts.
 //!
-//! Output matrices are reshaped with [`Matrix::resize`], which reuses the existing buffer
+//! Output matrices are reshaped with `Matrix::resize`, which reuses the existing buffer
 //! capacity: after a warm-up pass at the largest shape, the `_into` kernels perform **zero
-//! allocations**. Every `_into` kernel accumulates in exactly the same per-element order as
-//! its allocating counterpart, so the two forms are bit-identical — the allocating methods
-//! are thin wrappers over the `_into` forms, and the property suite pins the equivalence.
+//! allocations**. The few allocating methods left ([`Matrix::matmul`],
+//! [`Matrix::transpose`]) are thin wrappers over the `_into` forms, so the two are
+//! bit-identical.
 
 use rand::Rng;
 use std::fmt;
@@ -287,7 +287,12 @@ impl Matrix {
 
     /// He-style initialisation for a layer with `fan_in` inputs: uniform on
     /// `±sqrt(6 / fan_in)`.
-    pub fn he_init<R: Rng + ?Sized>(rows: usize, cols: usize, fan_in: usize, rng: &mut R) -> Self {
+    pub(crate) fn he_init<R: Rng + ?Sized>(
+        rows: usize,
+        cols: usize,
+        fan_in: usize,
+        rng: &mut R,
+    ) -> Self {
         let scale = (6.0 / fan_in.max(1) as f64).sqrt();
         Self::random_uniform(rows, cols, scale, rng)
     }
@@ -308,7 +313,7 @@ impl Matrix {
     }
 
     /// Mutably borrow the raw row-major data.
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -318,7 +323,7 @@ impl Matrix {
     /// `_into` kernel overwrites or zero-fills as needed. No allocation happens unless the
     /// new element count exceeds the buffer's current capacity, so scratch matrices reach a
     /// steady state after one pass at their largest shape.
-    pub fn resize(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn resize(&mut self, rows: usize, cols: usize) {
         let needed = rows * cols;
         if needed > self.data.capacity() {
             note_alloc(needed);
@@ -329,12 +334,12 @@ impl Matrix {
     }
 
     /// Sets every element to `value`.
-    pub fn fill(&mut self, value: f64) {
+    pub(crate) fn fill(&mut self, value: f64) {
         self.data.fill(value);
     }
 
     /// Makes `self` an element-wise copy of `src`, reusing the existing buffer.
-    pub fn copy_from(&mut self, src: &Matrix) {
+    pub(crate) fn copy_from(&mut self, src: &Matrix) {
         self.resize(src.rows, src.cols);
         self.data.copy_from_slice(&src.data);
     }
@@ -371,20 +376,13 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Builds a matrix by stacking the given rows of `self` (used to assemble mini-batches).
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::default();
-        self.batch_gather_into(indices, &mut out);
-        out
-    }
-
-    /// Stacks the given rows of `self` into `out` (the allocation-free form of
-    /// [`Matrix::select_rows`] used to assemble mini-batches from a scratch arena).
+    /// Stacks the given rows of `self` into `out` (how mini-batches are assembled in a
+    /// scratch arena).
     ///
     /// # Panics
     ///
     /// Panics if an index is out of bounds.
-    pub fn batch_gather_into(&self, indices: &[usize], out: &mut Matrix) {
+    pub(crate) fn batch_gather_into(&self, indices: &[usize], out: &mut Matrix) {
         out.resize(indices.len(), self.cols);
         for (i, &idx) in indices.iter().enumerate() {
             out.row_mut(i).copy_from_slice(self.row(idx));
@@ -429,7 +427,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `self.cols != other.rows` or `out` is not `self.rows × other.cols`.
-    pub fn matmul_acc_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_acc_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         assert_eq!(
             (out.rows, out.cols),
@@ -472,7 +470,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `self.rows != other.rows` or `out` is not `self.cols × other.cols`.
-    pub fn matmul_transpose_a_acc_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_transpose_a_acc_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_transpose_a dimension mismatch"
@@ -526,7 +524,7 @@ impl Matrix {
 
     /// Transpose into a caller-owned matrix (the allocation-free form of
     /// [`Matrix::transpose`]).
-    pub fn transpose_into(&self, out: &mut Matrix) {
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
         out.resize(self.cols, self.rows);
         for i in 0..self.rows {
             let row = &self.data[i * self.cols..(i + 1) * self.cols];
@@ -536,68 +534,7 @@ impl Matrix {
         }
     }
 
-    /// Element-wise addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "add shape mismatch"
-        );
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-        out
-    }
-
-    /// Element-wise subtraction `self − other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "sub shape mismatch"
-        );
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-        out
-    }
-
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "hadamard shape mismatch"
-        );
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(&other.data) {
-            *a *= b;
-        }
-        out
-    }
-
-    /// Returns a copy with `f` applied to every element.
-    pub fn map<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
-        let mut out = self.clone();
-        out.map_inplace(f);
-        out
-    }
-
-    /// Applies `f` to every element in place (the allocation-free form of [`Matrix::map`]).
+    /// Applies `f` to every element in place.
     pub fn map_inplace<F: Fn(f64) -> f64>(&mut self, f: F) {
         for v in &mut self.data {
             *v = f(*v);
@@ -627,24 +564,12 @@ impl Matrix {
         }
     }
 
-    /// Adds a row vector (1 × cols) to every row (bias broadcast).
+    /// Adds a row vector (1 × cols) to every row in place (bias broadcast).
     ///
     /// # Panics
     ///
     /// Panics if `bias` is not `1 × self.cols`.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        let mut out = self.clone();
-        out.add_row_inplace(bias);
-        out
-    }
-
-    /// Adds a row vector (1 × cols) to every row in place (the allocation-free form of
-    /// [`Matrix::add_row_broadcast`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 × self.cols`.
-    pub fn add_row_inplace(&mut self, bias: &Matrix) {
+    pub(crate) fn add_row_inplace(&mut self, bias: &Matrix) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
         for i in 0..self.rows {
@@ -654,16 +579,8 @@ impl Matrix {
         }
     }
 
-    /// Sums over rows, producing a `1 × cols` row vector (used for bias gradients).
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::default();
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// Sums over rows into a caller-owned `1 × cols` row vector (the allocation-free form of
-    /// [`Matrix::sum_rows`]).
-    pub fn sum_rows_into(&self, out: &mut Matrix) {
+    /// Sums over rows into a caller-owned `1 × cols` row vector (used for bias gradients).
+    pub(crate) fn sum_rows_into(&self, out: &mut Matrix) {
         out.resize(1, self.cols);
         out.fill(0.0);
         for i in 0..self.rows {
@@ -671,19 +588,6 @@ impl Matrix {
                 out.data[j] += self.get(i, j);
             }
         }
-    }
-
-    /// Mean of all elements; `0.0` for empty matrices.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().sum::<f64>() / self.data.len() as f64
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
 
@@ -792,7 +696,8 @@ mod tests {
     fn transpose_kernels_match_allocating_composition() {
         let mut rng = seeded_rng(22);
         // Include exact zeros so the zero-skip path is exercised.
-        let a = Matrix::random_uniform(6, 4, 1.0, &mut rng).map(|v| if v < 0.0 { 0.0 } else { v });
+        let mut a = Matrix::random_uniform(6, 4, 1.0, &mut rng);
+        a.map_inplace(|v| if v < 0.0 { 0.0 } else { v });
         let b = Matrix::random_uniform(6, 5, 1.0, &mut rng);
         let mut out = Matrix::default();
         a.matmul_transpose_a_into(&b, &mut out);
@@ -863,10 +768,6 @@ mod tests {
     fn elementwise_operations() {
         let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
-        assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.hadamard(&b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(a.map(|x| x * x).data(), &[1.0, 4.0, 9.0]);
         let mut c = a.clone();
         c.scale_in_place(2.0);
         assert_eq!(c.data(), &[2.0, 4.0, 6.0]);
@@ -880,30 +781,34 @@ mod tests {
 
     #[test]
     fn broadcast_and_reductions() {
-        let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let bias = Matrix::from_vec(1, 2, vec![10.0, 20.0]);
-        assert_eq!(x.add_row_broadcast(&bias).data(), &[11.0, 22.0, 13.0, 24.0]);
+        let mut rng = seeded_rng(5);
+        let x = Matrix::random_uniform(3, 4, 1.0, &mut rng);
+        let bias = Matrix::random_uniform(1, 4, 1.0, &mut rng);
         let mut y = x.clone();
         y.add_row_inplace(&bias);
-        assert_eq!(y.data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(x.sum_rows().data(), &[4.0, 6.0]);
-        let mut sums = Matrix::default();
+        // A stale, wrongly-shaped output buffer is reshaped and overwritten.
+        let mut sums = Matrix::from_vec(2, 1, vec![9.0, 9.0]);
         x.sum_rows_into(&mut sums);
-        assert_eq!(sums.data(), &[4.0, 6.0]);
-        assert!((x.mean() - 2.5).abs() < 1e-12);
-        assert!((x.norm() - 30.0_f64.sqrt()).abs() < 1e-12);
-        assert_eq!(Matrix::zeros(0, 0).mean(), 0.0);
+        assert_eq!((sums.rows(), sums.cols()), (1, 4));
+        for j in 0..4 {
+            let mut col_sum = 0.0;
+            for i in 0..3 {
+                assert_eq!(y.get(i, j), x.get(i, j) + bias.get(0, j));
+                col_sum += x.get(i, j);
+            }
+            assert_eq!(sums.get(0, j), col_sum);
+        }
     }
 
     #[test]
     fn select_rows_builds_minibatches() {
         let x = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let batch = x.select_rows(&[2, 0]);
-        assert_eq!(batch.rows(), 2);
-        assert_eq!(batch.row(0), &[5.0, 6.0]);
-        assert_eq!(batch.row(1), &[1.0, 2.0]);
-        // The gather form reuses a caller buffer.
-        let mut buf = Matrix::default();
+        // The gather reuses a caller buffer, whatever its previous shape.
+        let mut buf = Matrix::zeros(5, 5);
+        x.batch_gather_into(&[2, 0], &mut buf);
+        assert_eq!(buf.rows(), 2);
+        assert_eq!(buf.row(0), &[5.0, 6.0]);
+        assert_eq!(buf.row(1), &[1.0, 2.0]);
         x.batch_gather_into(&[1, 1, 0], &mut buf);
         assert_eq!(buf.rows(), 3);
         assert_eq!(buf.row(0), &[3.0, 4.0]);

@@ -20,7 +20,6 @@ use crate::arena::ScratchArena;
 use crate::dataset::Dataset;
 use crate::layers::Layer;
 use crate::loss::{row_argmax, softmax_cross_entropy_into};
-use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 
 /// Seed of the scratch RNG driving stochastic layers (dropout). Fixed so that a freshly
@@ -130,11 +129,6 @@ impl Sequential {
         }
     }
 
-    /// Layer names in order, useful for summaries and tests.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
-
     /// Reseeds the scratch RNG driving stochastic layers back to its construction state.
     ///
     /// A worker slot that reuses one model instance across rounds calls this before every
@@ -142,15 +136,6 @@ impl Sequential {
     /// model would see — keeping slot reuse bit-identical to the clone-per-round path.
     pub fn reset_scratch_rng(&mut self) {
         self.rng = fmore_numerics::seeded_rng(SCRATCH_RNG_SEED);
-    }
-
-    /// Runs the forward pass and returns the logits for a feature batch.
-    pub fn forward(&mut self, x: &Matrix, training: bool) -> Matrix {
-        let mut out = x.clone();
-        for layer in &mut self.layers {
-            out = layer.forward(&out, training, &mut self.rng);
-        }
-        out
     }
 
     /// Runs the forward pass over the batch already gathered into `arena.activations[0]`,
@@ -272,6 +257,31 @@ impl Sequential {
     }
 }
 
+#[cfg(test)]
+impl Sequential {
+    /// Layer names in order.
+    pub(crate) fn layer_names(&self) -> Vec<&'static str> {
+        self.layers.iter().map(|l| l.name()).collect()
+    }
+
+    /// The evaluation-mode logits of `data`'s samples `indices`, through the arena forward
+    /// pass that training and evaluation run.
+    pub(crate) fn logits(&mut self, data: &Dataset, indices: &[usize]) -> crate::matrix::Matrix {
+        let mut arena = ScratchArena::new();
+        arena.ensure_layers(self.layers.len());
+        {
+            let ScratchArena {
+                activations,
+                labels,
+                ..
+            } = &mut arena;
+            data.batch_into(indices, &mut activations[0], labels);
+        }
+        self.forward_arena(&mut arena, false);
+        arena.activations[self.layers.len()].clone()
+    }
+}
+
 impl Model for Sequential {
     fn parameters(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.num_parameters());
@@ -333,6 +343,7 @@ mod tests {
     use super::*;
     use crate::dataset::SyntheticImageSpec;
     use crate::layers::{Activation, Dense};
+    use crate::matrix::Matrix;
     use fmore_numerics::seeded_rng;
 
     fn tiny_mlp(input: usize, classes: usize, seed: u64) -> Sequential {

@@ -19,7 +19,7 @@ use crate::model::Sequential;
 use rand::rngs::StdRng;
 
 /// The CNN used for the MNIST-O and MNIST-F stand-ins (paper footnote 1, scaled).
-pub fn cnn_mnist(spec: &SyntheticImageSpec, rng: &mut StdRng) -> Sequential {
+pub(crate) fn cnn_mnist(spec: &SyntheticImageSpec, rng: &mut StdRng) -> Sequential {
     let input = ImageShape::new(spec.channels, spec.height, spec.width);
     let conv1 = Conv2d::new(input, 8, 3, rng);
     let shape1 = conv1.output_shape();
@@ -43,7 +43,7 @@ pub fn cnn_mnist(spec: &SyntheticImageSpec, rng: &mut StdRng) -> Sequential {
 }
 
 /// The CNN used for the CIFAR-10 stand-in (paper footnote 2, scaled).
-pub fn cnn_cifar(spec: &SyntheticImageSpec, rng: &mut StdRng) -> Sequential {
+pub(crate) fn cnn_cifar(spec: &SyntheticImageSpec, rng: &mut StdRng) -> Sequential {
     let input = ImageShape::new(spec.channels, spec.height, spec.width);
     let conv1 = Conv2d::new(input, 16, 3, rng);
     let shape1 = conv1.output_shape();
@@ -68,7 +68,7 @@ pub fn cnn_cifar(spec: &SyntheticImageSpec, rng: &mut StdRng) -> Sequential {
 }
 
 /// The LSTM classifier used for the HPNews stand-in.
-pub fn lstm_text(spec: &SyntheticTextSpec, rng: &mut StdRng) -> Sequential {
+pub(crate) fn lstm_text(spec: &SyntheticTextSpec, rng: &mut StdRng) -> Sequential {
     let lstm = Lstm::new(spec.seq_len, spec.vocab, 32, rng);
     let hidden = lstm.hidden_dim();
     let layers: Vec<Box<dyn Layer>> = vec![
@@ -137,7 +137,7 @@ mod tests {
         let spec = SyntheticImageSpec::cifar_like();
         let mut model = cnn_cifar(&spec, &mut rng);
         let data = spec.generate(8, &mut rng);
-        let logits = model.forward(data.features(), false);
+        let logits = model.logits(&data, &(0..8).collect::<Vec<_>>());
         assert_eq!(logits.rows(), 8);
         assert_eq!(logits.cols(), 10);
     }
@@ -148,7 +148,8 @@ mod tests {
         let spec = SyntheticTextSpec::hpnews_like();
         let mut model = lstm_text(&spec, &mut rng);
         let data = spec.generate(4, &mut rng);
-        let logits = model.forward(data.features(), false);
+        let logits = model.logits(&data, &(0..4).collect::<Vec<_>>());
+        assert_eq!(logits.rows(), 4);
         assert_eq!(logits.cols(), spec.num_classes);
         assert_eq!(model.layer_names(), vec!["lstm", "dense"]);
     }

@@ -25,14 +25,6 @@ impl ClientShard {
     pub fn size(&self) -> usize {
         self.indices.len()
     }
-
-    /// Category proportion `q2 ∈ (0, 1]`: distinct classes in the shard over total classes.
-    pub fn category_proportion(&self, num_classes: usize) -> f64 {
-        if num_classes == 0 {
-            return 0.0;
-        }
-        self.categories as f64 / num_classes as f64
-    }
 }
 
 /// Configuration for the non-IID partitioner.
@@ -54,29 +46,6 @@ impl Default for PartitionConfig {
             category_range: (2, 10),
         }
     }
-}
-
-/// Splits the dataset IID: every client receives a uniformly random shard of a size drawn
-/// from `size_range` (with replacement across clients, i.e. clients may share samples — the
-/// standard simulator shortcut for large populations).
-pub fn partition_iid(
-    data: &Dataset,
-    config: &PartitionConfig,
-    rng: &mut StdRng,
-) -> Vec<ClientShard> {
-    assert!(config.clients > 0, "at least one client is required");
-    let (lo, hi) = normalized_size_range(config.size_range, data.len());
-    (0..config.clients)
-        .map(|_| {
-            let size = rng.gen_range(lo..=hi);
-            let indices = fmore_numerics::rng::sample_indices(data.len(), size, rng);
-            let categories = data.category_count(&indices);
-            ClientShard {
-                indices,
-                categories,
-            }
-        })
-        .collect()
 }
 
 /// Splits the dataset non-IID: each client first draws a target number of classes from
@@ -170,6 +139,17 @@ fn normalized_size_range(range: (usize, usize), dataset_len: usize) -> (usize, u
 }
 
 #[cfg(test)]
+impl ClientShard {
+    /// Category proportion `q2 ∈ (0, 1]`: distinct classes in the shard over total classes.
+    fn category_proportion(&self, num_classes: usize) -> f64 {
+        if num_classes == 0 {
+            return 0.0;
+        }
+        self.categories as f64 / num_classes as f64
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::SyntheticImageSpec;
@@ -228,30 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn iid_shards_cover_most_classes() {
-        let data = dataset(2000, 5);
-        let config = PartitionConfig {
-            clients: 10,
-            size_range: (200, 400),
-            category_range: (1, 10),
-        };
-        let mut rng = seeded_rng(6);
-        let shards = partition_iid(&data, &config, &mut rng);
-        assert_eq!(shards.len(), 10);
-        for shard in &shards {
-            assert!(
-                shard.categories >= 8,
-                "an IID shard of 200+ samples should see most classes"
-            );
-            // IID sampling is without replacement inside a shard: indices are unique.
-            let mut dedup = shard.indices.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), shard.indices.len());
-        }
-    }
-
-    #[test]
     fn size_range_is_clamped_to_dataset() {
         let data = dataset(30, 7);
         let config = PartitionConfig {
@@ -260,9 +216,6 @@ mod tests {
             category_range: (1, 10),
         };
         let mut rng = seeded_rng(8);
-        for shard in partition_iid(&data, &config, &mut rng) {
-            assert!(shard.size() <= 30);
-        }
         for shard in partition_non_iid(&data, &config, &mut rng) {
             assert!(shard.size() <= 30);
         }

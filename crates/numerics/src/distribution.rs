@@ -2,8 +2,7 @@
 //!
 //! The FMore model (Section III) assumes each edge node's private cost parameter θ is drawn
 //! i.i.d. from a distribution with CDF `F` supported on `[θ̲, θ̄]` with `0 < θ̲ < θ̄ < ∞` and a
-//! positive, continuously differentiable density `f`. Nodes learn `F` from historical data;
-//! the [`EmpiricalCdf`] type models exactly that estimation step.
+//! positive, continuously differentiable density `f`.
 
 use crate::error::NumericsError;
 use rand::Rng;
@@ -86,180 +85,6 @@ impl Distribution1D for UniformDist {
     }
 }
 
-/// A normal distribution truncated to `[lo, hi]`, used to model clustered cost parameters
-/// (e.g. a fleet of mostly similar home gateways with a few outliers).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TruncatedNormal {
-    mu: f64,
-    sigma: f64,
-    lo: f64,
-    hi: f64,
-    /// Normalisation constant `Φ((hi-μ)/σ) − Φ((lo-μ)/σ)`.
-    z: f64,
-}
-
-impl TruncatedNormal {
-    /// Creates a normal distribution with mean `mu` and standard deviation `sigma`,
-    /// truncated to `[lo, hi]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::InvalidParameter`] for non-positive `sigma` and
-    /// [`NumericsError::InvalidInterval`] for an invalid interval.
-    pub fn new(mu: f64, sigma: f64, lo: f64, hi: f64) -> Result<Self, NumericsError> {
-        if sigma <= 0.0 || !sigma.is_finite() {
-            return Err(NumericsError::InvalidParameter {
-                name: "sigma",
-                value: sigma,
-            });
-        }
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(NumericsError::InvalidInterval { lo, hi });
-        }
-        let z = std_normal_cdf((hi - mu) / sigma) - std_normal_cdf((lo - mu) / sigma);
-        if z <= 1e-300 {
-            return Err(NumericsError::InvalidParameter {
-                name: "truncation mass",
-                value: z,
-            });
-        }
-        Ok(Self {
-            mu,
-            sigma,
-            lo,
-            hi,
-            z,
-        })
-    }
-}
-
-impl Distribution1D for TruncatedNormal {
-    fn lower(&self) -> f64 {
-        self.lo
-    }
-    fn upper(&self) -> f64 {
-        self.hi
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= self.lo {
-            return 0.0;
-        }
-        if x >= self.hi {
-            return 1.0;
-        }
-        ((std_normal_cdf((x - self.mu) / self.sigma)
-            - std_normal_cdf((self.lo - self.mu) / self.sigma))
-            / self.z)
-            .clamp(0.0, 1.0)
-    }
-    fn pdf(&self, x: f64) -> f64 {
-        if x < self.lo || x > self.hi {
-            return 0.0;
-        }
-        let t = (x - self.mu) / self.sigma;
-        std_normal_pdf(t) / (self.sigma * self.z)
-    }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Rejection sampling against the untruncated normal; the truncation intervals used in
-        // the experiments retain most of the mass so this terminates quickly.
-        loop {
-            let u1: f64 = rng.gen_range(1e-12..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            let x = self.mu + self.sigma * n;
-            if x >= self.lo && x <= self.hi {
-                return x;
-            }
-        }
-    }
-}
-
-/// An empirical CDF built from historical samples (how nodes "learn `F(θ)` from the
-/// historical data" in Section III-A step 2).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmpiricalCdf {
-    sorted: Vec<f64>,
-}
-
-impl EmpiricalCdf {
-    /// Builds an empirical CDF from observed samples. Non-finite samples are rejected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::EmptyInput`] if no samples are supplied and
-    /// [`NumericsError::InvalidParameter`] if any sample is not finite.
-    pub fn from_samples(samples: &[f64]) -> Result<Self, NumericsError> {
-        if samples.is_empty() {
-            return Err(NumericsError::EmptyInput("empirical CDF samples"));
-        }
-        if let Some(bad) = samples.iter().find(|s| !s.is_finite()) {
-            return Err(NumericsError::InvalidParameter {
-                name: "sample",
-                value: *bad,
-            });
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Ok(Self { sorted })
-    }
-
-    /// Number of samples backing this CDF.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Returns `true` if the CDF holds no samples (never true for constructed values).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-}
-
-impl Distribution1D for EmpiricalCdf {
-    fn lower(&self) -> f64 {
-        self.sorted[0]
-    }
-    fn upper(&self) -> f64 {
-        *self.sorted.last().unwrap()
-    }
-    fn cdf(&self, x: f64) -> f64 {
-        // Fraction of samples ≤ x.
-        let count = self.sorted.partition_point(|&s| s <= x);
-        count as f64 / self.sorted.len() as f64
-    }
-    fn pdf(&self, x: f64) -> f64 {
-        // Kernel-free density estimate: finite difference of the CDF over a small window.
-        let span = (self.upper() - self.lower()).max(1e-12);
-        let h = span / (self.sorted.len() as f64).sqrt().max(2.0);
-        (self.cdf(x + h) - self.cdf(x - h)) / (2.0 * h)
-    }
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let idx = rng.gen_range(0..self.sorted.len());
-        self.sorted[idx]
-    }
-}
-
-fn std_normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
-/// Abramowitz–Stegun style approximation of the standard normal CDF via `erf`.
-fn std_normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Error function approximation (Abramowitz & Stegun 7.1.26, max absolute error 1.5e-7).
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,85 +128,5 @@ mod tests {
         }
         assert!(d.quantile(1.5).is_err());
         assert!(d.quantile(-0.1).is_err());
-    }
-
-    #[test]
-    fn truncated_normal_cdf_monotone_and_bounded() {
-        let d = TruncatedNormal::new(0.5, 0.2, 0.1, 0.9).unwrap();
-        assert_eq!(d.cdf(0.05), 0.0);
-        assert_eq!(d.cdf(0.95), 1.0);
-        let mut prev = 0.0;
-        for i in 0..=50 {
-            let x = 0.1 + 0.8 * i as f64 / 50.0;
-            let c = d.cdf(x);
-            assert!(c >= prev - 1e-12);
-            prev = c;
-        }
-        assert!(
-            (d.cdf(0.5) - 0.5).abs() < 1e-6,
-            "symmetric truncation keeps the median at μ"
-        );
-    }
-
-    #[test]
-    fn truncated_normal_rejects_bad_parameters() {
-        assert!(TruncatedNormal::new(0.5, 0.0, 0.1, 0.9).is_err());
-        assert!(TruncatedNormal::new(0.5, -1.0, 0.1, 0.9).is_err());
-        assert!(TruncatedNormal::new(0.5, 0.2, 0.9, 0.1).is_err());
-    }
-
-    #[test]
-    fn truncated_normal_samples_in_support() {
-        let d = TruncatedNormal::new(0.5, 0.3, 0.2, 0.8).unwrap();
-        let mut rng = seeded_rng(11);
-        let mut sum = 0.0;
-        const N: usize = 2000;
-        for _ in 0..N {
-            let x = d.sample(&mut rng);
-            assert!((0.2..=0.8).contains(&x));
-            sum += x;
-        }
-        let mean = sum / N as f64;
-        assert!(
-            (mean - 0.5).abs() < 0.02,
-            "mean {mean} should be near μ for symmetric truncation"
-        );
-    }
-
-    #[test]
-    fn empirical_cdf_matches_fractions() {
-        let e = EmpiricalCdf::from_samples(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(e.len(), 4);
-        assert!(!e.is_empty());
-        assert_eq!(e.cdf(0.5), 0.0);
-        assert_eq!(e.cdf(1.0), 0.25);
-        assert_eq!(e.cdf(2.5), 0.5);
-        assert_eq!(e.cdf(10.0), 1.0);
-        assert_eq!(e.lower(), 1.0);
-        assert_eq!(e.upper(), 4.0);
-    }
-
-    #[test]
-    fn empirical_cdf_rejects_bad_input() {
-        assert!(EmpiricalCdf::from_samples(&[]).is_err());
-        assert!(EmpiricalCdf::from_samples(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn empirical_cdf_approximates_uniform_source() {
-        let d = UniformDist::new(0.1, 0.9).unwrap();
-        let mut rng = seeded_rng(3);
-        let samples: Vec<f64> = (0..5000).map(|_| d.sample(&mut rng)).collect();
-        let e = EmpiricalCdf::from_samples(&samples).unwrap();
-        for x in [0.2, 0.4, 0.6, 0.8] {
-            assert!((e.cdf(x) - d.cdf(x)).abs() < 0.03, "x={x}");
-        }
-    }
-
-    #[test]
-    fn normal_cdf_known_values() {
-        assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((std_normal_cdf(1.96) - 0.975).abs() < 1e-3);
-        assert!((std_normal_cdf(-1.96) - 0.025).abs() < 1e-3);
     }
 }

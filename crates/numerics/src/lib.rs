@@ -10,7 +10,7 @@
 //!   estimated from historical data ([`distribution`]),
 //! * min–max normalisation as used by the walk-through example of Section III-B
 //!   ([`normalize`]),
-//! * summary statistics and histograms used by the evaluation ([`stats`]),
+//! * summary statistics used by the evaluation ([`stats`]),
 //! * deterministic, seedable random-number helpers so that every experiment in the
 //!   repository is reproducible ([`rng`]),
 //! * the workspace-wide runtime SIMD dispatch gate shared by every vectorised kernel
@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod distribution;
 pub mod error;
@@ -39,9 +40,9 @@ pub mod rng;
 pub mod simd;
 pub mod stats;
 
-pub use distribution::{Distribution1D, EmpiricalCdf, TruncatedNormal, UniformDist};
+pub use distribution::{Distribution1D, UniformDist};
 pub use error::NumericsError;
-pub use optimize::{maximize_coordinate, maximize_scalar};
+pub use optimize::maximize_coordinate;
 pub use quadrature::{cumulative_trapezoid, trapezoid};
 pub use rng::{derive_stream, seeded_rng};
 pub use simd::{avx512_enabled, avx_enabled};

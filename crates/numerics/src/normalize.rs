@@ -20,27 +20,6 @@ impl MinMaxNormalizer {
         Self { min, max }
     }
 
-    /// Fits a normaliser to observed values. Returns `None` if `values` is empty or contains
-    /// a non-finite number.
-    pub fn fit(values: &[f64]) -> Option<Self> {
-        if values.is_empty() || values.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        Some(Self { min, max })
-    }
-
-    /// Lower end of the fitted range.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Upper end of the fitted range.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
     /// Maps `x` into `[0, 1]`, clamping values outside of the fitted range.
     pub fn normalize(&self, x: f64) -> f64 {
         if self.max <= self.min {
@@ -88,21 +67,5 @@ mod tests {
         assert_eq!(n.normalize(3.0), 0.5);
         assert_eq!(n.normalize(7.0), 0.5);
         assert_eq!(n.denormalize(0.9), 3.0);
-    }
-
-    #[test]
-    fn fit_matches_walkthrough_ranges() {
-        // The data sizes from the round-1 bids in Fig. 3.
-        let sizes = [4000.0, 3000.0, 3500.0, 5000.0, 5000.0];
-        let n = MinMaxNormalizer::fit(&sizes).unwrap();
-        assert_eq!(n.min(), 3000.0);
-        assert_eq!(n.max(), 5000.0);
-        assert!((n.normalize(4000.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fit_rejects_bad_input() {
-        assert!(MinMaxNormalizer::fit(&[]).is_none());
-        assert!(MinMaxNormalizer::fit(&[1.0, f64::NAN]).is_none());
     }
 }

@@ -12,7 +12,7 @@
 //! kernel take its AVX path?" from two inputs, cached per process:
 //!
 //! * the CPU: `is_x86_feature_detected!("avx")` on x86-64, `false` elsewhere;
-//! * the [`FORCE_SCALAR_ENV`] environment variable (`FMORE_FORCE_SCALAR=1`), which forces
+//! * the `FORCE_SCALAR_ENV` environment variable (`FMORE_FORCE_SCALAR=1`), which forces
 //!   the scalar cores even on AVX hardware — how CI's scalar-only job runs the parity and
 //!   golden suites through the exact code paths a non-AVX machine would take.
 
@@ -20,10 +20,10 @@ use std::sync::OnceLock;
 
 /// Environment variable forcing every kernel onto its scalar core (`1` to force; `0` or
 /// unset leaves the runtime CPU detection in charge).
-pub const FORCE_SCALAR_ENV: &str = "FMORE_FORCE_SCALAR";
+pub(crate) const FORCE_SCALAR_ENV: &str = "FMORE_FORCE_SCALAR";
 
 /// Whether kernels may take their AVX-compiled path: the CPU supports AVX and
-/// [`FORCE_SCALAR_ENV`] has not forced the scalar cores. Evaluated once per process.
+/// `FORCE_SCALAR_ENV` has not forced the scalar cores. Evaluated once per process.
 pub fn avx_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| {
@@ -43,7 +43,7 @@ pub fn avx_enabled() -> bool {
 
 /// Whether kernels may take their AVX-512-compiled path: the CPU supports the F/DQ/VL
 /// subsets (64-bit lane multiplies and `u64 → f64` conversions, the ops the fused bid
-/// derivation vectorises over) and [`FORCE_SCALAR_ENV`] has not forced the scalar cores.
+/// derivation vectorises over) and `FORCE_SCALAR_ENV` has not forced the scalar cores.
 /// Evaluated once per process. Implies nothing about [`avx_enabled`] — each kernel checks
 /// the gate matching its widest instruction set and falls through tier by tier.
 pub fn avx512_enabled() -> bool {

@@ -37,7 +37,7 @@ impl AccuracyConfig {
     /// fast surrogate model so the full figure regenerates in minutes rather than hours (the
     /// selection dynamics — which clients win and how much data reaches the aggregator — are
     /// unchanged).
-    pub fn paper(task: TaskKind) -> Self {
+    pub(crate) fn paper(task: TaskKind) -> Self {
         let mut fl = FlConfig::paper_simulation(task);
         fl.model = ModelChoice::FastSurrogate;
         fl.train_samples = 8_000;
@@ -75,14 +75,8 @@ pub struct AccuracyFigure {
 
 impl AccuracyFigure {
     /// Looks up the curve of a scheme by name.
-    pub fn curve(&self, strategy: &str) -> Option<&StrategyCurve> {
+    pub(crate) fn curve(&self, strategy: &str) -> Option<&StrategyCurve> {
         self.curves.iter().find(|c| c.strategy == strategy)
-    }
-
-    /// Final accuracy of a scheme, `0.0` if the scheme is missing.
-    pub fn final_accuracy(&self, strategy: &str) -> f64 {
-        self.curve(strategy)
-            .map_or(0.0, |c| c.history.final_accuracy())
     }
 
     /// Renders the per-round accuracy of every scheme as a Markdown table (the data behind
@@ -128,7 +122,7 @@ impl AccuracyFigure {
 
 /// The declarative specs of one accuracy figure: one scenario per scheme, with derived
 /// seeds in scheme order.
-pub fn specs(config: &AccuracyConfig) -> Vec<ScenarioSpec> {
+pub(crate) fn specs(config: &AccuracyConfig) -> Vec<ScenarioSpec> {
     [
         SelectionStrategy::fmore(),
         SelectionStrategy::random(),
@@ -197,8 +191,6 @@ mod tests {
             assert_eq!(c.loss.len(), 3);
             assert!(c.accuracy.ys.iter().all(|a| (0.0..=1.0).contains(a)));
         }
-        assert!(fig.final_accuracy("FMore") > 0.0);
-        assert_eq!(fig.final_accuracy("Nope"), 0.0);
     }
 
     #[test]

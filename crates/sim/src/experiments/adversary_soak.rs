@@ -211,7 +211,7 @@ fn adversarial_wins(
 /// Propagates service failures, and fails when a robust rule drifts more than 5 points
 /// from clean, FedAvg fails to degrade under attack, any tenant diverges from its solo
 /// run, an adversarial job never quarantines, or the adversarial win-rate fails to fall.
-pub fn run(
+pub(crate) fn run(
     runner: &ScenarioRunner,
     config: &AdversaryConfig,
 ) -> Result<ExperimentReport, SimError> {

@@ -129,7 +129,10 @@ fn interrupted_fingerprint(
 ///
 /// Propagates service failures, and fails when a healthy job diverges from solo, a faulted
 /// job does not complete every round, or a checkpointed run diverges.
-pub fn run(runner: &ScenarioRunner, config: &ChaosConfig) -> Result<ExperimentReport, SimError> {
+pub(crate) fn run(
+    runner: &ScenarioRunner,
+    config: &ChaosConfig,
+) -> Result<ExperimentReport, SimError> {
     let engine = runner.engine();
     let specs = job_specs(config)?;
     let rounds = config.soak.rounds;

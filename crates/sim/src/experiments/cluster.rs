@@ -3,12 +3,12 @@
 
 use crate::error::SimError;
 use crate::scenario::{ClusterScenarioSpec, ScenarioRunner};
-use crate::series::{Series, Table};
+use crate::series::Table;
 use fmore_mec::cluster::{ClusterConfig, ClusterHistory, ClusterStrategy};
 
 /// Configuration of the cluster experiment.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClusterExperimentConfig {
+pub(crate) struct ClusterExperimentConfig {
     /// The underlying cluster configuration.
     pub cluster: ClusterConfig,
     /// Number of rounds (20 in the paper).
@@ -21,7 +21,7 @@ pub struct ClusterExperimentConfig {
 
 impl ClusterExperimentConfig {
     /// Quick configuration for tests.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         Self {
             cluster: ClusterConfig::fast_test(),
             rounds: 3,
@@ -32,7 +32,7 @@ impl ClusterExperimentConfig {
 
     /// The paper's deployment: 31 nodes, CIFAR-10, 20 rounds, time-to-accuracy targets
     /// 35%–60%.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             cluster: ClusterConfig::paper_cluster(),
             rounds: 20,
@@ -44,7 +44,7 @@ impl ClusterExperimentConfig {
 
 /// One scheme's cluster run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClusterCurve {
+pub(crate) struct ClusterCurve {
     /// Scheme name ("FMore" or "RandFL").
     pub strategy: String,
     /// The full per-round history.
@@ -53,7 +53,7 @@ pub struct ClusterCurve {
 
 /// The reproduction of Figs. 12–13.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ClusterFigure {
+pub(crate) struct ClusterFigure {
     /// One curve per scheme.
     pub curves: Vec<ClusterCurve>,
     /// The accuracy targets evaluated for the time-to-accuracy panel.
@@ -62,36 +62,18 @@ pub struct ClusterFigure {
 
 impl ClusterFigure {
     /// Looks up a scheme by name.
-    pub fn curve(&self, strategy: &str) -> Option<&ClusterCurve> {
+    pub(crate) fn curve(&self, strategy: &str) -> Option<&ClusterCurve> {
         self.curves.iter().find(|c| c.strategy == strategy)
     }
 
-    /// Accuracy-per-round series of a scheme (Fig. 12 left).
-    pub fn accuracy_series(&self, strategy: &str) -> Series {
-        let ys = self
-            .curve(strategy)
-            .map(|c| c.history.accuracy_series())
-            .unwrap_or_default();
-        Series::from_rounds(format!("{strategy} accuracy"), ys)
-    }
-
-    /// Cumulative-time-per-round series of a scheme (Fig. 13 left).
-    pub fn time_series(&self, strategy: &str) -> Series {
-        let ys = self
-            .curve(strategy)
-            .map(|c| c.history.cumulative_time_series())
-            .unwrap_or_default();
-        Series::from_rounds(format!("{strategy} cumulative time (s)"), ys)
-    }
-
     /// Time (seconds) needed by a scheme to reach an accuracy target (Fig. 13 right).
-    pub fn time_to_accuracy(&self, strategy: &str, target: f64) -> Option<f64> {
+    pub(crate) fn time_to_accuracy(&self, strategy: &str, target: f64) -> Option<f64> {
         self.curve(strategy)
             .and_then(|c| c.history.time_to_accuracy(target))
     }
 
     /// Markdown table with the per-round accuracy and cumulative time of every scheme.
-    pub fn to_table(&self) -> Table {
+    pub(crate) fn to_table(&self) -> Table {
         let mut headers = vec!["round".to_string()];
         for c in &self.curves {
             headers.push(format!("{} accuracy", c.strategy));
@@ -131,7 +113,7 @@ impl ClusterFigure {
 }
 
 /// The declarative specs of the cluster figure: one cluster scenario per scheme.
-pub fn specs(config: &ClusterExperimentConfig) -> Vec<ClusterScenarioSpec> {
+pub(crate) fn specs(config: &ClusterExperimentConfig) -> Vec<ClusterScenarioSpec> {
     [ClusterStrategy::FMore, ClusterStrategy::RandFL]
         .into_iter()
         .map(|strategy| {
@@ -152,7 +134,7 @@ pub fn specs(config: &ClusterExperimentConfig) -> Vec<ClusterScenarioSpec> {
 /// # Errors
 ///
 /// Propagates cluster construction and training errors.
-pub fn run(
+pub(crate) fn run(
     runner: &ScenarioRunner,
     config: &ClusterExperimentConfig,
 ) -> Result<ClusterFigure, SimError> {
@@ -181,11 +163,7 @@ mod tests {
         assert!(fig.curve("FMore").is_some());
         assert!(fig.curve("RandFL").is_some());
         assert!(fig.curve("other").is_none());
-        assert_eq!(fig.accuracy_series("FMore").len(), 3);
-        assert_eq!(fig.time_series("RandFL").len(), 3);
-        assert!(fig.time_series("FMore").last().unwrap() > 0.0);
-        // Unknown strategies yield empty series and no time-to-accuracy.
-        assert!(fig.accuracy_series("other").is_empty());
+        // Unknown strategies yield no time-to-accuracy.
         assert!(fig.time_to_accuracy("other", 0.5).is_none());
         let md = fig.to_table().to_markdown();
         assert!(md.contains("FMore accuracy") && md.contains("RandFL time"));

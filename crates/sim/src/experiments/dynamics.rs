@@ -24,7 +24,7 @@ use fmore_mec::dynamics::{ChurnModel, DynamicsConfig};
 
 /// Configuration of the dynamic-MEC experiments.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DynamicsExperimentConfig {
+pub(crate) struct DynamicsExperimentConfig {
     /// The base (static) cluster configuration; churn is attached per sweep point.
     pub cluster: ClusterConfig,
     /// Cluster rounds per scenario.
@@ -47,7 +47,7 @@ impl DynamicsExperimentConfig {
     /// Quick configuration for tests and CI: a 12-node cluster, slightly larger than
     /// `ClusterConfig::fast_test` so the accuracy signal rises above the evaluation noise of
     /// a tiny test set, still finishing in a few seconds.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         let mut cluster = ClusterConfig::fast_test();
         cluster.nodes = 12;
         cluster.winners_per_round = 4;
@@ -69,7 +69,7 @@ impl DynamicsExperimentConfig {
     }
 
     /// The paper-scale configuration: the 31-node cluster over 20 rounds.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             cluster: ClusterConfig::paper_cluster(),
             rounds: 20,
@@ -112,7 +112,7 @@ impl DynamicsExperimentConfig {
 
 /// One point of the dropout sweep: both schemes under the same dropout rate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DropoutPoint {
+pub(crate) struct DropoutPoint {
     /// The per-winner dropout rate.
     pub rate: f64,
     /// FMore's run at this rate.
@@ -123,7 +123,7 @@ pub struct DropoutPoint {
 
 /// The dropout sweep: FMore vs RandFL as the dropout rate grows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DropoutSweep {
+pub(crate) struct DropoutSweep {
     /// One point per swept rate, in rate order.
     pub points: Vec<DropoutPoint>,
     /// The accuracy target of the time-to-accuracy column.
@@ -133,7 +133,7 @@ pub struct DropoutSweep {
 impl DropoutSweep {
     /// Markdown table: per rate, each scheme's final accuracy, completion rate, and
     /// time-to-target.
-    pub fn to_table(&self) -> Table {
+    pub(crate) fn to_table(&self) -> Table {
         let mut table = Table::new(
             "Dropout sweep: graceful degradation under churn (dynamic MEC)",
             &[
@@ -167,7 +167,7 @@ impl DropoutSweep {
 /// # Errors
 ///
 /// Propagates cluster construction and training failures.
-pub fn run_dropout_sweep(
+pub(crate) fn run_dropout_sweep(
     runner: &ScenarioRunner,
     config: &DynamicsExperimentConfig,
 ) -> Result<DropoutSweep, SimError> {
@@ -200,7 +200,7 @@ pub fn run_dropout_sweep(
 
 /// The Figs. 12–13 comparison re-run under a moderate churn model.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChurnCurves {
+pub(crate) struct ChurnCurves {
     /// One outcome per scheme, FMore first.
     pub outcomes: Vec<ClusterOutcome>,
     /// The accuracy target of the time-to-accuracy summary row.
@@ -210,7 +210,7 @@ pub struct ChurnCurves {
 impl ChurnCurves {
     /// Markdown table: per-round accuracy and cumulative time of every scheme, plus summary
     /// rows with the churn accounting and each scheme's time to the accuracy target.
-    pub fn to_table(&self) -> Table {
+    pub(crate) fn to_table(&self) -> Table {
         let mut headers = vec!["round".to_string()];
         for o in &self.outcomes {
             headers.push(format!("{} accuracy", o.strategy));
@@ -271,7 +271,7 @@ impl ChurnCurves {
 /// # Errors
 ///
 /// Propagates cluster construction and training failures.
-pub fn run_churn_curves(
+pub(crate) fn run_churn_curves(
     runner: &ScenarioRunner,
     config: &DynamicsExperimentConfig,
 ) -> Result<ChurnCurves, SimError> {
@@ -298,7 +298,7 @@ pub fn run_churn_curves(
 
 /// One point of the straggler/waste sweep (FMore only — RandFL pays nothing).
 #[derive(Debug, Clone, PartialEq)]
-pub struct WastePoint {
+pub(crate) struct WastePoint {
     /// The per-winner straggler rate.
     pub rate: f64,
     /// FMore's run at this rate.
@@ -307,14 +307,14 @@ pub struct WastePoint {
 
 /// The straggler sweep: what churn costs the aggregator in wasted incentive spend.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WasteSweep {
+pub(crate) struct WasteSweep {
     /// One point per swept rate, in rate order.
     pub points: Vec<WastePoint>,
 }
 
 impl WasteSweep {
     /// Markdown table: per rate, the useful and wasted payment and the churn counters.
-    pub fn to_table(&self) -> Table {
+    pub(crate) fn to_table(&self) -> Table {
         let mut table = Table::new(
             "Straggler sweep: payment waste under deadline pressure (dynamic MEC)",
             &[
@@ -347,7 +347,7 @@ impl WasteSweep {
 /// # Errors
 ///
 /// Propagates cluster construction and training failures.
-pub fn run_waste_sweep(
+pub(crate) fn run_waste_sweep(
     runner: &ScenarioRunner,
     config: &DynamicsExperimentConfig,
 ) -> Result<WasteSweep, SimError> {

@@ -13,7 +13,7 @@ use crate::series::Table;
 
 /// Relative reduction `(baseline − ours) / baseline`, as a percentage. Returns `None` when
 /// the baseline is not positive.
-pub fn relative_reduction_pct(ours: f64, baseline: f64) -> Option<f64> {
+pub(crate) fn relative_reduction_pct(ours: f64, baseline: f64) -> Option<f64> {
     if baseline <= 0.0 {
         return None;
     }
@@ -22,7 +22,7 @@ pub fn relative_reduction_pct(ours: f64, baseline: f64) -> Option<f64> {
 
 /// Relative improvement `(ours − baseline) / baseline`, as a percentage. Returns `None` when
 /// the baseline is not positive.
-pub fn relative_improvement_pct(ours: f64, baseline: f64) -> Option<f64> {
+pub(crate) fn relative_improvement_pct(ours: f64, baseline: f64) -> Option<f64> {
     if baseline <= 0.0 {
         return None;
     }
@@ -92,7 +92,7 @@ pub struct ClusterHeadline {
 
 /// Computes the cluster headline numbers (Fig. 12–13 summary: −38.4% time, +44.9% accuracy
 /// in the paper).
-pub fn cluster_headline(figure: &ClusterFigure, accuracy_target: f64) -> ClusterHeadline {
+pub(crate) fn cluster_headline(figure: &ClusterFigure, accuracy_target: f64) -> ClusterHeadline {
     let fmore_secs = figure.time_to_accuracy("FMore", accuracy_target);
     let randfl_secs = figure.time_to_accuracy("RandFL", accuracy_target);
     let time_reduction_pct = match (fmore_secs, randfl_secs) {

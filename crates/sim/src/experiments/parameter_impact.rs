@@ -197,7 +197,7 @@ pub struct ParameterImpact {
 
 impl ParameterImpact {
     /// Panel (a), then panel (b), as Markdown tables.
-    pub fn tables(&self) -> Vec<Table> {
+    pub(crate) fn tables(&self) -> Vec<Table> {
         let symbol = self.axis.symbol();
         let (small, large) = (
             format!("rounds ({symbol} small)"),

@@ -280,7 +280,7 @@ fn run_adversary_soak(
 }
 
 /// Every experiment of the paper's evaluation, in figure order.
-pub const REGISTRY: &[ExperimentDef] = &[
+pub(crate) const REGISTRY: &[ExperimentDef] = &[
     ExperimentDef {
         name: "accuracy",
         figure: "Figs. 4-7",

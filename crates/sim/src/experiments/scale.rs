@@ -279,7 +279,7 @@ pub struct ScaleFigure {
 
 impl ScaleFigure {
     /// Markdown table of the sweep.
-    pub fn to_table(&self) -> Table {
+    pub(crate) fn to_table(&self) -> Table {
         let mut t = Table::new(
             "Population-scale selection: streamed top-K over lazily derived bidders",
             &[
@@ -362,7 +362,7 @@ pub struct MemoryFigure {
 
 impl MemoryFigure {
     /// Markdown table of the comparison.
-    pub fn to_table(&self) -> Table {
+    pub(crate) fn to_table(&self) -> Table {
         let mut t = Table::new(
             "Population-scale memory: streamed peak vs dense bid store",
             &[
@@ -431,7 +431,7 @@ pub struct ParityFigure {
 
 impl ParityFigure {
     /// Markdown table of the check.
-    pub fn to_table(&self) -> Table {
+    pub(crate) fn to_table(&self) -> Table {
         let mut t = Table::new(
             "Population-scale parity: streamed selection vs dense full-sort",
             &["N", "winners", "identical", "max |payment delta|"],

@@ -9,10 +9,9 @@
 use crate::error::SimError;
 use crate::experiments::accuracy::AccuracyConfig;
 use crate::scenario::{ScenarioRunner, ScenarioSpec};
-use crate::series::{Series, Table};
+use crate::series::Table;
 use fmore_auction::{CobbDouglas, ScoringFunction};
 use fmore_fl::selection::SelectionStrategy;
-use fmore_numerics::stats::Histogram;
 
 /// Winner-score samples of one scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,39 +32,6 @@ pub struct ScoreDistribution {
 }
 
 impl ScoreDistribution {
-    /// Cumulative proportion of scores ≤ each bin edge, over `bins` equal-width bins — the
-    /// format the paper plots.
-    pub fn cumulative_proportions(&self, scores: &[f64], bins: usize) -> Series {
-        if scores.is_empty() {
-            return Series::new("empty", vec![], vec![]);
-        }
-        let lo = self
-            .population_scores
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        let hi = self
-            .population_scores
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let (lo, hi) = if hi > lo {
-            (lo, hi)
-        } else {
-            (lo - 0.5, lo + 0.5)
-        };
-        let mut hist = Histogram::new(lo, hi + 1e-9, bins.max(1));
-        hist.extend(scores.iter().copied());
-        let proportions = hist.proportions();
-        let mut cumulative = Vec::with_capacity(proportions.len());
-        let mut acc = 0.0;
-        for p in proportions {
-            acc += p;
-            cumulative.push(acc);
-        }
-        Series::new("cumulative proportion", hist.bin_centers(), cumulative)
-    }
-
     /// Mean winner score of a scheme (0 if absent).
     pub fn mean_winner_score(&self, strategy: &str) -> f64 {
         self.schemes
@@ -75,7 +41,7 @@ impl ScoreDistribution {
     }
 
     /// Markdown table of mean/median winner score per scheme.
-    pub fn to_table(&self) -> Table {
+    pub(crate) fn to_table(&self) -> Table {
         let mut table = Table::new(
             "Winner score distribution (Fig. 8)",
             &["scheme", "mean score", "median score", "samples"],
@@ -215,19 +181,6 @@ mod tests {
         );
         assert_eq!(dist.mean_winner_score("absent"), 0.0);
         assert!(!dist.population_scores.is_empty());
-    }
-
-    #[test]
-    fn cumulative_proportions_reach_one() {
-        let config = AccuracyConfig::quick(TaskKind::MnistO);
-        let dist = run(&ScenarioRunner::new(), &config).unwrap();
-        let series = dist.cumulative_proportions(&dist.population_scores, 8);
-        assert_eq!(series.len(), 8);
-        assert!((series.last().unwrap() - 1.0).abs() < 1e-9);
-        // Monotone non-decreasing.
-        assert!(series.ys.windows(2).all(|w| w[1] >= w[0] - 1e-12));
-        // Empty input yields an empty series.
-        assert!(dist.cumulative_proportions(&[], 8).is_empty());
     }
 
     #[test]

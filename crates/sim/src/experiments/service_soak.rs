@@ -64,7 +64,7 @@ impl SoakConfig {
     }
 
     /// The heavy soak: eight mixed-scheme tenants, larger populations, more rounds.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             jobs: 8,
             rounds: 12,
@@ -182,7 +182,7 @@ pub fn job_specs(config: &SoakConfig) -> Result<Vec<JobSpec>, SimError> {
 /// # Errors
 ///
 /// Propagates service failures (every soak round is expected to succeed).
-pub fn solo_fingerprints(
+pub(crate) fn solo_fingerprints(
     engine: &RoundEngine,
     specs: &[JobSpec],
     rounds: usize,
@@ -208,7 +208,10 @@ pub fn solo_fingerprints(
 /// # Errors
 ///
 /// Propagates service failures.
-pub fn run(runner: &ScenarioRunner, config: &SoakConfig) -> Result<ExperimentReport, SimError> {
+pub(crate) fn run(
+    runner: &ScenarioRunner,
+    config: &SoakConfig,
+) -> Result<ExperimentReport, SimError> {
     let engine = runner.engine();
     let specs = job_specs(config)?;
     let solo = solo_fingerprints(&engine, &specs, config.rounds)?;

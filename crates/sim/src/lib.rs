@@ -44,6 +44,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod error;
 pub mod experiments;
@@ -53,7 +54,5 @@ pub mod scenario;
 pub mod series;
 
 pub use error::SimError;
-pub use scenario::{
-    ClusterOutcome, ClusterScenarioSpec, ScenarioOutcome, ScenarioRunner, ScenarioSpec,
-};
-pub use series::{Series, Table};
+pub use scenario::{ClusterScenarioSpec, ScenarioRunner, ScenarioSpec};
+pub use series::Series;

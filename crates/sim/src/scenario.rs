@@ -59,7 +59,7 @@ impl ScenarioSpec {
 
     /// Returns the spec with the population `N` replaced (partition follows; the winner
     /// count is clamped to the new population).
-    pub fn with_population(mut self, n: usize) -> Self {
+    pub(crate) fn with_population(mut self, n: usize) -> Self {
         self.fl.clients = n;
         self.fl.partition.clients = n;
         if self.fl.winners_per_round > n {
@@ -69,20 +69,8 @@ impl ScenarioSpec {
     }
 
     /// Returns the spec with the per-round winner count `K` replaced (clamped to `N`).
-    pub fn with_winners(mut self, k: usize) -> Self {
+    pub(crate) fn with_winners(mut self, k: usize) -> Self {
         self.fl.winners_per_round = k.min(self.fl.clients);
-        self
-    }
-
-    /// Returns the spec with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Returns the spec relabelled.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
         self
     }
 }
@@ -138,18 +126,6 @@ impl ClusterScenarioSpec {
         self.cluster.dynamics = Some(dynamics);
         self
     }
-
-    /// Returns the spec with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Returns the spec relabelled.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
 }
 
 /// The result of one executed cluster scenario.
@@ -192,17 +168,12 @@ impl ScenarioRunner {
     }
 
     /// A runner submitting to an existing pool.
-    pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
+    pub(crate) fn with_pool(pool: Arc<WorkerPool>) -> Self {
         Self { pool }
     }
 
-    /// The pool this runner submits to.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
     /// A round engine bound to this runner's pool (what the executed trainers run on).
-    pub fn engine(&self) -> RoundEngine {
+    pub(crate) fn engine(&self) -> RoundEngine {
         RoundEngine::with_pool(Arc::clone(&self.pool))
     }
 
@@ -212,7 +183,7 @@ impl ScenarioRunner {
     /// # Errors
     ///
     /// Propagates trainer-construction failures.
-    pub fn trainer(&self, spec: &ScenarioSpec) -> Result<FederatedTrainer, SimError> {
+    pub(crate) fn trainer(&self, spec: &ScenarioSpec) -> Result<FederatedTrainer, SimError> {
         Ok(FederatedTrainer::with_engine(
             spec.fl.clone(),
             spec.strategy.clone(),
@@ -294,7 +265,7 @@ impl ScenarioRunner {
     /// Panics if any task panics (the batch-driver contract: an experiment point that dies
     /// should abort its figure). Service-facing callers use
     /// [`ScenarioRunner::try_map`] instead, which surfaces the panic as a typed error.
-    pub fn map<I, T, F>(&self, inputs: Vec<I>, f: F) -> Vec<T>
+    pub(crate) fn map<I, T, F>(&self, inputs: Vec<I>, f: F) -> Vec<T>
     where
         I: Send + 'static,
         T: Send + 'static,
@@ -312,7 +283,7 @@ impl ScenarioRunner {
     /// # Errors
     ///
     /// The first (in input order) task panic, as a typed error.
-    pub fn try_map<I, T, F>(&self, inputs: Vec<I>, f: F) -> Result<Vec<T>, SimError>
+    pub(crate) fn try_map<I, T, F>(&self, inputs: Vec<I>, f: F) -> Result<Vec<T>, SimError>
     where
         I: Send + 'static,
         T: Send + 'static,
@@ -353,14 +324,10 @@ mod tests {
     fn spec_builders_keep_config_consistent() {
         let spec = quick_spec(SelectionStrategy::fmore(), 1)
             .with_population(6)
-            .with_winners(10)
-            .with_seed(5)
-            .with_label("tuned");
+            .with_winners(10);
         assert_eq!(spec.fl.clients, 6);
         assert_eq!(spec.fl.partition.clients, 6);
         assert_eq!(spec.fl.winners_per_round, 6, "K is clamped to N");
-        assert_eq!(spec.seed, 5);
-        assert_eq!(spec.label, "tuned");
         assert!(spec.fl.validate().is_ok());
     }
 
@@ -439,18 +406,14 @@ mod tests {
         use fmore_mec::cluster::ClusterConfig;
         use fmore_mec::dynamics::{ChurnModel, DynamicsConfig};
         let spec = ClusterScenarioSpec::new(
-            "dynamic",
+            "churny",
             ClusterConfig::fast_test(),
             ClusterStrategy::FMore,
             2,
-            44,
+            45,
         )
-        .with_dynamics(DynamicsConfig::new(ChurnModel::edge_default()).with_deadline(90.0))
-        .with_seed(45)
-        .with_label("churny");
+        .with_dynamics(DynamicsConfig::new(ChurnModel::edge_default()).with_deadline(90.0));
         assert!(spec.cluster.dynamics.is_some());
-        assert_eq!(spec.seed, 45);
-        assert_eq!(spec.label, "churny");
         let outcome = ScenarioRunner::new().run_cluster(&spec).unwrap();
         assert_eq!(outcome.history.rounds.len(), 2);
         // Pool size does not change a dynamic outcome either.

@@ -12,16 +12,6 @@ pub struct Series {
 }
 
 impl Series {
-    /// Creates a series, truncating to the shorter of the two vectors.
-    pub fn new(name: impl Into<String>, xs: Vec<f64>, ys: Vec<f64>) -> Self {
-        let n = xs.len().min(ys.len());
-        Self {
-            name: name.into(),
-            xs: xs[..n].to_vec(),
-            ys: ys[..n].to_vec(),
-        }
-    }
-
     /// Creates a series with implicit x = 1, 2, 3, … (training rounds).
     pub fn from_rounds(name: impl Into<String>, ys: Vec<f64>) -> Self {
         let xs = (1..=ys.len()).map(|i| i as f64).collect();
@@ -33,27 +23,8 @@ impl Series {
     }
 
     /// Number of points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ys.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ys.is_empty()
-    }
-
-    /// Final y value, or `None` if empty.
-    pub fn last(&self) -> Option<f64> {
-        self.ys.last().copied()
-    }
-
-    /// Renders the series as CSV lines `x,y`.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("# {}\nx,y\n", self.name);
-        for (x, y) in self.xs.iter().zip(&self.ys) {
-            out.push_str(&format!("{x},{y}\n"));
-        }
-        out
     }
 }
 
@@ -70,7 +41,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table with the given title and headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Self {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -79,14 +50,8 @@ impl Table {
     }
 
     /// Appends a row (stringifying each cell).
-    pub fn push_row(&mut self, cells: &[String]) {
+    pub(crate) fn push_row(&mut self, cells: &[String]) {
         self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience: appends a row of mixed display values.
-    pub fn push_display_row(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.rows
-            .push(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Renders the table as GitHub-flavoured Markdown.
@@ -107,35 +72,18 @@ mod tests {
 
     #[test]
     fn series_construction_and_accessors() {
-        let s = Series::new("acc", vec![1.0, 2.0, 3.0], vec![0.1, 0.2]);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-        assert_eq!(s.last(), Some(0.2));
-        assert_eq!(s.xs, vec![1.0, 2.0]);
-
         let r = Series::from_rounds("loss", vec![2.0, 1.5, 1.0]);
+        assert_eq!(r.name, "loss");
+        assert_eq!(r.len(), 3);
         assert_eq!(r.xs, vec![1.0, 2.0, 3.0]);
-        assert_eq!(r.last(), Some(1.0));
-
-        let empty = Series::new("none", vec![], vec![]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.last(), None);
-    }
-
-    #[test]
-    fn csv_contains_every_point() {
-        let s = Series::from_rounds("acc", vec![0.5, 0.6]);
-        let csv = s.to_csv();
-        assert!(csv.contains("# acc"));
-        assert!(csv.contains("1,0.5"));
-        assert!(csv.contains("2,0.6"));
+        assert_eq!(r.ys, vec![2.0, 1.5, 1.0]);
     }
 
     #[test]
     fn markdown_table_renders_headers_and_rows() {
         let mut t = Table::new("Fig. 9b", &["N", "payment", "score"]);
         t.push_row(&["50".to_string(), "4400".to_string(), "600".to_string()]);
-        t.push_display_row(&[&100, &4100.5, &900]);
+        t.push_row(&["100".to_string(), "4100.5".to_string(), "900".to_string()]);
         let md = t.to_markdown();
         assert!(md.contains("### Fig. 9b"));
         assert!(md.contains("| N | payment | score |"));
