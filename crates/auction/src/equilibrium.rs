@@ -17,7 +17,7 @@
 use crate::cost::CostFunction;
 use crate::error::AuctionError;
 use crate::mechanism::SubmittedBid;
-use crate::scoring::ScoringFunction;
+use crate::scoring::{ScoringFunction, ScoringRule};
 use crate::types::{NodeId, Quality};
 use fmore_numerics::distribution::Distribution1D;
 use fmore_numerics::optimize::maximize_coordinate;
@@ -736,6 +736,54 @@ impl EquilibriumSolver {
         Ok(())
     }
 
+    /// The per-θ-cell score ceiling of this solver's tabulated bids under `rule` — see
+    /// [`ScoreCeiling`]. Cell `i` spans grid points `i` and `i + 1`; its ceiling scores,
+    /// under `rule`, the larger of the two `q*` rows in every dimension against the
+    /// smaller of the two asks, rounded outward. A suffix maximum then makes the ceilings
+    /// non-increasing in θ.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuctionError::DimensionMismatch`] when `rule` scores a different number
+    /// of dimensions than the solver tabulates.
+    pub fn score_ceiling(&self, rule: &ScoringRule) -> Result<ScoreCeiling, AuctionError> {
+        let dims = self.bounds.len();
+        self.check_dims(rule.dims())?;
+        let scoring = rule.function();
+        let rows = self.flat_qualities.chunks_exact(dims);
+        let mut q = vec![0.0; dims];
+        let mut cells: Vec<f64> = rows
+            .clone()
+            .zip(rows.skip(1))
+            .zip(self.payments.windows(2))
+            .map(|((lo_q, hi_q), p)| {
+                // An interpolated component exceeds the larger row by at most 1.5 ε
+                // relative, and capping at the capacity only lowers it.
+                for ((slot, &l), &h) in q.iter_mut().zip(lo_q).zip(hi_q) {
+                    *slot = l.max(h).max(0.0) * (1.0 + 4.0 * f64::EPSILON);
+                }
+                let (value, ask) = (scoring.value(&q), p[0].min(p[1]));
+                // Covers the rounding of the interpolated ask, of the score's subtraction
+                // and of a scoring family whose float evaluation is monotone only to an ulp.
+                let ceiling = value - ask + 16.0 * f64::EPSILON * (value.abs() + ask.abs());
+                if ceiling.is_nan() {
+                    f64::INFINITY
+                } else {
+                    ceiling
+                }
+            })
+            .collect();
+        for i in (1..cells.len()).rev() {
+            cells[i - 1] = cells[i - 1].max(cells[i]);
+        }
+        Ok(ScoreCeiling {
+            lo: self.theta.lo,
+            hi: self.theta.hi,
+            scale: (self.thetas.len() - 1) as f64,
+            cells,
+        })
+    }
+
     /// The opponent-score CDF `H(x) = 1 − F(u⁻¹(x))`.
     pub(crate) fn opponent_score_cdf(&self, x: f64) -> f64 {
         let u_min = *self.u_values.last().unwrap();
@@ -973,6 +1021,74 @@ impl EquilibriumSolver {
         capacity: &[f64],
     ) -> Result<SubmittedBid, AuctionError> {
         self.strategy_for(theta)?.cap(node, capacity)
+    }
+}
+
+/// An upper bound, per cell of an [`EquilibriumSolver`]'s θ grid, on the score under one
+/// [`ScoringRule`] of any tabulated bid whose θ falls in that cell — whatever capacity the
+/// bid is capped to ([`EquilibriumSolver::score_ceiling`]). Capping only lowers a quality
+/// and every scoring family is non-decreasing in each, so the bound needs θ alone.
+///
+/// The ceilings never rise with θ, so the cells whose ceiling reaches a given score form a
+/// prefix of the grid, and one θ ([`ScoreCeiling::cut`], where the grid coordinate leaves
+/// that prefix) separates the θ values that may still reach it from those that cannot.
+/// The population's shard pipeline uses that to omit, before deriving anything but θ, the
+/// bids that cannot beat the round's best dropped score.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScoreCeiling {
+    lo: f64,
+    hi: f64,
+    /// Number of grid cells: the grid coordinate of θ̄.
+    scale: f64,
+    /// One ceiling per grid cell, non-increasing.
+    cells: Vec<f64>,
+}
+
+impl ScoreCeiling {
+    /// θ's coordinate on the solver's grid: the value whose floor (capped at the last
+    /// cell) is the cell [`EquilibriumSolver::grid_pos_batch`] looks θ up in — the same
+    /// operations in the same order, so the same bits.
+    fn grid_coordinate(&self, theta: f64) -> f64 {
+        (theta.clamp(self.lo, self.hi) - self.lo) / (self.hi - self.lo) * self.scale
+    }
+
+    /// Whether θ passes the solver's support check. A θ that fails it is never omitted,
+    /// so the fill reports it as the unpruned fill would.
+    #[inline(always)]
+    pub fn in_support(&self, theta: f64) -> bool {
+        (theta >= self.lo - 1e-12) & (theta <= self.hi + 1e-12)
+    }
+
+    /// The cut for an omit bound, as a θ: a θ below the returned value may reach a score
+    /// of `bound` or more, a θ at or above it (inside the support) cannot. `None` when
+    /// every cell may reach it (then nothing can be omitted; a NaN bound omits nothing
+    /// either).
+    ///
+    /// The cells that may reach the bound are the first `reach`, so the cut is the least
+    /// θ whose grid coordinate is `reach` or more. That coordinate is
+    /// non-decreasing in θ (every step of it rounds monotonically), so a bisection over
+    /// the bit patterns of the positive floats in `[θ̲, θ̄]` finds the cut exactly, and a
+    /// shard's pre-pass compares θ alone.
+    pub fn cut(&self, bound: f64) -> Option<f64> {
+        let reach = self.cells.partition_point(|&ceiling| ceiling >= bound);
+        if reach == self.cells.len() || bound.is_nan() {
+            return None;
+        }
+        let reaches = |bits: u64| self.grid_coordinate(f64::from_bits(bits)) >= reach as f64;
+        // θ̄ sits at coordinate `cells ≥ reach + 1`, so `hi` always satisfies `reaches`.
+        let (mut lo, mut hi) = (self.lo.to_bits(), self.hi.to_bits());
+        if reaches(lo) {
+            return Some(self.lo);
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if reaches(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(f64::from_bits(hi))
     }
 }
 

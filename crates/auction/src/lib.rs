@@ -75,7 +75,9 @@ pub mod walkthrough;
 pub mod winner;
 
 pub use cost::{CostFunction, LinearCost, QuadraticCost};
-pub use equilibrium::{EquilibriumBid, EquilibriumSolver, EquilibriumStrategy, PaymentMethod};
+pub use equilibrium::{
+    EquilibriumBid, EquilibriumSolver, EquilibriumStrategy, PaymentMethod, ScoreCeiling,
+};
 pub use error::AuctionError;
 pub use mechanism::{Auction, AuctionOutcome, Award, SubmittedBid};
 pub use pricing::PricingRule;

@@ -158,6 +158,14 @@ impl TieBreak {
 /// and scores live in four dense arrays instead of one `Vec<SubmittedBid>` of heap-owning
 /// structs. A shard-sized store is reused across shards and rounds, so steady-state bid
 /// collection allocates nothing.
+///
+/// **Omission.** A store may carry an *omit bound* ([`BidStore::set_omit_bound`]): a score
+/// below which its filler may leave a bid out instead of storing it, because such a bid
+/// could neither enter the round's pool nor change its best dropped score. The store still
+/// counts an omitted bid as [`BidStore::offered`], and remembers each stored bid's position
+/// among the offered ones ([`BidStore::offset`]), so tie-break keys and the round RNG see
+/// the full stream. Until something is omitted the offset is the identity and no offset
+/// column is written.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BidStore {
     dims: usize,
@@ -165,6 +173,11 @@ pub struct BidStore {
     qualities: Vec<f64>,
     asks: Vec<f64>,
     scores: Vec<f64>,
+    /// Each stored bid's position among the offered bids; empty while it is the identity.
+    offsets: Vec<u32>,
+    /// Bids offered to the store, omitted ones included.
+    offered: usize,
+    omit_bound: Option<f64>,
 }
 
 impl BidStore {
@@ -184,6 +197,7 @@ impl BidStore {
             qualities: Vec::with_capacity(bids * dims),
             asks: Vec::with_capacity(bids),
             scores: Vec::with_capacity(bids),
+            ..Self::default()
         }
     }
 
@@ -202,12 +216,40 @@ impl BidStore {
         self.nodes.is_empty()
     }
 
-    /// Clears the store, keeping every column's capacity for reuse.
+    /// Number of bids offered to the store: the stored ones plus those its filler omitted
+    /// under the omit bound.
+    pub fn offered(&self) -> usize {
+        self.offered
+    }
+
+    /// The `i`-th stored bid's position among the offered bids (`i` itself unless bids
+    /// were omitted before it).
+    #[inline]
+    pub fn offset(&self, i: usize) -> usize {
+        match self.offsets.get(i) {
+            Some(&offset) => offset as usize,
+            None => i,
+        }
+    }
+
+    /// The score below which a filler may omit a bid, if any (see [`BidStore`]).
+    pub fn omit_bound(&self) -> Option<f64> {
+        self.omit_bound
+    }
+
+    /// Sets the omit bound. Only a bound no greater than the round's best dropped score so
+    /// far keeps the selection exact: a bid scoring below it can neither enter the pool
+    /// nor raise that score.
+    pub fn set_omit_bound(&mut self, bound: Option<f64>) {
+        self.omit_bound = bound;
+    }
+
+    /// Clears the store and its omit bound, keeping every column's capacity for reuse.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.qualities.clear();
-        self.asks.clear();
-        self.scores.clear();
+        self.truncate(0);
+        self.offsets.clear();
+        self.offered = 0;
+        self.omit_bound = None;
     }
 
     /// Appends one sealed bid after validating it (the rules, and the order — dimension,
@@ -235,10 +277,7 @@ impl BidStore {
                 "bid from {node} has an invalid payment ask {ask}"
             )));
         }
-        self.nodes.push(node.0);
-        self.qualities.extend_from_slice(quality);
-        self.asks.push(ask);
-        self.scores.push(0.0);
+        self.push_trusted(node, quality, ask);
         Ok(())
     }
 
@@ -254,6 +293,10 @@ impl BidStore {
         debug_assert_eq!(quality.len(), self.dims);
         debug_assert!(quality.iter().all(|v| v.is_finite() && *v >= 0.0));
         debug_assert!(ask.is_finite() && ask >= 0.0);
+        if !self.offsets.is_empty() {
+            self.offsets.push(shard_offset(self.offered));
+        }
+        self.offered += 1;
         self.nodes.push(node.0);
         self.qualities.extend_from_slice(quality);
         self.asks.push(ask);
@@ -275,8 +318,61 @@ impl BidStore {
         nodes: std::ops::Range<u64>,
         fill: impl FnOnce(&mut [f64], &mut [f64]) -> Result<(), E>,
     ) -> Result<(), E> {
-        let old = self.nodes.len();
-        self.nodes.extend(nodes);
+        let offered = nodes.end.saturating_sub(nodes.start) as usize;
+        self.extend_trusted_from(nodes.start, None, offered, fill)
+    }
+
+    /// [`BidStore::extend_trusted_with`] for a shard of `offered` consecutive nodes from
+    /// `start` of which only those at `offsets` (strictly ascending, each below `offered`)
+    /// are stored — the rest were omitted under the omit bound. The stored bids record
+    /// their offsets, and all `offered` count as offered.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `fill`'s error, leaving the store as it was.
+    pub fn extend_trusted_at<E>(
+        &mut self,
+        start: u64,
+        offsets: &[u32],
+        offered: usize,
+        fill: impl FnOnce(&mut [f64], &mut [f64]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        debug_assert!(offsets.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(offsets.last().is_none_or(|&last| (last as usize) < offered));
+        let omitted = offsets.len() < offered;
+        self.extend_trusted_from(start, omitted.then_some(offsets), offered, fill)
+    }
+
+    /// The one body behind both batch appends: `omitted` carries the stored offsets when
+    /// the shard left bids out, `None` when it stored all `offered` of them.
+    fn extend_trusted_from<E>(
+        &mut self,
+        start: u64,
+        omitted: Option<&[u32]>,
+        offered: usize,
+        fill: impl FnOnce(&mut [f64], &mut [f64]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (old, old_offered, old_offsets) = (self.nodes.len(), self.offered, self.offsets.len());
+        let first = shard_offset(old_offered);
+        match omitted {
+            None => {
+                self.nodes.extend(start..start + offered as u64);
+                if !self.offsets.is_empty() {
+                    self.offsets
+                        .extend((0..offered).map(|j| first + shard_offset(j)));
+                }
+            }
+            Some(offsets) => {
+                self.nodes
+                    .extend(offsets.iter().map(|&o| start + u64::from(o)));
+                if self.offsets.is_empty() {
+                    // Everything stored so far sits at its own position.
+                    self.offsets.extend((0..old).map(shard_offset));
+                }
+                self.offsets.extend(offsets.iter().map(|&o| first + o));
+            }
+        }
+        self.offered += offered;
         let len = self.nodes.len();
         self.qualities.resize(len * self.dims, 0.0);
         self.asks.resize(len, 0.0);
@@ -287,6 +383,8 @@ impl BidStore {
         );
         if filled.is_err() {
             self.truncate(old);
+            self.offsets.truncate(old_offsets);
+            self.offered = old_offered;
         }
         debug_assert!(self.qualities[old * self.dims..]
             .iter()
@@ -349,11 +447,20 @@ impl BidStore {
     /// auctioneer-side policy reweighs or excludes bids *before* scoring. The closure must
     /// keep every kept bid well-formed (finite, non-negative quality and ask) — debug
     /// builds assert it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a store that omitted bids: a removed bid leaves the stream, which would
+    /// move every later bid's offset.
     pub fn revise_from(
         &mut self,
         start: usize,
         mut revise: impl FnMut(NodeId, &mut [f64], &mut f64) -> bool,
     ) -> usize {
+        assert!(
+            self.offsets.is_empty(),
+            "revise_from needs a store that omitted no bid"
+        );
         let dims = self.dims;
         let len = self.nodes.len();
         let mut write = start;
@@ -386,10 +493,12 @@ impl BidStore {
             }
         }
         self.truncate(write);
+        self.offered -= len - write;
         len - write
     }
 
-    /// Drops every bid from index `len` on.
+    /// Drops every stored bid from index `len` on (the offset column and the offered count
+    /// are the caller's).
     fn truncate(&mut self, len: usize) {
         self.nodes.truncate(len);
         self.qualities.truncate(len * self.dims);
@@ -401,9 +510,20 @@ impl BidStore {
     /// across allocators, which lets the scale experiments fingerprint it).
     pub fn resident_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<u64>()
+            + self.offsets.len() * std::mem::size_of::<u32>()
             + (self.qualities.len() + self.asks.len() + self.scores.len())
                 * std::mem::size_of::<f64>()
     }
+}
+
+/// A position among a store's offered bids as stored in its offset column.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX`: omission is meant for shards, not for stores of four billion
+/// bids.
+fn shard_offset(position: usize) -> u32 {
+    u32::try_from(position).expect("a store's offsets fit in 32 bits")
 }
 
 /// One kept candidate of a streaming selection: everything pricing and award construction
@@ -549,8 +669,8 @@ pub struct AdmissionFloor {
 /// is merely lower — anything at or below it is outranked by `capacity` bids already seen,
 /// and `absorb` drops the extras it lets through); `best_dropped` is **max-closed** (the
 /// maximum over everything outside the final pool, whoever folded a loser in); and keys
-/// are **global** (`derive_seed(salt, base + j)`, hashed only for survivors and exact score
-/// ties with the floor — the rest is decided from the score column alone).
+/// are **global** (`derive_seed(salt, base + offset)`, hashed only for survivors and exact
+/// score ties with the floor — the rest is decided from the score column alone).
 #[derive(Debug, Clone)]
 pub struct ShardSelection {
     kept: CandidateHeap,
@@ -570,11 +690,12 @@ impl ShardSelection {
     }
 
     /// Scans a scored store for the bids that can still enter the round's pool; `base` is
-    /// the number of bids streamed before this shard. The scan's floor is the one handed in
+    /// the number of bids streamed before this shard, and a stored bid's stream position
+    /// is `base` plus its [`BidStore::offset`]. The scan's floor is the one handed in
     /// until `capacity` bids survive, their weakest from then on.
     pub fn select_above(store: &BidStore, base: usize, admission: AdmissionFloor) -> Self {
         let mut kept = CandidateHeap::new(store.dims(), admission.capacity);
-        let offered = store.len();
+        let offered = store.offered();
         let mut floor = admission.floor;
         for (j, &score) in store.scores.iter().enumerate() {
             // Scores-only verdict first: the key hash is for survivors and exact ties.
@@ -582,7 +703,7 @@ impl ShardSelection {
                 kept.note_dropped(score);
                 continue;
             }
-            let key = derive_seed(admission.salt, (base + j) as u64);
+            let key = derive_seed(admission.salt, (base + store.offset(j)) as u64);
             if floor.is_some_and(|(f_score, f_key)| {
                 rank_order(score, key, f_score, f_key) != Ordering::Less
             }) {
@@ -648,6 +769,12 @@ impl BidSelector {
         self.tie.count()
     }
 
+    /// Best score among the bids dropped so far, if any were — the omit bound a shard
+    /// filled from here on may leave bids out under ([`BidStore::set_omit_bound`]).
+    pub fn best_dropped_score(&self) -> Option<f64> {
+        self.heap.best_dropped
+    }
+
     /// The bound on kept candidates (`K + reserve` as configured by
     /// [`crate::mechanism::Auction::selector`]).
     pub fn capacity(&self) -> usize {
@@ -671,19 +798,30 @@ impl BidSelector {
         score: f64,
         rng: &mut R,
     ) {
+        let key = self.next_key(rng);
+        self.heap.offer_keyed(node, quality, ask, score, key);
+    }
+
+    /// The next stream position's key, drawn from the round stream.
+    fn next_key<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         let seq = self.tie.count();
         let key = self.tie.next_key(rng);
         if seq == 1 {
             // The salt now exists: re-key the provisional first candidate (if still kept).
             self.rekey_provisional_first();
         }
-        self.heap.offer_keyed(node, quality, ask, score, key);
+        key
     }
 
-    /// Offers every bid of a scored store, in store order.
+    /// Offers every bid of a scored store, in store order. A bid the store omitted still
+    /// takes its stream position, and its key from the round stream.
     pub fn offer_store<R: Rng + ?Sized>(&mut self, store: &BidStore, rng: &mut R) {
         debug_assert_eq!(store.dims(), self.heap.dims);
+        let start = self.tie.count();
         for i in 0..store.len() {
+            while self.tie.count() < start + store.offset(i) {
+                self.next_key(rng);
+            }
             self.offer(
                 store.node(i),
                 store.quality(i),
@@ -691,6 +829,9 @@ impl BidSelector {
                 store.score(i),
                 rng,
             );
+        }
+        while self.tie.count() < start + store.offered() {
+            self.next_key(rng);
         }
     }
 
@@ -1123,6 +1264,80 @@ mod tests {
         });
         assert_eq!(failed, Err("no"));
         assert_eq!(store, expected);
+    }
+
+    #[test]
+    fn omitted_bids_keep_their_offsets_and_count_as_offered() {
+        let write = |qualities: &mut [f64], asks: &mut [f64]| {
+            qualities.fill(0.25);
+            asks.fill(0.5);
+            Ok::<(), ()>(())
+        };
+        // Storing every offered bid writes no offset column.
+        let mut store = store_of(&[(9, [0.5, 0.5], 0.1)]);
+        store.extend_trusted_at(3, &[0, 1], 2, write).unwrap();
+        assert_eq!((store.len(), store.offered()), (3, 3));
+        assert_eq!(store.resident_bytes(), 3 * 8 + 3 * (2 + 1 + 1) * 8);
+        let identity = store.clone();
+        // A failed sparse append leaves the store as it was, offset column included.
+        assert_eq!(store.extend_trusted_at(5, &[2], 4, |_, _| Err(())), Err(()));
+        assert_eq!(store, identity);
+
+        store.extend_trusted_at(5, &[1, 3], 5, write).unwrap();
+        assert_eq!((store.len(), store.offered()), (5, 8));
+        assert_eq!(store.node(3), NodeId(6));
+        assert_eq!(store.node(4), NodeId(8));
+        assert_eq!(store.resident_bytes(), 5 * 4 + 5 * 8 + 5 * (2 + 1 + 1) * 8);
+        // Later appends of either kind continue the offered stream.
+        store.push_trusted(NodeId(20), &[0.1, 0.1], 0.1);
+        store.extend_trusted_with(30..32, write).unwrap();
+        let offsets: Vec<usize> = (0..store.len()).map(|i| store.offset(i)).collect();
+        assert_eq!(offsets, [0, 1, 2, 4, 6, 8, 9, 10]);
+        assert_eq!(store.offered(), 11);
+
+        store.set_omit_bound(Some(0.75));
+        assert_eq!(store.omit_bound(), Some(0.75));
+        store.clear();
+        assert_eq!(store, BidStore::with_dims(2));
+    }
+
+    #[test]
+    fn offer_store_keys_omitted_positions_and_burns_their_words() {
+        // Capacity 2 over these scores keeps 5 and 4 and drops 3 at best, so the bids
+        // scoring 0.5 and 1 can be omitted — first in the stream or not.
+        for scores in [[5.0, 1.0, 4.0, 0.5, 3.0], [0.5, 5.0, 1.0, 4.0, 3.0]] {
+            let full = store_of(&[
+                (0, [scores[0], 0.0], 0.0),
+                (1, [scores[1], 0.0], 0.0),
+                (2, [scores[2], 0.0], 0.0),
+                (3, [scores[3], 0.0], 0.0),
+                (4, [scores[4], 0.0], 0.0),
+            ]);
+            let kept: Vec<u32> = (0..5).filter(|&i| scores[i as usize] >= 3.0).collect();
+            let mut sparse = BidStore::with_dims(2);
+            sparse
+                .extend_trusted_at(0, &kept, 5, |qualities, asks| {
+                    for (row, &i) in qualities.chunks_exact_mut(2).zip(&kept) {
+                        row[0] = scores[i as usize];
+                    }
+                    asks.fill(0.0);
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+            let rule = ScoringRule::new(crate::scoring::Additive::new(vec![1.0, 1.0]).unwrap());
+            let pool = |mut store: BidStore| {
+                store.score_with(&rule).unwrap();
+                let mut rng = seeded_rng(7);
+                let mut selector = BidSelector::new(2, 2);
+                selector.offer_store(&store, &mut rng);
+                (selector.finish(&mut rng), rng.gen::<u64>())
+            };
+            let (dense, dense_next) = pool(full);
+            let (omitting, omitting_next) = pool(sparse);
+            assert_eq!(omitting, dense, "{scores:?}");
+            assert_eq!(omitting.best_dropped_score(), Some(3.0));
+            assert_eq!(omitting_next, dense_next, "{scores:?}: RNG position");
+        }
     }
 
     #[test]

@@ -517,7 +517,10 @@ where
     ) -> Result<(), FlError> {
         let dims = self.auction.scoring_rule().dims();
         for wave in self.shards.chunks(self.engine.parallel_width().max(1)) {
-            // Stage 1: fill + batch-score each shard of the wave on the pool.
+            // Stage 1: fill + batch-score each shard of the wave on the pool. A fill may
+            // omit what scores below the best dropped score so far: such a bid could
+            // neither enter the pool nor raise that score (the first wave has none).
+            let omit_bound = selector.best_dropped_score();
             let tasks: Vec<Task<Result<BidStore, AuctionError>>> = wave
                 .iter()
                 .map(|range| {
@@ -526,6 +529,7 @@ where
                         .pop()
                         .unwrap_or_else(|| BidStore::with_capacity(dims, self.store_bids));
                     store.clear();
+                    store.set_omit_bound(omit_bound);
                     let fill = Arc::clone(&self.fill);
                     let rule = self.auction.scoring_rule().clone();
                     let range = range.clone();
@@ -545,7 +549,7 @@ where
             // The round salt is drawn as soon as two bids are guaranteed; from then on
             // tie-break keys are pure functions of (salt, global position) and can be
             // computed on worker threads.
-            let wave_total: usize = stores.iter().map(BidStore::len).sum();
+            let wave_total: usize = stores.iter().map(BidStore::offered).sum();
             if let Some(rng) = rng.as_deref_mut() {
                 if self.salt.is_none() && selector.offered() + wave_total >= 2 {
                     self.salt = Some(selector.force_salt(rng));
@@ -561,7 +565,7 @@ where
                         .into_iter()
                         .map(|store| {
                             let shard_base = base;
-                            base += store.len();
+                            base += store.offered();
                             Box::new(move || {
                                 let selection =
                                     ShardSelection::select_above(&store, shard_base, admission);

@@ -438,11 +438,6 @@ fn put_numerics_error(out: &mut Vec<u8>, e: &NumericsError) {
             out.push(2);
             put_f64(out, *p);
         }
-        NumericsError::InvalidParameter { name, value } => {
-            out.push(3);
-            put_str(out, name);
-            put_f64(out, *value);
-        }
     }
 }
 
@@ -459,10 +454,6 @@ fn take_numerics_error(r: &mut Reader<'_>) -> Result<NumericsError, FlError> {
         },
         1 => NumericsError::EmptyInput(leak(r.string()?)),
         2 => NumericsError::InvalidProbability(r.f64()?),
-        3 => NumericsError::InvalidParameter {
-            name: leak(r.string()?),
-            value: r.f64()?,
-        },
         tag => return Err(corrupt(&format!("bad numerics error tag {tag}"))),
     })
 }
@@ -589,10 +580,6 @@ mod tests {
             FlError::Auction(AuctionError::Numerics(NumericsError::InvalidProbability(
                 1.5,
             ))),
-            FlError::Auction(AuctionError::Numerics(NumericsError::InvalidParameter {
-                name: "sigma",
-                value: -1.0,
-            })),
             FlError::JobPanic(crate::executor::JobPanic {
                 slot: 3,
                 message: "boom".into(),
@@ -728,6 +715,42 @@ mod tests {
         let rounds_at = name_len_at + 8 + "cp-job".len();
         let remaining = bytes.len() - (rounds_at + 8);
         rejects_length(rounds_at, (remaining / ROUND_RECORD_MIN_BYTES + 1) as u64);
+    }
+
+    #[test]
+    fn the_retired_numerics_tag_is_corrupt() {
+        // Tag 3 was `NumericsError::InvalidParameter`, which no routine produces any more.
+        let probability = 0.123_456_789;
+        let cp = JobCheckpoint {
+            round: 1,
+            history: JobHistory {
+                name: "tag".into(),
+                rounds: vec![RoundRecord {
+                    round: 1,
+                    outcome: Err(FlError::Auction(AuctionError::Numerics(
+                        NumericsError::InvalidProbability(probability),
+                    ))),
+                    attempts: 1,
+                    backoff_secs: 0.0,
+                    faults: Vec::new(),
+                    retry_errors: Vec::new(),
+                }],
+            },
+            reputation: Vec::new(),
+        };
+        let mut bytes = cp.to_bytes();
+        assert_eq!(JobCheckpoint::from_bytes(&bytes).unwrap(), cp);
+        let value = probability.to_bits().to_le_bytes();
+        let at = bytes
+            .windows(8)
+            .position(|w| w == value)
+            .expect("the probability is encoded");
+        assert_eq!(bytes[at - 1], 2, "the byte before it is the numerics tag");
+        bytes[at - 1] = 3;
+        assert!(matches!(
+            JobCheckpoint::from_bytes(&bytes),
+            Err(FlError::CheckpointCorrupt(ref msg)) if msg.contains("numerics error tag 3")
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::error::MecError;
 use crate::node::{MecNode, ResourceProfile, ResourceRanges};
-use fmore_auction::{AuctionError, BidStore, EquilibriumSolver};
+use fmore_auction::{AuctionError, BidStore, EquilibriumSolver, ScoreCeiling};
 use fmore_numerics::rng::{derive_seed, derive_stream, seeded_words, unit_f64};
 use rand::Rng;
 
@@ -278,47 +278,203 @@ impl NodePopulation {
         solver: &EquilibriumSolver,
         store: &mut BidStore,
     ) -> Result<(), AuctionError> {
+        self.fill_shard(range, round, solver, None, store)
+    }
+
+    /// [`NodePopulation::bid_range_into_store`] for a store that may omit bids: when the
+    /// store carries an omit bound ([`BidStore::set_omit_bound`]), the nodes whose θ-cell
+    /// ceiling lies below it are left out before anything but their θ is derived. Those
+    /// bids score below the bound, so they could neither enter the round's pool nor
+    /// change its best dropped score. The stored bids are bit for bit the unpruned
+    /// shard's at their [`BidStore::offset`]s, and all of the range counts as offered.
+    ///
+    /// The shard pipeline gains a θ-only **pre-pass**: it derives each node's θ, flags the
+    /// nodes whose grid coordinate lies below the bound's cut (which [`ScoreCeiling::cut`]
+    /// resolves to one θ per shard, so the flag is a compare) — with an AVX-512 tier
+    /// beside a bit-identical scalar core, as pass A has — and compacts the offsets of the
+    /// flagged nodes without branching. Pass A, the grid lookup and the table tail then
+    /// run over those survivors only. A θ outside the solver's support always survives,
+    /// so errors are the unpruned fill's.
+    /// A shard that would omit less than an eighth of its nodes stores them all: the
+    /// compaction would buy little, and the offset column could outweigh the bids saved.
+    ///
+    /// `ceiling` must be `solver`'s ([`EquilibriumSolver::score_ceiling`]) under the
+    /// round's scoring rule.
+    ///
+    /// # Errors
+    ///
+    /// As [`NodePopulation::bid_range_into_store`].
+    pub fn bid_range_into_store_pruned(
+        &self,
+        range: std::ops::Range<usize>,
+        round: u64,
+        solver: &EquilibriumSolver,
+        ceiling: &ScoreCeiling,
+        store: &mut BidStore,
+    ) -> Result<(), AuctionError> {
+        self.fill_shard(range, round, solver, Some(ceiling), store)
+    }
+
+    /// The one shard pipeline behind both entry points.
+    fn fill_shard(
+        &self,
+        range: std::ops::Range<usize>,
+        round: u64,
+        solver: &EquilibriumSolver,
+        ceiling: Option<&ScoreCeiling>,
+        store: &mut BidStore,
+    ) -> Result<(), AuctionError> {
+        let offered = range.len();
+        let cut = match (ceiling, store.omit_bound()) {
+            (Some(ceiling), Some(bound)) if u32::try_from(offered).is_ok() => {
+                ceiling.cut(bound).map(|cut| (ceiling, cut))
+            }
+            _ => None,
+        };
         SHARD_SCRATCH.with(|cell| {
-            let s = &mut *cell.borrow_mut();
-            s.resize(range.len());
-            self.derive_shard(range.start, round, s);
+            let ShardScratch {
+                columns,
+                keep,
+                offsets,
+            } = &mut *cell.borrow_mut();
+            let kept = match cut {
+                Some((ceiling, cut)) => {
+                    keep.resize(offered, 0);
+                    offsets.resize(offered, 0);
+                    self.survivors(range.start, ceiling, cut, keep, offsets)
+                }
+                None => offered,
+            };
+            let offsets = (kept * 8 <= offered * 7).then(|| &offsets[..kept]);
+            columns.resize(offsets.map_or(offered, <[u32]>::len));
+            self.derive_shard(range.start, offsets, round, columns);
             // Every θ is validated here, before the store is touched.
-            solver.grid_pos_batch(&s.thetas, &mut s.idx, &mut s.frac)?;
-            store.extend_trusted_with(range.start as u64..range.end as u64, |qualities, asks| {
-                let capacity = [&s.c0[..], &s.c1, &s.c2];
-                solver.tabulated_bids_at(&s.idx, &s.frac, capacity, qualities, asks)
-            })
+            solver.grid_pos_batch(&columns.thetas, &mut columns.idx, &mut columns.frac)?;
+            let tail = |qualities: &mut [f64], asks: &mut [f64]| {
+                let capacity = [&columns.c0[..], &columns.c1, &columns.c2];
+                solver.tabulated_bids_at(&columns.idx, &columns.frac, capacity, qualities, asks)
+            };
+            match offsets {
+                Some(offsets) => {
+                    store.extend_trusted_at(range.start as u64, offsets, offered, tail)
+                }
+                None => store.extend_trusted_with(range.start as u64..range.end as u64, tail),
+            }
         })
     }
 
-    /// Pass A of the shard pipeline: fills the scratch's θ and normalised capacity columns
-    /// for the nodes from `start` on (as many as the scratch was sized for) in `round`.
-    /// Dispatches to the AVX-512-compiled twin when the CPU supports it (and
-    /// [`fmore_numerics::avx512_enabled`] allows it), to the scalar core otherwise.
-    fn derive_shard(&self, start: usize, round: u64, scratch: &mut ShardScratch) {
+    /// The θ-only pre-pass over the nodes from `start` on (as many as `keep` holds):
+    /// `keep[j]` becomes 1 when node `start + j` may still reach the omit bound — its θ
+    /// lies below the ceiling's `cut`, or outside the solver's support — and 0 otherwise;
+    /// then the flagged offsets are compacted to the front of `offsets` and counted.
+    /// Dispatches like [`NodePopulation::derive_shard`].
+    fn survivors(
+        &self,
+        start: usize,
+        ceiling: &ScoreCeiling,
+        cut: f64,
+        keep: &mut [u8],
+        offsets: &mut [u32],
+    ) -> usize {
         #[cfg(target_arch = "x86_64")]
         if fmore_numerics::avx512_enabled() {
             // SAFETY: the AVX-512 gate just confirmed the F/DQ/VL subsets at runtime.
-            return unsafe { derive_shard_avx512(self, start, round, scratch) };
+            return unsafe { survivors_avx512(self, start, ceiling, cut, keep, offsets) };
         }
-        self.derive_shard_core(start, round, scratch);
+        self.survivors_core(start, ceiling, cut, keep, offsets)
     }
 
-    /// The generic loops behind [`NodePopulation::derive_shard`], one per stream contract
-    /// (the only place the shard pipeline knows the version); `inline(always)` so the
-    /// `target_feature` wrapper compiles the whole body under the wider instruction set.
-    /// Every operation is IEEE-exact (integer hashing, `u64 → f64` conversion,
-    /// multiply/add in fixed order, `round`/[`snap`], min/max), so the vectorised compile
-    /// is bit-identical to the scalar one.
+    /// The loops behind [`NodePopulation::survivors`]: θ derived exactly as pass A derives
+    /// it, then three compares — straight-line, IEEE-exact, so the AVX-512 compile flags
+    /// the same nodes as the scalar one — and the branch-free [`compact_survivors`].
     #[inline(always)]
-    fn derive_shard_core(&self, start: usize, round: u64, scratch: &mut ShardScratch) {
+    fn survivors_core(
+        &self,
+        start: usize,
+        ceiling: &ScoreCeiling,
+        cut: f64,
+        keep: &mut [u8],
+        offsets: &mut [u32],
+    ) -> usize {
+        let (lo, hi) = self.spec.theta_range;
+        let flag = |theta: f64| u8::from((theta < cut) | !ceiling.in_support(theta));
+        match self.spec.version {
+            SpecVersion::V1 => {
+                let theta_root = derive_seed(self.spec.seed, THETA_STREAM);
+                for (j, k) in keep.iter_mut().enumerate() {
+                    let [t] = seeded_words(derive_seed(theta_root, (start + j) as u64));
+                    *k = flag(theta_from_word(t, lo, hi));
+                }
+            }
+            SpecVersion::V2 => {
+                for (j, k) in keep.iter_mut().enumerate() {
+                    *k = flag(theta_from_word(self.fused_word(start + j), lo, hi));
+                }
+            }
+        }
+        compact_survivors(keep, offsets)
+    }
+
+    /// Pass A of the shard pipeline: fills the scratch's θ and normalised capacity columns
+    /// in `round` for as many nodes as the columns were sized for — the nodes from `start`
+    /// on, or, given `offsets`, the nodes `start + offsets[j]`. Dispatches to the
+    /// AVX-512-compiled twin when the CPU supports it (and
+    /// [`fmore_numerics::avx512_enabled`] allows it), to the scalar core otherwise.
+    fn derive_shard(
+        &self,
+        start: usize,
+        offsets: Option<&[u32]>,
+        round: u64,
+        columns: &mut ShardColumns,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if fmore_numerics::avx512_enabled() {
+            // SAFETY: the AVX-512 gate just confirmed the F/DQ/VL subsets at runtime.
+            return unsafe { derive_shard_avx512(self, start, offsets, round, columns) };
+        }
+        self.derive_shard_at(start, offsets, round, columns);
+    }
+
+    /// Resolves which nodes [`NodePopulation::derive_shard`] derives into one of two
+    /// compiles of the core: consecutive nodes, or the survivors' offsets.
+    #[inline(always)]
+    fn derive_shard_at(
+        &self,
+        start: usize,
+        offsets: Option<&[u32]>,
+        round: u64,
+        columns: &mut ShardColumns,
+    ) {
+        let start = start as u64;
+        match offsets {
+            None => self.derive_shard_core(|j| start + j as u64, round, columns),
+            Some(offsets) => {
+                let offsets = &offsets[..columns.thetas.len()];
+                self.derive_shard_core(|j| start + u64::from(offsets[j]), round, columns);
+            }
+        }
+    }
+
+    /// The generic loops behind [`NodePopulation::derive_shard`] over the nodes `node(j)`,
+    /// one per stream contract (with the pre-pass the only place the shard pipeline knows
+    /// the version); `inline(always)` so the `target_feature` wrapper compiles the whole
+    /// body under the wider instruction set. Every operation is IEEE-exact (integer
+    /// hashing, `u64 → f64` conversion, multiply/add in fixed order, `round`/[`snap`],
+    /// min/max), so the vectorised compile is bit-identical to the scalar one.
+    #[inline(always)]
+    fn derive_shard_core(
+        &self,
+        node: impl Fn(usize) -> u64,
+        round: u64,
+        columns: &mut ShardColumns,
+    ) {
         let (lo, hi) = self.spec.theta_range;
         let maxima = self.maxima();
         let ranges = &self.spec.ranges;
         // One length for all four columns, so the stores below need no bounds checks.
-        let ShardScratch {
+        let ShardColumns {
             thetas, c0, c1, c2, ..
-        } = scratch;
+        } = columns;
         let n = thetas.len();
         let (c0, c1, c2) = (&mut c0[..n], &mut c1[..n], &mut c2[..n]);
         let mut emit = |j: usize, theta: f64, profile: ResourceProfile| {
@@ -339,7 +495,7 @@ impl NodePopulation {
                 let cpu_draws = ranges.cpu_cores.1 > ranges.cpu_cores.0;
                 let bandwidth_draws = ranges.bandwidth_mbps.1 > ranges.bandwidth_mbps.0;
                 for j in 0..n {
-                    let i = (start + j) as u64;
+                    let i = node(j);
                     let [t] = seeded_words(derive_seed(theta_root, i));
                     let [w0, w1, w2] = seeded_words(derive_seed(profile_root, i));
                     let bandwidth = if cpu_draws { w1 } else { w0 };
@@ -355,7 +511,7 @@ impl NodePopulation {
             }
             SpecVersion::V2 => {
                 for j in 0..n {
-                    let w = self.fused_word(start + j);
+                    let w = derive_seed(self.fused_root, node(j));
                     let profile = profile_from_hash(ranges, derive_seed(w, round));
                     emit(j, theta_from_word(w, lo, hi), profile);
                 }
@@ -377,12 +533,23 @@ impl NodePopulation {
     }
 }
 
-/// Per-thread columnar scratch for the shard pipeline: pass-A outputs (θ and the three
-/// capacity columns) plus the batched grid positions. Sized once per worker thread and
-/// reused every shard, so the steady-state round allocates nothing and never pays the
-/// zero-fill of fresh buffers.
+/// Per-thread scratch for the shard pipeline: the pre-pass's survivor flags and offsets,
+/// and the columns of the bids it derives. Sized once per worker thread and reused every
+/// shard, so the steady-state round allocates nothing and never pays the zero-fill of
+/// fresh buffers.
 #[derive(Default)]
 struct ShardScratch {
+    columns: ShardColumns,
+    /// Per offered node: whether it survived the pre-pass.
+    keep: Vec<u8>,
+    /// The survivors' offsets, compacted to the front.
+    offsets: Vec<u32>,
+}
+
+/// Pass-A outputs (θ and the three capacity columns) plus the batched grid positions, one
+/// entry per derived bid.
+#[derive(Default)]
+struct ShardColumns {
     thetas: Vec<f64>,
     c0: Vec<f64>,
     c1: Vec<f64>,
@@ -391,7 +558,7 @@ struct ShardScratch {
     frac: Vec<f64>,
 }
 
-impl ShardScratch {
+impl ShardColumns {
     fn resize(&mut self, n: usize) {
         self.thetas.resize(n, 0.0);
         self.c0.resize(n, 0.0);
@@ -418,11 +585,73 @@ std::thread_local! {
 unsafe fn derive_shard_avx512(
     population: &NodePopulation,
     start: usize,
+    offsets: Option<&[u32]>,
     round: u64,
-    scratch: &mut ShardScratch,
+    columns: &mut ShardColumns,
 ) {
-    population.derive_shard_core(start, round, scratch);
+    population.derive_shard_at(start, offsets, round, columns);
 }
+
+/// AVX-512-compiled twin of [`NodePopulation::survivors_core`] — the θ hash chains and
+/// mappings across 8-wide lanes, the same survivors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+unsafe fn survivors_avx512(
+    population: &NodePopulation,
+    start: usize,
+    ceiling: &ScoreCeiling,
+    cut: f64,
+    keep: &mut [u8],
+    offsets: &mut [u32],
+) -> usize {
+    population.survivors_core(start, ceiling, cut, keep, offsets)
+}
+
+/// Writes the offsets of the flagged nodes (`keep` holds 0 or 1 per node) to the front of
+/// `offsets`, which is as long as `keep`, and returns how many there are — without a
+/// branch on the flags. Eight flags at a time become an 8-bit mask, the mask indexes the
+/// positions of its set bits ([`SET_BITS`]), all eight of them are written, and the write
+/// position advances by the flags' sum; what lands past it is overwritten next.
+#[inline(always)]
+fn compact_survivors(keep: &[u8], offsets: &mut [u32]) -> usize {
+    let mut kept = 0;
+    let chunks = keep.chunks_exact(8);
+    let tail = chunks.remainder();
+    for (c, chunk) in chunks.enumerate() {
+        let flags = u64::from_le_bytes(chunk.try_into().expect("chunks of eight"));
+        // Gathers byte k's low bit into bit 56 + k; no two partial products collide.
+        let mask = (flags.wrapping_mul(0x0102_0408_1020_4080) >> 56) as usize;
+        let base = (8 * c) as u32;
+        for (slot, &bit) in offsets[kept..kept + 8].iter_mut().zip(&SET_BITS[mask]) {
+            *slot = base + u32::from(bit);
+        }
+        kept += (flags.wrapping_mul(0x0101_0101_0101_0101) >> 56) as usize;
+    }
+    let base = keep.len() - tail.len();
+    for (j, &flag) in tail.iter().enumerate() {
+        offsets[kept] = (base + j) as u32;
+        kept += usize::from(flag);
+    }
+    kept
+}
+
+/// For each 8-bit mask, the indices of its set bits in ascending order (zero-padded).
+const SET_BITS: [[u8; 8]; 256] = {
+    let mut table = [[0; 8]; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut bit, mut count) = (0, 0);
+        while bit < 8 {
+            if mask >> bit & 1 == 1 {
+                table[mask][count] = bit as u8;
+                count += 1;
+            }
+            bit += 1;
+        }
+        mask += 1;
+    }
+    table
+};
 
 /// θ from one 64-bit word, mapped onto `[lo, hi)` exactly as the generator's float
 /// `gen_range(lo..hi)` maps its next output, exclusive-top clamp included: the v2 draw

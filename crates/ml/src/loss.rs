@@ -134,7 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn into_form_matches_allocating_form_and_reuses_buffers() {
+    fn into_form_matches_an_independent_loop_and_reshapes_a_stale_buffer() {
         let logits = Matrix::from_vec(2, 3, vec![0.2, -0.1, 0.5, 1.0, 0.3, -0.7]);
         let labels = [2, 0];
         // Start from a stale, wrongly-shaped buffer.

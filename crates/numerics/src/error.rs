@@ -16,13 +16,6 @@ pub enum NumericsError {
     EmptyInput(&'static str),
     /// A probability outside of `[0, 1]` was supplied.
     InvalidProbability(f64),
-    /// A distribution parameter was invalid (e.g. non-positive standard deviation).
-    InvalidParameter {
-        /// Name of the offending parameter.
-        name: &'static str,
-        /// Value that was rejected.
-        value: f64,
-    },
 }
 
 impl fmt::Display for NumericsError {
@@ -34,9 +27,6 @@ impl fmt::Display for NumericsError {
             NumericsError::EmptyInput(what) => write!(f, "empty input for {what}"),
             NumericsError::InvalidProbability(p) => {
                 write!(f, "probability {p} outside of [0, 1]")
-            }
-            NumericsError::InvalidParameter { name, value } => {
-                write!(f, "invalid parameter {name} = {value}")
             }
         }
     }
@@ -56,11 +46,6 @@ mod tests {
         assert!(e.to_string().contains("samples"));
         let e = NumericsError::InvalidProbability(1.5);
         assert!(e.to_string().contains("1.5"));
-        let e = NumericsError::InvalidParameter {
-            name: "sigma",
-            value: -1.0,
-        };
-        assert!(e.to_string().contains("sigma"));
     }
 
     #[test]

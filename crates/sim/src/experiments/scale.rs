@@ -18,6 +18,19 @@
 //! [`fmore_mec::population::NodePopulation`] — derived per `(seed, i)`, never stored — so
 //! the only `O(N)` cost of a round is arithmetic, not memory.
 //!
+//! Most of that arithmetic is skipped. A node's equilibrium bid is a function of its θ, so
+//! the solver's per-θ-cell score ceiling under the auction's rule
+//! ([`fmore_auction::EquilibriumSolver::score_ceiling`]) bounds the score it can reach
+//! before anything else about it is derived. From the second wave of shards on, the
+//! streamed stage hands each shard store the round's best dropped score so far as its omit
+//! bound, and the filler
+//! ([`fmore_mec::population::NodePopulation::bid_range_into_store_pruned`]) derives,
+//! prices and stores only the nodes whose ceiling reaches it — about one in seven of a
+//! million-bidder round. The rest could neither enter the pool nor move the best dropped
+//! score, so winners, payments, keys and RNG draws are those of the unpruned round, and
+//! every bid still counts as offered. The dense twin ([`ScaleGame::run_dense`]) fills a
+//! store with no bound, which omits nothing.
+//!
 //! Quick fidelity keeps every column deterministic (wall-clock is reported as `-`), so the
 //! golden suite fingerprints these entries like any other figure; the benchmark's
 //! `select-1m` and `select-psi-250k` workloads carry the tracked times.
@@ -27,7 +40,7 @@ use crate::scenario::ScenarioRunner;
 use crate::series::Table;
 use fmore_auction::{
     Additive, Auction, AuctionError, EquilibriumSolver, LinearCost, PricingRule, Quality,
-    ScoringRule, SelectionRule, SubmittedBid,
+    ScoreCeiling, ScoringRule, SelectionRule, SubmittedBid,
 };
 use fmore_fl::engine::{auction_select_streamed, RoundEngine, StreamedAuction};
 use fmore_fl::metrics::WinnerInfo;
@@ -116,6 +129,9 @@ impl ScaleConfig {
 pub struct ScaleGame {
     population: NodePopulation,
     solver: Arc<EquilibriumSolver>,
+    /// The solver's per-θ-cell score ceiling under the auction's rule, which lets the
+    /// filler omit what cannot beat the round's best dropped score.
+    ceiling: Arc<ScoreCeiling>,
     auction: Auction,
     selection_seed: u64,
 }
@@ -168,9 +184,11 @@ impl ScaleGame {
             selection,
             PricingRule::FirstPrice,
         );
+        let ceiling = solver.score_ceiling(auction.scoring_rule())?;
         Ok(Self {
             population,
             solver: Arc::new(solver),
+            ceiling: Arc::new(ceiling),
             auction,
             selection_seed: derive_seed(config.seed, 0xCA1E ^ n as u64),
         })
@@ -181,12 +199,14 @@ impl ScaleGame {
     fn filler(&self) -> Arc<ShardFiller> {
         let population = self.population;
         let solver = Arc::clone(&self.solver);
+        let ceiling = Arc::clone(&self.ceiling);
         Arc::new(move |range, store| {
-            // One columnar pipeline per shard under either stream contract (derivation
-            // → batched grid lookup → batched table tail), bit-identical to the per-node
-            // theta + quality_into + tabulated_bid_into sequence and appended through
+            // One columnar pipeline per shard under either stream contract (θ pre-pass
+            // against the store's omit bound → derivation → batched grid lookup →
+            // batched table tail), bit-identical to the per-node theta + quality_into +
+            // tabulated_bid_into sequence at every stored offset and appended through
             // the store's trusted path.
-            population.bid_range_into_store(range, 0, &solver, store)?;
+            population.bid_range_into_store_pruned(range, 0, &solver, &ceiling, store)?;
             Ok(())
         })
     }

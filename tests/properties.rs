@@ -1054,13 +1054,16 @@ fn streamed_winner(award: &Award) -> fmore::fl::metrics::WinnerInfo {
 
 /// One hostile round three ways — dense `Auction::run`, sequential `BidSelector::offer`,
 /// and `auction_select_streamed` on each engine — compared on pool order, tie-break keys,
-/// best dropped score, winners, payments and the post-round RNG position.
+/// best dropped score, winners, payments and the post-round RNG position. With `omitted`,
+/// the streamed fill leaves out exactly the bids whose true score lies below its store's
+/// omit bound, and counts them there.
 fn hostile_round_agrees(
     name: &str,
     auction: &Auction,
     bids: &std::sync::Arc<Vec<fmore::auction::SubmittedBid>>,
     (reserve, shard, seed): (usize, usize, u64),
     engines: &[fmore::fl::engine::RoundEngine],
+    omitted: Option<&std::sync::Arc<std::sync::atomic::AtomicUsize>>,
 ) -> Result<(), String> {
     use fmore::auction::BidStore;
     use fmore::fl::engine::auction_select_streamed;
@@ -1121,11 +1124,36 @@ fn hostile_round_agrees(
     for engine in engines {
         let name = format!("{name}/width={}", engine.parallel_width());
         let source = std::sync::Arc::clone(bids);
+        let omitting =
+            omitted.map(|count| (std::sync::Arc::clone(count), auction.scoring_rule().clone()));
         let fill = move |range: std::ops::Range<usize>, store: &mut BidStore| {
-            for bid in &source[range] {
-                store.push(bid.node, bid.quality.as_slice(), bid.ask)?;
+            let Some((count, rule)) = &omitting else {
+                for bid in &source[range] {
+                    store.push(bid.node, bid.quality.as_slice(), bid.ask)?;
+                }
+                return Ok(());
+            };
+            let bound = store.omit_bound();
+            let mut kept = Vec::new();
+            for (j, bid) in source[range.clone()].iter().enumerate() {
+                let score = rule.score(&bid.quality, bid.ask)?;
+                if !bound.is_some_and(|bound| score < bound) {
+                    kept.push(j as u32);
+                }
             }
-            Ok(())
+            count.fetch_add(
+                range.len() - kept.len(),
+                std::sync::atomic::Ordering::Relaxed,
+            );
+            // Node ids are stream positions here, as the sparse append assumes.
+            store.extend_trusted_at(range.start as u64, &kept, range.len(), |qualities, asks| {
+                for ((quality, ask), &j) in qualities.iter_mut().zip(asks.iter_mut()).zip(&kept) {
+                    let bid = &source[range.start + j as usize];
+                    *quality = bid.quality.as_slice()[0];
+                    *ask = bid.ask;
+                }
+                Ok(())
+            })
         };
         let mut rng = fmore::numerics::seeded_rng(seed);
         let streamed = auction_select_streamed(
@@ -1184,6 +1212,33 @@ fn hostile_round_agrees(
 /// treats `±0.0` as equal, and no fold over the losers' scores orders them.
 #[test]
 fn floor_carried_selection_matches_sequential_and_dense_on_hostile_streams() {
+    hostile_streams_agree(0xF1, None);
+}
+
+/// The omission contract of the streamed stage, apart from any score ceiling: a fill that
+/// leaves out exactly the bids scoring below its store's omit bound (the round's best
+/// dropped score as of the wave) yields the pool, best dropped score, offered count,
+/// winners, payments and RNG position of the sequential selector and the dense sort —
+/// over the hostile streams, shard size 1, engine widths 1/2/4, `K = 1` with reserve 0,
+/// and top-K plus ψ from 0.05 to 1 under both pricing rules. The kept bids' keys must
+/// come from their stream positions: keyed by their index in the store, the pools
+/// diverge.
+#[test]
+fn omitting_fill_matches_sequential_and_dense_on_hostile_streams() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let omitted = std::sync::Arc::new(AtomicUsize::new(0));
+    hostile_streams_agree(0xF3, Some(&omitted));
+    assert!(
+        omitted.load(Ordering::Relaxed) > 0,
+        "no bid was ever omitted"
+    );
+}
+
+/// The body of the two hostile-stream properties above.
+fn hostile_streams_agree(
+    seed: u64,
+    omitted: Option<&std::sync::Arc<std::sync::atomic::AtomicUsize>>,
+) {
     use fmore::auction::SubmittedBid;
     use fmore::fl::engine::RoundEngine;
     use std::sync::Arc;
@@ -1217,7 +1272,7 @@ fn floor_carried_selection_matches_sequential_and_dense_on_hostile_streams() {
         UsizeRange::new(0, 100_000),
     );
     check(
-        &Config::seeded(0xF1),
+        &Config::seeded(seed),
         &strategy,
         |(raw, (k, reserve, shard), seed)| {
             let n = raw.len();
@@ -1263,7 +1318,9 @@ fn floor_carried_selection_matches_sequential_and_dense_on_hostile_streams() {
                                 "{stream}/{rule_name}/{selection:?}/{pricing:?}/k={k}/r={reserve}"
                             );
                             let geometry = (reserve, shard, *seed as u64);
-                            hostile_round_agrees(&name, &auction, &bids, geometry, &engines)?;
+                            hostile_round_agrees(
+                                &name, &auction, &bids, geometry, &engines, omitted,
+                            )?;
                         }
                     }
                 }
@@ -1863,6 +1920,250 @@ fn bid_range_into_store_errors_leave_the_store_unchanged() {
             "{version:?}: a failed fill wrote to the store"
         );
         let outside = population.bid_range_into_store(40..300, 2, &narrower_support, &mut store);
+        assert!(
+            matches!(outside, Err(AuctionError::ThetaOutOfSupport { .. })),
+            "{version:?}: {outside:?}"
+        );
+        assert_eq!(
+            store, before,
+            "{version:?}: a failed fill wrote to the store"
+        );
+    }
+}
+
+/// A tabulated solver over three resources under the scoring family `scoring`.
+fn ceiling_solver<S: ScoringFunction + 'static>(scoring: S) -> EquilibriumSolver {
+    EquilibriumSolver::builder()
+        .scoring(scoring)
+        .cost(LinearCost::new(vec![0.3, 0.3, 0.4]).unwrap())
+        .theta(UniformDist::new(0.1, 0.9).unwrap())
+        .bounds(vec![(0.0, 1.0); 3])
+        .population(40)
+        .winners(4)
+        .grid_size(24)
+        .build()
+        .unwrap()
+}
+
+/// The per-θ-cell score ceiling bounds the score of every tabulated bid, whatever the
+/// capacity: for solvers and auction rules of the three scoring families (Cobb–Douglas
+/// with fractional exponents, so `powf` is in play), at θ = θ̲, at every grid point (a cell
+/// edge) and one ulp either side of it, at θ̄ − ε and θ̄, and at random θ; for capacities at
+/// the corners of the unit cube and at random. The ceiling of θ's cell is read through the
+/// cut the pre-pass uses: a bound equal to a bid's own score never cuts its θ. The cut
+/// moves up in θ as the bound falls, and a bound above every score cuts somewhere.
+#[test]
+fn score_ceiling_dominates_every_tabulated_bid() {
+    use rand::Rng;
+    let additive = || Additive::new(vec![0.4, 0.3, 0.3]).unwrap();
+    let cobb = || CobbDouglas::with_scale(2.0, vec![0.5, 0.3, 0.2]).unwrap();
+    let complementary = || PerfectComplementary::new(vec![0.4, 0.3, 0.3]).unwrap();
+    let solvers = [
+        ("additive", ceiling_solver(additive())),
+        ("cobb-douglas", ceiling_solver(cobb())),
+        ("complementary", ceiling_solver(complementary())),
+    ];
+    let rules = [
+        ("additive", ScoringRule::new(additive())),
+        ("cobb-douglas", ScoringRule::new(cobb())),
+        ("complementary", ScoringRule::new(complementary())),
+    ];
+    let (lo, hi) = (0.1f64, 0.9f64);
+    let grid = 24;
+    let mut thetas = vec![lo, hi - (hi - lo) * f64::EPSILON, hi];
+    for i in 0..grid {
+        let point = lo + (hi - lo) * i as f64 / (grid - 1) as f64;
+        thetas.extend([point.next_down(), point, point.next_up()]);
+    }
+    let mut rng = fmore::numerics::seeded_rng(0xCE11);
+    thetas.extend((0..64).map(|_| rng.gen_range(lo..hi)));
+    thetas.retain(|theta| (lo..=hi).contains(theta));
+    let mut capacities: Vec<[f64; 3]> = (0..8)
+        .map(|corner| std::array::from_fn(|d| f64::from((corner >> d) & 1)))
+        .collect();
+    capacities.extend((0..16).map(|_| std::array::from_fn(|_| rng.gen_range(0.0..1.0))));
+    let mut quality = Vec::new();
+    for (solver_name, solver) in &solvers {
+        for (rule_name, rule) in &rules {
+            let ceiling = solver.score_ceiling(rule).unwrap();
+            let mut scores = Vec::new();
+            for &theta in &thetas {
+                for capacity in &capacities {
+                    let ask = solver
+                        .tabulated_bid_into(theta, capacity, &mut quality)
+                        .unwrap();
+                    let score = rule.score(&Quality::new(quality.clone()), ask).unwrap();
+                    assert!(
+                        ceiling.cut(score).is_none_or(|cut| theta < cut),
+                        "{solver_name}/{rule_name} θ = {theta} {capacity:?}: score {score} \
+                         lies above its cell's ceiling (cut at {:?})",
+                        ceiling.cut(score)
+                    );
+                    scores.push(score);
+                }
+            }
+            scores.sort_by(f64::total_cmp);
+            let cuts: Vec<f64> = scores
+                .iter()
+                .map(|&score| ceiling.cut(score).unwrap_or(f64::INFINITY))
+                .collect();
+            assert!(
+                cuts.windows(2).all(|pair| pair[0] >= pair[1]),
+                "{solver_name}/{rule_name}: the ceiling rose with θ"
+            );
+            let above = scores.last().unwrap() + 1.0;
+            assert!(
+                ceiling.cut(above).is_some_and(|cut| cut < hi),
+                "{solver_name}/{rule_name}: no θ cut above every score"
+            );
+        }
+    }
+    assert_eq!(
+        solvers[0]
+            .1
+            .score_ceiling(&ScoringRule::new(Additive::new(vec![1.0]).unwrap())),
+        Err(AuctionError::DimensionMismatch {
+            expected: 3,
+            actual: 1
+        })
+    );
+}
+
+/// A shard filled through `bid_range_into_store_pruned` is, bid for bid, the unpruned
+/// shard at the stored offsets, and what it omitted scores below the store's omit bound:
+/// under both stream contracts, for bounds from none (and NaN) through the shard's score
+/// quantiles to above its best score, on random populations and shard-boundary range
+/// shapes, and on lengths around the 8-lane vector body from unaligned starts. CI's
+/// scalar-only job runs this too, which covers the pre-pass's scalar tier. A θ outside
+/// the solver's support is never omitted, so the error is the unpruned fill's.
+#[test]
+fn pruned_shard_fill_is_the_unpruned_shard_at_its_offsets() {
+    use fmore::auction::BidStore;
+    use fmore::mec::population::{NodePopulation, PopulationSpec, SpecVersion};
+    use std::cell::Cell;
+    let rule = ScoringRule::new(Additive::new(vec![0.4, 0.3, 0.3]).unwrap());
+    let (kept_total, omitted_total) = (Cell::new(0), Cell::new(0));
+    let agree = |population: &NodePopulation,
+                 solver: &EquilibriumSolver,
+                 range: std::ops::Range<usize>,
+                 round: u64|
+     -> Result<(), String> {
+        let ceiling = solver.score_ceiling(&rule).map_err(|e| e.to_string())?;
+        let mut full = BidStore::with_dims(3);
+        population
+            .bid_range_into_store(range.clone(), round, solver, &mut full)
+            .map_err(|e| e.to_string())?;
+        full.score_with(&rule).map_err(|e| e.to_string())?;
+        let mut scores: Vec<f64> = (0..full.len()).map(|j| full.score(j)).collect();
+        scores.sort_by(f64::total_cmp);
+        let quantile = |q: f64| scores.get((q * scores.len() as f64) as usize).copied();
+        let bounds = [
+            None,
+            Some(f64::NAN),
+            quantile(0.0),
+            quantile(0.5),
+            quantile(0.9),
+            scores.last().map(|best| best + 1.0),
+        ];
+        for bound in bounds {
+            let name = format!("{:?} {range:?} bound {bound:?}", population.spec().version);
+            let mut pruned = BidStore::with_dims(3);
+            pruned.set_omit_bound(bound);
+            population
+                .bid_range_into_store_pruned(range.clone(), round, solver, &ceiling, &mut pruned)
+                .map_err(|e| format!("{name}: {e}"))?;
+            ensure(pruned.offered() == range.len(), || {
+                format!("{name}: offered {}", pruned.offered())
+            })?;
+            let mut next = 0;
+            for j in 0..pruned.len() {
+                let at = pruned.offset(j);
+                ensure(at >= next && at < full.len(), || {
+                    format!("{name}: offset {at} out of order")
+                })?;
+                for omitted in next..at {
+                    ensure(
+                        bound.is_some_and(|bound| full.score(omitted) < bound),
+                        || {
+                            format!(
+                                "{name}: omitted bid {omitted} scores {}",
+                                full.score(omitted)
+                            )
+                        },
+                    )?;
+                }
+                ensure(
+                    pruned.node(j) == full.node(at)
+                        && pruned.ask(j).to_bits() == full.ask(at).to_bits()
+                        && pruned
+                            .quality(j)
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .eq(full.quality(at).iter().map(|v| v.to_bits())),
+                    || format!("{name}: bid {j} (offset {at}) drifted"),
+                )?;
+                next = at + 1;
+            }
+            for omitted in next..full.len() {
+                ensure(
+                    bound.is_some_and(|bound| full.score(omitted) < bound),
+                    || {
+                        format!(
+                            "{name}: omitted bid {omitted} scores {}",
+                            full.score(omitted)
+                        )
+                    },
+                )?;
+            }
+            kept_total.set(kept_total.get() + pruned.len());
+            omitted_total.set(omitted_total.get() + range.len() - pruned.len());
+        }
+        Ok(())
+    };
+    let versions = [SpecVersion::V1, SpecVersion::V2];
+    let strategy = Tuple3(
+        UsizeRange::new(1, 300),
+        UsizeRange::new(0, 3),
+        UsizeRange::new(0, 100_000),
+    );
+    check(&Config::seeded(0xD5), &strategy, |(n, round, seed)| {
+        let solver = population_solver(*n);
+        for version in versions {
+            let spec = PopulationSpec::scale_default(*n, *seed as u64).with_version(version);
+            let population = NodePopulation::new(spec).map_err(|e| e.to_string())?;
+            for range in [0..0, n / 3..(2 * n / 3).max(n / 3), 0..*n] {
+                agree(&population, &solver, range, *round as u64)?;
+            }
+        }
+        Ok(())
+    });
+    const SIZE: usize = 8_300;
+    let solver = population_solver(SIZE);
+    for version in versions {
+        let spec = PopulationSpec::scale_default(SIZE, 0xD5).with_version(version);
+        let population = NodePopulation::new(spec).unwrap();
+        for (l, len) in [1, 7, 8, 9, 63, 64, 65, 8_191].into_iter().enumerate() {
+            let start = 1 + 2 * l;
+            agree(&population, &solver, start..start + len, 1).unwrap();
+        }
+    }
+    assert!(kept_total.get() > 0 && omitted_total.get() > 0);
+
+    let narrower_support = population_solver_on(500, 3, (0.2, 0.8));
+    let ceiling = narrower_support.score_ceiling(&rule).unwrap();
+    for version in versions {
+        let spec = PopulationSpec::scale_default(500, 0xD4).with_version(version);
+        let population = NodePopulation::new(spec).unwrap();
+        let mut store = BidStore::with_dims(3);
+        store.set_omit_bound(Some(f64::MAX));
+        let before = store.clone();
+        let outside = population.bid_range_into_store_pruned(
+            0..500,
+            2,
+            &narrower_support,
+            &ceiling,
+            &mut store,
+        );
         assert!(
             matches!(outside, Err(AuctionError::ThetaOutOfSupport { .. })),
             "{version:?}: {outside:?}"
