@@ -5,22 +5,34 @@
 //!
 //! # How `Conv2d` computes, and in which order
 //!
-//! The convolution is im2col + the [`Matrix`] matmul cores. With `pos = oy · ow + ox` an
-//! output position, `widx = (c · k + ky) · k + kx` a weight of one filter, and `fan_in` the
-//! weights per filter, the forward pass gathers the patch matrix `P`
-//! `(samples · positions, fan_in)` through an index built once per layer, starts every row
-//! of the product at the bias row and accumulates `P · Wᵀ` onto it
-//! ([`Matrix::matmul_acc_into`]). The backward pass gathers `P` again from the cached input
+//! With `pos = oy · ow + ox` an output position, `widx = (c · k + ky) · k + kx` a weight of
+//! one filter, and `fan_in` the weights per filter, a gather index built once per layer
+//! holds, at `pos · fan_in + widx`, the input pixel that position reads through that weight.
+//!
+//! **The forward pass is direct and gather-fused**: no patch matrix is built. Per sample,
+//! the kernel takes a block of output positions and keeps one accumulator row over the
+//! filters for each, started at the bias row. For every `widx` in ascending order it reads
+//! each position's input value `x` through the gather index and adds `x · Wᵀ[widx]` to that
+//! position's row, a multiply and then an add, never fused; then it writes the rows into
+//! the channel-major output. The vector lanes run across the filters of a row, which are
+//! independent outputs. One `#[inline(always)]` core is compiled for the scalar baseline
+//! and, behind the runtime gates of `fmore_numerics`, for AVX and AVX-512F; the paper's
+//! filter counts (8, 16, 32) keep a whole row in registers, every other count runs one
+//! filter at a time.
+//!
+//! **The backward pass is im2col + the [`Matrix`] matmul cores.** It gathers the patch
+//! matrix `P` `(samples · positions, fan_in)` from the cached input through the same index
 //! and accumulates `grad_w += Gᵀ · P` ([`Matrix::matmul_transpose_a_acc_into`]), `G` being
 //! `∂L/∂output` transposed to the same position-major layout, and sweeps `G` row by row into
-//! `grad_b`. Both passes walk the batch a few samples at a time, in ascending order, so the
-//! scratch matrices are a fixed size whatever the batch.
+//! `grad_b`. It walks the batch a few samples at a time, in ascending order, so its scratch
+//! matrices are a fixed size whatever the batch.
 //!
 //! The results are those of the plain nested loops (kept as the test reference), bit for
-//! bit, because every sum keeps its order — the cores add each output's terms in ascending
-//! shared-dimension order and only vectorise across independent outputs:
+//! bit, because every sum keeps its order — each kernel adds an output's terms in ascending
+//! shared-dimension order and only vectorises across independent outputs:
 //!
-//! * an output is `bias + Σ w · x` over ascending `widx`, i.e. ascending `(c, ky, kx)`;
+//! * an output is `bias + Σ w · x` over ascending `widx`, i.e. ascending `(c, ky, kx)`,
+//!   whatever the tier, the block of positions or the filter group it was computed in;
 //! * a weight gradient takes its `g · x` terms in ascending `(b, oy, ox)`, on top of the
 //!   running accumulator; a bias gradient takes its non-zero `g` in the same order;
 //! * `∂L/∂input` is **not** a matmul. Each input pixel receives `g · w` from every filter
@@ -84,10 +96,10 @@ fn transpose_blocks(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
     }
 }
 
-/// Patch rows gathered per matmul call. The patch matrix is `fan_in / positions`-fold larger
-/// than the input it is gathered from (4–5× for the paper's layers), so it is built a block
-/// of samples at a time: the scratch stays cache-sized whatever the batch, and a 256-row
-/// evaluation chunk costs no more memory than a 20-sample training batch.
+/// Patch rows gathered per matmul call of the backward pass. The patch matrix is
+/// `fan_in / positions`-fold larger than the input it is gathered from (4–5× for the paper's
+/// layers), so it is built a block of samples at a time: the scratch stays cache-sized
+/// whatever the batch.
 const PATCH_ROWS: usize = 64;
 
 /// Gathers the patches of input rows `samples` into `patches`, `(samples · positions,
@@ -109,6 +121,158 @@ fn gather_patches(
     }
 }
 
+// ---------------------------------------------------------------------------
+// The direct forward kernel.
+//
+// One `#[inline(always)]` core, generic over `F`, the filters whose accumulator rows it
+// keeps in registers, and over `P`, the output positions it keeps them for, and compiled
+// once per instruction-set tier by the `target_feature` wrappers below. The paper's layers
+// have 8, 16 or 32 filters and get an instance of that width; every other filter count runs
+// the `F = 1` instance once per filter. Each tier takes as many positions as keep a
+// 16-filter block in eight of its vector registers: one with the baseline's two-lane
+// registers, two with AVX's four lanes, four with AVX-512's eight.
+// ---------------------------------------------------------------------------
+
+/// Output positions per block of the scalar tier.
+const SCALAR_POSITIONS: usize = 1;
+/// Output positions per block of the AVX tier.
+#[cfg(target_arch = "x86_64")]
+const AVX_POSITIONS: usize = 2;
+/// Output positions per block of the AVX-512 tier.
+#[cfg(target_arch = "x86_64")]
+const AVX512_POSITIONS: usize = 4;
+
+/// What the forward kernel reads besides the input: one layer's gather index, `Wᵀ`
+/// `(fan_in, filters)` and bias row.
+#[derive(Clone, Copy)]
+struct ForwardOperands<'a> {
+    gather: &'a [usize],
+    weights_t: &'a [f64],
+    bias: &'a [f64],
+}
+
+/// Filters `f0..f0 + F` of one sample's block of `P` output positions from `pos`: every
+/// position's accumulator row starts at the bias, takes `x · Wᵀ[widx]` for ascending
+/// `widx` with `x` read through the gather index, and is written into the channel-major
+/// output row.
+#[inline(always)]
+fn forward_block<const P: usize, const F: usize>(
+    ops: ForwardOperands<'_>,
+    f0: usize,
+    row: &[f64],
+    pos: usize,
+    out_row: &mut [f64],
+) {
+    let filters = ops.bias.len();
+    let fan_in = ops.weights_t.len() / filters;
+    let positions = ops.gather.len() / fan_in;
+    let group = |v: &[f64]| -> [f64; F] { v[f0..f0 + F].try_into().expect("F filters") };
+    let mut acc = [group(ops.bias); P];
+    let index = &ops.gather[pos * fan_in..(pos + P) * fan_in];
+    for (widx, w) in ops.weights_t.chunks_exact(filters).enumerate() {
+        let w = group(w);
+        // All `P` inputs first, so the row updates below are one branch-free block.
+        let xs: [f64; P] = std::array::from_fn(|p| row[index[p * fan_in + widx]]);
+        for p in 0..P {
+            for f in 0..F {
+                acc[p][f] += xs[p] * w[f];
+            }
+        }
+    }
+    for (p, acc_row) in acc.iter().enumerate() {
+        for (f, &a) in acc_row.iter().enumerate() {
+            out_row[(f0 + f) * positions + pos + p] = a;
+        }
+    }
+}
+
+/// The forward core: `out = conv(input)`, every sample into its row of `out`, the filters
+/// in groups of `F` (which must divide their count), the positions `P` at a time and the
+/// remainder one by one.
+#[inline(always)]
+fn forward_core<const P: usize, const F: usize>(
+    ops: ForwardOperands<'_>,
+    input: &Matrix,
+    out: &mut [f64],
+) {
+    let filters = ops.bias.len();
+    let fan_in = ops.weights_t.len() / filters;
+    let positions = ops.gather.len() / fan_in;
+    for (b, out_row) in out.chunks_exact_mut(filters * positions).enumerate() {
+        let row = input.row(b);
+        for f0 in (0..filters).step_by(F) {
+            let mut pos = 0;
+            while pos + P <= positions {
+                forward_block::<P, F>(ops, f0, row, pos, out_row);
+                pos += P;
+            }
+            while pos < positions {
+                forward_block::<1, F>(ops, f0, row, pos, out_row);
+                pos += 1;
+            }
+        }
+    }
+}
+
+/// [`forward_core`] with the baseline's code generation.
+fn forward_scalar<const F: usize>(ops: ForwardOperands<'_>, input: &Matrix, out: &mut [f64]) {
+    forward_core::<SCALAR_POSITIONS, F>(ops, input, out);
+}
+
+/// [`forward_core`] compiled with AVX code generation: four-wide lanes across the
+/// independent filters of a row, the same operations in the same order.
+///
+/// # Safety
+///
+/// The CPU must support AVX.
+// SAFETY: callable only where the CPU has AVX: `forward_tiered` checks
+// `fmore_numerics::avx_enabled`, the parity test `is_x86_feature_detected!("avx")`. Pinned to
+// the scalar instance and the reference loops by
+// `forward_tiers_match_the_reference_loops_bit_for_bit`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn forward_avx<const F: usize>(ops: ForwardOperands<'_>, input: &Matrix, out: &mut [f64]) {
+    forward_core::<AVX_POSITIONS, F>(ops, input, out);
+}
+
+/// [`forward_core`] compiled with AVX-512F code generation: 8-wide lanes across the
+/// independent filters of a row, the same operations in the same order.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+// SAFETY: callable only where the CPU has AVX-512F: `forward_tiered` checks
+// `fmore_numerics::avx512_enabled` (F, DQ and VL), the parity test
+// `is_x86_feature_detected!("avx512f")`. Pinned to the scalar instance and the reference loops
+// by `forward_tiers_match_the_reference_loops_bit_for_bit`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn forward_avx512<const F: usize>(
+    ops: ForwardOperands<'_>,
+    input: &Matrix,
+    out: &mut [f64],
+) {
+    forward_core::<AVX512_POSITIONS, F>(ops, input, out);
+}
+
+/// Runs the widest tier the runtime gates allow, `F` filters at a time.
+fn forward_tiered<const F: usize>(ops: ForwardOperands<'_>, input: &Matrix, out: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if fmore_numerics::avx512_enabled() {
+        // SAFETY: `avx512_enabled` answers true only after `is_x86_feature_detected!` found
+        // AVX-512F (with DQ and VL); the tier is pinned bit for bit to the scalar instance
+        // and the reference loops by `forward_tiers_match_the_reference_loops_bit_for_bit`.
+        unsafe { forward_avx512::<F>(ops, input, out) };
+        return;
+    } else if fmore_numerics::avx_enabled() {
+        // SAFETY: `avx_enabled` answers true only after `is_x86_feature_detected!("avx")`;
+        // the tier is pinned by `forward_tiers_match_the_reference_loops_bit_for_bit`.
+        unsafe { forward_avx::<F>(ops, input, out) };
+        return;
+    }
+    forward_scalar::<F>(ops, input, out);
+}
+
 /// A 2-D convolution with `filters` output channels, square `kernel`, stride 1 and valid
 /// padding (the module docs give the operation-order contract).
 #[derive(Debug)]
@@ -123,17 +287,18 @@ pub struct Conv2d {
     grad_w: Matrix,
     grad_b: Matrix,
     cached_input: Option<Matrix>,
-    /// `Wᵀ`, `(fan_in, filters)`: the right-hand operand of the forward product. Derived
-    /// from `weights`, refreshed wherever they change.
+    /// `Wᵀ`, `(fan_in, filters)`: row `widx` holds weight `widx` of every filter, the
+    /// operand the forward kernel adds to its accumulator rows. Derived from `weights`,
+    /// refreshed wherever they change.
     weights_t: Matrix,
-    /// The im2col index: entry `pos · fan_in + widx` is the offset inside one input row of
+    /// The gather index: entry `pos · fan_in + widx` is the offset inside one input row of
     /// the pixel that output position `pos = oy · ow + ox` reads through weight
     /// `widx = (c · k + ky) · k + kx`.
     gather: Vec<usize>,
-    /// Scratch: the patch matrix `P`, `(samples · positions, fan_in)`, of one block.
+    /// Backward scratch: the patch matrix `P`, `(samples · positions, fan_in)`, of one block.
     patches: Matrix,
-    /// Scratch, position-major `(samples · positions, filters)`: one block's forward product
-    /// before it is transposed into the output layout, or its transposed `∂L/∂output`.
+    /// Backward scratch: one block's `∂L/∂output`, transposed to position-major
+    /// `(samples · positions, filters)`.
     staging: Matrix,
 }
 
@@ -203,8 +368,8 @@ impl Conv2d {
         out.height * out.width
     }
 
-    /// The sample ranges a batch is processed in: [`PATCH_ROWS`] patch rows at a time, in
-    /// ascending order, at least one sample each.
+    /// The sample ranges the backward pass walks a batch in: [`PATCH_ROWS`] patch rows at a
+    /// time, in ascending order, at least one sample each.
     fn blocks(&self, batch: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
         let samples = (PATCH_ROWS / self.positions()).max(1);
         (0..batch)
@@ -271,30 +436,18 @@ impl Layer for Conv2d {
         let mut cache = self.cached_input.take().unwrap_or_default();
         cache.copy_from(input);
         self.cached_input = Some(cache);
-        let (positions, filters, fan_in) = (self.positions(), self.filters, self.weights.cols());
-        let volume = filters * positions;
-        out.resize(input.rows(), volume);
-        for block in self.blocks(input.rows()) {
-            gather_patches(
-                &self.gather,
-                fan_in,
-                input,
-                block.clone(),
-                &mut self.patches,
-            );
-            // Every output starts at its filter's bias and takes `w · x` in ascending `widx`.
-            self.staging.resize(block.len() * positions, filters);
-            for y_row in self.staging.data_mut().chunks_exact_mut(filters) {
-                y_row.copy_from_slice(self.bias.data());
-            }
-            self.patches
-                .matmul_acc_into(&self.weights_t, &mut self.staging);
-            transpose_blocks(
-                self.staging.data(),
-                &mut out.data_mut()[block.start * volume..block.end * volume],
-                positions,
-                filters,
-            );
+        out.resize(input.rows(), self.filters * self.positions());
+        let ops = ForwardOperands {
+            gather: &self.gather,
+            weights_t: self.weights_t.data(),
+            bias: self.bias.data(),
+        };
+        let out = out.data_mut();
+        match self.filters {
+            8 => forward_tiered::<8>(ops, input, out),
+            16 => forward_tiered::<16>(ops, input, out),
+            32 => forward_tiered::<32>(ops, input, out),
+            _ => forward_tiered::<1>(ops, input, out),
         }
     }
 
@@ -430,8 +583,10 @@ impl Layer for MaxPool2d {
             for c in 0..in_shape.channels {
                 for oy in 0..out_shape.height {
                     for ox in 0..out_shape.width {
+                        // A window holding nothing above -∞ (all -∞ or NaN) keeps its first
+                        // pixel as the argmax, so its gradient stays inside the window.
                         let mut best = f64::NEG_INFINITY;
-                        let mut best_idx = 0;
+                        let mut best_idx = in_shape.index(c, oy * 2, ox * 2);
                         for dy in 0..2 {
                             for dx in 0..2 {
                                 let idx = in_shape.index(c, oy * 2 + dy, ox * 2 + dx);
@@ -489,7 +644,7 @@ mod tests {
     use fmore_numerics::seeded_rng;
     use rand::Rng;
 
-    /// The seven-deep scalar loops `Conv2d` ran before it moved onto the matmul cores, kept
+    /// The seven-deep scalar loops `Conv2d` ran before its direct and im2col kernels, kept
     /// as the bit-level reference: forward over `conv`'s parameters.
     fn reference_forward(conv: &Conv2d, input: &Matrix) -> Matrix {
         let out_shape = conv.output_shape();
@@ -610,11 +765,13 @@ mod tests {
         g
     }
 
-    /// The oracle of the im2col rewrite: on the four convolution shapes of the paper's two
-    /// CNNs, at four batch sizes and under four gradient patterns, the matmul-core kernels
-    /// reproduce the reference loops bit for bit — outputs, `∂L/∂input`, the bias gradient,
-    /// and the parameters after each SGD step — across two forward/backward/step cycles, so
-    /// the second cycle starts from accumulators that `scale_in_place(0.0)` left at `±0.0`.
+    /// The oracle of the convolution kernels: on the four convolution shapes of the paper's
+    /// two CNNs, at six batch sizes (50 is the benchmark's evaluation set, 256 an
+    /// `evaluate_in` chunk) and under four gradient patterns, the direct forward kernel and
+    /// the matmul-core backward reproduce the reference loops bit for bit — outputs,
+    /// `∂L/∂input`, the bias gradient, and the parameters after each SGD step — across two
+    /// forward/backward/step cycles, so the second cycle starts from accumulators that
+    /// `scale_in_place(0.0)` left at `±0.0`.
     ///
     /// The weight gradient is bit-equal too, with one exception that is allowed and
     /// counted: the reference skips `g == 0.0` terms and the `Gᵀ · P` product adds their
@@ -623,7 +780,7 @@ mod tests {
     /// nothing (`w − lr · ±0.0 == w` for every `w` but `-0.0` itself), which the bit-equal
     /// parameters after every step confirm.
     #[test]
-    fn im2col_kernels_match_the_reference_loops_bit_for_bit() {
+    fn conv_kernels_match_the_reference_loops_bit_for_bit() {
         let shapes = [
             (ImageShape::new(1, 8, 8), 8, 3),   // MNIST conv1
             (ImageShape::new(8, 6, 6), 16, 3),  // MNIST conv2
@@ -639,7 +796,7 @@ mod tests {
         let mut rng = seeded_rng(90);
         let mut zero_sign_flips = 0;
         for (shape, filters, kernel) in shapes {
-            for batch in [1, 5, 20, 32] {
+            for batch in [1, 5, 20, 32, 50, 256] {
                 for pattern in patterns {
                     let case = format!("{shape:?} x{filters} k{kernel} b{batch} {pattern:?}");
                     let mut conv = Conv2d::new(shape, filters, kernel, &mut rng);
@@ -710,6 +867,114 @@ mod tests {
         // The dead-filter patterns do hit the one allowed divergence: the oracle is not
         // passing merely because no accumulator ever restarted at -0.0.
         assert!(zero_sign_flips > 0);
+    }
+
+    /// Every tier of the direct forward kernel, called directly: the scalar instance always,
+    /// each `target_feature` wrapper when the CPU has its instruction set. Returns each
+    /// tier's name and output, written over a sentinel so an unwritten output shows.
+    fn forward_tiers<const F: usize>(conv: &Conv2d, x: &Matrix) -> Vec<(&'static str, Vec<f64>)> {
+        let ops = ForwardOperands {
+            gather: &conv.gather,
+            weights_t: conv.weights_t.data(),
+            bias: conv.bias.data(),
+        };
+        let fresh = || vec![f64::MAX; x.rows() * conv.output_shape().flat_len()];
+        let mut scalar = fresh();
+        forward_scalar::<F>(ops, x, &mut scalar);
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+        let mut tiers = vec![("scalar", scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx") {
+                let mut out = fresh();
+                // SAFETY: `is_x86_feature_detected!("avx")` just answered true; this test is
+                // the tier's own parity pin.
+                unsafe { forward_avx::<F>(ops, x, &mut out) };
+                tiers.push(("avx", out));
+            } else {
+                println!("skipping the AVX tier: this CPU has no AVX");
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                let mut out = fresh();
+                // SAFETY: `is_x86_feature_detected!("avx512f")` just answered true; this test
+                // is the tier's own parity pin.
+                unsafe { forward_avx512::<F>(ops, x, &mut out) };
+                tiers.push(("avx512", out));
+            } else {
+                println!("skipping the AVX-512 tier: this CPU has no AVX-512F");
+            }
+        }
+        tiers
+    }
+
+    /// A layer's input with the values the tiers must not treat differently: exact zeros of
+    /// both signs, subnormals, and in every sample one `+∞`, `-∞` or NaN pixel.
+    fn hostile_input(batch: usize, shape: ImageShape, rng: &mut StdRng) -> Matrix {
+        let mut x = Matrix::random_uniform(batch, shape.flat_len(), 1.0, rng);
+        for b in 0..batch {
+            let row = x.row_mut(b);
+            for v in row.iter_mut() {
+                match rng.gen_range(0..8) {
+                    0 => *v = 0.0,
+                    1 => *v = -0.0,
+                    2 => *v = f64::from_bits(rng.gen_range(1..1u64 << 52)) * v.signum(),
+                    _ => {}
+                }
+            }
+            let lane = rng.gen_range(0..row.len());
+            row[lane] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][b % 3];
+        }
+        x
+    }
+
+    /// Tier parity of the direct forward kernel: the scalar instance and each
+    /// `target_feature` wrapper match the reference loops bit for bit, for the paper's
+    /// filter counts through their own instances and for 1, 2, 3 and 5 filters through the
+    /// one-filter instance every other count runs, on position counts a block does not
+    /// divide (a 5×5 input with a 3×3 kernel, a 1×1 output), at batch sizes from 1 to an
+    /// `evaluate_in` chunk, on inputs holding zeros of both signs, subnormals and
+    /// non-finite pixels.
+    #[test]
+    fn forward_tiers_match_the_reference_loops_bit_for_bit() {
+        let mut cases = vec![
+            (ImageShape::new(1, 8, 8), 8, 3),
+            (ImageShape::new(8, 6, 6), 16, 3),
+            (ImageShape::new(3, 8, 8), 16, 3),
+            (ImageShape::new(16, 3, 3), 32, 2),
+        ];
+        for filters in [1, 2, 3, 5, 8, 16] {
+            cases.push((ImageShape::new(2, 5, 5), filters, 3));
+        }
+        for filters in [1, 3, 8, 32] {
+            cases.push((ImageShape::new(3, 2, 2), filters, 2));
+        }
+        let mut rng = seeded_rng(93);
+        for (shape, filters, kernel) in cases {
+            let mut conv = Conv2d::new(shape, filters, kernel, &mut rng);
+            let mut params = Vec::new();
+            conv.write_params(&mut params);
+            for b in &mut params[filters * shape.channels * kernel * kernel..] {
+                *b = rng.gen_range(-0.5..=0.5);
+            }
+            conv.read_params(&params);
+            for batch in [1, 5, 20, 50, 256] {
+                let x = hostile_input(batch, shape, &mut rng);
+                let want = bits(reference_forward(&conv, &x).data());
+                let tiers = match filters {
+                    8 => forward_tiers::<8>(&conv, &x),
+                    16 => forward_tiers::<16>(&conv, &x),
+                    32 => forward_tiers::<32>(&conv, &x),
+                    _ => forward_tiers::<1>(&conv, &x),
+                };
+                for (tier, got) in tiers {
+                    assert_eq!(
+                        bits(&got),
+                        want,
+                        "{shape:?} x{filters} k{kernel} b{batch}: {tier} tier"
+                    );
+                }
+            }
+        }
     }
 
     /// The first layer of a stack skips its input gradient; its parameter gradients are the
@@ -858,6 +1123,34 @@ mod tests {
         expected[13] = 3.0;
         expected[15] = 4.0;
         assert_eq!(grad.data(), expected.as_slice());
+    }
+
+    /// A window with nothing above -∞ routes its gradient to one of its own pixels, not to
+    /// pixel (0, 0, 0) of the volume.
+    #[test]
+    fn maxpool_routes_a_window_without_a_maximum_inside_it() {
+        let mut rng = seeded_rng(8);
+        let shape = ImageShape::new(2, 4, 4);
+        let mut pool = MaxPool2d::new(shape);
+        let mut x = Matrix::from_vec(1, 32, (1..=32).map(|v| v as f64).collect());
+        // Channel 1: window (0, 0) all -∞, window (1, 1) all NaN.
+        let neg_inf_window = [16, 17, 20, 21];
+        let nan_window = [26, 27, 30, 31];
+        for i in neg_inf_window {
+            x.row_mut(0)[i] = f64::NEG_INFINITY;
+        }
+        for i in nan_window {
+            x.row_mut(0)[i] = f64::NAN;
+        }
+        pool.forward(&x, true, &mut rng);
+        let mut g = Matrix::zeros(1, 8);
+        g.row_mut(0)[4] = 1.0; // channel 1, window (0, 0)
+        g.row_mut(0)[7] = 2.0; // channel 1, window (1, 1)
+        let grad = pool.backward(&g);
+        let sum = |window: [usize; 4]| -> f64 { window.iter().map(|&i| grad.get(0, i)).sum() };
+        assert_eq!(sum(neg_inf_window), 1.0);
+        assert_eq!(sum(nan_window), 2.0);
+        assert_eq!(grad.data().iter().sum::<f64>(), 3.0);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   cores in their native **accumulate** form, `out += self · other` and
 //!   `out += selfᵀ · other`: each output element keeps whatever it held and takes the partial
 //!   products on top in ascending shared-dimension order. The overwriting forms above are
-//!   `fill(0.0)` followed by these; the convolution layer starts its outputs at the bias row
-//!   and its weight gradient at the running accumulator instead,
+//!   `fill(0.0)` followed by these; the convolution layer's backward pass starts its
+//!   weight gradient at the running accumulator instead,
 //! * [`Matrix::matmul_transpose_b_into`] — `out = self · otherᵀ` without materialising the
 //!   transpose (the dense/LSTM input-gradient product),
 //! * [`Matrix::map_inplace`], `Matrix::add_row_inplace`, `Matrix::sum_rows_into`,
@@ -179,12 +179,28 @@ fn matmul_ta_core(rows: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &m
     }
 }
 
+/// `matmul_core` compiled with AVX code generation.
+///
+/// # Safety
+///
+/// The CPU must support AVX.
+// SAFETY: callable only where the CPU has AVX, which `run_matmul_core` checks through
+// `fmore_numerics::simd::avx_enabled`. Its bits are pinned to the seed's scalar kernel by
+// `tests/properties.rs::inplace_matmul_family_matches_allocating_composition_bitwise`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn matmul_core_avx(m: usize, kd: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     matmul_core(m, kd, n, a, b, out);
 }
 
+/// `matmul_ta_core` compiled with AVX code generation.
+///
+/// # Safety
+///
+/// The CPU must support AVX.
+// SAFETY: callable only where the CPU has AVX, which `run_matmul_ta_core` checks through
+// `fmore_numerics::simd::avx_enabled`. Its bits are pinned to the seed's scalar kernel by
+// `tests/properties.rs::inplace_matmul_family_matches_allocating_composition_bitwise`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn matmul_ta_core_avx(
@@ -201,7 +217,8 @@ unsafe fn matmul_ta_core_avx(
 fn run_matmul_core(m: usize, kd: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     if fmore_numerics::simd::avx_enabled() {
-        // SAFETY: the gate only answers true after the runtime AVX feature check.
+        // SAFETY: `avx_enabled` answers true only after `is_x86_feature_detected!("avx")`;
+        // the tier is pinned by `inplace_matmul_family_matches_allocating_composition_bitwise`.
         unsafe { matmul_core_avx(m, kd, n, a, b, out) };
         return;
     }
@@ -211,7 +228,8 @@ fn run_matmul_core(m: usize, kd: usize, n: usize, a: &[f64], b: &[f64], out: &mu
 fn run_matmul_ta_core(rows: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     if fmore_numerics::simd::avx_enabled() {
-        // SAFETY: the gate only answers true after the runtime AVX feature check.
+        // SAFETY: `avx_enabled` answers true only after `is_x86_feature_detected!("avx")`;
+        // the tier is pinned by `inplace_matmul_family_matches_allocating_composition_bitwise`.
         unsafe { matmul_ta_core_avx(rows, m, n, a, b, out) };
         return;
     }

@@ -532,9 +532,11 @@ mod tests {
         }
     }
 
-    /// The paper CNN's im2col scratch lives in its layers and is sized by `Matrix::resize`:
-    /// once a training batch and a full 256-row evaluation chunk have been seen, alternating
-    /// between the two shapes allocates no matrix.
+    /// The paper CNN's convolution scratch lives in its layers: the direct forward kernel
+    /// keeps its accumulators in locals and needs none, and the backward pass's patch and
+    /// staging matrices are sized by `Matrix::resize`. Once a training batch and a full
+    /// 256-row evaluation chunk have been seen, alternating between the two shapes
+    /// allocates no matrix.
     #[test]
     fn paper_cnn_alternating_train_and_eval_is_allocation_free() {
         let spec = SyntheticImageSpec::mnist_like();
