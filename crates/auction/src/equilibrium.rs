@@ -13,6 +13,11 @@
 //! proposes — by integrating the equivalent first-order ODE `b'(u) + φ(u) b(u) = u φ(u)` with
 //! the Euler method. Both are provided ([`PaymentMethod`]), plus the closed-form benchmarks of
 //! Che's Theorem 2 (one winner) and Proposition 1 (two winners).
+//!
+//! Production drivers derive their solver from the auction that ranks the bids,
+//! [`crate::Auction::equilibrium`], so the scoring rule and `K` are given once;
+//! [`EquilibriumSolver::builder`] serves the tests, the benchmark and the games that entry
+//! point does not cover (non-linear costs, other quality boxes, other payment methods).
 
 use crate::cost::CostFunction;
 use crate::error::AuctionError;
@@ -209,6 +214,12 @@ impl EquilibriumSolverBuilder {
     /// Sets the scoring function `s(q)` broadcast by the aggregator.
     pub fn scoring<S: ScoringFunction + 'static>(mut self, s: S) -> Self {
         self.scoring = Some(Arc::new(s));
+        self
+    }
+
+    /// Sets the scoring function to the one `rule` broadcasts, shared, not copied.
+    pub(crate) fn scoring_rule(mut self, rule: &ScoringRule) -> Self {
+        self.scoring = Some(Arc::clone(&rule.s));
         self
     }
 

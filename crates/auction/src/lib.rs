@@ -23,38 +23,32 @@
 //!
 //! ```
 //! use fmore_auction::prelude::*;
-//! use fmore_numerics::UniformDist;
 //!
-//! // Scoring rule s(q) = 25·q1·q2 as used by the paper's simulator, linear cost.
-//! let scoring = CobbDouglas::with_scale(25.0, vec![1.0, 1.0])?;
-//! let cost = LinearCost::new(vec![0.6, 0.4])?;
-//! let theta = UniformDist::new(0.1, 1.0)?;
-//! let bounds = vec![(0.0, 1.0), (0.0, 1.0)];
-//!
-//! // Equilibrium bidding strategy for an auction with N = 100 nodes and K = 20 winners.
-//! let solver = EquilibriumSolver::builder()
-//!     .scoring(scoring.clone())
-//!     .cost(cost.clone())
-//!     .theta(theta)
-//!     .bounds(bounds)
-//!     .population(100)
-//!     .winners(20)
-//!     .build()?;
-//! let bid = solver.bid_for(0.3)?;
-//! assert!(bid.ask >= cost.value(bid.quality.as_slice(), 0.3));
-//!
-//! // The aggregator runs one auction round over submitted bids.
+//! // The aggregator broadcasts one game: the paper simulator's scoring rule s(q) = 25·q1·q2,
+//! // K = 20 winners, top-K selection, first-price payments.
 //! let auction = Auction::new(
-//!     ScoringRule::new(scoring),
-//!     1,
+//!     ScoringRule::new(CobbDouglas::with_scale(25.0, vec![1.0, 1.0])?),
+//!     20,
 //!     SelectionRule::TopK,
 //!     PricingRule::FirstPrice,
 //! );
-//! let outcome = auction.run(
-//!     vec![SubmittedBid::new(NodeId(0), bid.quality.clone(), bid.ask)],
-//!     &mut fmore_numerics::seeded_rng(1),
-//! )?;
-//! assert_eq!(outcome.winners().len(), 1);
+//!
+//! // Every one of N = 100 nodes solves its equilibrium bid from that broadcast: linear cost,
+//! // θ ~ U[0.1, 1.0], the strategy tabulated on 512 θ points.
+//! let cost = LinearCost::new(vec![0.6, 0.4])?;
+//! let solver = auction.equilibrium(cost.clone(), (0.1, 1.0), 100, 512)?;
+//! let bid = solver.bid_for(0.3)?;
+//! assert!(bid.ask >= cost.value(bid.quality.as_slice(), 0.3));
+//!
+//! // The aggregator runs one auction round over the bids of 30 nodes.
+//! let bids = (0..30)
+//!     .map(|i| {
+//!         let bid = solver.bid_for(0.1 + 0.03 * i as f64)?;
+//!         Ok(SubmittedBid::new(NodeId(i), bid.quality, bid.ask))
+//!     })
+//!     .collect::<Result<Vec<_>, AuctionError>>()?;
+//! let outcome = auction.run(bids, &mut fmore_numerics::seeded_rng(1))?;
+//! assert_eq!(outcome.winners().len(), 20);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -8,12 +8,15 @@
 //! ranks all of them and produces an [`AuctionOutcome`] with the ranked bids and the winner
 //! awards — the oracle the streaming path is tested against, bit for bit.
 
+use crate::cost::LinearCost;
+use crate::equilibrium::EquilibriumSolver;
 use crate::error::AuctionError;
 use crate::pricing::PricingRule;
 use crate::scoring::ScoringRule;
 use crate::store::{rank_order, BidSelector, Candidate, StandingPool, TieBreak};
 use crate::types::{NodeId, Quality, ScoredBid};
 use crate::winner::SelectionRule;
+use fmore_numerics::UniformDist;
 use rand::Rng;
 
 /// A sealed bid `(q, p)` submitted by an edge node.
@@ -166,6 +169,36 @@ impl Auction {
     /// The selection rule in use.
     pub fn selection_rule(&self) -> SelectionRule {
         self.selection
+    }
+
+    /// The equilibrium every node solves from this auction's broadcast (Algorithm 1,
+    /// step 1): `population` bidders with cost `cost` and θ ~ U[`theta.0`, `theta.1`] face
+    /// this auction's scoring rule (shared, not copied) and `K` over the unit quality box,
+    /// tabulated on `grid` θ points with the quadrature payment. The production entry point
+    /// to the solver; [`EquilibriumSolver::builder`] serves the tests and other games.
+    ///
+    /// # Errors
+    ///
+    /// As [`UniformDist::new`] for the θ support, then as the builder's `build`:
+    /// [`AuctionError::DimensionMismatch`] when `cost` and the rule disagree on the number
+    /// of resources, [`AuctionError::InvalidGame`] when `K = 0`, `N = 0` or `K > N`.
+    pub fn equilibrium(
+        &self,
+        cost: LinearCost,
+        theta: (f64, f64),
+        population: usize,
+        grid: usize,
+    ) -> Result<EquilibriumSolver, AuctionError> {
+        let theta = UniformDist::new(theta.0, theta.1)?;
+        EquilibriumSolver::builder()
+            .scoring_rule(&self.scoring)
+            .cost(cost)
+            .theta(theta)
+            .bounds(vec![(0.0, 1.0); self.scoring.dims()])
+            .population(population)
+            .winners(self.k)
+            .grid_size(grid)
+            .build()
     }
 
     /// Scores a full bid population in one call, preserving input order.
@@ -433,7 +466,7 @@ impl Auction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scoring::{Additive, CobbDouglas};
+    use crate::scoring::{Additive, CobbDouglas, ScoringFunction};
     use crate::store::BidStore;
     use fmore_numerics::seeded_rng;
 
@@ -685,6 +718,168 @@ mod tests {
                 "reserve {reserve}"
             );
         }
+    }
+
+    /// The reference: the same game assembled input by input through the builder, over
+    /// the unit box, with θ's law built and its error mapped separately.
+    fn builder_solver<S: ScoringFunction + 'static>(
+        scoring: S,
+        cost: LinearCost,
+        theta: (f64, f64),
+        population: usize,
+        winners: usize,
+        grid: usize,
+    ) -> Result<EquilibriumSolver, AuctionError> {
+        let theta = UniformDist::new(theta.0, theta.1).map_err(AuctionError::from)?;
+        let dims = scoring.dims();
+        EquilibriumSolver::builder()
+            .scoring(scoring)
+            .cost(cost)
+            .theta(theta)
+            .bounds(vec![(0.0, 1.0); dims])
+            .population(population)
+            .winners(winners)
+            .grid_size(grid)
+            .build()
+    }
+
+    fn bid_bits(bid: &crate::equilibrium::EquilibriumBid) -> Vec<u64> {
+        let scalars = [
+            bid.ask,
+            bid.max_score,
+            bid.score,
+            bid.win_probability,
+            bid.expected_profit,
+        ];
+        bid.quality
+            .as_slice()
+            .iter()
+            .chain(&scalars)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Asserts that `got` bids exactly as `want` at every grid point of a `grid`-point
+    /// table, every cell midpoint and both ends of the support, through both the per-node
+    /// and the batched tabulated path, and that both give the same score ceiling.
+    fn assert_same_solver<const D: usize>(
+        got: &EquilibriumSolver,
+        want: &EquilibriumSolver,
+        rule: &ScoringRule,
+        grid: usize,
+    ) {
+        let (lo, hi) = want.theta_support();
+        assert_eq!(got.theta_support(), (lo, hi));
+        let steps = 2 * (grid - 1);
+        let mut thetas: Vec<f64> = (0..=steps)
+            .map(|j| lo + (hi - lo) * j as f64 / steps as f64)
+            .collect();
+        thetas.extend([lo, hi]);
+        for &theta in &thetas {
+            assert_eq!(
+                bid_bits(&got.bid_for(theta).unwrap()),
+                bid_bits(&want.bid_for(theta).unwrap()),
+                "θ = {theta}"
+            );
+        }
+        let n = thetas.len();
+        // Capacities below, at and above the unit box, so the batched path clips.
+        let columns: Vec<Vec<f64>> = (0..D)
+            .map(|d| (0..n).map(|j| 0.25 * ((j + d) % 6) as f64).collect())
+            .collect();
+        let capacity: [&[f64]; D] = std::array::from_fn(|d| columns[d].as_slice());
+        let tabulate = |solver: &EquilibriumSolver| {
+            let (mut idx, mut frac) = (vec![0.0; n], vec![0.0; n]);
+            solver.grid_pos_batch(&thetas, &mut idx, &mut frac).unwrap();
+            let (mut qualities, mut asks) = (vec![0.0; n * D], vec![0.0; n]);
+            solver
+                .tabulated_bids_at(&idx, &frac, capacity, &mut qualities, &mut asks)
+                .unwrap();
+            qualities
+                .iter()
+                .chain(&asks)
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(tabulate(got), tabulate(want));
+        assert_eq!(
+            format!("{:?}", got.score_ceiling(rule).unwrap()),
+            format!("{:?}", want.score_ceiling(rule).unwrap())
+        );
+    }
+
+    #[test]
+    fn equilibrium_is_the_builder_bit_for_bit() {
+        // The trainer's game: s(q) = 25·q1·q2, c = θ·(2 q1 + q2), N = 100, K = 20.
+        let scoring = CobbDouglas::with_scale(25.0, vec![1.0, 1.0]).unwrap();
+        let cost = LinearCost::new(vec![2.0, 1.0]).unwrap();
+        let auction = Auction::new(
+            ScoringRule::new(scoring.clone()),
+            20,
+            SelectionRule::TopK,
+            PricingRule::FirstPrice,
+        );
+        let got = auction
+            .equilibrium(cost.clone(), (0.1, 1.0), 100, 128)
+            .unwrap();
+        let want = builder_solver(scoring, cost, (0.1, 1.0), 100, 20, 128).unwrap();
+        assert_same_solver::<2>(&got, &want, auction.scoring_rule(), 128);
+
+        // The population-scale game: additive scoring, three resources, θ ~ U[0.1, 0.9].
+        let scoring = Additive::new(vec![0.4, 0.3, 0.3]).unwrap();
+        let cost = LinearCost::new(vec![0.3, 0.3, 0.4]).unwrap();
+        let auction = Auction::new(
+            ScoringRule::new(scoring.clone()),
+            64,
+            SelectionRule::PsiFMore { psi: 0.4 },
+            PricingRule::FirstPrice,
+        );
+        let got = auction
+            .equilibrium(cost.clone(), (0.1, 0.9), 5000, 96)
+            .unwrap();
+        let want = builder_solver(scoring, cost, (0.1, 0.9), 5000, 64, 96).unwrap();
+        assert_same_solver::<3>(&got, &want, auction.scoring_rule(), 96);
+    }
+
+    #[test]
+    fn equilibrium_rejects_what_the_builder_rejects() {
+        let scoring = || CobbDouglas::with_scale(25.0, vec![1.0, 1.0]).unwrap();
+        let cost = |coefficients: &[f64]| LinearCost::new(coefficients.to_vec()).unwrap();
+        let auction = |k| {
+            Auction::new(
+                ScoringRule::new(scoring()),
+                k,
+                SelectionRule::TopK,
+                PricingRule::FirstPrice,
+            )
+        };
+        // (K, cost coefficients, θ support, N): K = 0, K > N, a third cost dimension on a
+        // two-dimensional rule, an inverted θ support.
+        let cases = [
+            (0, &[2.0, 1.0][..], (0.1, 1.0), 10),
+            (11, &[2.0, 1.0], (0.1, 1.0), 10),
+            (3, &[2.0, 1.0, 1.0], (0.1, 1.0), 10),
+            (3, &[2.0, 1.0], (1.0, 0.1), 10),
+        ];
+        for (k, coefficients, theta, n) in cases {
+            let got = auction(k)
+                .equilibrium(cost(coefficients), theta, n, 32)
+                .unwrap_err();
+            let want = builder_solver(scoring(), cost(coefficients), theta, n, k, 32).unwrap_err();
+            assert_eq!(got, want, "K = {k}, cost {coefficients:?}, θ {theta:?}");
+        }
+        assert!(matches!(
+            auction(0).equilibrium(cost(&[2.0, 1.0]), (0.1, 1.0), 10, 32),
+            Err(AuctionError::InvalidGame { n: 10, k: 0 })
+        ));
+        assert!(matches!(
+            auction(3).equilibrium(cost(&[2.0, 1.0, 1.0]), (0.1, 1.0), 10, 32),
+            Err(AuctionError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            auction(3).equilibrium(cost(&[2.0, 1.0]), (1.0, 0.1), 10, 32),
+            Err(AuctionError::Numerics(_))
+        ));
     }
 
     #[test]

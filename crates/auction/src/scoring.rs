@@ -630,7 +630,7 @@ impl<S: ScoringFunction> ScoringFunction for CountingScoring<S> {
 /// bid-ask step (Eq. 4 of the paper).
 #[derive(Clone)]
 pub struct ScoringRule {
-    s: Arc<dyn ScoringFunction>,
+    pub(crate) s: Arc<dyn ScoringFunction>,
 }
 
 impl std::fmt::Debug for ScoringRule {

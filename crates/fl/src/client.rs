@@ -165,10 +165,13 @@ impl EdgeClient {
 mod tests {
     use super::*;
     use crate::engine::{collect_adopted_bids, collect_bids};
-    use fmore_auction::{CobbDouglas, CountingScoring, LinearCost, PaymentMethod, ScoringFunction};
+    use fmore_auction::{
+        Auction, CobbDouglas, CountingScoring, LinearCost, PricingRule, ScoringFunction,
+        ScoringRule, SelectionRule,
+    };
     use fmore_ml::dataset::SyntheticImageSpec;
     use fmore_ml::partition::{partition_non_iid, PartitionConfig};
-    use fmore_numerics::{seeded_rng, UniformDist};
+    use fmore_numerics::seeded_rng;
     use std::sync::Arc;
 
     fn setup() -> (Dataset, Vec<EdgeClient>) {
@@ -203,17 +206,14 @@ mod tests {
     }
 
     fn solver_scoring_with(scoring: impl ScoringFunction + 'static) -> EquilibriumSolver {
-        EquilibriumSolver::builder()
-            .scoring(scoring)
-            .cost(LinearCost::new(vec![2.0, 1.0]).unwrap())
-            .theta(UniformDist::new(0.1, 1.0).unwrap())
-            .bounds(vec![(0.0, 1.0), (0.0, 1.0)])
-            .population(10)
-            .winners(3)
-            .payment_method(PaymentMethod::Quadrature)
-            .grid_size(64)
-            .build()
-            .unwrap()
+        let auction = Auction::new(
+            ScoringRule::new(scoring),
+            3,
+            SelectionRule::TopK,
+            PricingRule::FirstPrice,
+        );
+        let cost = LinearCost::new(vec![2.0, 1.0]).unwrap();
+        auction.equilibrium(cost, (0.1, 1.0), 10, 64).unwrap()
     }
 
     #[test]

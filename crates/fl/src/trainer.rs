@@ -8,7 +8,7 @@ use crate::engine::{self, RoundEngine, SlotState, TrainingJob};
 use crate::error::FlError;
 use crate::metrics::{RoundMetrics, RoundOutcome, TrainingHistory, WinnerInfo};
 use crate::selection::SelectionStrategy;
-use fmore_auction::{Auction, CobbDouglas, EquilibriumSolver, LinearCost, NodeId, ScoringRule};
+use fmore_auction::{Auction, CobbDouglas, LinearCost, NodeId, ScoringRule};
 use fmore_ml::arena::ScratchArena;
 use fmore_ml::dataset::{image_spec_for, Dataset, SyntheticTextSpec, TaskKind};
 use fmore_ml::model::{Model, Sequential};
@@ -159,30 +159,27 @@ impl FederatedTrainer {
 
         let auction = match &strategy {
             SelectionStrategy::Auction(cfg) => {
-                let scoring =
-                    CobbDouglas::with_scale(cfg.scoring_scale, cfg.scoring_exponents.clone())?;
-                let cost = LinearCost::new(cfg.cost_coefficients.clone())?;
-                let bounds = vec![(0.0, 1.0); cfg.dims()];
-                let solver = EquilibriumSolver::builder()
-                    .scoring(scoring.clone())
-                    .cost(cost)
-                    .theta(theta_dist)
-                    .bounds(bounds)
-                    .population(config.clients)
-                    .winners(config.winners_per_round)
-                    .grid_size(128)
-                    .build()?;
+                let auction = Auction::new(
+                    ScoringRule::new(CobbDouglas::with_scale(
+                        cfg.scoring_scale,
+                        cfg.scoring_exponents.clone(),
+                    )?),
+                    config.winners_per_round,
+                    cfg.selection,
+                    cfg.pricing,
+                );
+                let solver = auction.equilibrium(
+                    LinearCost::new(cfg.cost_coefficients.clone())?,
+                    config.theta_range,
+                    config.clients,
+                    128,
+                )?;
                 // Step 1 of Algorithm 1, the broadcast: θ is fixed for the run, so each
                 // client solves its strategy here and the solver is not needed again.
                 for client in &mut clients {
                     client.adopt_strategy(&solver)?;
                 }
-                Some(Auction::new(
-                    ScoringRule::new(scoring),
-                    config.winners_per_round,
-                    cfg.selection,
-                    cfg.pricing,
-                ))
+                Some(auction)
             }
             _ => None,
         };

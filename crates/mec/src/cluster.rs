@@ -17,8 +17,7 @@ use crate::ledger::PaymentLedger;
 use crate::node::{MecNode, ResourceRanges};
 use crate::time_model::TimeModel;
 use fmore_auction::{
-    Additive, Auction, EquilibriumSolver, LinearCost, NodeId, PricingRule, ScoringRule,
-    SelectionRule, StandingPool,
+    Additive, Auction, LinearCost, NodeId, PricingRule, ScoringRule, SelectionRule, StandingPool,
 };
 use fmore_fl::config::{FlConfig, ModelChoice};
 use fmore_fl::engine::{self, apply_deadline, ParticipantTiming, RoundEngine};
@@ -50,14 +49,19 @@ impl ClusterStrategy {
     }
 }
 
+/// The paper's additive scoring weights over (computing power, bandwidth, data size)
+/// (§V-C), shared by the cluster and the population-scale game.
+pub const SCORING_WEIGHTS: [f64; 3] = [0.4, 0.3, 0.3];
+
+/// The linear private-cost coefficients over the same three resources.
+pub const COST_COEFFICIENTS: [f64; 3] = [0.3, 0.3, 0.4];
+
 /// Configuration of the simulated cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
-    /// Number of edge nodes (the paper uses 31 plus one aggregator).
-    pub nodes: usize,
-    /// Winners per round `K`.
-    pub winners_per_round: usize,
-    /// Federated-learning configuration driving the actual training.
+    /// Federated-learning configuration driving the actual training; its `clients` is the
+    /// number of edge nodes (the paper uses 31 plus one aggregator) and its
+    /// `winners_per_round` the auction's `K`.
     pub fl: FlConfig,
     /// Per-node resource ranges.
     pub resources: ResourceRanges,
@@ -86,12 +90,10 @@ impl ClusterConfig {
         fl.train_samples = 8_000;
         fl.test_samples = 1_000;
         Self {
-            nodes: 31,
-            winners_per_round: 10,
             fl,
             resources: ResourceRanges::paper_cluster(),
-            scoring_weights: vec![0.4, 0.3, 0.3],
-            cost_coefficients: vec![0.3, 0.3, 0.4],
+            scoring_weights: SCORING_WEIGHTS.to_vec(),
+            cost_coefficients: COST_COEFFICIENTS.to_vec(),
             time_model: TimeModel::paper_cluster(),
             dynamics: None,
         }
@@ -108,12 +110,10 @@ impl ClusterConfig {
             category_range: (2, 10),
         };
         Self {
-            nodes: 8,
-            winners_per_round: 3,
             fl,
             resources: ResourceRanges::paper_cluster(),
-            scoring_weights: vec![0.4, 0.3, 0.3],
-            cost_coefficients: vec![0.3, 0.3, 0.4],
+            scoring_weights: SCORING_WEIGHTS.to_vec(),
+            cost_coefficients: COST_COEFFICIENTS.to_vec(),
             time_model: TimeModel::paper_cluster(),
             dynamics: None,
         }
@@ -132,21 +132,6 @@ impl ClusterConfig {
     ///
     /// Returns [`MecError::InvalidConfig`] describing the first violated constraint.
     pub(crate) fn validate(&self) -> Result<(), MecError> {
-        if self.nodes == 0 {
-            return Err(MecError::InvalidConfig("nodes must be positive".into()));
-        }
-        if self.winners_per_round == 0 || self.winners_per_round > self.nodes {
-            return Err(MecError::InvalidConfig(format!(
-                "winners_per_round {} must be in 1..={}",
-                self.winners_per_round, self.nodes
-            )));
-        }
-        if self.fl.clients != self.nodes {
-            return Err(MecError::InvalidConfig(format!(
-                "fl.clients {} must equal nodes {}",
-                self.fl.clients, self.nodes
-            )));
-        }
         if self.scoring_weights.len() != 3 || self.cost_coefficients.len() != 3 {
             return Err(MecError::InvalidConfig(
                 "cluster scoring and cost are defined over exactly three resources".into(),
@@ -261,7 +246,7 @@ impl std::fmt::Debug for MecCluster {
         f.debug_struct("MecCluster")
             .field("strategy", &self.strategy.name())
             .field("nodes", &self.nodes.len())
-            .field("winners_per_round", &self.config.winners_per_round)
+            .field("winners_per_round", &self.config.fl.winners_per_round)
             .field("elapsed_secs", &self.elapsed_secs)
             .finish()
     }
@@ -300,7 +285,7 @@ impl MecCluster {
         let mut rng = seeded_rng(seed);
         let theta_dist = UniformDist::new(config.fl.theta_range.0, config.fl.theta_range.1)
             .map_err(fmore_auction::AuctionError::from)?;
-        let mut nodes: Vec<MecNode> = (0..config.nodes)
+        let mut nodes: Vec<MecNode> = (0..config.fl.clients)
             .map(|i| {
                 let theta = theta_dist.sample(&mut rng);
                 MecNode::new(
@@ -327,29 +312,25 @@ impl MecCluster {
 
         let auction = match strategy {
             ClusterStrategy::FMore => {
-                let scoring = Additive::new(config.scoring_weights.clone())?;
-                let cost = LinearCost::new(config.cost_coefficients.clone())?;
-                let solver = EquilibriumSolver::builder()
-                    .scoring(scoring.clone())
-                    .cost(cost)
-                    .theta(theta_dist)
-                    .bounds(vec![(0.0, 1.0); 3])
-                    .population(config.nodes)
-                    .winners(config.winners_per_round)
-                    .grid_size(128)
-                    .build()?;
+                let auction = Auction::new(
+                    ScoringRule::new(Additive::new(config.scoring_weights.clone())?),
+                    config.fl.winners_per_round,
+                    SelectionRule::TopK,
+                    PricingRule::FirstPrice,
+                );
+                let solver = auction.equilibrium(
+                    LinearCost::new(config.cost_coefficients.clone())?,
+                    config.fl.theta_range,
+                    config.fl.clients,
+                    128,
+                )?;
                 // The broadcast of Algorithm 1 step 1: every node — present now or
                 // re-arriving under churn later — solves its strategy from its own θ
                 // here, once; rounds only cap it, so the solver is not kept.
                 for node in &mut nodes {
                     node.adopt_strategy(&solver)?;
                 }
-                Some(Auction::new(
-                    ScoringRule::new(scoring),
-                    config.winners_per_round,
-                    SelectionRule::TopK,
-                    PricingRule::FirstPrice,
-                ))
+                Some(auction)
             }
             ClusterStrategy::RandFL => None,
         };
@@ -359,7 +340,7 @@ impl MecCluster {
         let churn = config
             .dynamics
             .as_ref()
-            .map(|_| ChurnState::new(config.nodes, derive_seed(seed, 0x3000)));
+            .map(|_| ChurnState::new(config.fl.clients, derive_seed(seed, 0x3000)));
 
         Ok(Self {
             config,
@@ -400,7 +381,7 @@ impl MecCluster {
         eligible: &[usize],
     ) -> Result<(Vec<WinnerInfo>, StandingPool), MecError> {
         let maxima = self.config.resources.maxima();
-        let quota = self.config.winners_per_round.min(eligible.len());
+        let quota = self.config.fl.winners_per_round.min(eligible.len());
         if quota == 0 {
             return Ok((Vec::new(), StandingPool::default()));
         }
@@ -496,7 +477,7 @@ impl MecCluster {
         let present = self.present_nodes();
 
         let maxima = self.config.resources.maxima();
-        let quota = self.config.winners_per_round.min(present.len());
+        let quota = self.config.fl.winners_per_round.min(present.len());
         let mut outcome = RoundOutcome::default();
         let mut round_secs = 0.0;
 
@@ -697,7 +678,7 @@ impl ClusterHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmore_auction::{CountingScoring, ScoringFunction};
+    use fmore_auction::{CountingScoring, EquilibriumSolver, ScoringFunction};
     use std::sync::Arc;
 
     #[test]
@@ -706,11 +687,11 @@ mod tests {
         assert!(ClusterConfig::fast_test().validate().is_ok());
 
         let mut c = ClusterConfig::fast_test();
-        c.nodes = 0;
+        c.fl.clients = 0;
         assert!(c.validate().is_err());
 
         let mut c = ClusterConfig::fast_test();
-        c.winners_per_round = 100;
+        c.fl.winners_per_round = 100;
         assert!(c.validate().is_err());
 
         let mut c = ClusterConfig::fast_test();
@@ -729,7 +710,8 @@ mod tests {
     #[test]
     fn paper_cluster_matches_section_v_c() {
         let c = ClusterConfig::paper_cluster();
-        assert_eq!(c.nodes, 31);
+        assert_eq!(c.fl.clients, 31);
+        assert_eq!(c.fl.winners_per_round, 10);
         assert_eq!(c.scoring_weights, vec![0.4, 0.3, 0.3]);
         assert_eq!(c.fl.task, TaskKind::Cifar10);
         assert_eq!(c.resources.data_size, (2000.0, 10_000.0));
@@ -940,16 +922,16 @@ mod tests {
         config: &ClusterConfig,
         scoring: impl ScoringFunction + 'static,
     ) -> EquilibriumSolver {
-        let (lo, hi) = config.fl.theta_range;
-        EquilibriumSolver::builder()
-            .scoring(scoring)
-            .cost(LinearCost::new(config.cost_coefficients.clone()).unwrap())
-            .theta(UniformDist::new(lo, hi).unwrap())
-            .bounds(vec![(0.0, 1.0); 3])
-            .population(config.nodes)
-            .winners(config.winners_per_round)
-            .grid_size(128)
-            .build()
+        let auction = Auction::new(
+            ScoringRule::new(scoring),
+            config.fl.winners_per_round,
+            SelectionRule::TopK,
+            PricingRule::FirstPrice,
+        );
+        let cost = LinearCost::new(config.cost_coefficients.clone()).unwrap();
+        let fl = &config.fl;
+        auction
+            .equilibrium(cost, fl.theta_range, fl.clients, 128)
             .unwrap()
     }
 

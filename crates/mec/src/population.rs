@@ -801,16 +801,16 @@ mod tests {
     }
 
     fn tiny_solver(theta_range: (f64, f64)) -> EquilibriumSolver {
-        EquilibriumSolver::builder()
-            .scoring(fmore_auction::Additive::new(vec![0.4, 0.3, 0.3]).unwrap())
-            .cost(fmore_auction::LinearCost::new(vec![0.3, 0.3, 0.4]).unwrap())
-            .theta(fmore_numerics::UniformDist::new(theta_range.0, theta_range.1).unwrap())
-            .bounds(vec![(0.0, 1.0); 3])
-            .population(64)
-            .winners(8)
-            .grid_size(48)
-            .build()
-            .unwrap()
+        let auction = fmore_auction::Auction::new(
+            fmore_auction::ScoringRule::new(
+                fmore_auction::Additive::new(vec![0.4, 0.3, 0.3]).unwrap(),
+            ),
+            8,
+            fmore_auction::SelectionRule::TopK,
+            fmore_auction::PricingRule::FirstPrice,
+        );
+        let cost = fmore_auction::LinearCost::new(vec![0.3, 0.3, 0.4]).unwrap();
+        auction.equilibrium(cost, theta_range, 64, 48).unwrap()
     }
 
     #[test]

@@ -583,15 +583,17 @@ impl Layer for MaxPool2d {
             for c in 0..in_shape.channels {
                 for oy in 0..out_shape.height {
                     for ox in 0..out_shape.width {
-                        // A window holding nothing above -∞ (all -∞ or NaN) keeps its first
-                        // pixel as the argmax, so its gradient stays inside the window.
+                        // A window's first NaN is its value and its argmax, so the NaN
+                        // reaches the loss. A window holding nothing above -∞ keeps its
+                        // first pixel as the argmax, so its gradient stays inside the window.
                         let mut best = f64::NEG_INFINITY;
                         let mut best_idx = in_shape.index(c, oy * 2, ox * 2);
                         for dy in 0..2 {
                             for dx in 0..2 {
                                 let idx = in_shape.index(c, oy * 2 + dy, ox * 2 + dx);
-                                if row[idx] > best {
-                                    best = row[idx];
+                                let v = row[idx];
+                                if v > best || (v.is_nan() && !best.is_nan()) {
+                                    best = v;
                                     best_idx = idx;
                                 }
                             }
@@ -1151,6 +1153,33 @@ mod tests {
         assert_eq!(sum(neg_inf_window), 1.0);
         assert_eq!(sum(nan_window), 2.0);
         assert_eq!(grad.data().iter().sum::<f64>(), 3.0);
+    }
+
+    /// A NaN pixel is its window's value and argmax, whatever numbers share the window.
+    #[test]
+    fn maxpool_propagates_a_nan_pixel_and_routes_its_gradient_to_it() {
+        let mut rng = seeded_rng(9);
+        let shape = ImageShape::new(1, 4, 4);
+        let mut pool = MaxPool2d::new(shape);
+        let mut x = Matrix::from_vec(1, 16, (1..=16).map(|v| v as f64).collect());
+        // Window (0, 0) is pixels [0, 1, 4, 5]; its largest number, 6.0, sits at pixel 5.
+        x.row_mut(0)[4] = f64::NAN;
+        // Window (1, 1): a NaN after its largest number, and a second NaN after that.
+        x.row_mut(0)[14] = f64::NAN;
+        x.row_mut(0)[15] = f64::NAN;
+        let out = pool.forward(&x, true, &mut rng);
+        assert!(out.get(0, 0).is_nan());
+        assert!(out.get(0, 3).is_nan());
+        assert_eq!(out.get(0, 1), 8.0);
+        assert_eq!(out.get(0, 2), 14.0);
+        let g = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
+        let grad = pool.backward(&g);
+        let mut expected = vec![0.0; 16];
+        expected[4] = 1.0; // the NaN, not the 6.0 beside it
+        expected[7] = 2.0;
+        expected[13] = 3.0;
+        expected[14] = 4.0; // the window's first NaN
+        assert_eq!(grad.data(), expected.as_slice());
     }
 
     #[test]

@@ -184,7 +184,7 @@ mod tests {
     fn paper_config_matches_section_v_c() {
         let c = ClusterExperimentConfig::paper();
         assert_eq!(c.rounds, 20);
-        assert_eq!(c.cluster.nodes, 31);
+        assert_eq!(c.cluster.fl.clients, 31);
         assert!(c.accuracy_targets.contains(&0.5));
     }
 }

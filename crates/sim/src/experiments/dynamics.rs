@@ -49,8 +49,6 @@ impl DynamicsExperimentConfig {
     /// a tiny test set, still finishing in a few seconds.
     pub(crate) fn quick() -> Self {
         let mut cluster = ClusterConfig::fast_test();
-        cluster.nodes = 12;
-        cluster.winners_per_round = 4;
         cluster.fl.clients = 12;
         cluster.fl.winners_per_round = 4;
         cluster.fl.partition.clients = 12;
@@ -467,7 +465,7 @@ mod tests {
         let q = DynamicsExperimentConfig::quick();
         let p = DynamicsExperimentConfig::paper();
         assert!(p.rounds > q.rounds);
-        assert_eq!(p.cluster.nodes, 31);
+        assert_eq!(p.cluster.fl.clients, 31);
         assert!(p.dropout_rates.len() >= q.dropout_rates.len());
     }
 }

@@ -6,7 +6,7 @@
 //! * Fig. 9b / 10b — the realised mean winner payment and score as `N` or `K` varies: more
 //!   competition lowers payments and raises scores (Theorem 2), more winners the reverse
 //!   (Theorem 3). Every trial draws a fresh population of the paper's simulator game, bids
-//!   through held equilibrium strategies ([`EquilibriumSolver::strategy_for`] then
+//!   through held equilibrium strategies ([`fmore_auction::EquilibriumSolver::strategy_for`] then
 //!   [`EquilibriumStrategy::cap`](fmore_auction::EquilibriumStrategy::cap)) and selects
 //!   through the production streamed selector ([`auction_select_streamed`]).
 //! * Fig. 11b — how many ψ-FMore selections land in the top-10 / top-20 / top-30 score ranks,
@@ -20,8 +20,8 @@ use crate::error::SimError;
 use crate::scenario::{ScenarioRunner, ScenarioSpec};
 use crate::series::Table;
 use fmore_auction::{
-    Auction, AuctionError, BidStore, CobbDouglas, EquilibriumSolver, LinearCost, NodeId,
-    PricingRule, ScoringRule, SelectionRule,
+    Auction, AuctionError, BidStore, CobbDouglas, LinearCost, NodeId, PricingRule, ScoringRule,
+    SelectionRule,
 };
 use fmore_fl::config::{FlConfig, ModelChoice};
 use fmore_fl::engine::{auction_select_streamed, RoundEngine};
@@ -336,21 +336,14 @@ pub(crate) fn auction_game(
 ) -> Result<[f64; 2], SimError> {
     let scoring = CobbDouglas::with_scale(SCORING_SCALE, vec![1.0; COST_COEFFICIENTS.len()])?;
     let theta = UniformDist::new(THETA_RANGE.0, THETA_RANGE.1).map_err(AuctionError::from)?;
-    let solver = EquilibriumSolver::builder()
-        .scoring(scoring.clone())
-        .cost(LinearCost::new(COST_COEFFICIENTS.to_vec())?)
-        .theta(theta)
-        .bounds(vec![(0.0, 1.0); COST_COEFFICIENTS.len()])
-        .population(n)
-        .winners(k)
-        .grid_size(GRID_SIZE)
-        .build()?;
     let auction = Auction::new(
         ScoringRule::new(scoring),
         k,
         SelectionRule::TopK,
         PricingRule::FirstPrice,
     );
+    let cost = LinearCost::new(COST_COEFFICIENTS.to_vec())?;
+    let solver = auction.equilibrium(cost, THETA_RANGE, n, GRID_SIZE)?;
     let engine = RoundEngine::inline();
     let mut rng = seeded_rng(seed);
     let trials = trials.max(1);

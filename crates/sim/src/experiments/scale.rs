@@ -44,9 +44,10 @@ use fmore_auction::{
 };
 use fmore_fl::engine::{auction_select_streamed, RoundEngine, StreamedAuction};
 use fmore_fl::metrics::WinnerInfo;
+use fmore_mec::cluster::{COST_COEFFICIENTS, SCORING_WEIGHTS};
 use fmore_mec::population::{NodePopulation, PopulationSpec, SpecVersion};
 use fmore_numerics::rng::derive_seed;
-use fmore_numerics::{seeded_rng, UniformDist};
+use fmore_numerics::seeded_rng;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -123,6 +124,26 @@ impl ScaleConfig {
     }
 }
 
+/// The population-scale game for `spec`, played by the scale entries and the service soak:
+/// the cluster's additive scoring and linear cost, `K = min(winners, N)` under `selection`,
+/// first price; the auction and the equilibrium tabulated on `grid` θ points.
+pub(crate) fn population_game(
+    spec: &PopulationSpec,
+    winners: usize,
+    selection: SelectionRule,
+    grid: usize,
+) -> Result<(Auction, EquilibriumSolver), SimError> {
+    let auction = Auction::new(
+        ScoringRule::new(Additive::new(SCORING_WEIGHTS.to_vec())?),
+        winners.min(spec.size),
+        selection,
+        PricingRule::FirstPrice,
+    );
+    let cost = LinearCost::new(COST_COEFFICIENTS.to_vec())?;
+    let solver = auction.equilibrium(cost, spec.theta_range, spec.size, grid)?;
+    Ok((auction, solver))
+}
+
 /// The per-`N` machinery shared by every scale entry (and by the scale smokes of the
 /// integration tests): a lazily derived population, the tabulated equilibrium solver, and the auction of one
 /// selection round.
@@ -164,26 +185,8 @@ impl ScaleGame {
         let spec = PopulationSpec::scale_default(n, derive_seed(config.seed, n as u64))
             .with_version(config.spec_version);
         let population = NodePopulation::new(spec)?;
-        let scoring = Additive::new(vec![0.4, 0.3, 0.3])?;
-        let cost = LinearCost::new(vec![0.3, 0.3, 0.4])?;
-        let theta =
-            UniformDist::new(spec.theta_range.0, spec.theta_range.1).map_err(AuctionError::from)?;
-        let k = config.winners.min(n);
-        let solver = EquilibriumSolver::builder()
-            .scoring(scoring.clone())
-            .cost(cost)
-            .theta(theta)
-            .bounds(vec![(0.0, 1.0); 3])
-            .population(n)
-            .winners(k)
-            .grid_size(config.grid_size)
-            .build()?;
-        let auction = Auction::new(
-            ScoringRule::new(scoring),
-            k,
-            selection,
-            PricingRule::FirstPrice,
-        );
+        let (auction, solver) =
+            population_game(&spec, config.winners, selection, config.grid_size)?;
         let ceiling = solver.score_ceiling(auction.scoring_rule())?;
         Ok(Self {
             population,

@@ -12,15 +12,14 @@
 
 use crate::error::SimError;
 use crate::experiments::registry::ExperimentReport;
+use crate::experiments::scale::population_game;
 use crate::scenario::ScenarioRunner;
 use crate::series::Table;
-use fmore_auction::{Additive, Auction, AuctionError, EquilibriumSolver, LinearCost};
-use fmore_auction::{PricingRule, ScoringRule, SelectionRule};
+use fmore_auction::SelectionRule;
 use fmore_fl::engine::{FanOutGranularity, RoundEngine};
 use fmore_fl::service::{AuctionService, BidSource, DeadlineSpec, JobSpec, ServiceConfig};
 use fmore_mec::population::{NodePopulation, PopulationSpec, SpecVersion};
 use fmore_numerics::rng::derive_seed;
-use fmore_numerics::UniformDist;
 use std::sync::Arc;
 
 /// Configuration of the service soak.
@@ -124,20 +123,8 @@ pub fn job_specs(config: &SoakConfig) -> Result<Vec<JobSpec>, SimError> {
             let selection = scheme_for(j);
             let spec = PopulationSpec::scale_default(config.population, seed).with_version(version);
             let population = NodePopulation::new(spec)?;
-            let scoring = Additive::new(vec![0.4, 0.3, 0.3])?;
-            let cost = LinearCost::new(vec![0.3, 0.3, 0.4])?;
-            let theta = UniformDist::new(spec.theta_range.0, spec.theta_range.1)
-                .map_err(AuctionError::from)?;
-            let k = config.winners.min(config.population);
-            let solver = EquilibriumSolver::builder()
-                .scoring(scoring.clone())
-                .cost(cost)
-                .theta(theta)
-                .bounds(vec![(0.0, 1.0); 3])
-                .population(config.population)
-                .winners(k)
-                .grid_size(config.grid_size)
-                .build()?;
+            let (auction, solver) =
+                population_game(&spec, config.winners, selection, config.grid_size)?;
             let solver = Arc::new(solver);
             let source: Arc<BidSource> = Arc::new(move |range, round, store| {
                 population.bid_range_into_store(range, round, &solver, store)
@@ -151,12 +138,7 @@ pub fn job_specs(config: &SoakConfig) -> Result<Vec<JobSpec>, SimError> {
                 population: config.population,
                 shard_size: config.shard_size,
                 reserve: config.reserve,
-                auction: Auction::new(
-                    ScoringRule::new(scoring),
-                    k,
-                    selection,
-                    PricingRule::FirstPrice,
-                ),
+                auction,
                 seed,
                 deadline: (j % 2 == 1).then(DeadlineSpec::lenient),
                 max_pending: 4,

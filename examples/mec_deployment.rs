@@ -11,16 +11,15 @@ use fmore::mec::cluster::{ClusterConfig, ClusterStrategy, MecCluster};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rounds = 8;
     let mut config = ClusterConfig::fast_test();
-    config.nodes = 16;
-    config.winners_per_round = 5;
     config.fl.clients = 16;
+    config.fl.winners_per_round = 5;
     config.fl.partition.clients = 16;
     config.fl.train_samples = 2_000;
     config.fl.test_samples = 400;
 
     println!(
         "Simulated MEC cluster: {} nodes, K = {}, {} rounds\n",
-        config.nodes, config.winners_per_round, rounds
+        config.fl.clients, config.fl.winners_per_round, rounds
     );
 
     for strategy in [ClusterStrategy::FMore, ClusterStrategy::RandFL] {
